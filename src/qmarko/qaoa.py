@@ -299,6 +299,16 @@ def run_ansatz(
     return _ansatz_state(energy_table(hamiltonian), params, mixer, pairs)
 
 
+def _expectation_objective(table: EnergyTable, mixer: str, pairs):
+    """theta -> <H> of the ansatz at angles theta, on a precomputed table."""
+
+    def objective(theta):
+        state = _ansatz_state(table, QaoaParams.from_vector(theta), mixer, pairs)
+        return expectation(state, table)
+
+    return objective
+
+
 def _draw_initial_angles(rng: np.random.Generator, p: int) -> np.ndarray:
     return rng.uniform(0.0, np.pi, size=2 * p)
 
@@ -323,11 +333,7 @@ def optimize_angles(
         theta0 = _draw_initial_angles(np.random.default_rng(seed), p)
     else:
         theta0 = initial_params.to_vector()
-
-    def objective(theta):
-        state = _ansatz_state(table, QaoaParams.from_vector(theta), mixer, pairs)
-        return expectation(state, table)
-
+    objective = _expectation_objective(table, mixer, pairs)
     best_x, _, evals = minimize_with_budget(objective, theta0, optimizer, budget)
     return QaoaParams.from_vector(best_x), evals
 
@@ -413,11 +419,7 @@ def run_schedule(
         hamiltonian = to_ising(program)
         table = energy_table(hamiltonian)
         pairs = mixer_pairs(program.labels) if mixer == "conditional" else None
-
-        def objective(vec, _table=table, _pairs=pairs):
-            state = _ansatz_state(_table, QaoaParams.from_vector(vec), mixer, _pairs)
-            return expectation(state, _table)
-
+        objective = _expectation_objective(table, mixer, pairs)
         chunk = min(config.doubling_interval, config.max_iterations - used)
         theta, _, evals = _minimize_exact_budget(objective, theta, optimizer, chunk)
         for value in evals:
@@ -471,15 +473,15 @@ def _run_fixed_penalty(
     optimizer: str,
     report_most_probable: bool,
 ) -> ExperimentRecord:
-    hamiltonian = to_ising(program)
-    table = energy_table(hamiltonian)
+    table = energy_table(to_ising(program))
     initial_params = QaoaParams.from_vector(
         _draw_initial_angles(np.random.default_rng(seed), p)
     )
-    final_params, evals = optimize_angles(
-        hamiltonian, p, optimizer=optimizer, budget=budget,
-        initial_params=initial_params,
+    objective = _expectation_objective(table, "standard", None)
+    best_x, _, evals = minimize_with_budget(
+        objective, initial_params.to_vector(), optimizer, budget
     )
+    final_params = QaoaParams.from_vector(best_x)
     state = _ansatz_state(table, final_params, "standard", None)
     best_feasible, most_probable, feasible_mass = _portfolio_picks(instance, state)
     rows = tuple(

@@ -351,6 +351,56 @@ def test_run_ansatz_matches_dense_reference():
         assert np.allclose(state.amplitudes, reference, atol=1e-10)
 
 
+def _random_hamiltonian(m, rng):
+    couplings = {
+        (i, j): float(rng.normal()) for i in range(m) for j in range(i + 1, m) if rng.random() < 0.5
+    }
+    return IsingHamiltonian(m, couplings, rng.normal(size=m), float(rng.normal()))
+
+
+def _conditional_layouts(m, rng):
+    """Pair lists covering the cases the block kernel permutes for."""
+    layouts = [[]]
+    if m >= 2:
+        # Ancilla below asset, non-adjacent, with unpaired qubits between.
+        layouts.append([(m - 1, 0)])
+        # Slack layout: an unpaired top qubit when m is odd, a half-filled
+        # block when m // 2 is odd.
+        layouts.append([(i, i + m // 2) for i in range(m // 2)])
+        for _ in range(3):
+            qubits = [int(q) for q in rng.permutation(m)]
+            count = int(rng.integers(1, m // 2 + 1))
+            layouts.append([(qubits[2 * i], qubits[2 * i + 1]) for i in range(count)])
+    return layouts
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_mixers_match_dense_reference_on_arbitrary_layouts(m):
+    # m runs past simulate.BLOCK_QUBITS and over values that are not multiples of it.
+    rng = np.random.default_rng(500 + m)
+    hamiltonian = _random_hamiltonian(m, rng)
+    params = QaoaParams(2, tuple(rng.uniform(-np.pi, np.pi, 2)), tuple(rng.uniform(-np.pi, np.pi, 2)))
+    state = run_ansatz(hamiltonian, params)
+    reference = dense_reference_ansatz(hamiltonian, params, "standard")
+    assert np.allclose(state.amplitudes, reference, rtol=0, atol=1e-10)
+    for pairs in _conditional_layouts(m, rng):
+        state = run_ansatz(hamiltonian, params, mixer="conditional", pairs=pairs)
+        reference = dense_reference_ansatz(hamiltonian, params, "conditional", pairs)
+        assert np.allclose(state.amplitudes, reference, rtol=0, atol=1e-10), pairs
+
+
+def test_conditional_without_pairs_matches_export():
+    inst = generate_instance(3, 1, seed=17)
+    hamiltonian = to_ising(build_penalty_qubo(inst, 10.0))
+    params = QaoaParams(2, (0.4, 0.6), (0.3, 0.9))
+    state = run_ansatz(hamiltonian, params, mixer="conditional", pairs=None)
+    replayed = replay_circuit(
+        export_circuit_text(params, hamiltonian, mixer="conditional", pairs=None),
+        hamiltonian.num_qubits,
+    )
+    assert np.allclose(replayed, state.amplitudes, atol=1e-9)
+
+
 def test_dump_state_round_trips_amplitudes():
     state = StateVector(2, random_state(2, 21))
     rows = json.loads(dump_state(state))
