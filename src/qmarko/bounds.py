@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encode import IsingHamiltonian
 from .instance import PortfolioInstance
-from .simulate import StateVector
+from .simulate import StateVector, energy_table
 
 
 @dataclass(frozen=True)
@@ -24,26 +25,19 @@ class DiagonalObservable:
     values: np.ndarray
 
 
-def _spin_columns(num_qubits: int) -> np.ndarray:
-    idx = np.arange(1 << num_qubits, dtype=np.int64)
-    return 1.0 - 2.0 * ((idx[:, None] >> np.arange(num_qubits)) & 1)
-
-
 def risk_observable(instance: PortfolioInstance) -> DiagonalObservable:
-    """sum_{i<j} Sigma_ij z_i z_j + sum_i Sigma_ii z_i over the asset qubits."""
+    """sum_{i<j} Sigma_ij z_i z_j + sum_i Sigma_ii z_i over the asset qubits,
+    tabulated as an n-qubit Ising energy."""
     n = instance.n
-    z = _spin_columns(n)
-    values = z @ np.diag(instance.sigma)
-    for i in range(n):
-        for j in range(i + 1, n):
-            values += instance.sigma[i, j] * z[:, i] * z[:, j]
-    return DiagonalObservable(n, values)
+    couplings = {(i, j): float(instance.sigma[i, j]) for i in range(n) for j in range(i + 1, n)}
+    hamiltonian = IsingHamiltonian(n, couplings, np.diag(instance.sigma), 0.0)
+    return DiagonalObservable(n, energy_table(hamiltonian).energies)
 
 
 def return_observable(instance: PortfolioInstance) -> DiagonalObservable:
-    """sum_i mu_i z_i over the asset qubits."""
-    values = _spin_columns(instance.n) @ instance.mu
-    return DiagonalObservable(instance.n, values)
+    """sum_i mu_i z_i over the asset qubits, tabulated as an n-qubit Ising energy."""
+    hamiltonian = IsingHamiltonian(instance.n, {}, instance.mu, 0.0)
+    return DiagonalObservable(instance.n, energy_table(hamiltonian).energies)
 
 
 def moments(state: StateVector, a: DiagonalObservable, b: DiagonalObservable):

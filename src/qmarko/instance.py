@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .bitstrings import quadratic_form_table
+
 GENERATOR_VERSION = "qmarko-0.1.0"
 
 MU_LOW = 0.01
@@ -56,6 +58,8 @@ class PortfolioInstance:
             raise ValueError(f"sigma must have shape ({self.n}, {self.n}), got {sigma.shape}")
         if alpha.shape != (self.n,):
             raise ValueError(f"alpha must have shape ({self.n},), got {alpha.shape}")
+        if not np.all(alpha >= 0.0):  # NaN fails too
+            raise ValueError(f"caps alpha must all be >= 0, got a minimum of {alpha.min()}")
         for arr in (mu, sigma, alpha):
             arr.flags.writeable = False
         object.__setattr__(self, "mu", mu)
@@ -157,6 +161,27 @@ def is_feasible(instance: PortfolioInstance, omega) -> bool:
     if w.shape != (instance.n,):
         raise ValueError(f"omega must have shape ({instance.n},), got {w.shape}")
     return bool(np.all(w <= instance.alpha)) and float(w.sum()) <= instance.k
+
+
+def objective_table(instance: PortfolioInstance) -> np.ndarray:
+    """``classical_objective`` of every selection, indexed with asset 0 as
+    the lowest bit (see ``bitstrings``)."""
+    return quadratic_form_table(
+        instance.q_risk * instance.sigma, -instance.lambda_weight * instance.mu, 0.0
+    )
+
+
+def feasible_table(instance: PortfolioInstance) -> np.ndarray:
+    """``is_feasible`` of every selection, indexed like ``objective_table``.
+
+    Caps are >= 0, so a selection breaks a cap exactly when it selects an
+    asset whose cap is below 1: feasible means none of those and at most
+    k selected in all.
+    """
+    no_quadratic = np.zeros((instance.n, instance.n))
+    capped = quadratic_form_table(no_quadratic, instance.alpha < 1.0, 0.0)
+    selected = quadratic_form_table(no_quadratic, np.ones(instance.n), 0.0)
+    return (capped == 0.0) & (selected <= instance.k)
 
 
 def to_json(instance: PortfolioInstance) -> str:

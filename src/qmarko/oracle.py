@@ -1,8 +1,8 @@
 """Ground-truth machinery: exhaustive searches and the classical baseline.
 
-The exhaustive routines enumerate every assignment (chunked, vectorized)
-and break ties toward the lowest bitstring index so results are pinned
-regardless of evaluation order.
+The exhaustive routines tabulate every assignment with
+``bitstrings.quadratic_form_table`` and take the argmin, which breaks
+ties toward the lowest bitstring index.
 """
 
 from __future__ import annotations
@@ -12,65 +12,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitstrings import all_bit_rows, bits_to_string, index_to_bits, index_to_string
+from .bitstrings import bits_to_string, index_to_bits, index_to_string, quadratic_form_table
 from .encode import QuboProgram, qubo_energy
-from .instance import PortfolioInstance, classical_objective, is_feasible
+from .instance import (
+    PortfolioInstance, classical_objective, feasible_table, is_feasible, objective_table,
+)
 from .qaoa import minimize_with_budget
-
-MAX_ENUM_VARS = 24
-_CHUNK = 1 << 14
 
 
 def exhaustive_portfolio_optimum(instance: PortfolioInstance) -> tuple[str, float]:
     """Best feasible portfolio over all 2^n selections.
 
-    Always succeeds: the empty portfolio is feasible. Ties break toward
-    the lowest bitstring index.
+    Always succeeds: caps are >= 0, so the empty portfolio is feasible.
+    Ties break toward the lowest bitstring index.
     """
     n = instance.n
-    if n > MAX_ENUM_VARS:
-        raise ValueError(f"refusing to enumerate {n} assets (limit {MAX_ENUM_VARS})")
-    best_value = math.inf
-    best_index = 0
-    total = 1 << n
-    for start in range(0, total, _CHUNK):
-        rows = all_bit_rows(n, start, min(start + _CHUNK, total))
-        feasible = np.all(rows <= instance.alpha, axis=1) & (rows.sum(axis=1) <= instance.k)
-        if not feasible.any():
-            continue
-        risk = np.einsum("xi,ij,xj->x", rows, instance.sigma, rows)
-        values = instance.q_risk * risk - instance.lambda_weight * (rows @ instance.mu)
-        values = np.where(feasible, values, math.inf)
-        local = int(np.argmin(values))
-        if values[local] < best_value:
-            best_value = float(values[local])
-            best_index = start + local
-    bits = index_to_bits(best_index, n)
-    return index_to_string(best_index, n), classical_objective(instance, bits)
+    values = np.where(feasible_table(instance), objective_table(instance), math.inf)
+    best = int(np.argmin(values))
+    return index_to_string(best, n), classical_objective(instance, index_to_bits(best, n))
 
 
 def exhaustive_qubo_minimum(program: QuboProgram) -> tuple[str, float]:
     """Global minimum over all 2^m assignments; ties break toward the
     lowest bitstring index."""
     m = program.num_vars
-    if m > MAX_ENUM_VARS:
-        raise ValueError(f"refusing to enumerate {m} variables (limit {MAX_ENUM_VARS})")
-    best_energy = math.inf
-    best_index = 0
-    total = 1 << m
-    for start in range(0, total, _CHUNK):
-        rows = all_bit_rows(m, start, min(start + _CHUNK, total))
-        energies = (
-            np.einsum("xi,ij,xj->x", rows, program.quadratic, rows)
-            + rows @ program.linear
-            + program.constant
-        )
-        local = int(np.argmin(energies))
-        if energies[local] < best_energy:
-            best_energy = float(energies[local])
-            best_index = start + local
-    bits = index_to_bits(best_index, m)
-    return index_to_string(best_index, m), qubo_energy(program, bits)
+    table = quadratic_form_table(program.quadratic, program.linear, program.constant)
+    best = int(np.argmin(table))
+    return index_to_string(best, m), qubo_energy(program, index_to_bits(best, m))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ import numpy as np
 from scipy import optimize as sciopt
 
 from . import bounds
-from .bitstrings import index_to_bits, index_to_string
+from .bitstrings import index_to_bits, index_to_string, string_to_index
 from .encode import (
     ASSET,
     SLACK_ASSET,
@@ -39,7 +39,7 @@ from .encode import (
     build_slack_ancilla_qubo,
     to_ising,
 )
-from .instance import PortfolioInstance, classical_objective, is_feasible
+from .instance import PortfolioInstance, classical_objective, feasible_table, objective_table
 from .simulate import (
     EnergyTable,
     StateVector,
@@ -386,16 +386,11 @@ def optimize_angles(
     return _physical_params(best_x, scale), evals
 
 
-def _asset_bits_of_sample(bitstring: str, n: int) -> np.ndarray:
-    return np.array([int(ch) for ch in bitstring[:n]], dtype=float)
-
-
-def _sampled_feasible_fraction(instance: PortfolioInstance, counts: dict[str, int], shots: int) -> float:
-    feasible = 0
-    for bitstring, count in counts.items():
-        if is_feasible(instance, _asset_bits_of_sample(bitstring, instance.n)):
-            feasible += count
-    return feasible / shots
+def _sampled_feasible_fraction(feasible: np.ndarray, counts: dict[str, int], shots: int) -> float:
+    """Share of the shots whose asset bits (the leading characters) are feasible."""
+    n = feasible.size.bit_length() - 1
+    hits = sum(count for bits, count in counts.items() if feasible[string_to_index(bits[:n])])
+    return hits / shots
 
 
 def _full_histogram(state: StateVector) -> dict[str, float]:
@@ -407,34 +402,27 @@ def _full_histogram(state: StateVector) -> dict[str, float]:
 
 
 def _portfolio_picks(instance: PortfolioInstance, state: StateVector):
-    """(best_feasible, most_probable, exact feasible mass) from the asset marginal."""
-    marginal = bounds.asset_marginal(state, instance.n)
-    mp_index = int(np.argmax(marginal))
-    mp_bits = index_to_bits(mp_index, instance.n)
-    most_probable = PortfolioPick(
-        bitstring=index_to_string(mp_index, instance.n),
-        value=classical_objective(instance, mp_bits),
-        feasible=is_feasible(instance, mp_bits),
-        probability=float(marginal[mp_index]),
-    )
-    best: PortfolioPick | None = None
-    feasible_mass = 0.0
-    for idx in range(1 << instance.n):
-        bits = index_to_bits(idx, instance.n)
-        if not is_feasible(instance, bits):
-            continue
-        feasible_mass += float(marginal[idx])
-        if marginal[idx] <= REPORTING_THRESHOLD:
-            continue
-        value = classical_objective(instance, bits)
-        if best is None or value < best.value:
-            best = PortfolioPick(
-                bitstring=index_to_string(idx, instance.n),
-                value=value,
-                feasible=True,
-                probability=float(marginal[idx]),
-            )
-    return best, most_probable, feasible_mass
+    """(best_feasible, most_probable, exact feasible mass) from the asset marginal.
+
+    best_feasible is the lowest-objective feasible selection whose marginal
+    exceeds REPORTING_THRESHOLD (lowest index on ties), or None.
+    """
+    n = instance.n
+    marginal = bounds.asset_marginal(state, n)
+    feasible = feasible_table(instance)
+
+    def pick(index: int) -> PortfolioPick:
+        return PortfolioPick(
+            bitstring=index_to_string(index, n),
+            value=classical_objective(instance, index_to_bits(index, n)),
+            feasible=bool(feasible[index]),
+            probability=float(marginal[index]),
+        )
+
+    reportable = feasible & (marginal > REPORTING_THRESHOLD)
+    values = np.where(reportable, objective_table(instance), math.inf)
+    best = pick(int(np.argmin(values))) if reportable.any() else None
+    return best, pick(int(np.argmax(marginal))), float(marginal[feasible].sum())
 
 
 def run_schedule(
@@ -462,6 +450,7 @@ def run_schedule(
     theta = _draw_initial_angles(master, p)
     initial_params = None
     beta_penalty = config.beta_penalty_init
+    feasible = feasible_table(instance)
     rows: list[TraceRow] = []
     used = 0
     while True:
@@ -482,7 +471,7 @@ def run_schedule(
         state = _ansatz_state(table, final_params, mixer, pairs)
         check_seed = int(master.integers(0, 2**63))
         counts = sample(state, config.feasibility_shots, check_seed)
-        sampled_fraction = _sampled_feasible_fraction(instance, counts, config.feasibility_shots)
+        sampled_fraction = _sampled_feasible_fraction(feasible, counts, config.feasibility_shots)
         rows[-1] = replace(rows[-1], feasible_fraction=sampled_fraction)
         if sampled_fraction >= config.feasibility_target:
             terminated_by = "feasibility_target"

@@ -17,13 +17,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bitstrings import index_to_string
+# MAX_QUBITS lives next to the tabulator and is re-exported from here.
+from .bitstrings import MAX_QUBITS, index_to_string, quadratic_form_table
 from .encode import IsingHamiltonian
 
 if TYPE_CHECKING:  # pragma: no cover
     from .qaoa import QaoaParams
 
-MAX_QUBITS = 24
 STATE_DUMP_MAX_QUBITS = 12
 
 
@@ -50,17 +50,20 @@ class EnergyTable:
 
 
 def energy_table(hamiltonian: IsingHamiltonian) -> EnergyTable:
-    """Tabulate the Hamiltonian's energy for every basis state."""
+    """Tabulate the Hamiltonian's energy for every basis state.
+
+    Substituting z = 1 - 2x turns the Ising form into a quadratic form
+    over bits (J_ij z_i z_j = J_ij (1 - 2x_i - 2x_j + 4 x_i x_j)), which
+    ``quadratic_form_table`` tabulates in O(2^m) time and extra memory.
+    """
     m = hamiltonian.num_qubits
-    if m > MAX_QUBITS:
-        raise ValueError(f"refusing to tabulate {m} qubits (limit {MAX_QUBITS})")
-    idx = np.arange(1 << m, dtype=np.int64)
-    z = 1.0 - 2.0 * ((idx[:, None] >> np.arange(m)) & 1)
-    energies = np.full(1 << m, hamiltonian.offset)
-    energies += z @ hamiltonian.fields
+    quadratic = np.zeros((m, m))
     for (i, j), coupling in hamiltonian.couplings.items():
-        energies += coupling * z[:, i] * z[:, j]
-    return EnergyTable(m, energies)
+        quadratic[i, j] = 4.0 * coupling
+    touching = quadratic.sum(axis=0) + quadratic.sum(axis=1)
+    linear = -2.0 * hamiltonian.fields - touching / 2.0
+    constant = hamiltonian.offset + hamiltonian.fields.sum() + quadratic.sum() / 4.0
+    return EnergyTable(m, quadratic_form_table(quadratic, linear, constant))
 
 
 def uniform_superposition(num_qubits: int) -> StateVector:

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from qmarko.bitstrings import index_to_bits
+from qmarko.bitstrings import index_to_bits, index_to_string
 from qmarko.encode import IsingHamiltonian, QuboProgram, cardinality_slack_weights
-from qmarko.instance import PortfolioInstance
+from qmarko.instance import PortfolioInstance, classical_objective, is_feasible
 
 
 def naive_qubo_energy(program: QuboProgram, bits) -> float:
@@ -159,3 +159,24 @@ def random_state(num_qubits: int, seed: int) -> np.ndarray:
     size = 1 << num_qubits
     amps = rng.normal(size=size) + 1j * rng.normal(size=size)
     return amps / np.linalg.norm(amps)
+
+
+# --- loop reference for the portfolio picks -------------------------------
+
+def naive_portfolio_picks(inst: PortfolioInstance, marginal, threshold: float):
+    """(best_feasible, most_probable, feasible_mass) by looping over every
+    selection. Picks are (bitstring, value, probability) tuples or None;
+    strict comparisons keep the lowest index on ties."""
+    best = most_probable = None
+    feasible_mass = 0.0
+    for idx in range(1 << inst.n):
+        bits = index_to_bits(idx, inst.n)
+        pick = (index_to_string(idx, inst.n), classical_objective(inst, bits), float(marginal[idx]))
+        if most_probable is None or marginal[idx] > most_probable[2]:
+            most_probable = pick
+        if not is_feasible(inst, bits):
+            continue
+        feasible_mass += float(marginal[idx])
+        if marginal[idx] > threshold and (best is None or pick[1] < best[1]):
+            best = pick
+    return best, most_probable, feasible_mass

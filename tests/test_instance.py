@@ -171,3 +171,20 @@ def test_instance_arrays_are_immutable():
     inst = generate_instance(3, 1, seed=1)
     with pytest.raises(ValueError):
         inst.mu[0] = 0.5
+
+
+@pytest.mark.parametrize("bad_cap", [-1.0, float("nan")])
+def test_negative_or_nan_cap_is_rejected_on_load(tmp_path, capsys, bad_cap):
+    from qmarko.cli import EXIT_INVALID, main
+
+    doc = json.loads(to_json(generate_instance(3, 1, seed=2)))
+    doc["alpha"] = [bad_cap, 1.0, 0.0]
+    text = json.dumps(doc)
+    with pytest.raises(ValueError):
+        from_json(text)
+    path = tmp_path / "instance.json"
+    path.write_text(text)
+    code = main(["solve", "--instance", str(path), "--method", "oracle",
+                 "--out", str(tmp_path / "run")])
+    assert code == EXIT_INVALID
+    assert "alpha" in capsys.readouterr().err

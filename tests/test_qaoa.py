@@ -353,3 +353,48 @@ def test_cardinality_slack_runner_reports_best_feasible():
     assert is_feasible(inst, bits)
     # histogram spans asset bits plus ceil(log2(k+1)) slack bits
     assert all(len(b) == 4 for b in record.histogram)
+
+
+# --- portfolio picks against the loop reference ------------------------------
+
+def _assert_picks_match(inst, state):
+    from helpers import naive_portfolio_picks
+    from qmarko.qaoa import REPORTING_THRESHOLD, _portfolio_picks
+
+    best, most_probable, mass = _portfolio_picks(inst, state)
+    marginal = asset_marginal(state, inst.n)
+    ref_best, ref_most_probable, ref_mass = naive_portfolio_picks(inst, marginal, REPORTING_THRESHOLD)
+    assert (most_probable.bitstring, most_probable.value, most_probable.probability) == ref_most_probable
+    assert most_probable.feasible == is_feasible(inst, string_to_bits(most_probable.bitstring))
+    if ref_best is None:
+        assert best is None
+    else:
+        assert (best.bitstring, best.value, best.probability) == ref_best
+        assert best.feasible
+    assert abs(mass - ref_mass) <= 1e-12
+    return best
+
+
+@pytest.mark.parametrize("n", [3, 6, 9])
+def test_portfolio_picks_match_loop_reference(n):
+    from helpers import random_state
+    from qmarko.simulate import StateVector
+
+    for seed in range(3):
+        inst = generate_instance(n, max(1, n // 3), seed=seed)
+        for qubits in (n, 2 * n):
+            state = StateVector(qubits, random_state(qubits, 100 * n + seed))
+            _assert_picks_match(inst, state)
+
+
+def test_portfolio_picks_best_feasible_is_none_below_threshold():
+    from qmarko.qaoa import REPORTING_THRESHOLD
+    from qmarko.simulate import StateVector
+
+    inst = generate_instance(3, 1, seed=0)
+    feasible = [i for i in range(8) if is_feasible(inst, index_to_bits(i, 3))]
+    probabilities = np.zeros(8)
+    probabilities[feasible] = REPORTING_THRESHOLD / 2
+    probabilities[7] = 1.0 - probabilities.sum()  # "111" breaks k = 1
+    state = StateVector(3, np.sqrt(probabilities).astype(complex))
+    assert _assert_picks_match(inst, state) is None

@@ -411,3 +411,19 @@ def test_dump_state_round_trips_amplitudes():
     big = uniform_superposition(13)
     with pytest.raises(ValueError):
         dump_state(big)
+
+
+def test_energy_table_peak_memory_is_a_small_multiple_of_the_table():
+    import tracemalloc
+
+    m = 16
+    rng = np.random.default_rng(16)
+    couplings = {(i, j): float(rng.normal()) for i in range(m) for j in range(i + 1, m)}
+    hamiltonian = IsingHamiltonian(m, couplings, rng.normal(size=m), 0.5)
+    tracemalloc.start()
+    try:
+        table = energy_table(hamiltonian)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * table.energies.nbytes
