@@ -1,9 +1,11 @@
-"""Bitstring indexing conventions shared across the package, and the one
-tabulator of quadratic forms over every basis state.
+"""Bitstring conventions shared across the package: the one labeller of
+basis states and the one tabulator of quadratic forms over all of them.
 
 A basis-state index encodes qubit 0 in its least-significant bit. The
 string form prints qubit 0 first (leftmost), so asset 0 is the first
-character: index 1 on three qubits renders as ``"100"``.
+character: index 1 on three qubits renders as ``"100"``. Only
+``basis_labels`` turns basis-state indices into these labels
+(``index_to_string`` is its one-index case).
 """
 
 from __future__ import annotations
@@ -15,8 +17,18 @@ import numpy as np
 MAX_QUBITS = 24
 
 
+def basis_labels(indices, num_bits: int) -> list[str]:
+    """Labels of many basis-state indices (num_bits <= 64) in one numpy pass:
+    bits unpacked lowest first, shifted to ASCII digits, decoded once, sliced."""
+    indices = np.asarray(indices, dtype="<u8").reshape(-1)
+    low_bytes = indices.view(np.uint8).reshape(-1, 8)[:, : -(-num_bits // 8)]
+    bits = np.unpackbits(low_bytes, axis=1, bitorder="little")[:, :num_bits]
+    text = (bits + np.uint8(ord("0"))).tobytes().decode("ascii")
+    return [text[i * num_bits : (i + 1) * num_bits] for i in range(indices.size)]
+
+
 def index_to_string(index: int, num_bits: int) -> str:
-    return "".join("1" if (index >> i) & 1 else "0" for i in range(num_bits))
+    return basis_labels([index], num_bits)[0]
 
 
 def string_to_index(bits: str) -> int:

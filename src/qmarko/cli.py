@@ -20,7 +20,6 @@ from pathlib import Path
 
 from . import instance as instance_mod
 from . import oracle, qaoa
-from .bitstrings import string_to_index
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -45,15 +44,16 @@ SUMMARY_COLUMNS = (
     "variance_bound_slack",
 )
 
+_SCHEDULE_DEFAULTS = qaoa.ScheduleConfig()
 _SOLVE_DEFAULTS = {
     "p": 2,
     "optimizer": "cobyla",
     "penalty": None,  # per-method default, see _penalty_default
-    "beta_init": 100.0,
-    "doubling_interval": 20,
-    "shots": 1000,
-    "feasibility_target": 1.0,
-    "max_iter": 200,
+    "beta_init": _SCHEDULE_DEFAULTS.beta_penalty_init,
+    "doubling_interval": _SCHEDULE_DEFAULTS.doubling_interval,
+    "shots": _SCHEDULE_DEFAULTS.feasibility_shots,
+    "feasibility_target": _SCHEDULE_DEFAULTS.feasibility_target,
+    "max_iter": _SCHEDULE_DEFAULTS.max_iterations,
     "mixer": None,  # per-method default, see _mixer_default
 }
 
@@ -346,8 +346,8 @@ def cmd_report(args) -> int:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["bitstring", "probability"])
-        for bitstring in sorted(histogram, key=string_to_index):
-            writer.writerow([bitstring, repr(float(histogram[bitstring]))])
+        for bitstring, probability in histogram.items():
+            writer.writerow([bitstring, repr(float(probability))])
         _write_atomic(run_dir / f"hist_{run_id}.csv", buf.getvalue())
         written += 1
     print(f"wrote report.md and {written} histogram files under {run_dir}")

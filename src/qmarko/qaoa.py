@@ -29,7 +29,7 @@ import numpy as np
 from scipy import optimize as sciopt
 
 from . import bounds
-from .bitstrings import index_to_bits, index_to_string, string_to_index
+from .bitstrings import basis_labels, index_to_bits, index_to_string, string_to_index
 from .encode import (
     ASSET,
     SLACK_ASSET,
@@ -170,7 +170,8 @@ class ExperimentRecord:
     Hamiltonian at ``final_beta_penalty`` (``initial_params`` at the first
     penalty weight of a schedule), so ``_ansatz_state(table,
     record.final_params, record.mixer, pairs)`` on that Hamiltonian's table
-    reproduces the final state.
+    reproduces the final state. ``histogram`` keys are in basis-index order;
+    ``qmarko report`` writes them in that stored order without sorting.
     """
 
     method: str
@@ -241,7 +242,7 @@ def minimize_with_budget(fun, x0, optimizer: str = "cobyla", budget: int = 200, 
     def wrapped(x):
         nonlocal best_x, best_f
         if len(evals) >= budget:
-            # Backstop only: the native option caps evaluations first.
+            # Caps budgets below COBYLA's smallest maxiter, len(x0) + 2.
             raise _BudgetExhausted
         value = float(fun(np.asarray(x, dtype=float)))
         evals.append(value)
@@ -251,7 +252,7 @@ def minimize_with_budget(fun, x0, optimizer: str = "cobyla", budget: int = 200, 
         return value
 
     if optimizer == "cobyla":
-        options = {"maxiter": budget}  # COBYLA's maxiter counts evaluations
+        options = {"maxiter": max(budget, len(best_x) + 2)}  # counts evaluations
         kwargs = {"constraints": list(constraints)} if constraints else {}
     else:
         options = {"maxfev": budget, "maxiter": 100 * budget + 1000}
@@ -394,11 +395,9 @@ def _sampled_feasible_fraction(feasible: np.ndarray, counts: dict[str, int], sho
 
 
 def _full_histogram(state: StateVector) -> dict[str, float]:
-    probabilities = state.probabilities()
-    return {
-        index_to_string(i, state.num_qubits): float(p)
-        for i, p in enumerate(probabilities)
-    }
+    """Probability of every basis state, keyed by label, in basis-index order."""
+    labels = basis_labels(np.arange(1 << state.num_qubits), state.num_qubits)
+    return dict(zip(labels, state.probabilities().tolist()))
 
 
 def _portfolio_picks(instance: PortfolioInstance, state: StateVector):

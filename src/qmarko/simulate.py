@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 # MAX_QUBITS lives next to the tabulator and is re-exported from here.
-from .bitstrings import MAX_QUBITS, index_to_string, quadratic_form_table
+from .bitstrings import MAX_QUBITS, basis_labels, quadratic_form_table
 from .encode import IsingHamiltonian
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -220,10 +220,8 @@ def sample(state: StateVector, shots: int, seed: int) -> dict[str, int]:
     probabilities = state.probabilities()
     probabilities = probabilities / probabilities.sum()
     counts = rng.multinomial(shots, probabilities)
-    return {
-        index_to_string(int(i), state.num_qubits): int(counts[i])
-        for i in np.flatnonzero(counts)
-    }
+    drawn = np.flatnonzero(counts)
+    return dict(zip(basis_labels(drawn, state.num_qubits), counts[drawn].tolist()))
 
 
 def dump_state(state: StateVector) -> str:
@@ -232,11 +230,9 @@ def dump_state(state: StateVector) -> str:
         raise ValueError(
             f"state dump limited to {STATE_DUMP_MAX_QUBITS} qubits, got {state.num_qubits}"
         )
-    rows = [
-        [index_to_string(i, state.num_qubits), float(a.real), float(a.imag)]
-        for i, a in enumerate(state.amplitudes)
-    ]
-    return json.dumps(rows)
+    labels = basis_labels(np.arange(1 << state.num_qubits), state.num_qubits)
+    amplitudes = state.amplitudes
+    return json.dumps(list(zip(labels, amplitudes.real.tolist(), amplitudes.imag.tolist())))
 
 
 def export_circuit_text(

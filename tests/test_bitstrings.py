@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from helpers import naive_qubo_energy
-from qmarko.bitstrings import MAX_QUBITS, index_to_bits, quadratic_form_table
+from qmarko.bitstrings import (
+    MAX_QUBITS,
+    basis_labels,
+    index_to_bits,
+    index_to_string,
+    quadratic_form_table,
+)
 from qmarko.encode import IsingHamiltonian, QuboProgram, VarLabel
 from qmarko.instance import PortfolioInstance
 from qmarko.oracle import exhaustive_portfolio_optimum, exhaustive_qubo_minimum
@@ -41,3 +47,23 @@ def test_every_enumeration_refuses_25_variables():
     alpha[0] = 1.0
     with pytest.raises(ValueError):
         exhaustive_portfolio_optimum(PortfolioInstance(m, 1, np.full(m, 0.05), np.eye(m), alpha))
+
+
+def _loop_label(index: int, num_bits: int) -> str:
+    return "".join("1" if (index >> bit) & 1 else "0" for bit in range(num_bits))
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_basis_labels_match_per_bit_loop_on_every_index(m):
+    indices = np.arange(1 << m)
+    expected = [_loop_label(int(i), m) for i in indices]
+    assert basis_labels(indices, m) == expected
+    assert [index_to_string(int(i), m) for i in indices] == expected
+
+
+def test_basis_labels_at_24_bits():
+    indices = [0, 1, 1 << 23, (1 << 24) - 1]
+    expected = [_loop_label(i, 24) for i in indices]
+    assert basis_labels(np.array(indices), 24) == expected
+    assert [index_to_string(i, 24) for i in indices] == expected
+    assert expected[1] == "1" + "0" * 23

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,20 @@ def test_minimize_with_budget_respects_cap_exactly():
     calls.clear()
     _, _, evals = minimize_with_budget(bowl, np.array([2.0, -1.5]), "nelder-mead", budget=13)
     assert len(evals) == 13
+
+
+@pytest.mark.parametrize("num_vars", [4, 6])
+@pytest.mark.parametrize("budget", range(1, 6))
+def test_cobyla_budget_below_its_minimum_is_exact_and_silent(num_vars, budget):
+    def bowl(x):
+        return float((x**2).sum() + np.sin(4 * x).sum())
+
+    x0 = np.linspace(2.0, -1.5, num_vars)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, best_f, evals = minimize_with_budget(bowl, x0, "cobyla", budget=budget)
+    assert len(evals) == budget
+    assert best_f == min(evals)
 
 
 def test_minimize_with_budget_rejects_unknown_optimizer():
