@@ -1,11 +1,17 @@
 """Bitstring conventions shared across the package: the one labeller of
-basis states and the one tabulator of quadratic forms over all of them.
+basis states and the one recursion that tabulates quadratic forms over
+all of them.
 
 A basis-state index encodes qubit 0 in its least-significant bit. The
 string form prints qubit 0 first (leftmost), so asset 0 is the first
 character: index 1 on three qubits renders as ``"100"``. Only
 ``basis_labels`` turns basis-state indices into these labels
 (``index_to_string`` is its one-index case).
+
+One prefix recursion serves sums and phases: combined by addition it
+gives the form's values (``quadratic_form_table``), combined by
+multiplication over unit phases it gives exp(-i*gamma*value)
+(``quadratic_form_phases``) without a complex exponential per entry.
 """
 
 from __future__ import annotations
@@ -41,36 +47,48 @@ def index_to_bits(index: int, num_bits: int) -> np.ndarray:
     return (index >> np.arange(num_bits)) & 1
 
 
-def bits_to_string(bits) -> str:
-    return "".join("1" if b else "0" for b in np.asarray(bits).astype(int))
-
-
 def string_to_bits(bits: str) -> np.ndarray:
     return index_to_bits(string_to_index(bits), len(bits))
 
 
-def quadratic_form_table(quadratic, linear, constant: float) -> np.ndarray:
-    """x'Qx + b'x + c for every basis state x, indexed as above.
+def _prefix_recursion(quadratic, linear, constant, combine, lift) -> np.ndarray:
+    """lift(x'Qx + b'x + c) for every basis state x, where ``lift`` maps
+    sums to ``combine``-products (identity for np.add, x -> exp(-i*gamma*x)
+    for np.multiply), so only the lifted coefficients are ever evaluated.
 
-    Built by prefix recursion: the table over bits 0..k is
-    ``[T, T + d_k]`` with ``T`` the table over bits 0..k-1 and
-    ``d_k(x) = b_k + Q_kk + sum_{j<k} (Q_jk + Q_kj) x_j``, itself built by
-    doubling. Any storage of Q works (full, triangular, non-symmetric).
-    Time and extra memory are O(2^m); the limit MAX_QUBITS is checked
-    before anything of that size is allocated.
+    The table over bits 0..k is ``[T, T o lift(d_k)]``, with ``T`` the
+    table over bits 0..k-1, ``o`` = ``combine`` and
+    ``d_k(x) = b_k + Q_kk + sum_{j<k} (Q_jk + Q_kj) x_j``; lift(d_k) is
+    itself built by doubling. Any storage of Q works (full, triangular,
+    non-symmetric). Time and extra memory are O(2^m); the limit MAX_QUBITS
+    is checked before anything of that size is allocated.
     """
     linear = np.asarray(linear, dtype=float)
     m = linear.size
     if m > MAX_QUBITS:
         raise ValueError(f"refusing to tabulate {m} variables (limit {MAX_QUBITS})")
     quadratic = np.asarray(quadratic, dtype=float)
-    pair = quadratic + quadratic.T
-    table = np.empty(1 << m)
-    table[0] = constant
-    delta = np.empty(1 << max(m - 1, 0))
+    pair = lift(quadratic + quadratic.T)
+    own = lift(linear + np.diagonal(quadratic))
+    start = lift(np.float64(constant))
+    table = np.empty(1 << m, dtype=start.dtype)
+    table[0] = start
+    delta = np.empty(1 << max(m - 1, 0), dtype=start.dtype)
     for k in range(m):
-        delta[0] = linear[k] + quadratic[k, k]
+        delta[0] = own[k]
         for j in range(k):
-            np.add(delta[: 1 << j], pair[j, k], out=delta[1 << j : 2 << j])
-        np.add(table[: 1 << k], delta[: 1 << k], out=table[1 << k : 2 << k])
+            combine(delta[: 1 << j], pair[j, k], out=delta[1 << j : 2 << j])
+        combine(table[: 1 << k], delta[: 1 << k], out=table[1 << k : 2 << k])
     return table
+
+
+def quadratic_form_table(quadratic, linear, constant: float) -> np.ndarray:
+    """x'Qx + b'x + c for every basis state x, indexed as above."""
+    return _prefix_recursion(quadratic, linear, constant, np.add, np.asarray)
+
+
+def quadratic_form_phases(quadratic, linear, constant: float, gamma: float) -> np.ndarray:
+    """exp(-i*gamma*(x'Qx + b'x + c)) for every basis state x, indexed as above."""
+    return _prefix_recursion(
+        quadratic, linear, constant, np.multiply, lambda terms: np.exp(-1j * gamma * terms)
+    )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitstrings import bits_to_string, index_to_bits, index_to_string, quadratic_form_table
+from .bitstrings import index_to_bits, index_to_string, quadratic_form_table
 from .encode import QuboProgram, qubo_energy
 from .instance import (
     PortfolioInstance, classical_objective, feasible_table, is_feasible, objective_table,
@@ -86,8 +86,9 @@ def classical_baseline(
     best_x, _, evals = minimize_with_budget(relaxed, x0, optimizer, budget, constraints=box)
     rounded = (np.clip(best_x, 0.0, 1.0) >= 0.5).astype(float)
     asset_bits = rounded[:n]
+    index = sum(1 << int(i) for i in np.flatnonzero(asset_bits))
     return BaselineResult(
-        bitstring=bits_to_string(asset_bits),
+        bitstring=index_to_string(index, n),
         feasible=is_feasible(instance, asset_bits),
         value=classical_objective(instance, asset_bits),
         trace=tuple(evals),

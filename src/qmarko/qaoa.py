@@ -29,7 +29,7 @@ import numpy as np
 from scipy import optimize as sciopt
 
 from . import bounds
-from .bitstrings import basis_labels, index_to_bits, index_to_string, string_to_index
+from .bitstrings import basis_labels, index_to_bits, index_to_string
 from .encode import (
     ASSET,
     SLACK_ASSET,
@@ -48,7 +48,7 @@ from .simulate import (
     apply_phase_separation,
     energy_table,
     expectation,
-    sample,
+    sample_counts,
     uniform_superposition,
 )
 
@@ -387,11 +387,11 @@ def optimize_angles(
     return _physical_params(best_x, scale), evals
 
 
-def _sampled_feasible_fraction(feasible: np.ndarray, counts: dict[str, int], shots: int) -> float:
-    """Share of the shots whose asset bits (the leading characters) are feasible."""
-    n = feasible.size.bit_length() - 1
-    hits = sum(count for bits, count in counts.items() if feasible[string_to_index(bits[:n])])
-    return hits / shots
+def _sampled_feasible_fraction(feasible: np.ndarray, counts: np.ndarray) -> float:
+    """Share of the sampled shots whose asset bits (the low n bits of the
+    basis index) select a feasible portfolio."""
+    per_selection = counts.reshape(-1, feasible.size).sum(axis=0)
+    return int(per_selection[feasible].sum()) / int(counts.sum())
 
 
 def _full_histogram(state: StateVector) -> dict[str, float]:
@@ -469,8 +469,8 @@ def run_schedule(
         final_params = _physical_params(theta, scale)
         state = _ansatz_state(table, final_params, mixer, pairs)
         check_seed = int(master.integers(0, 2**63))
-        counts = sample(state, config.feasibility_shots, check_seed)
-        sampled_fraction = _sampled_feasible_fraction(feasible, counts, config.feasibility_shots)
+        counts = sample_counts(state, config.feasibility_shots, check_seed)
+        sampled_fraction = _sampled_feasible_fraction(feasible, counts)
         rows[-1] = replace(rows[-1], feasible_fraction=sampled_fraction)
         if sampled_fraction >= config.feasibility_target:
             terminated_by = "feasibility_target"

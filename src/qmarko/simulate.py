@@ -1,12 +1,16 @@
 """Dense statevector simulation for diagonal Hamiltonians.
 
 The phase-separation step multiplies amplitudes by exp(-i*gamma*E(x))
-directly from a precomputed energy table rather than applying gates one
-by one; a textual gate export plus a test-side interpreter covers the
-gate-level view. Both mixers are tensor powers of one small unitary and
-run on a shared kernel that applies them as dense block gates, one BLAS
-matmul per block of BLOCK_QUBITS qubits. Amplitude index convention:
-qubit 0 is the least significant bit (see ``bitstrings``).
+over the whole register rather than applying gates one by one. The
+phases come from the table's bit form by multiplicative doubling
+(``bitstrings.quadratic_form_phases``), one complex exponential per
+coefficient rather than per amplitude; ``np.exp`` over the energies is
+used only for tables that carry no form. A textual gate export plus a
+test-side interpreter covers the gate-level view. Both mixers are tensor
+powers of one small unitary and run on a shared kernel that applies them
+as dense block gates, one BLAS matmul per block of BLOCK_QUBITS qubits.
+Amplitude index convention: qubit 0 is the least significant bit (see
+``bitstrings``).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 # MAX_QUBITS lives next to the tabulator and is re-exported from here.
-from .bitstrings import MAX_QUBITS, basis_labels, quadratic_form_table
+from .bitstrings import MAX_QUBITS, basis_labels, quadratic_form_phases, quadratic_form_table
 from .encode import IsingHamiltonian
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,10 +47,17 @@ class StateVector:
 
 @dataclass(frozen=True)
 class EnergyTable:
-    """Per-basis-state energies of a diagonal Hamiltonian."""
+    """Per-basis-state energies of a diagonal Hamiltonian.
+
+    ``form`` is the bit form (Q, b, c) with E(x) = x'Qx + b'x + c, as
+    ``energy_table`` fills it; phase separation builds its phases from it
+    by multiplicative doubling. A table without a form (energies given
+    directly) gets its phases from ``np.exp`` over the energies.
+    """
 
     num_qubits: int
     energies: np.ndarray
+    form: tuple[np.ndarray, np.ndarray, float] | None = None
 
 
 def energy_table(hamiltonian: IsingHamiltonian) -> EnergyTable:
@@ -63,7 +74,9 @@ def energy_table(hamiltonian: IsingHamiltonian) -> EnergyTable:
     touching = quadratic.sum(axis=0) + quadratic.sum(axis=1)
     linear = -2.0 * hamiltonian.fields - touching / 2.0
     constant = hamiltonian.offset + hamiltonian.fields.sum() + quadratic.sum() / 4.0
-    return EnergyTable(m, quadratic_form_table(quadratic, linear, constant))
+    return EnergyTable(
+        m, quadratic_form_table(quadratic, linear, constant), (quadratic, linear, constant)
+    )
 
 
 def uniform_superposition(num_qubits: int) -> StateVector:
@@ -81,7 +94,10 @@ def apply_phase_separation(state: StateVector, table: EnergyTable, gamma: float)
         raise ValueError(
             f"table has {table.num_qubits} qubits, state has {state.num_qubits}"
         )
-    state.amplitudes *= np.exp(-1j * gamma * table.energies)
+    if table.form is None:
+        state.amplitudes *= np.exp(-1j * gamma * table.energies)
+    else:
+        state.amplitudes *= quadratic_form_phases(*table.form, gamma)
     return state
 
 
@@ -212,14 +228,19 @@ def expectation(state: StateVector, table: EnergyTable) -> float:
     return float(np.dot(state.probabilities(), table.energies))
 
 
-def sample(state: StateVector, shots: int, seed: int) -> dict[str, int]:
-    """Histogram of `shots` seeded draws from the measurement distribution."""
+def sample_counts(state: StateVector, shots: int, seed: int) -> np.ndarray:
+    """Counts per basis state of `shots` seeded draws from the measurement
+    distribution, indexed like the amplitudes."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     rng = np.random.default_rng(seed)
     probabilities = state.probabilities()
-    probabilities = probabilities / probabilities.sum()
-    counts = rng.multinomial(shots, probabilities)
+    return rng.multinomial(shots, probabilities / probabilities.sum())
+
+
+def sample(state: StateVector, shots: int, seed: int) -> dict[str, int]:
+    """Histogram of `shots` seeded draws, keyed by label, drawn states only."""
+    counts = sample_counts(state, shots, seed)
     drawn = np.flatnonzero(counts)
     return dict(zip(basis_labels(drawn, state.num_qubits), counts[drawn].tolist()))
 

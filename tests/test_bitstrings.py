@@ -7,6 +7,7 @@ from qmarko.bitstrings import (
     basis_labels,
     index_to_bits,
     index_to_string,
+    quadratic_form_phases,
     quadratic_form_table,
 )
 from qmarko.encode import IsingHamiltonian, QuboProgram, VarLabel
@@ -47,6 +48,34 @@ def test_every_enumeration_refuses_25_variables():
     alpha[0] = 1.0
     with pytest.raises(ValueError):
         exhaustive_portfolio_optimum(PortfolioInstance(m, 1, np.full(m, 0.05), np.eye(m), alpha))
+
+
+@pytest.mark.parametrize("storage", ["full", "upper", "nonsymmetric"])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_quadratic_form_phases_match_exp_of_the_table(m, storage):
+    # Coefficients at the scale of the slack Hamiltonian at beta = 51200,
+    # angles as the search sets them: gamma = theta / coefficient norm.
+    rng = np.random.default_rng(3000 * m + len(storage))
+    quadratic = 1e5 * rng.normal(size=(m, m))
+    if storage == "full":
+        quadratic = quadratic + quadratic.T
+    elif storage == "upper":
+        quadratic = np.triu(quadratic)
+    linear = 1e5 * rng.normal(size=m)
+    constant = 1e5 * float(rng.normal())
+    norm = float(np.abs(quadratic).sum() + np.abs(linear).sum())
+    table = quadratic_form_table(quadratic, linear, constant)
+    for theta in (0.0, 0.37, 1.9, np.pi, -2.6):
+        gamma = theta / norm
+        phases = quadratic_form_phases(quadratic, linear, constant, gamma)
+        assert phases.shape == (1 << m,)
+        assert np.abs(phases - np.exp(-1j * gamma * table)).max() <= 1e-12
+
+
+def test_quadratic_form_phases_refuse_25_variables():
+    m = MAX_QUBITS + 1
+    with pytest.raises(ValueError):
+        quadratic_form_phases(np.eye(m), np.ones(m), 0.0, 0.1)
 
 
 def _loop_label(index: int, num_bits: int) -> str:

@@ -427,3 +427,49 @@ def test_energy_table_peak_memory_is_a_small_multiple_of_the_table():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * table.energies.nbytes
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_phase_separation_on_energy_table_matches_naive_energy_phases(m):
+    rng = np.random.default_rng(700 + m)
+    for weight in (1.0, 1e5):
+        base = _random_hamiltonian(m, rng)
+        hamiltonian = IsingHamiltonian(
+            m,
+            {pair: weight * c for pair, c in base.couplings.items()},
+            weight * base.fields,
+            weight * base.offset,
+        )
+        energies = np.array(
+            [naive_ising_energy(hamiltonian, index_to_bits(x, m)) for x in range(1 << m)]
+        )
+        norm = float(np.abs(hamiltonian.fields).sum()) + sum(
+            abs(c) for c in hamiltonian.couplings.values()
+        )
+        # gamma = theta / norm as the angle search sets it; at weight 1e5
+        # this is the slack Hamiltonian's scale at beta = 51200.
+        for theta in (0.0, 0.4, np.pi, -2.3):
+            gamma = theta / norm
+            amplitudes = random_state(m, 800 + m)
+            state = apply_phase_separation(
+                StateVector(m, amplitudes.copy()), energy_table(hamiltonian), gamma
+            )
+            expected = amplitudes * np.exp(-1j * gamma * energies)
+            assert np.abs(state.amplitudes - expected).max() <= 1e-12, (weight, gamma)
+
+
+def test_phase_separation_peak_memory_on_an_energy_table():
+    import tracemalloc
+
+    m = 16
+    rng = np.random.default_rng(17)
+    couplings = {(i, j): float(rng.normal()) for i in range(m) for j in range(i + 1, m)}
+    table = energy_table(IsingHamiltonian(m, couplings, rng.normal(size=m), 0.5))
+    state = uniform_superposition(m)
+    tracemalloc.start()
+    try:
+        apply_phase_separation(state, table, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * state.amplitudes.nbytes
