@@ -72,18 +72,6 @@ class BoundReport:
     covariance: float
     slack: float
 
-    def as_dict(self) -> dict:
-        return {
-            "mean_risk": self.mean_risk,
-            "mean_return": self.mean_return,
-            "var_risk": self.var_risk,
-            "var_return": self.var_return,
-            "std_risk": self.std_risk,
-            "std_return": self.std_return,
-            "covariance": self.covariance,
-            "slack": self.slack,
-        }
-
 
 def asset_marginal(state: StateVector, n: int) -> np.ndarray:
     """Probability distribution over the first n qubits, ancillas traced out."""

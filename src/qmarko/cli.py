@@ -54,7 +54,7 @@ _SOLVE_DEFAULTS = {
     "shots": _SCHEDULE_DEFAULTS.feasibility_shots,
     "feasibility_target": _SCHEDULE_DEFAULTS.feasibility_target,
     "max_iter": _SCHEDULE_DEFAULTS.max_iterations,
-    "mixer": None,  # per-method default, see _mixer_default
+    "mixer": None,  # slack-qaoa only; conditional unless set
 }
 
 
@@ -66,10 +66,6 @@ def _penalty_default(method: str) -> float:
     # Fixed-penalty QAOA baselines run at 1e3; the classical baseline uses
     # the same weight the slack schedule starts from.
     return 100.0 if method == "classical-baseline" else 1000.0
-
-
-def _mixer_default(method: str) -> str:
-    return "conditional" if method == "slack-qaoa" else "standard"
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -155,7 +151,6 @@ def _run_method(inst: instance_mod.PortfolioInstance, method: str, cfg: dict) ->
         }
         rows = [qaoa.TraceRow(i + 1, v, penalty) for i, v in enumerate(result.trace)]
         return doc, _trace_csv(rows)
-    mixer = cfg.get("mixer") or _mixer_default(method)
     if method == "slack-qaoa":
         schedule = qaoa.ScheduleConfig(
             beta_penalty_init=float(cfg["beta_init"]),
@@ -165,8 +160,8 @@ def _run_method(inst: instance_mod.PortfolioInstance, method: str, cfg: dict) ->
             max_iterations=int(cfg["max_iter"]),
         )
         record = qaoa.run_schedule(
-            inst, schedule, p=int(cfg["p"]), mixer=mixer, seed=seed,
-            optimizer=cfg["optimizer"],
+            inst, schedule, p=int(cfg["p"]), mixer=cfg.get("mixer") or "conditional",
+            seed=seed, optimizer=cfg["optimizer"],
         )
     elif method == "penalty-qaoa":
         record = qaoa.run_baseline_penalty_qaoa(
@@ -224,6 +219,8 @@ def cmd_solve(args) -> int:
     cfg = _resolve(args, {**_SOLVE_DEFAULTS, "seed": None})
     if args.method not in METHODS:
         raise ValueError(f"unknown method {args.method!r}; choose from {METHODS}")
+    if cfg["mixer"] is not None and args.method != "slack-qaoa":
+        raise ValueError(f"--mixer applies to slack-qaoa only, not {args.method}")
     inst = _load_instance(args.instance)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -377,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="output instance.json path")
     gen.set_defaults(func=cmd_generate)
 
-    def solve_flags(sp):
+    def solve_flags(sp, mixer_help):
         sp.add_argument("--p", type=int, default=None, help="ansatz depth")
         sp.add_argument("--optimizer", choices=sorted(qaoa.SCIPY_METHODS), default=None)
         sp.add_argument("--penalty", type=float, default=None,
@@ -387,13 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--doubling-interval", type=int, default=None, dest="doubling_interval")
         sp.add_argument("--shots", type=int, default=None, help="feasibility-check sample count")
         sp.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-        sp.add_argument("--mixer", choices=("standard", "conditional"), default=None)
+        sp.add_argument("--mixer", choices=("standard", "conditional"), default=None,
+                        help=mixer_help)
 
     solve = sub.add_parser("solve", help="run one method on one instance")
     common(solve)
     solve.add_argument("--instance", required=True, help="instance.json path")
     solve.add_argument("--method", required=True, help=f"one of {', '.join(METHODS)}")
-    solve_flags(solve)
+    solve_flags(solve, "mixer of slack-qaoa (default conditional); other methods reject it")
     solve.add_argument("--out", required=True, help="output run directory")
     solve.set_defaults(func=cmd_solve)
 
@@ -405,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--k", type=int, default=None, help="cardinality when generating")
     sweep.add_argument("--methods", required=True, help="comma-separated method list")
     sweep.add_argument("--seeds", required=True, help="comma-separated seed list")
-    solve_flags(sweep)
+    solve_flags(sweep, "mixer of the slack-qaoa cells (default conditional)")
     sweep.add_argument("--jobs", type=int, default=None, help="concurrent cells")
     sweep.add_argument("--out", required=True, help="sweep output directory")
     sweep.set_defaults(func=cmd_sweep)

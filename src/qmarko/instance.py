@@ -60,6 +60,11 @@ class PortfolioInstance:
             raise ValueError(f"alpha must have shape ({self.n},), got {alpha.shape}")
         if not np.all(alpha >= 0.0):  # NaN fails too
             raise ValueError(f"caps alpha must all be >= 0, got a minimum of {alpha.min()}")
+        weights = {"mu": mu, "sigma": sigma, "lambda_weight": self.lambda_weight,
+                   "q_risk": self.q_risk}
+        for name, value in weights.items():
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite (no NaN or inf)")
         for arr in (mu, sigma, alpha):
             arr.flags.writeable = False
         object.__setattr__(self, "mu", mu)

@@ -8,6 +8,12 @@ until the sampled portfolios are feasible at the target rate or the
 iteration cap is hit. Angle optimization is warm-started across penalty
 doublings.
 
+One run path. Every angle search, whether ``optimize_angles``, a segment
+of ``run_schedule`` or a fixed-penalty baseline run, is one call of
+``_search_angles`` (tabulate the Hamiltonian, scale the angles, minimize
+the expectation), and every record is built from its final state by
+``_record`` (picks, feasible mass, histogram, variance bound).
+
 Angle units. Every optimizer searches scaled coordinates theta in which the
 phase angle is ``gamma = theta_gamma / s``, with ``s = sum|h| + sum|J|`` the
 coefficient norm of the Hamiltonian being optimized (offset excluded; 1 for
@@ -23,7 +29,8 @@ expectations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy import optimize as sciopt
@@ -94,9 +101,6 @@ class QaoaParams:
     def to_vector(self) -> np.ndarray:
         return np.array(self.gammas + self.beta_mixes, dtype=float)
 
-    def as_dict(self) -> dict:
-        return {"p": self.p, "gammas": list(self.gammas), "beta_mixes": list(self.beta_mixes)}
-
 
 @dataclass(frozen=True)
 class ScheduleConfig:
@@ -116,15 +120,6 @@ class ScheduleConfig:
         if not 0.0 < self.feasibility_target <= 1.0:
             raise ValueError("feasibility_target must lie in (0, 1]")
 
-    def as_dict(self) -> dict:
-        return {
-            "beta_penalty_init": self.beta_penalty_init,
-            "doubling_interval": self.doubling_interval,
-            "feasibility_shots": self.feasibility_shots,
-            "feasibility_target": self.feasibility_target,
-            "max_iterations": self.max_iterations,
-        }
-
 
 @dataclass(frozen=True)
 class TraceRow:
@@ -135,14 +130,6 @@ class TraceRow:
     beta_penalty: float
     feasible_fraction: float | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "expectation": self.expectation,
-            "beta_penalty": self.beta_penalty,
-            "feasible_fraction": self.feasible_fraction,
-        }
-
 
 @dataclass(frozen=True)
 class PortfolioPick:
@@ -152,14 +139,6 @@ class PortfolioPick:
     value: float
     feasible: bool
     probability: float | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "bitstring": self.bitstring,
-            "value": self.value,
-            "feasible": self.feasible,
-            "probability": self.probability,
-        }
 
 
 @dataclass(frozen=True)
@@ -172,6 +151,9 @@ class ExperimentRecord:
     record.final_params, record.mixer, pairs)`` on that Hamiltonian's table
     reproduces the final state. ``histogram`` keys are in basis-index order;
     ``qmarko report`` writes them in that stored order without sorting.
+    ``trace`` holds one row per optimizer evaluation, numbered from 1 across
+    penalty doublings; ``iterations_used`` and ``objective_trace`` are
+    derived from it, not stored.
     """
 
     method: str
@@ -187,24 +169,31 @@ class ExperimentRecord:
     reported: PortfolioPick | None
     feasible_fraction: float
     sampled_feasible_fraction: float | None
-    iterations_used: int
     terminated_by: str
-    objective_trace: tuple[float, ...]
     trace: tuple[TraceRow, ...]
     variance_bound: bounds.BoundReport
 
+    @property
+    def iterations_used(self) -> int:
+        return len(self.trace)
+
+    @property
+    def objective_trace(self) -> tuple[float, ...]:
+        return tuple(row.expectation for row in self.trace)
+
     def to_dict(self) -> dict:
+        # asdict on the parts only: on the record it would deep-copy the histogram.
         return {
             "method": self.method,
             "seed": self.seed,
             "mixer": self.mixer,
             "optimizer": self.optimizer,
-            "initial_params": self.initial_params.as_dict(),
-            "final_params": self.final_params.as_dict(),
+            "initial_params": asdict(self.initial_params),
+            "final_params": asdict(self.final_params),
             "final_beta_penalty": self.final_beta_penalty,
             "histogram": self.histogram,
-            "best_feasible": self.best_feasible.as_dict() if self.best_feasible else None,
-            "most_probable": self.most_probable.as_dict(),
+            "best_feasible": asdict(self.best_feasible) if self.best_feasible else None,
+            "most_probable": asdict(self.most_probable),
             "bitstring": self.reported.bitstring if self.reported else None,
             "feasible": bool(self.reported.feasible) if self.reported else False,
             "value": self.reported.value if self.reported else None,
@@ -213,8 +202,8 @@ class ExperimentRecord:
             "iterations": self.iterations_used,
             "terminated_by": self.terminated_by,
             "objective_trace": list(self.objective_trace),
-            "trace": [row.as_dict() for row in self.trace],
-            "variance_bound": self.variance_bound.as_dict(),
+            "trace": [asdict(row) for row in self.trace],
+            "variance_bound": asdict(self.variance_bound),
         }
 
 
@@ -338,20 +327,24 @@ def _physical_params(theta, scale: float) -> QaoaParams:
     return QaoaParams.from_vector(np.concatenate((theta[:p] / scale, theta[p:])))
 
 
-def _scaled_angles(params: QaoaParams, scale: float) -> np.ndarray:
-    """Scaled search coordinates of physical angles; inverse of _physical_params."""
-    return np.concatenate((np.asarray(params.gammas) * scale, params.beta_mixes))
+def _search_angles(
+    hamiltonian: IsingHamiltonian, theta, minimize, mixer: str = "standard", pairs=None
+):
+    """One angle search: minimize the ansatz expectation from scaled angles theta.
 
-
-def _expectation_objective(table: EnergyTable, scale: float, mixer: str, pairs):
-    """theta -> <H> of the ansatz at scaled angles theta (gamma = theta_gamma
-    / scale), on a precomputed table; the value is in physical units."""
+    ``minimize(objective, theta)`` returns (best theta, best value, evals),
+    as ``minimize_with_budget`` does. Returns (table, scale, best theta,
+    evals), with evals in physical units and in evaluation order.
+    """
+    table = energy_table(hamiltonian)
+    scale = _angle_scale(hamiltonian)
 
     def objective(theta):
         state = _ansatz_state(table, _physical_params(theta, scale), mixer, pairs)
         return expectation(state, table)
 
-    return objective
+    best_theta, _, evals = minimize(objective, theta)
+    return table, scale, best_theta, evals
 
 
 def _draw_initial_angles(rng: np.random.Generator, p: int) -> np.ndarray:
@@ -367,24 +360,18 @@ def optimize_angles(
     seed: int = 0,
     mixer: str = "standard",
     pairs=None,
-    initial_params: QaoaParams | None = None,
 ):
     """Minimize the ansatz expectation over the 2p angles from a seeded start.
 
-    The search runs in scaled coordinates (see ``_angle_scale``);
-    ``initial_params`` and the returned angles are physical. Returns
-    (best_params, trace); the trace lists every objective value in
-    evaluation order. Budget exhaustion returns the best angles seen.
+    The search runs in scaled coordinates (see ``_angle_scale``); the
+    returned angles are physical. Returns (best_params, trace); the trace
+    lists every objective value in evaluation order. Budget exhaustion
+    returns the best angles seen.
     """
-    table = energy_table(hamiltonian)
-    scale = _angle_scale(hamiltonian)
-    if initial_params is None:
-        theta0 = _draw_initial_angles(np.random.default_rng(seed), p)
-    else:
-        theta0 = _scaled_angles(initial_params, scale)
-    objective = _expectation_objective(table, scale, mixer, pairs)
-    best_x, _, evals = minimize_with_budget(objective, theta0, optimizer, budget)
-    return _physical_params(best_x, scale), evals
+    theta0 = _draw_initial_angles(np.random.default_rng(seed), p)
+    minimize = partial(minimize_with_budget, optimizer=optimizer, budget=budget)
+    _, scale, theta, evals = _search_angles(hamiltonian, theta0, minimize, mixer, pairs)
+    return _physical_params(theta, scale), evals
 
 
 def _sampled_feasible_fraction(feasible: np.ndarray, counts: np.ndarray) -> float:
@@ -424,6 +411,24 @@ def _portfolio_picks(instance: PortfolioInstance, state: StateVector):
     return best, pick(int(np.argmax(marginal))), float(marginal[feasible].sum())
 
 
+def _record(
+    instance: PortfolioInstance, state: StateVector, report_most_probable: bool, **fields
+) -> ExperimentRecord:
+    """The record of a run that ended in ``state``: picks, exact feasible
+    mass, histogram and variance bound come from the state, the remaining
+    ``ExperimentRecord`` fields from the caller."""
+    best_feasible, most_probable, feasible_mass = _portfolio_picks(instance, state)
+    return ExperimentRecord(
+        histogram=_full_histogram(state),
+        best_feasible=best_feasible,
+        most_probable=most_probable,
+        reported=most_probable if report_most_probable else best_feasible,
+        feasible_fraction=feasible_mass,
+        variance_bound=bounds.check_variance_bound(state, instance),
+        **fields,
+    )
+
+
 def run_schedule(
     instance: PortfolioInstance,
     config: ScheduleConfig | None = None,
@@ -451,21 +456,19 @@ def run_schedule(
     beta_penalty = config.beta_penalty_init
     feasible = feasible_table(instance)
     rows: list[TraceRow] = []
-    used = 0
     while True:
         program = build_slack_ancilla_qubo(instance, beta_penalty)
-        hamiltonian = to_ising(program)
-        table = energy_table(hamiltonian)
-        scale = _angle_scale(hamiltonian)
+        pairs = mixer_pairs(program.labels) if mixer == "conditional" else None
+        chunk = min(config.doubling_interval, config.max_iterations - len(rows))
+        minimize = partial(_minimize_exact_budget, optimizer=optimizer, budget=chunk)
+        table, scale, best_theta, evals = _search_angles(
+            to_ising(program), theta, minimize, mixer, pairs
+        )
         if initial_params is None:
             initial_params = _physical_params(theta, scale)
-        pairs = mixer_pairs(program.labels) if mixer == "conditional" else None
-        objective = _expectation_objective(table, scale, mixer, pairs)
-        chunk = min(config.doubling_interval, config.max_iterations - used)
-        theta, _, evals = _minimize_exact_budget(objective, theta, optimizer, chunk)
-        for value in evals:
-            used += 1
-            rows.append(TraceRow(used, value, beta_penalty))
+        theta = best_theta
+        first = len(rows) + 1
+        rows.extend(TraceRow(i, value, beta_penalty) for i, value in enumerate(evals, first))
         final_params = _physical_params(theta, scale)
         state = _ansatz_state(table, final_params, mixer, pairs)
         check_seed = int(master.integers(0, 2**63))
@@ -475,31 +478,17 @@ def run_schedule(
         if sampled_fraction >= config.feasibility_target:
             terminated_by = "feasibility_target"
             break
-        if used >= config.max_iterations:
+        if len(rows) >= config.max_iterations:
             terminated_by = "max_iterations"
             break
         beta_penalty *= 2.0
 
-    best_feasible, most_probable, feasible_mass = _portfolio_picks(instance, state)
-    return ExperimentRecord(
-        method="slack-qaoa",
-        seed=seed,
-        mixer=mixer,
-        optimizer=optimizer,
-        initial_params=initial_params,
-        final_params=final_params,
-        final_beta_penalty=beta_penalty,
-        histogram=_full_histogram(state),
-        best_feasible=best_feasible,
-        most_probable=most_probable,
-        reported=best_feasible,
-        feasible_fraction=feasible_mass,
-        sampled_feasible_fraction=sampled_fraction,
-        iterations_used=used,
-        terminated_by=terminated_by,
-        objective_trace=tuple(row.expectation for row in rows),
-        trace=tuple(rows),
-        variance_bound=bounds.check_variance_bound(state, instance),
+    return _record(
+        instance, state, report_most_probable=False,
+        method="slack-qaoa", seed=seed, mixer=mixer, optimizer=optimizer,
+        initial_params=initial_params, final_params=final_params,
+        final_beta_penalty=beta_penalty, sampled_feasible_fraction=sampled_fraction,
+        terminated_by=terminated_by, trace=tuple(rows),
     )
 
 
@@ -514,38 +503,17 @@ def _run_fixed_penalty(
     optimizer: str,
     report_most_probable: bool,
 ) -> ExperimentRecord:
-    hamiltonian = to_ising(program)
-    table = energy_table(hamiltonian)
-    scale = _angle_scale(hamiltonian)
     theta0 = _draw_initial_angles(np.random.default_rng(seed), p)
-    objective = _expectation_objective(table, scale, "standard", None)
-    best_x, _, evals = minimize_with_budget(objective, theta0, optimizer, budget)
-    initial_params = _physical_params(theta0, scale)
-    final_params = _physical_params(best_x, scale)
-    state = _ansatz_state(table, final_params, "standard", None)
-    best_feasible, most_probable, feasible_mass = _portfolio_picks(instance, state)
-    rows = tuple(
-        TraceRow(i + 1, value, a_card) for i, value in enumerate(evals)
-    )
-    return ExperimentRecord(
-        method=method,
-        seed=seed,
-        mixer="standard",
-        optimizer=optimizer,
-        initial_params=initial_params,
-        final_params=final_params,
-        final_beta_penalty=a_card,
-        histogram=_full_histogram(state),
-        best_feasible=best_feasible,
-        most_probable=most_probable,
-        reported=most_probable if report_most_probable else best_feasible,
-        feasible_fraction=feasible_mass,
-        sampled_feasible_fraction=None,
-        iterations_used=len(evals),
+    minimize = partial(minimize_with_budget, optimizer=optimizer, budget=budget)
+    table, scale, theta, evals = _search_angles(to_ising(program), theta0, minimize)
+    final_params = _physical_params(theta, scale)
+    return _record(
+        instance, _ansatz_state(table, final_params, "standard", None), report_most_probable,
+        method=method, seed=seed, mixer="standard", optimizer=optimizer,
+        initial_params=_physical_params(theta0, scale), final_params=final_params,
+        final_beta_penalty=a_card, sampled_feasible_fraction=None,
         terminated_by="completed",
-        objective_trace=tuple(row.expectation for row in rows),
-        trace=rows,
-        variance_bound=bounds.check_variance_bound(state, instance),
+        trace=tuple(TraceRow(i, value, a_card) for i, value in enumerate(evals, 1)),
     )
 
 

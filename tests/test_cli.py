@@ -42,3 +42,24 @@ def test_sweep_and_report_cover_every_cell(tmp_path, capsys):
         ]
         assert lines[1:] == expected
         assert math.isclose(sum(float(p) for _, p in lines[1:]), 1.0, abs_tol=1e-9)
+
+
+def test_solve_rejects_mixer_for_methods_without_one(tmp_path, capsys):
+    from qmarko.cli import EXIT_INVALID
+
+    instance = str(tmp_path / "instance.json")
+    assert main(["generate", "--n", "3", "--k", "1", "--seed", "4", "--out", instance]) == EXIT_OK
+
+    def solve(method, mixer):
+        return main(["solve", "--instance", instance, "--method", method, "--mixer", mixer,
+                     "--max-iter", "6", "--doubling-interval", "3", "--shots", "32",
+                     "--out", str(tmp_path / method)])
+
+    for method in METHODS:
+        if method != "slack-qaoa":
+            assert solve(method, "conditional") == EXIT_INVALID
+            assert not (tmp_path / method / "record.json").exists()
+    assert "--mixer" in capsys.readouterr().err
+    assert solve("slack-qaoa", "standard") == EXIT_OK
+    record = json.loads((tmp_path / "slack-qaoa" / "record.json").read_text())
+    assert record["mixer"] == "standard"

@@ -188,3 +188,29 @@ def test_negative_or_nan_cap_is_rejected_on_load(tmp_path, capsys, bad_cap):
                  "--out", str(tmp_path / "run")])
     assert code == EXIT_INVALID
     assert "alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [("mu", float("nan")), ("mu", float("inf")), ("sigma", float("nan")),
+     ("sigma", float("-inf")), ("lambda", float("nan")), ("q", float("inf"))],
+)
+def test_non_finite_weights_are_rejected_on_load(tmp_path, capsys, field, bad):
+    from qmarko.cli import EXIT_INVALID, main
+
+    doc = json.loads(to_json(generate_instance(3, 1, seed=2)))
+    if field == "mu":
+        doc["mu"][1] = bad
+    elif field == "sigma":
+        doc["sigma"][0][2] = bad
+    else:
+        doc[field] = bad
+    text = json.dumps(doc)
+    with pytest.raises(ValueError):
+        from_json(text)
+    path = tmp_path / "instance.json"
+    path.write_text(text)
+    code = main(["solve", "--instance", str(path), "--method", "oracle",
+                 "--out", str(tmp_path / "run")])
+    assert code == EXIT_INVALID
+    assert "finite" in capsys.readouterr().err

@@ -414,3 +414,25 @@ def test_portfolio_picks_best_feasible_is_none_below_threshold():
     probabilities[7] = 1.0 - probabilities.sum()  # "111" breaks k = 1
     state = StateVector(3, np.sqrt(probabilities).astype(complex))
     assert _assert_picks_match(inst, state) is None
+
+
+# --- trace numbering ---------------------------------------------------------
+
+def _assert_trace_numbered(record, expected_length):
+    assert [row.iteration for row in record.trace] == list(range(1, expected_length + 1))
+    doc = record.to_dict()
+    assert doc["iterations"] == len(record.trace) == record.iterations_used
+    assert doc["objective_trace"] == [row.expectation for row in record.trace]
+    assert [row["iteration"] for row in doc["trace"]] == list(range(1, expected_length + 1))
+
+
+def test_trace_is_numbered_from_one_across_penalty_doublings():
+    inst = generate_instance(3, 1, seed=5)
+    config = ScheduleConfig(doubling_interval=3, max_iterations=9)
+    record = run_schedule(inst, config, seed=5)
+    assert record.terminated_by == "max_iterations"
+    assert len({row.beta_penalty for row in record.trace}) == 3
+    _assert_trace_numbered(record, 9)
+
+    baseline = run_baseline_penalty_qaoa(inst, a_card=1000.0, p=2, budget=7, seed=5)
+    _assert_trace_numbered(baseline, 7)
