@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -32,6 +33,8 @@ METHODS = (
     "oracle",
     "classical-baseline",
 )
+
+MIXERS = ("standard", "conditional")
 
 SUMMARY_COLUMNS = (
     "method",
@@ -74,7 +77,7 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _resolve(args, spec: dict, extra: dict | None = None) -> dict:
+def _resolve(args, spec: dict) -> dict:
     """flags > config file > defaults."""
     file_cfg = {}
     config_path = getattr(args, "config", None)
@@ -92,13 +95,33 @@ def _resolve(args, spec: dict, extra: dict | None = None) -> dict:
             resolved[key] = file_cfg[key]
         else:
             resolved[key] = default
-    if extra:
-        resolved.update(extra)
     if resolved.get("seed") is None:
         resolved["seed"] = _default_seed()
     if getattr(args, "print_config", False):
         print(json.dumps(resolved, indent=2, sort_keys=True))
     return resolved
+
+
+def _schedule(cfg: dict) -> qaoa.ScheduleConfig:
+    """Check the solve settings and build the slack-qaoa schedule from them;
+    commands call it before writing any file, so a bad setting exits 2."""
+    for key, choices in (("optimizer", tuple(qaoa.SCIPY_METHODS)), ("mixer", (None, *MIXERS))):
+        if cfg[key] not in choices:
+            raise ValueError(f"unknown {key} {cfg[key]!r}; choose from {choices}")
+    try:
+        if int(cfg["p"]) < 1:
+            raise ValueError(f"--p must be >= 1, got {cfg['p']}")
+        if cfg["penalty"] is not None and not 0 < float(cfg["penalty"]) < math.inf:
+            raise ValueError(f"--penalty must be positive and finite, got {cfg['penalty']}")
+        return qaoa.ScheduleConfig(
+            beta_penalty_init=float(cfg["beta_init"]),
+            doubling_interval=int(cfg["doubling_interval"]),
+            feasibility_shots=int(cfg["shots"]),
+            feasibility_target=float(cfg["feasibility_target"]),
+            max_iterations=int(cfg["max_iter"]),
+        )
+    except TypeError as exc:  # e.g. null or a list in a config file
+        raise ValueError(f"invalid setting: {exc}") from exc
 
 
 def _trace_csv(rows) -> str:
@@ -111,7 +134,9 @@ def _trace_csv(rows) -> str:
     return buf.getvalue()
 
 
-def _run_method(inst: instance_mod.PortfolioInstance, method: str, cfg: dict) -> tuple[dict, str]:
+def _run_method(
+    inst: instance_mod.PortfolioInstance, method: str, cfg: dict, schedule: qaoa.ScheduleConfig
+) -> tuple[dict, str]:
     """Execute one method; returns (record document, trace.csv text)."""
     seed = int(cfg["seed"])
     penalty = cfg.get("penalty")
@@ -152,13 +177,6 @@ def _run_method(inst: instance_mod.PortfolioInstance, method: str, cfg: dict) ->
         rows = [qaoa.TraceRow(i + 1, v, penalty) for i, v in enumerate(result.trace)]
         return doc, _trace_csv(rows)
     if method == "slack-qaoa":
-        schedule = qaoa.ScheduleConfig(
-            beta_penalty_init=float(cfg["beta_init"]),
-            doubling_interval=int(cfg["doubling_interval"]),
-            feasibility_shots=int(cfg["shots"]),
-            feasibility_target=float(cfg["feasibility_target"]),
-            max_iterations=int(cfg["max_iter"]),
-        )
         record = qaoa.run_schedule(
             inst, schedule, p=int(cfg["p"]), mixer=cfg.get("mixer") or "conditional",
             seed=seed, optimizer=cfg["optimizer"],
@@ -221,10 +239,11 @@ def cmd_solve(args) -> int:
         raise ValueError(f"unknown method {args.method!r}; choose from {METHODS}")
     if cfg["mixer"] is not None and args.method != "slack-qaoa":
         raise ValueError(f"--mixer applies to slack-qaoa only, not {args.method}")
+    schedule = _schedule(cfg)
     inst = _load_instance(args.instance)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    doc, trace_text = _run_method(inst, args.method, cfg)
+    doc, trace_text = _run_method(inst, args.method, cfg, schedule)
     _write_atomic(out_dir / "record.json", json.dumps(doc, indent=2) + "\n")
     _write_atomic(out_dir / "trace.csv", trace_text)
     _print_solve_row(doc)
@@ -235,7 +254,7 @@ def cmd_solve(args) -> int:
 
 def _run_cell(payload: tuple) -> dict:
     """One sweep cell; returns its summary row. Runs in worker processes."""
-    method, seed, instance_text, cfg, run_dir_text = payload
+    method, seed, instance_text, cfg, schedule, run_dir_text = payload
     run_dir = Path(run_dir_text)
     run_dir.mkdir(parents=True, exist_ok=True)
     row = {key: "" for key in SUMMARY_COLUMNS}
@@ -246,7 +265,7 @@ def _run_cell(payload: tuple) -> dict:
         inst = instance_mod.from_json(instance_text)
         cell_cfg = dict(cfg)
         cell_cfg["seed"] = seed
-        doc, trace_text = _run_method(inst, method, cell_cfg)
+        doc, trace_text = _run_method(inst, method, cell_cfg, schedule)
         _write_atomic(run_dir / "record.json", json.dumps(doc, indent=2) + "\n")
         _write_atomic(run_dir / "trace.csv", trace_text)
         row["bitstring"] = doc.get("bitstring") or ""
@@ -271,6 +290,10 @@ def cmd_sweep(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     if not seeds:
         raise ValueError("--seeds must list at least one seed")
+    schedule = _schedule(cfg)
+    jobs = int(cfg["jobs"])
+    if jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {cfg['jobs']}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -288,11 +311,10 @@ def cmd_sweep(args) -> int:
             instance_texts[seed] = text
 
     payloads = [
-        (method, seed, instance_texts[seed], cfg, str(out_dir / f"{method}_seed{seed}"))
+        (method, seed, instance_texts[seed], cfg, schedule, str(out_dir / f"{method}_seed{seed}"))
         for method in methods
         for seed in seeds
     ]
-    jobs = int(cfg["jobs"])
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_cell, payloads))
@@ -340,12 +362,10 @@ def cmd_report(args) -> int:
             continue
         record = json.loads(record_path.read_text())
         histogram = record.get("histogram") or {}
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["bitstring", "probability"])
-        for bitstring, probability in histogram.items():
-            writer.writerow([bitstring, repr(float(probability))])
-        _write_atomic(run_dir / f"hist_{run_id}.csv", buf.getvalue())
+        text = "bitstring,probability\n" + "".join(
+            f"{bitstring},{float(probability)!r}\n" for bitstring, probability in histogram.items()
+        )
+        _write_atomic(run_dir / f"hist_{run_id}.csv", text)
         written += 1
     print(f"wrote report.md and {written} histogram files under {run_dir}")
     return EXIT_OK
@@ -384,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--doubling-interval", type=int, default=None, dest="doubling_interval")
         sp.add_argument("--shots", type=int, default=None, help="feasibility-check sample count")
         sp.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-        sp.add_argument("--mixer", choices=("standard", "conditional"), default=None,
+        sp.add_argument("--mixer", choices=MIXERS, default=None,
                         help=mixer_help)
 
     solve = sub.add_parser("solve", help="run one method on one instance")
@@ -420,10 +440,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -17,7 +17,6 @@ precision. Spin convention: bit 0 maps to z = +1, bit 1 to z = -1.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -123,8 +122,8 @@ def build_slack_ancilla_qubo(instance: PortfolioInstance, beta_penalty: float) -
     binary slack per asset. Adds beta * (w_i - alpha_i + s_i)^2 per asset;
     binary slack is exactly enough to close w_i <= alpha_i for binary alpha.
     """
-    if beta_penalty <= 0:
-        raise ValueError(f"penalty weight must be positive, got {beta_penalty}")
+    if not 0 < beta_penalty < math.inf:
+        raise ValueError(f"penalty weight must be positive and finite, got {beta_penalty}")
     n = instance.n
     m = 2 * n
     quadratic, linear = _base_objective(instance, m)
@@ -144,8 +143,8 @@ def build_slack_ancilla_qubo(instance: PortfolioInstance, beta_penalty: float) -
 
 def build_penalty_qubo(instance: PortfolioInstance, a_card: float) -> QuboProgram:
     """Direct-penalty program over the n asset bits: a * (sum w_i - k)^2."""
-    if a_card <= 0:
-        raise ValueError(f"penalty weight must be positive, got {a_card}")
+    if not 0 < a_card < math.inf:
+        raise ValueError(f"penalty weight must be positive and finite, got {a_card}")
     n = instance.n
     quadratic, linear = _base_objective(instance, n)
     constant = _add_squared_penalty(quadratic, linear, np.ones(n), -float(instance.k), a_card)
@@ -165,8 +164,8 @@ def build_cardinality_slack_qubo(instance: PortfolioInstance, a_card: float) -> 
     """Cardinality-slack program: n asset bits plus ceil(log2(k+1)) slack
     bits whose weighted sum s ranges over [0, k]; adds a * (sum w_i + s - k)^2.
     """
-    if a_card <= 0:
-        raise ValueError(f"penalty weight must be positive, got {a_card}")
+    if not 0 < a_card < math.inf:
+        raise ValueError(f"penalty weight must be positive and finite, got {a_card}")
     n, k = instance.n, instance.k
     weights = cardinality_slack_weights(k)
     m = n + len(weights)
@@ -227,50 +226,3 @@ def ising_energy(hamiltonian: IsingHamiltonian, x) -> float:
         energy += coupling * z[i] * z[j]
     return float(energy)
 
-
-def qubo_to_json(program: QuboProgram) -> str:
-    nonzero = [
-        [i, j, program.quadratic[i, j]]
-        for i in range(program.num_vars)
-        for j in range(program.num_vars)
-        if program.quadratic[i, j] != 0.0
-    ]
-    doc = {
-        "num_vars": program.num_vars,
-        "labels": [{"kind": lab.kind, "index": lab.index} for lab in program.labels],
-        "quadratic": nonzero,
-        "linear": list(program.linear),
-        "constant": program.constant,
-    }
-    return json.dumps(doc, indent=2)
-
-
-def qubo_from_json(text: str) -> QuboProgram:
-    doc = json.loads(text)
-    m = int(doc["num_vars"])
-    quadratic = np.zeros((m, m))
-    for i, j, value in doc["quadratic"]:
-        quadratic[int(i), int(j)] = float(value)
-    labels = tuple(VarLabel(entry["kind"], int(entry["index"])) for entry in doc["labels"])
-    return QuboProgram(m, labels, quadratic, np.array(doc["linear"], dtype=float), float(doc["constant"]))
-
-
-def ising_to_json(hamiltonian: IsingHamiltonian) -> str:
-    doc = {
-        "num_qubits": hamiltonian.num_qubits,
-        "couplings": [[i, j, value] for (i, j), value in sorted(hamiltonian.couplings.items())],
-        "fields": list(hamiltonian.fields),
-        "offset": hamiltonian.offset,
-    }
-    return json.dumps(doc, indent=2)
-
-
-def ising_from_json(text: str) -> IsingHamiltonian:
-    doc = json.loads(text)
-    couplings = {(int(i), int(j)): float(value) for i, j, value in doc["couplings"]}
-    return IsingHamiltonian(
-        int(doc["num_qubits"]),
-        couplings,
-        np.array(doc["fields"], dtype=float),
-        float(doc["offset"]),
-    )

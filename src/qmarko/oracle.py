@@ -66,8 +66,8 @@ def classical_baseline(
     supports them; iterates are additionally clipped before evaluation so
     the unconstrained variant stays inside the cube too.
     """
-    if beta_penalty <= 0:
-        raise ValueError(f"penalty weight must be positive, got {beta_penalty}")
+    if not 0 < beta_penalty < math.inf:
+        raise ValueError(f"penalty weight must be positive and finite, got {beta_penalty}")
     n = instance.n
 
     def relaxed(v):

@@ -113,8 +113,8 @@ class ScheduleConfig:
     max_iterations: int = 200
 
     def __post_init__(self) -> None:
-        if self.beta_penalty_init <= 0:
-            raise ValueError("beta_penalty_init must be positive")
+        if not 0 < self.beta_penalty_init < math.inf:
+            raise ValueError("beta_penalty_init must be positive and finite")
         if self.doubling_interval < 1 or self.feasibility_shots < 1 or self.max_iterations < 1:
             raise ValueError("doubling_interval, feasibility_shots, max_iterations must be >= 1")
         if not 0.0 < self.feasibility_target <= 1.0:
@@ -256,9 +256,6 @@ def minimize_with_budget(fun, x0, optimizer: str = "cobyla", budget: int = 200, 
         )
     except _BudgetExhausted:
         pass
-    if not evals:  # defensive; scipy always evaluates x0
-        best_f = float(fun(best_x))
-        evals.append(best_f)
     return best_x, best_f, evals
 
 

@@ -15,7 +15,6 @@ Amplitude index convention: qubit 0 is the least significant bit (see
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -28,8 +27,6 @@ from .encode import IsingHamiltonian
 if TYPE_CHECKING:  # pragma: no cover
     from .qaoa import QaoaParams
 
-STATE_DUMP_MAX_QUBITS = 12
-
 
 @dataclass
 class StateVector:
@@ -37,9 +34,6 @@ class StateVector:
 
     num_qubits: int
     amplitudes: np.ndarray
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes.copy())
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -243,17 +237,6 @@ def sample(state: StateVector, shots: int, seed: int) -> dict[str, int]:
     counts = sample_counts(state, shots, seed)
     drawn = np.flatnonzero(counts)
     return dict(zip(basis_labels(drawn, state.num_qubits), counts[drawn].tolist()))
-
-
-def dump_state(state: StateVector) -> str:
-    """JSON array of (bitstring, re, im) rows for cross-checking small states."""
-    if state.num_qubits > STATE_DUMP_MAX_QUBITS:
-        raise ValueError(
-            f"state dump limited to {STATE_DUMP_MAX_QUBITS} qubits, got {state.num_qubits}"
-        )
-    labels = basis_labels(np.arange(1 << state.num_qubits), state.num_qubits)
-    amplitudes = state.amplitudes
-    return json.dumps(list(zip(labels, amplitudes.real.tolist(), amplitudes.imag.tolist())))
 
 
 def export_circuit_text(

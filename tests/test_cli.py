@@ -2,6 +2,8 @@ import csv
 import json
 import math
 
+import pytest
+
 from qmarko.bitstrings import string_to_index
 from qmarko.cli import EXIT_OK, METHODS, main
 
@@ -63,3 +65,79 @@ def test_solve_rejects_mixer_for_methods_without_one(tmp_path, capsys):
     assert solve("slack-qaoa", "standard") == EXIT_OK
     record = json.loads((tmp_path / "slack-qaoa" / "record.json").read_text())
     assert record["mixer"] == "standard"
+
+
+def test_settings_resolve_flags_over_config_over_defaults(tmp_path, capsys, monkeypatch):
+    from qmarko.cli import EXIT_INVALID
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 4, "k": 2, "seed": 7}))
+    first = tmp_path / "first.json"
+    assert main(["generate", "--config", str(config), "--k", "1", "--print-config",
+                 "--out", str(first)]) == EXIT_OK
+    printed, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
+    assert (printed["n"], printed["k"], printed["seed"]) == (4, 1, 7)
+    written = json.loads(first.read_text())
+    assert (written["n"], written["k"], written["seed"]) == (4, 1, 7)
+
+    monkeypatch.setenv("QMARKO_SEED", "9")
+    second = tmp_path / "second.json"
+    assert main(["generate", "--n", "3", "--out", str(second)]) == EXIT_OK
+    assert json.loads(second.read_text())["seed"] == 9
+
+    config.write_text("{not json")
+    assert main(["generate", "--config", str(config), "--out", str(tmp_path / "x.json")]) \
+        == EXIT_INVALID
+    assert "--config" in capsys.readouterr().err
+
+
+def test_sweep_rejects_bad_settings_before_writing(tmp_path, capsys):
+    from qmarko.cli import EXIT_INVALID
+
+    bad_flags = [["--p", "0"], ["--max-iter", "0"], ["--shots", "0"], ["--jobs", "0"],
+                 ["--penalty", "nan"], ["--penalty", "inf"], ["--beta-init", "inf"]]
+    bad_configs = [{"optimizer": "bfgs"}, {"mixer": "sideways"}, {"p": None}]
+    for i, config in enumerate(bad_configs):
+        path = tmp_path / f"config{i}.json"
+        path.write_text(json.dumps(config))
+        bad_flags.append(["--config", str(path)])
+    for i, flags in enumerate(bad_flags):
+        out = tmp_path / f"sweep{i}"
+        code = main(["sweep", "--n", "3", "--k", "1", "--methods", "slack-qaoa,penalty-qaoa",
+                     "--seeds", "1", "--max-iter", "4", "--doubling-interval", "2",
+                     "--shots", "16", *flags, "--out", str(out)])
+        assert code == EXIT_INVALID, flags
+        assert not out.exists(), flags
+    capsys.readouterr()
+
+
+def test_non_finite_penalty_weights_are_rejected(tmp_path, capsys):
+    from qmarko.cli import EXIT_INVALID
+    from qmarko.encode import (
+        build_cardinality_slack_qubo, build_penalty_qubo, build_slack_ancilla_qubo,
+    )
+    from qmarko.instance import generate_instance
+    from qmarko.oracle import classical_baseline
+    from qmarko.qaoa import ScheduleConfig
+
+    inst = generate_instance(3, 1, seed=2)
+    instance = str(tmp_path / "instance.json")
+    assert main(["generate", "--n", "3", "--k", "1", "--seed", "2", "--out", instance]) == EXIT_OK
+    for bad in (float("nan"), float("inf")):
+        for build in (build_slack_ancilla_qubo, build_penalty_qubo, build_cardinality_slack_qubo,
+                      classical_baseline):
+            with pytest.raises(ValueError):
+                build(inst, bad)
+        with pytest.raises(ValueError):
+            ScheduleConfig(beta_penalty_init=bad)
+        runs = [("slack-qaoa", "--beta-init")] + [
+            (method, "--penalty")
+            for method in ("penalty-qaoa", "cardinality-slack-qaoa", "classical-baseline")
+        ]
+        for method, flag in runs:
+            out = tmp_path / f"{method}_{bad}"
+            code = main(["solve", "--instance", instance, "--method", method, flag, str(bad),
+                         "--max-iter", "4", "--out", str(out)])
+            assert code == EXIT_INVALID, (method, bad)
+            assert not out.exists(), (method, bad)
+    assert "finite" in capsys.readouterr().err

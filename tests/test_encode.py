@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,11 +19,7 @@ from qmarko.encode import (
     build_penalty_qubo,
     build_slack_ancilla_qubo,
     ising_energy,
-    ising_from_json,
-    ising_to_json,
     qubo_energy,
-    qubo_from_json,
-    qubo_to_json,
     to_ising,
 )
 from qmarko.instance import PortfolioInstance, generate_instance
@@ -298,23 +292,3 @@ def test_argmin_invariant_under_positive_scaling(seed, scale):
     assert set(np.flatnonzero(energies <= energies.min() + tol)) == set(
         np.flatnonzero(scaled_energies <= scaled_energies.min() + scale * tol)
     )
-
-
-# --- serialization -----------------------------------------------------------
-
-def test_qubo_json_round_trip():
-    program = build_slack_ancilla_qubo(generate_instance(2, 1, seed=9), 50.0)
-    again = qubo_from_json(qubo_to_json(program))
-    assert again.labels == program.labels
-    assert np.array_equal(again.quadratic, program.quadratic)
-    assert np.array_equal(again.linear, program.linear)
-    assert again.constant == program.constant
-
-
-def test_ising_json_round_trip():
-    hamiltonian = to_ising(build_penalty_qubo(generate_instance(3, 1, seed=2), 10.0))
-    again = ising_from_json(ising_to_json(hamiltonian))
-    assert again.couplings == hamiltonian.couplings
-    assert np.array_equal(again.fields, hamiltonian.fields)
-    assert again.offset == hamiltonian.offset
-    assert json.loads(ising_to_json(hamiltonian))["num_qubits"] == 3

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +16,6 @@ from qmarko.simulate import (
     apply_conditional_mixer,
     apply_mixer,
     apply_phase_separation,
-    dump_state,
     energy_table,
     expectation,
     export_circuit_text,
@@ -399,18 +396,6 @@ def test_conditional_without_pairs_matches_export():
         hamiltonian.num_qubits,
     )
     assert np.allclose(replayed, state.amplitudes, atol=1e-9)
-
-
-def test_dump_state_round_trips_amplitudes():
-    state = StateVector(2, random_state(2, 21))
-    rows = json.loads(dump_state(state))
-    assert len(rows) == 4
-    for bitstring, re, im in rows:
-        x = string_to_index(bitstring)
-        assert complex(re, im) == pytest.approx(state.amplitudes[x], abs=1e-15)
-    big = uniform_superposition(13)
-    with pytest.raises(ValueError):
-        dump_state(big)
 
 
 def test_energy_table_peak_memory_is_a_small_multiple_of_the_table():
