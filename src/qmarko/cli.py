@@ -1,9 +1,14 @@
 """Command-line harness: generate instances, solve them, sweep, report.
 
 Exit codes are a stable scripting contract: 0 success, 2 invalid input,
-3 the selected method reported no feasible portfolio. Flags override
-config-file entries, which override built-in defaults; QMARKO_SEED
-supplies the seed when neither does.
+3 the selected method reported no feasible portfolio.
+
+Settings contract: every setting of `generate`, `solve` and `sweep` is
+declared once in SETTINGS with one type and one default. Its value is the
+flag, else the config-file entry, else the default (QMARKO_SEED, then 0,
+for an unset seed), converted to that type. A value that does not convert
+(null, a list, text, or a fraction or boolean for an integer) exits 2. A
+command checks every input before it writes any file.
 """
 
 from __future__ import annotations
@@ -47,28 +52,45 @@ SUMMARY_COLUMNS = (
     "variance_bound_slack",
 )
 
+def _integer(value) -> int:
+    """int() that refuses booleans and fractions instead of truncating them."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
+def _choice(*choices: str):
+    """A converter that passes only the listed values."""
+    def convert(value) -> str:
+        if value not in choices:
+            raise ValueError(f"{value!r} is not one of {choices}")
+        return value
+    return convert
+
+
 _SCHEDULE_DEFAULTS = qaoa.ScheduleConfig()
-_SOLVE_DEFAULTS = {
-    "p": 2,
-    "optimizer": "cobyla",
-    "penalty": None,  # per-method default, see _penalty_default
-    "beta_init": _SCHEDULE_DEFAULTS.beta_penalty_init,
-    "doubling_interval": _SCHEDULE_DEFAULTS.doubling_interval,
-    "shots": _SCHEDULE_DEFAULTS.feasibility_shots,
-    "feasibility_target": _SCHEDULE_DEFAULTS.feasibility_target,
-    "max_iter": _SCHEDULE_DEFAULTS.max_iterations,
-    "mixer": None,  # slack-qaoa only; conditional unless set
+# key: (type, default). A None default may stay unset: the seed falls back
+# to QMARKO_SEED, penalty is per method (_run_method) and the mixer is
+# conditional.
+SETTINGS = {
+    "n": (_integer, 3),
+    "k": (_integer, 1),
+    "seed": (_integer, None),
+    "lambda_weight": (float, 1.0),
+    "q_risk": (float, 0.5),
+    "p": (_integer, 2),
+    "optimizer": (_choice(*qaoa.SCIPY_METHODS), "cobyla"),
+    "penalty": (float, None),
+    "beta_init": (float, _SCHEDULE_DEFAULTS.beta_penalty_init),
+    "doubling_interval": (_integer, _SCHEDULE_DEFAULTS.doubling_interval),
+    "shots": (_integer, _SCHEDULE_DEFAULTS.feasibility_shots),
+    "feasibility_target": (float, _SCHEDULE_DEFAULTS.feasibility_target),
+    "max_iter": (_integer, _SCHEDULE_DEFAULTS.max_iterations),
+    "mixer": (_choice(*MIXERS), None),
+    "jobs": (_integer, 1),
 }
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("QMARKO_SEED", "0"))
-
-
-def _penalty_default(method: str) -> float:
-    # Fixed-penalty QAOA baselines run at 1e3; the classical baseline uses
-    # the same weight the slack schedule starts from.
-    return 100.0 if method == "classical-baseline" else 1000.0
+_SOLVE_KEYS = ("seed", "p", "optimizer", "penalty", "beta_init", "doubling_interval", "shots",
+               "feasibility_target", "max_iter", "mixer")
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -77,8 +99,8 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _resolve(args, spec: dict) -> dict:
-    """flags > config file > defaults."""
+def _resolve(args, keys: tuple[str, ...]) -> dict:
+    """flags > config file > defaults, each converted to its declared type."""
     file_cfg = {}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -86,17 +108,22 @@ def _resolve(args, spec: dict) -> dict:
             file_cfg = json.loads(Path(config_path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ValueError(f"--config: cannot read {config_path}: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"--config: {config_path} does not hold a JSON object")
     resolved = {}
-    for key, default in spec.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            resolved[key] = flag_value
-        elif key in file_cfg:
-            resolved[key] = file_cfg[key]
-        else:
-            resolved[key] = default
+    for key in keys:
+        convert, default = SETTINGS[key]
+        value = getattr(args, key, None)
+        if value is None:
+            value = file_cfg.get(key, default)
+        if value is not None or default is not None:
+            try:
+                value = convert(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"invalid setting {key}={value!r}: {exc}") from exc
+        resolved[key] = value
     if resolved.get("seed") is None:
-        resolved["seed"] = _default_seed()
+        resolved["seed"] = _integer(os.environ.get("QMARKO_SEED", "0"))
     if getattr(args, "print_config", False):
         print(json.dumps(resolved, indent=2, sort_keys=True))
     return resolved
@@ -105,23 +132,17 @@ def _resolve(args, spec: dict) -> dict:
 def _schedule(cfg: dict) -> qaoa.ScheduleConfig:
     """Check the solve settings and build the slack-qaoa schedule from them;
     commands call it before writing any file, so a bad setting exits 2."""
-    for key, choices in (("optimizer", tuple(qaoa.SCIPY_METHODS)), ("mixer", (None, *MIXERS))):
-        if cfg[key] not in choices:
-            raise ValueError(f"unknown {key} {cfg[key]!r}; choose from {choices}")
-    try:
-        if int(cfg["p"]) < 1:
-            raise ValueError(f"--p must be >= 1, got {cfg['p']}")
-        if cfg["penalty"] is not None and not 0 < float(cfg["penalty"]) < math.inf:
-            raise ValueError(f"--penalty must be positive and finite, got {cfg['penalty']}")
-        return qaoa.ScheduleConfig(
-            beta_penalty_init=float(cfg["beta_init"]),
-            doubling_interval=int(cfg["doubling_interval"]),
-            feasibility_shots=int(cfg["shots"]),
-            feasibility_target=float(cfg["feasibility_target"]),
-            max_iterations=int(cfg["max_iter"]),
-        )
-    except TypeError as exc:  # e.g. null or a list in a config file
-        raise ValueError(f"invalid setting: {exc}") from exc
+    if cfg["p"] < 1:
+        raise ValueError(f"--p must be >= 1, got {cfg['p']}")
+    if cfg["penalty"] is not None and not 0 < cfg["penalty"] < math.inf:
+        raise ValueError(f"--penalty must be positive and finite, got {cfg['penalty']}")
+    return qaoa.ScheduleConfig(
+        beta_penalty_init=cfg["beta_init"],
+        doubling_interval=cfg["doubling_interval"],
+        feasibility_shots=cfg["shots"],
+        feasibility_target=cfg["feasibility_target"],
+        max_iterations=cfg["max_iter"],
+    )
 
 
 def _trace_csv(rows) -> str:
@@ -138,11 +159,12 @@ def _run_method(
     inst: instance_mod.PortfolioInstance, method: str, cfg: dict, schedule: qaoa.ScheduleConfig
 ) -> tuple[dict, str]:
     """Execute one method; returns (record document, trace.csv text)."""
-    seed = int(cfg["seed"])
-    penalty = cfg.get("penalty")
+    seed = cfg["seed"]
+    penalty = cfg["penalty"]
     if penalty is None:
-        penalty = _penalty_default(method)
-    penalty = float(penalty)
+        # Fixed-penalty QAOA baselines run at 1e3; the classical baseline uses
+        # the same weight the slack schedule starts from.
+        penalty = 100.0 if method == "classical-baseline" else 1000.0
     if method == "oracle":
         bitstring, value = oracle.exhaustive_portfolio_optimum(inst)
         doc = {
@@ -159,7 +181,7 @@ def _run_method(
         result = oracle.classical_baseline(
             inst,
             beta_penalty=penalty,
-            budget=int(cfg["max_iter"]),
+            budget=cfg["max_iter"],
             seed=seed,
             optimizer=cfg["optimizer"],
         )
@@ -178,17 +200,17 @@ def _run_method(
         return doc, _trace_csv(rows)
     if method == "slack-qaoa":
         record = qaoa.run_schedule(
-            inst, schedule, p=int(cfg["p"]), mixer=cfg.get("mixer") or "conditional",
+            inst, schedule, p=cfg["p"], mixer=cfg.get("mixer") or "conditional",
             seed=seed, optimizer=cfg["optimizer"],
         )
     elif method == "penalty-qaoa":
         record = qaoa.run_baseline_penalty_qaoa(
-            inst, a_card=penalty, p=int(cfg["p"]), budget=int(cfg["max_iter"]),
+            inst, a_card=penalty, p=cfg["p"], budget=cfg["max_iter"],
             seed=seed, optimizer=cfg["optimizer"],
         )
     elif method == "cardinality-slack-qaoa":
         record = qaoa.run_cardinality_slack_qaoa(
-            inst, a_card=penalty, p=int(cfg["p"]), budget=int(cfg["max_iter"]),
+            inst, a_card=penalty, p=cfg["p"], budget=cfg["max_iter"],
             seed=seed, optimizer=cfg["optimizer"],
         )
     else:
@@ -204,46 +226,28 @@ def _print_solve_row(doc: dict) -> None:
 
 
 def cmd_generate(args) -> int:
-    cfg = _resolve(
-        args,
-        {"n": 3, "k": 1, "seed": None, "lambda_weight": 1.0, "q_risk": 0.5},
-    )
-    n, k = int(cfg["n"]), int(cfg["k"])
-    if n < 1:
-        raise ValueError("--n must be a positive integer")
-    if not 1 <= k <= n:
-        raise ValueError("--k must lie in [1, --n]")
+    cfg = _resolve(args, ("n", "k", "seed", "lambda_weight", "q_risk"))
     inst = instance_mod.generate_instance(
-        n, k, int(cfg["seed"]),
-        lambda_weight=float(cfg["lambda_weight"]),
-        q_risk=float(cfg["q_risk"]),
+        cfg["n"], cfg["k"], cfg["seed"],
+        lambda_weight=cfg["lambda_weight"], q_risk=cfg["q_risk"],
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_atomic(out, instance_mod.to_json(inst) + "\n")
     active = int(inst.alpha.sum())
-    print(f"wrote {out}: n={n} k={k} seed={cfg['seed']} active_thresholds={active}")
+    print(f"wrote {out}: n={inst.n} k={inst.k} seed={inst.seed} active_thresholds={active}")
     return EXIT_OK
 
 
-def _load_instance(path: str) -> instance_mod.PortfolioInstance:
-    try:
-        return instance_mod.load_instance(path)
-    except FileNotFoundError as exc:
-        raise ValueError(f"instance file not found: {path}") from exc
-
-
 def cmd_solve(args) -> int:
-    cfg = _resolve(args, {**_SOLVE_DEFAULTS, "seed": None})
-    if args.method not in METHODS:
-        raise ValueError(f"unknown method {args.method!r}; choose from {METHODS}")
+    cfg = _resolve(args, _SOLVE_KEYS)
     if cfg["mixer"] is not None and args.method != "slack-qaoa":
         raise ValueError(f"--mixer applies to slack-qaoa only, not {args.method}")
     schedule = _schedule(cfg)
-    inst = _load_instance(args.instance)
+    inst = instance_mod.load_instance(args.instance)
+    doc, trace_text = _run_method(inst, args.method, cfg, schedule)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    doc, trace_text = _run_method(inst, args.method, cfg, schedule)
     _write_atomic(out_dir / "record.json", json.dumps(doc, indent=2) + "\n")
     _write_atomic(out_dir / "trace.csv", trace_text)
     _print_solve_row(doc)
@@ -263,9 +267,7 @@ def _run_cell(payload: tuple) -> dict:
     started = time.perf_counter()
     try:
         inst = instance_mod.from_json(instance_text)
-        cell_cfg = dict(cfg)
-        cell_cfg["seed"] = seed
-        doc, trace_text = _run_method(inst, method, cell_cfg, schedule)
+        doc, trace_text = _run_method(inst, method, {**cfg, "seed": seed}, schedule)
         _write_atomic(run_dir / "record.json", json.dumps(doc, indent=2) + "\n")
         _write_atomic(run_dir / "trace.csv", trace_text)
         row["bitstring"] = doc.get("bitstring") or ""
@@ -281,42 +283,43 @@ def _run_cell(payload: tuple) -> dict:
     return row
 
 
+def _grid(text: str, flag: str, convert) -> list:
+    """One comma-separated sweep axis: at least one entry, each listed once."""
+    entries = [convert(entry.strip()) for entry in text.split(",") if entry.strip()]
+    if not entries or len(set(entries)) < len(entries):
+        raise ValueError(f"{flag} must list at least one entry, each once; got {text!r}")
+    return entries
+
+
 def cmd_sweep(args) -> int:
-    cfg = _resolve(args, {**_SOLVE_DEFAULTS, "n": 3, "k": 1, "jobs": 1})
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for method in methods:
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    if not seeds:
-        raise ValueError("--seeds must list at least one seed")
+    cfg = _resolve(args, (*_SOLVE_KEYS, "n", "k", "jobs"))
+    methods = _grid(args.methods, "--methods", _choice(*METHODS))
+    seeds = _grid(args.seeds, "--seeds", int)
     schedule = _schedule(cfg)
-    jobs = int(cfg["jobs"])
-    if jobs < 1:
+    if cfg["jobs"] < 1:
         raise ValueError(f"--jobs must be >= 1, got {cfg['jobs']}")
+    if args.instance:
+        text = instance_mod.to_json(instance_mod.load_instance(args.instance)) + "\n"
+        instance_texts = dict.fromkeys(seeds, text)
+        instance_files = {"instance.json": text}
+    else:
+        instance_texts = {}
+        for seed in seeds:
+            inst = instance_mod.generate_instance(cfg["n"], cfg["k"], seed)
+            instance_texts[seed] = instance_mod.to_json(inst) + "\n"
+        instance_files = {f"instance_seed{seed}.json": instance_texts[seed] for seed in seeds}
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    instance_texts: dict[int, str] = {}
-    if args.instance:
-        text = instance_mod.to_json(_load_instance(args.instance)) + "\n"
-        _write_atomic(out_dir / "instance.json", text)
-        for seed in seeds:
-            instance_texts[seed] = text
-    else:
-        for seed in seeds:
-            inst = instance_mod.generate_instance(int(cfg["n"]), int(cfg["k"]), seed)
-            text = instance_mod.to_json(inst) + "\n"
-            _write_atomic(out_dir / f"instance_seed{seed}.json", text)
-            instance_texts[seed] = text
+    for name, text in instance_files.items():
+        _write_atomic(out_dir / name, text)
 
     payloads = [
         (method, seed, instance_texts[seed], cfg, schedule, str(out_dir / f"{method}_seed{seed}"))
         for method in methods
         for seed in seeds
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if cfg["jobs"] > 1:
+        with ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
             rows = list(pool.map(_run_cell, payloads))
     else:
         rows = [_run_cell(payload) for payload in payloads]
@@ -382,30 +385,26 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON config file; flags take precedence")
         sp.add_argument("--print-config", action="store_true", dest="print_config",
                         help="dump the resolved configuration before running")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="random seed (falls back to QMARKO_SEED, then 0)")
+        sp.add_argument("--seed", help="random seed (falls back to QMARKO_SEED, then 0)")
 
     gen = sub.add_parser("generate", help="write a random instance file")
     common(gen)
-    gen.add_argument("--n", type=int, default=None, help="asset count")
-    gen.add_argument("--k", type=int, default=None, help="cardinality bound")
-    gen.add_argument("--lambda-weight", type=float, default=None, dest="lambda_weight")
-    gen.add_argument("--q-risk", type=float, default=None, dest="q_risk")
+    gen.add_argument("--n", help="asset count")
+    gen.add_argument("--k", help="cardinality bound")
+    gen.add_argument("--lambda-weight", dest="lambda_weight")
+    gen.add_argument("--q-risk", dest="q_risk")
     gen.add_argument("--out", required=True, help="output instance.json path")
     gen.set_defaults(func=cmd_generate)
 
     def solve_flags(sp, mixer_help):
-        sp.add_argument("--p", type=int, default=None, help="ansatz depth")
-        sp.add_argument("--optimizer", choices=sorted(qaoa.SCIPY_METHODS), default=None)
-        sp.add_argument("--penalty", type=float, default=None,
-                        help="fixed penalty weight (baselines)")
-        sp.add_argument("--beta-init", type=float, default=None, dest="beta_init",
-                        help="initial schedule penalty weight")
-        sp.add_argument("--doubling-interval", type=int, default=None, dest="doubling_interval")
-        sp.add_argument("--shots", type=int, default=None, help="feasibility-check sample count")
-        sp.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-        sp.add_argument("--mixer", choices=MIXERS, default=None,
-                        help=mixer_help)
+        sp.add_argument("--p", help="ansatz depth")
+        sp.add_argument("--optimizer", choices=sorted(qaoa.SCIPY_METHODS))
+        sp.add_argument("--penalty", help="fixed penalty weight (baselines)")
+        sp.add_argument("--beta-init", dest="beta_init", help="initial schedule penalty weight")
+        sp.add_argument("--doubling-interval", dest="doubling_interval")
+        sp.add_argument("--shots", help="feasibility-check sample count")
+        sp.add_argument("--max-iter", dest="max_iter")
+        sp.add_argument("--mixer", choices=MIXERS, help=mixer_help)
 
     solve = sub.add_parser("solve", help="run one method on one instance")
     common(solve)
@@ -417,14 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a methods x seeds grid")
     common(sweep)
-    sweep.add_argument("--instance", default=None,
+    sweep.add_argument("--instance",
                        help="fixed instance file (otherwise one is generated per seed)")
-    sweep.add_argument("--n", type=int, default=None, help="asset count when generating")
-    sweep.add_argument("--k", type=int, default=None, help="cardinality when generating")
+    sweep.add_argument("--n", help="asset count when generating")
+    sweep.add_argument("--k", help="cardinality when generating")
     sweep.add_argument("--methods", required=True, help="comma-separated method list")
     sweep.add_argument("--seeds", required=True, help="comma-separated seed list")
     solve_flags(sweep, "mixer of the slack-qaoa cells (default conditional)")
-    sweep.add_argument("--jobs", type=int, default=None, help="concurrent cells")
+    sweep.add_argument("--jobs", help="concurrent cells")
     sweep.add_argument("--out", required=True, help="sweep output directory")
     sweep.set_defaults(func=cmd_sweep)
 

@@ -141,3 +141,80 @@ def test_non_finite_penalty_weights_are_rejected(tmp_path, capsys):
             assert code == EXIT_INVALID, (method, bad)
             assert not out.exists(), (method, bad)
     assert "finite" in capsys.readouterr().err
+
+
+def test_null_and_list_settings_exit_2_without_writing(tmp_path, capsys):
+    from qmarko.cli import EXIT_INVALID
+
+    runs = []
+    for key in ("n", "k", "lambda_weight", "q_risk"):
+        runs += [("generate", {key: bad}) for bad in (None, [1])]
+    for key in ("n", "k", "jobs"):
+        runs += [("sweep", {key: bad}) for bad in (None, [1])]
+    runs.append(("sweep", [1]))  # the file itself must hold an object
+    for i, (command, config) in enumerate(runs):
+        path = tmp_path / f"config{i}.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / f"out{i}"
+        if command == "generate":
+            argv = ["generate", "--out", str(out / "instance.json")]
+        else:
+            argv = ["sweep", "--methods", "oracle", "--seeds", "1", "--out", str(out)]
+        assert main([*argv, "--config", str(path)]) == EXIT_INVALID, (command, config)
+        assert not out.exists(), (command, config)
+    capsys.readouterr()
+
+
+def test_inputs_are_checked_before_any_file_is_written(tmp_path, capsys):
+    from qmarko.cli import EXIT_INVALID
+
+    wide = str(tmp_path / "wide.json")  # 13 assets: 26 slack-qaoa qubits, over MAX_QUBITS
+    assert main(["generate", "--n", "13", "--k", "2", "--seed", "1", "--out", wide]) == EXIT_OK
+    sweep = ["sweep", "--methods", "oracle", "--seeds", "1"]
+    runs = [
+        [*sweep, "--n", "0", "--k", "1"],
+        [*sweep, "--n", "3", "--k", "4"],
+        [*sweep, "--instance", str(tmp_path / "missing.json")],
+        ["solve", "--instance", wide, "--method", "slack-qaoa"],
+    ]
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"out{i}"
+        assert main([*argv, "--out", str(out)]) == EXIT_INVALID, argv
+        assert not out.exists(), argv
+    capsys.readouterr()
+
+
+def test_sweep_grid_lists_each_entry_once(tmp_path, capsys):
+    from qmarko.cli import EXIT_INVALID
+
+    grids = [(",", "1"), ("oracle,oracle", "1"), ("oracle", ","), ("oracle", "1,1")]
+    for i, (methods, seeds) in enumerate(grids):
+        out = tmp_path / f"sweep{i}"
+        code = main(["sweep", "--n", "3", "--k", "1", "--methods", methods, "--seeds", seeds,
+                     "--out", str(out)])
+        assert code == EXIT_INVALID, (methods, seeds)
+        assert not out.exists(), (methods, seeds)
+    capsys.readouterr()
+
+
+def test_integer_settings_accept_only_integers(tmp_path, capsys):
+    from qmarko.cli import EXIT_INVALID
+
+    instance = str(tmp_path / "instance.json")
+    assert main(["generate", "--n", "3", "--k", "1", "--seed", "3", "--out", instance]) == EXIT_OK
+    config = tmp_path / "config.json"
+
+    def solve(settings, out, *flags):
+        config.write_text(json.dumps(settings))
+        return main(["solve", "--instance", instance, "--method", "oracle",
+                     "--config", str(config), *flags, "--out", str(tmp_path / out)])
+
+    for key in ("shots", "p", "max_iter"):
+        for bad in (1.5, True):
+            assert solve({key: bad}, f"{key}_{bad}") == EXIT_INVALID, (key, bad)
+            assert not (tmp_path / f"{key}_{bad}").exists(), (key, bad)
+    capsys.readouterr()
+    # Whatever int() takes without losing a digit still converts.
+    assert solve({"shots": "16", "p": 1.0, "max_iter": "6"}, "ok", "--print-config") == EXIT_OK
+    printed, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
+    assert (printed["shots"], printed["p"], printed["max_iter"]) == (16, 1, 6)
