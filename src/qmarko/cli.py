@@ -3,12 +3,17 @@
 Exit codes are a stable scripting contract: 0 success, 2 invalid input,
 3 the selected method reported no feasible portfolio.
 
-Settings contract: every setting of `generate`, `solve` and `sweep` is
-declared once in SETTINGS with one type and one default. Its value is the
-flag, else the config-file entry, else the default (QMARKO_SEED, then 0,
-for an unset seed), converted to that type. A value that does not convert
-(null, a list, text, or a fraction or boolean for an integer) exits 2. A
-command checks every input before it writes any file.
+Settings contract: each setting of `generate`, `solve` and `sweep` is
+declared once in SETTINGS (type, default, help), and each command lists its
+settings once in COMMAND_SETTINGS. Every setting is a flag named after its
+key (`max_iter` is `--max-iter`); flags are not abbreviated. A value is the
+flag, else the config-file entry, else the default (QMARKO_SEED, then 0, for
+an unset seed), converted to its type. A value that does not convert (null,
+a list, text, or a fraction or boolean for an integer) exits 2, and so does
+a negative seed. A config file may hold other commands' settings, so one
+file serves all three; a key that names no setting exits 2. `sweep --jobs`
+is capped by the number of cells. A command checks every input before it
+writes any file.
 """
 
 from __future__ import annotations
@@ -31,14 +36,6 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NO_FEASIBLE = 3
 
-METHODS = (
-    "slack-qaoa",
-    "penalty-qaoa",
-    "cardinality-slack-qaoa",
-    "oracle",
-    "classical-baseline",
-)
-
 MIXERS = ("standard", "conditional")
 
 SUMMARY_COLUMNS = (
@@ -59,6 +56,14 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    """A non-negative integer: the seed setting, QMARKO_SEED and each --seeds entry."""
+    seed = _integer(value)
+    if seed < 0:
+        raise ValueError(f"a seed must be non-negative, got {seed}")
+    return seed
+
+
 def _choice(*choices: str):
     """A converter that passes only the listed values."""
     def convert(value) -> str:
@@ -69,28 +74,38 @@ def _choice(*choices: str):
 
 
 _SCHEDULE_DEFAULTS = qaoa.ScheduleConfig()
-# key: (type, default). A None default may stay unset: the seed falls back
-# to QMARKO_SEED, penalty is per method (_run_method) and the mixer is
+# key: (type, default, help). A None default may stay unset: the seed falls
+# back to QMARKO_SEED, penalty is per method (METHODS) and the mixer is
 # conditional.
 SETTINGS = {
-    "n": (_integer, 3),
-    "k": (_integer, 1),
-    "seed": (_integer, None),
-    "lambda_weight": (float, 1.0),
-    "q_risk": (float, 0.5),
-    "p": (_integer, 2),
-    "optimizer": (_choice(*qaoa.SCIPY_METHODS), "cobyla"),
-    "penalty": (float, None),
-    "beta_init": (float, _SCHEDULE_DEFAULTS.beta_penalty_init),
-    "doubling_interval": (_integer, _SCHEDULE_DEFAULTS.doubling_interval),
-    "shots": (_integer, _SCHEDULE_DEFAULTS.feasibility_shots),
-    "feasibility_target": (float, _SCHEDULE_DEFAULTS.feasibility_target),
-    "max_iter": (_integer, _SCHEDULE_DEFAULTS.max_iterations),
-    "mixer": (_choice(*MIXERS), None),
-    "jobs": (_integer, 1),
+    "n": (_integer, 3, "asset count"),
+    "k": (_integer, 1, "cardinality bound"),
+    "seed": (_seed, None, "non-negative random seed (falls back to QMARKO_SEED, then 0)"),
+    "lambda_weight": (float, 1.0, "return weight lambda of the generated instance"),
+    "q_risk": (float, 0.5, "risk weight q of the generated instance"),
+    "p": (_integer, 2, "ansatz depth"),
+    "optimizer": (_choice(*qaoa.SCIPY_METHODS), "cobyla",
+                  f"one of {', '.join(sorted(qaoa.SCIPY_METHODS))}"),
+    "penalty": (float, None, "fixed penalty weight of the baselines (default per method)"),
+    "beta_init": (float, _SCHEDULE_DEFAULTS.beta_penalty_init, "initial schedule penalty weight"),
+    "doubling_interval": (_integer, _SCHEDULE_DEFAULTS.doubling_interval,
+                          "optimizer iterations between penalty checks"),
+    "shots": (_integer, _SCHEDULE_DEFAULTS.feasibility_shots, "feasibility-check sample count"),
+    "feasibility_target": (float, _SCHEDULE_DEFAULTS.feasibility_target,
+                           "sampled feasible fraction that ends the schedule"),
+    "max_iter": (_integer, _SCHEDULE_DEFAULTS.max_iterations, "objective-evaluation budget"),
+    "mixer": (_choice(*MIXERS), None,
+              f"slack-qaoa mixer, one of {', '.join(MIXERS)} (default conditional)"),
+    "jobs": (_integer, 1, "worker processes, capped at the number of cells"),
 }
-_SOLVE_KEYS = ("seed", "p", "optimizer", "penalty", "beta_init", "doubling_interval", "shots",
-               "feasibility_target", "max_iter", "mixer")
+_QAOA_KEYS = ("p", "optimizer", "penalty", "beta_init", "doubling_interval", "shots",
+              "feasibility_target", "max_iter", "mixer")
+# The settings each command reads; each is also its flag.
+COMMAND_SETTINGS = {
+    "generate": ("n", "k", "seed", "lambda_weight", "q_risk"),
+    "solve": ("seed", *_QAOA_KEYS),
+    "sweep": ("n", "k", *_QAOA_KEYS, "jobs"),
+}
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -99,32 +114,34 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _resolve(args, keys: tuple[str, ...]) -> dict:
+def _resolve(args) -> dict:
     """flags > config file > defaults, each converted to its declared type."""
     file_cfg = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
+    if args.config:
         try:
-            file_cfg = json.loads(Path(config_path).read_text())
+            file_cfg = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
-            raise ValueError(f"--config: cannot read {config_path}: {exc}") from exc
+            raise ValueError(f"--config: cannot read {args.config}: {exc}") from exc
         if not isinstance(file_cfg, dict):
-            raise ValueError(f"--config: {config_path} does not hold a JSON object")
+            raise ValueError(f"--config: {args.config} does not hold a JSON object")
+        unknown = sorted(set(file_cfg) - set(SETTINGS))
+        if unknown:
+            raise ValueError(f"--config: {args.config} names no setting: {', '.join(unknown)}")
     resolved = {}
-    for key in keys:
-        convert, default = SETTINGS[key]
-        value = getattr(args, key, None)
+    for key in COMMAND_SETTINGS[args.command]:
+        convert, default, _ = SETTINGS[key]
+        value = getattr(args, key)
         if value is None:
             value = file_cfg.get(key, default)
+        if value is None and key == "seed":
+            value = os.environ.get("QMARKO_SEED", "0")
         if value is not None or default is not None:
             try:
                 value = convert(value)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"invalid setting {key}={value!r}: {exc}") from exc
         resolved[key] = value
-    if resolved.get("seed") is None:
-        resolved["seed"] = _integer(os.environ.get("QMARKO_SEED", "0"))
-    if getattr(args, "print_config", False):
+    if args.print_config:
         print(json.dumps(resolved, indent=2, sort_keys=True))
     return resolved
 
@@ -155,67 +172,64 @@ def _trace_csv(rows) -> str:
     return buf.getvalue()
 
 
+def _oracle(inst, cfg, schedule, penalty) -> tuple[dict, list]:
+    bitstring, value = oracle.exhaustive_portfolio_optimum(inst)
+    doc = {"method": "oracle", "seed": cfg["seed"], "bitstring": bitstring, "feasible": True,
+           "value": value, "iterations": 0, "histogram": {bitstring: 1.0}}
+    return doc, []
+
+
+def _classical_baseline(inst, cfg, schedule, penalty) -> tuple[dict, list]:
+    result = oracle.classical_baseline(
+        inst, beta_penalty=penalty, budget=cfg["max_iter"], seed=cfg["seed"],
+        optimizer=cfg["optimizer"],
+    )
+    doc = {"method": "classical-baseline", "seed": cfg["seed"], "bitstring": result.bitstring,
+           "feasible": result.feasible, "value": result.value, "iterations": len(result.trace),
+           "penalty": penalty, "histogram": {result.bitstring: 1.0},
+           "objective_trace": list(result.trace)}
+    return doc, [qaoa.TraceRow(i + 1, v, penalty) for i, v in enumerate(result.trace)]
+
+
+def _slack_qaoa(inst, cfg, schedule, penalty) -> tuple[dict, list]:
+    record = qaoa.run_schedule(
+        inst, schedule, p=cfg["p"], mixer=cfg["mixer"] or "conditional",
+        seed=cfg["seed"], optimizer=cfg["optimizer"],
+    )
+    return record.to_dict(), record.trace
+
+
+def _fixed_penalty_qaoa(entry_point: str):
+    """The runner of a fixed-penalty QAOA baseline. It looks `qaoa.<entry_point>`
+    up per call, so a wrapper installed on the module (the benchmark's tracer)
+    sees every run."""
+    def run(inst, cfg, schedule, penalty) -> tuple[dict, list]:
+        record = getattr(qaoa, entry_point)(inst, a_card=penalty, p=cfg["p"],
+                                            budget=cfg["max_iter"], seed=cfg["seed"],
+                                            optimizer=cfg["optimizer"])
+        return record.to_dict(), record.trace
+    return run
+
+
+# name: (runner, default penalty weight). Fixed-penalty QAOA baselines run at
+# 1e3; the classical baseline uses the same weight the slack schedule starts
+# from. The oracle and the slack schedule take no fixed weight.
+METHODS = {
+    "slack-qaoa": (_slack_qaoa, None),
+    "penalty-qaoa": (_fixed_penalty_qaoa("run_baseline_penalty_qaoa"), 1000.0),
+    "cardinality-slack-qaoa": (_fixed_penalty_qaoa("run_cardinality_slack_qaoa"), 1000.0),
+    "oracle": (_oracle, None),
+    "classical-baseline": (_classical_baseline, 100.0),
+}
+
+
 def _run_method(
     inst: instance_mod.PortfolioInstance, method: str, cfg: dict, schedule: qaoa.ScheduleConfig
 ) -> tuple[dict, str]:
     """Execute one method; returns (record document, trace.csv text)."""
-    seed = cfg["seed"]
-    penalty = cfg["penalty"]
-    if penalty is None:
-        # Fixed-penalty QAOA baselines run at 1e3; the classical baseline uses
-        # the same weight the slack schedule starts from.
-        penalty = 100.0 if method == "classical-baseline" else 1000.0
-    if method == "oracle":
-        bitstring, value = oracle.exhaustive_portfolio_optimum(inst)
-        doc = {
-            "method": method,
-            "seed": seed,
-            "bitstring": bitstring,
-            "feasible": True,
-            "value": value,
-            "iterations": 0,
-            "histogram": {bitstring: 1.0},
-        }
-        return doc, _trace_csv([])
-    if method == "classical-baseline":
-        result = oracle.classical_baseline(
-            inst,
-            beta_penalty=penalty,
-            budget=cfg["max_iter"],
-            seed=seed,
-            optimizer=cfg["optimizer"],
-        )
-        doc = {
-            "method": method,
-            "seed": seed,
-            "bitstring": result.bitstring,
-            "feasible": result.feasible,
-            "value": result.value,
-            "iterations": len(result.trace),
-            "penalty": penalty,
-            "histogram": {result.bitstring: 1.0},
-            "objective_trace": list(result.trace),
-        }
-        rows = [qaoa.TraceRow(i + 1, v, penalty) for i, v in enumerate(result.trace)]
-        return doc, _trace_csv(rows)
-    if method == "slack-qaoa":
-        record = qaoa.run_schedule(
-            inst, schedule, p=cfg["p"], mixer=cfg.get("mixer") or "conditional",
-            seed=seed, optimizer=cfg["optimizer"],
-        )
-    elif method == "penalty-qaoa":
-        record = qaoa.run_baseline_penalty_qaoa(
-            inst, a_card=penalty, p=cfg["p"], budget=cfg["max_iter"],
-            seed=seed, optimizer=cfg["optimizer"],
-        )
-    elif method == "cardinality-slack-qaoa":
-        record = qaoa.run_cardinality_slack_qaoa(
-            inst, a_card=penalty, p=cfg["p"], budget=cfg["max_iter"],
-            seed=seed, optimizer=cfg["optimizer"],
-        )
-    else:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    return record.to_dict(), _trace_csv(record.trace)
+    run, weight = METHODS[method]
+    doc, rows = run(inst, cfg, schedule, weight if cfg["penalty"] is None else cfg["penalty"])
+    return doc, _trace_csv(rows)
 
 
 def _print_solve_row(doc: dict) -> None:
@@ -226,7 +240,7 @@ def _print_solve_row(doc: dict) -> None:
 
 
 def cmd_generate(args) -> int:
-    cfg = _resolve(args, ("n", "k", "seed", "lambda_weight", "q_risk"))
+    cfg = _resolve(args)
     inst = instance_mod.generate_instance(
         cfg["n"], cfg["k"], cfg["seed"],
         lambda_weight=cfg["lambda_weight"], q_risk=cfg["q_risk"],
@@ -240,12 +254,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg = _resolve(args, _SOLVE_KEYS)
-    if cfg["mixer"] is not None and args.method != "slack-qaoa":
-        raise ValueError(f"--mixer applies to slack-qaoa only, not {args.method}")
+    cfg = _resolve(args)
+    method = _choice(*METHODS)(args.method)
+    if cfg["mixer"] is not None and method != "slack-qaoa":
+        raise ValueError(f"--mixer applies to slack-qaoa only, not {method}")
     schedule = _schedule(cfg)
     inst = instance_mod.load_instance(args.instance)
-    doc, trace_text = _run_method(inst, args.method, cfg, schedule)
+    doc, trace_text = _run_method(inst, method, cfg, schedule)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_atomic(out_dir / "record.json", json.dumps(doc, indent=2) + "\n")
@@ -292,9 +307,9 @@ def _grid(text: str, flag: str, convert) -> list:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _resolve(args, (*_SOLVE_KEYS, "n", "k", "jobs"))
+    cfg = _resolve(args)
     methods = _grid(args.methods, "--methods", _choice(*METHODS))
-    seeds = _grid(args.seeds, "--seeds", int)
+    seeds = _grid(args.seeds, "--seeds", _seed)
     schedule = _schedule(cfg)
     if cfg["jobs"] < 1:
         raise ValueError(f"--jobs must be >= 1, got {cfg['jobs']}")
@@ -318,8 +333,9 @@ def cmd_sweep(args) -> int:
         for method in methods
         for seed in seeds
     ]
-    if cfg["jobs"] > 1:
-        with ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
+    workers = min(cfg["jobs"], len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_cell, payloads))
     else:
         rows = [_run_cell(payload) for payload in payloads]
@@ -381,53 +397,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def settings_parser(command, func, help):
+        # No prefix abbreviations: `sweep --seed` must not pass as `--seeds`.
+        sp = sub.add_parser(command, help=help, allow_abbrev=False)
+        sp.set_defaults(func=func)
         sp.add_argument("--config", help="JSON config file; flags take precedence")
-        sp.add_argument("--print-config", action="store_true", dest="print_config",
+        sp.add_argument("--print-config", action="store_true",
                         help="dump the resolved configuration before running")
-        sp.add_argument("--seed", help="random seed (falls back to QMARKO_SEED, then 0)")
+        for key in COMMAND_SETTINGS[command]:
+            sp.add_argument("--" + key.replace("_", "-"), help=SETTINGS[key][2])
+        return sp
 
-    gen = sub.add_parser("generate", help="write a random instance file")
-    common(gen)
-    gen.add_argument("--n", help="asset count")
-    gen.add_argument("--k", help="cardinality bound")
-    gen.add_argument("--lambda-weight", dest="lambda_weight")
-    gen.add_argument("--q-risk", dest="q_risk")
+    gen = settings_parser("generate", cmd_generate, "write a random instance file")
     gen.add_argument("--out", required=True, help="output instance.json path")
-    gen.set_defaults(func=cmd_generate)
 
-    def solve_flags(sp, mixer_help):
-        sp.add_argument("--p", help="ansatz depth")
-        sp.add_argument("--optimizer", choices=sorted(qaoa.SCIPY_METHODS))
-        sp.add_argument("--penalty", help="fixed penalty weight (baselines)")
-        sp.add_argument("--beta-init", dest="beta_init", help="initial schedule penalty weight")
-        sp.add_argument("--doubling-interval", dest="doubling_interval")
-        sp.add_argument("--shots", help="feasibility-check sample count")
-        sp.add_argument("--max-iter", dest="max_iter")
-        sp.add_argument("--mixer", choices=MIXERS, help=mixer_help)
-
-    solve = sub.add_parser("solve", help="run one method on one instance")
-    common(solve)
+    solve = settings_parser("solve", cmd_solve, "run one method on one instance")
     solve.add_argument("--instance", required=True, help="instance.json path")
     solve.add_argument("--method", required=True, help=f"one of {', '.join(METHODS)}")
-    solve_flags(solve, "mixer of slack-qaoa (default conditional); other methods reject it")
     solve.add_argument("--out", required=True, help="output run directory")
-    solve.set_defaults(func=cmd_solve)
 
-    sweep = sub.add_parser("sweep", help="run a methods x seeds grid")
-    common(sweep)
+    sweep = settings_parser("sweep", cmd_sweep, "run a methods x seeds grid")
     sweep.add_argument("--instance",
                        help="fixed instance file (otherwise one is generated per seed)")
-    sweep.add_argument("--n", help="asset count when generating")
-    sweep.add_argument("--k", help="cardinality when generating")
     sweep.add_argument("--methods", required=True, help="comma-separated method list")
-    sweep.add_argument("--seeds", required=True, help="comma-separated seed list")
-    solve_flags(sweep, "mixer of the slack-qaoa cells (default conditional)")
-    sweep.add_argument("--jobs", help="concurrent cells")
+    sweep.add_argument("--seeds", required=True, help="comma-separated list of non-negative seeds")
     sweep.add_argument("--out", required=True, help="sweep output directory")
-    sweep.set_defaults(func=cmd_sweep)
 
-    report = sub.add_parser("report", help="emit comparison table and histograms")
+    report = sub.add_parser("report", help="emit comparison table and histograms",
+                            allow_abbrev=False)
     report.add_argument("--run-dir", required=True, dest="run_dir")
     report.set_defaults(func=cmd_report)
 

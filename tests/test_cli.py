@@ -218,3 +218,176 @@ def test_integer_settings_accept_only_integers(tmp_path, capsys):
     assert solve({"shots": "16", "p": 1.0, "max_iter": "6"}, "ok", "--print-config") == EXIT_OK
     printed, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
     assert (printed["shots"], printed["p"], printed["max_iter"]) == (16, 1, 6)
+
+
+def _flag_in(flag: str, text: str) -> bool:
+    """Whether `text` names the flag itself, not a longer one it starts (--seed, --seeds)."""
+    import re
+
+    return re.search(re.escape(flag) + r"(?![\w-])", text) is not None
+
+
+def test_help_lists_one_flag_per_declared_setting(capsys):
+    qaoa_flags = ["--p", "--optimizer", "--penalty", "--beta-init", "--doubling-interval",
+                  "--shots", "--feasibility-target", "--max-iter", "--mixer"]
+    declared = {
+        "generate": ["--n", "--k", "--seed", "--lambda-weight", "--q-risk"],
+        "solve": ["--seed", *qaoa_flags],
+        "sweep": ["--n", "--k", *qaoa_flags, "--jobs"],
+    }
+    for command, flags in declared.items():
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        text = capsys.readouterr().out
+        for flag in flags:
+            assert _flag_in(flag, text), (command, flag)
+        if command == "sweep":
+            assert not _flag_in("--seed", text)
+            assert _flag_in("--seeds", text)
+
+
+def test_sweep_has_no_seed_setting(tmp_path, capsys):
+    out = tmp_path / "flag"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--seed", "5", "--seeds", "1", "--methods", "oracle", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert not out.exists()
+    capsys.readouterr()
+
+    # A shared config may hold a seed; no sweep cell reads it.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 5, "n": 3, "k": 1}))
+    out = tmp_path / "config"
+    assert main(["sweep", "--config", str(config), "--seeds", "1", "--methods", "oracle",
+                 "--print-config", "--out", str(out)]) == EXIT_OK
+    printed, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
+    assert "seed" not in printed
+    assert json.loads((out / "oracle_seed1" / "record.json").read_text())["seed"] == 1
+
+
+def test_feasibility_target_is_a_flag(tmp_path, capsys):
+    instance = str(tmp_path / "instance.json")
+    assert main(["generate", "--n", "3", "--k", "1", "--seed", "3", "--out", instance]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["solve", "--instance", instance, "--method", "oracle",
+                 "--feasibility-target", "0.5", "--print-config",
+                 "--out", str(tmp_path / "run")]) == EXIT_OK
+    printed, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
+    assert printed["feasibility_target"] == 0.5
+
+
+def test_bad_choice_flags_exit_2_through_the_settings_check(tmp_path, capsys):
+    from qmarko.cli import EXIT_INVALID
+
+    instance = str(tmp_path / "instance.json")
+    assert main(["generate", "--n", "3", "--k", "1", "--seed", "3", "--out", instance]) == EXIT_OK
+    capsys.readouterr()
+    for flag, bad in (("--optimizer", "bfgs"), ("--mixer", "sideways")):
+        for argv in (["solve", "--instance", instance, "--method", "slack-qaoa"],
+                     ["sweep", "--n", "3", "--k", "1", "--methods", "slack-qaoa", "--seeds", "1"]):
+            out = tmp_path / f"{argv[0]}_{bad}"
+            assert main([*argv, flag, bad, "--out", str(out)]) == EXIT_INVALID, (argv, flag)
+            assert not out.exists(), (argv, flag)
+            assert f"error: invalid setting {flag[2:]}='{bad}'" in capsys.readouterr().err
+
+
+def test_solve_checks_the_method_before_loading_the_instance(tmp_path, capsys):
+    from qmarko.cli import EXIT_INVALID
+
+    out = tmp_path / "run"
+    assert main(["solve", "--instance", str(tmp_path / "missing.json"), "--method", "annealing",
+                 "--out", str(out)]) == EXIT_INVALID
+    assert not out.exists()
+    assert "annealing" in capsys.readouterr().err
+
+
+def test_negative_seeds_exit_2_without_writing(tmp_path, capsys, monkeypatch):
+    from qmarko.cli import EXIT_INVALID
+
+    instance = str(tmp_path / "instance.json")
+    assert main(["generate", "--n", "3", "--k", "1", "--seed", "3", "--out", instance]) == EXIT_OK
+    solve = ["solve", "--instance", instance, "--method", "oracle"]
+    runs = [
+        ["sweep", "--instance", instance, "--methods", "oracle,penalty-qaoa", "--seeds", "-1"],
+        ["sweep", "--instance", instance, "--methods", "oracle", "--seeds", "1,-2"],
+        [*solve, "--seed", "-1"],
+        ["generate", "--n", "3", "--k", "1", "--seed", "-1"],
+    ]
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"out{i}"
+        assert main([*argv, "--out", str(out)]) == EXIT_INVALID, argv
+        assert not out.exists(), argv
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": -3}))
+    out = tmp_path / "config"
+    assert main([*solve, "--config", str(config), "--out", str(out)]) == EXIT_INVALID
+    assert not out.exists()
+    monkeypatch.setenv("QMARKO_SEED", "-1")
+    out = tmp_path / "env"
+    assert main([*solve, "--out", str(out)]) == EXIT_INVALID
+    assert not out.exists()
+    assert "non-negative" in capsys.readouterr().err
+
+
+def test_jobs_are_capped_by_the_number_of_cells(tmp_path, capsys, monkeypatch):
+    from qmarko import cli
+
+    pools = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    sweep = ["sweep", "--n", "3", "--k", "1", "--methods", "oracle", "--jobs", "500"]
+    assert main([*sweep, "--seeds", "1,2", "--out", str(tmp_path / "two")]) == EXIT_OK
+    assert pools == [2]
+    assert main([*sweep, "--seeds", "1", "--out", str(tmp_path / "one")]) == EXIT_OK
+    assert pools == [2]  # a single cell runs serially
+    with (tmp_path / "two" / "summary.csv").open() as fh:
+        assert [row["seed"] for row in csv.DictReader(fh)] == ["1", "2"]
+    capsys.readouterr()
+
+
+def test_config_key_that_names_no_setting_exits_2(tmp_path, capsys):
+    from qmarko.cli import EXIT_INVALID
+
+    instance = str(tmp_path / "instance.json")
+    assert main(["generate", "--n", "3", "--k", "1", "--seed", "3", "--out", instance]) == EXIT_OK
+    solve = ["solve", "--instance", instance, "--method", "oracle"]
+    sweep = ["sweep", "--n", "3", "--k", "1", "--methods", "oracle", "--seeds", "1"]
+    bad = [(solve, {"max_iters": 50}), (sweep, {"max_iters": 50}),
+           (sweep, {"methods": "oracle"}), (sweep, {"seeds": [1]}), (sweep, {"out": "elsewhere"}),
+           (["generate"], {"n": 3, "q_risks": 0.5})]
+    for i, (argv, settings) in enumerate(bad):
+        config = tmp_path / f"config{i}.json"
+        config.write_text(json.dumps(settings))
+        out = tmp_path / f"out{i}"
+        assert main([*argv, "--config", str(config), "--out", str(out)]) == EXIT_INVALID, settings
+        assert not out.exists(), settings
+        (key,) = set(settings) - {"n"}
+        assert key in capsys.readouterr().err, settings
+
+    # One config serves every command: each reads its own settings.
+    shared = tmp_path / "shared.json"
+    shared.write_text(json.dumps({"n": 3, "k": 1, "seed": 4, "q_risk": 0.5, "max_iter": 6,
+                                  "jobs": 1}))
+    assert main(["generate", "--config", str(shared),
+                 "--out", str(tmp_path / "shared" / "instance.json")]) == EXIT_OK
+    assert main([*solve, "--config", str(shared), "--out", str(tmp_path / "shared_solve")]) \
+        == EXIT_OK
+    assert main([*sweep, "--config", str(shared), "--out", str(tmp_path / "shared_sweep")]) \
+        == EXIT_OK
+    capsys.readouterr()
