@@ -117,13 +117,34 @@ def _add_squared_penalty(quadratic, linear, coeffs, offset: float, weight: float
     return weight * offset * offset
 
 
+def check_slack_caps(instance: PortfolioInstance) -> None:
+    """Raise ValueError unless the caps are a binary mask with at most k ones.
+
+    Only then is the slack-ancilla encoding exact. A fractional cap a makes
+    beta * (w - a + s)^2 equal for a selected and an unselected asset (both
+    0.25 at a = 0.5), so the penalty no longer excludes the capped asset;
+    with more than k caps at 1, nothing in the program bounds the
+    cardinality.
+    """
+    alpha = instance.alpha
+    if not np.all((alpha == 0.0) | (alpha == 1.0)):
+        raise ValueError(f"slack-ancilla encoding needs caps of 0 or 1, got {alpha.tolist()}")
+    ones = int(np.count_nonzero(alpha))
+    if ones > instance.k:
+        raise ValueError(
+            f"slack-ancilla encoding needs at most k={instance.k} caps at 1, got {ones}"
+        )
+
+
 def build_slack_ancilla_qubo(instance: PortfolioInstance, beta_penalty: float) -> QuboProgram:
     """Slack-ancilla program over 2n bits: assets w_0..w_{n-1}, then one
     binary slack per asset. Adds beta * (w_i - alpha_i + s_i)^2 per asset;
-    binary slack is exactly enough to close w_i <= alpha_i for binary alpha.
+    binary slack is exactly enough to close w_i <= alpha_i for binary alpha,
+    and the caps are checked to be such a mask (``check_slack_caps``).
     """
     if not 0 < beta_penalty < math.inf:
         raise ValueError(f"penalty weight must be positive and finite, got {beta_penalty}")
+    check_slack_caps(instance)
     n = instance.n
     m = 2 * n
     quadratic, linear = _base_objective(instance, m)

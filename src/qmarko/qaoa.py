@@ -10,9 +10,10 @@ doublings.
 
 One run path. Every angle search, whether ``optimize_angles``, a segment
 of ``run_schedule`` or a fixed-penalty baseline run, is one call of
-``_search_angles`` (tabulate the Hamiltonian, scale the angles, minimize
-the expectation), and every record is built from its final state by
-``_record`` (picks, feasible mass, histogram, variance bound).
+``_search_angles`` (tabulate the Hamiltonian, build its ansatz once, scale
+the angles, minimize the expectation), and every record is built from its
+final state by ``_record`` (picks, feasible mass, histogram, variance
+bound).
 
 Angle units. Every optimizer searches scaled coordinates theta in which the
 phase angle is ``gamma = theta_gamma / s``, with ``s = sum|h| + sum|J|`` the
@@ -55,6 +56,9 @@ from .simulate import (
     apply_phase_separation,
     energy_table,
     expectation,
+    frame_table,
+    from_frame,
+    pair_frame,
     sample_counts,
     uniform_superposition,
 )
@@ -282,17 +286,44 @@ def mixer_pairs(labels) -> list[tuple[int, int]]:
     return [(assets[i], slacks[i]) for i in sorted(assets) if i in slacks]
 
 
+def _ansatz(table: EnergyTable, mixer: str, pairs):
+    """The depth-p ansatz on ``table`` as a function of its angles: p
+    alternating layers of phase separation and mixing on the uniform state.
+
+    The conditional mixer runs every layer in the pair frame
+    (``simulate.pair_frame``). The uniform start state is the same in any
+    qubit order; phase separation reads the table permuted into the frame
+    once, here (its bit form costs O(m^2) to permute); each mixer layer is
+    the pair unit's tensor power with no transpose. The state leaving the
+    ansatz is transposed back to the canonical order once, so states and
+    expectations are read against ``table`` as it is.
+    """
+    if mixer not in ("standard", "conditional"):
+        raise ValueError(f"unknown mixer: {mixer!r}")
+    m = table.num_qubits
+    order = pair_frame(m, pairs) if mixer == "conditional" else list(range(m))
+    frame_pairs = [(2 * k, 2 * k + 1) for k in range(len(pairs or ()))]
+    in_place = order == list(range(m))
+    layer_table = table if in_place else frame_table(table, order)
+
+    def state_at(params: QaoaParams) -> StateVector:
+        state = uniform_superposition(m)
+        for gamma, beta_mix in zip(params.gammas, params.beta_mixes):
+            apply_phase_separation(state, layer_table, gamma)
+            if mixer == "standard":
+                apply_mixer(state, beta_mix)
+            else:
+                apply_conditional_mixer(state, beta_mix, frame_pairs)
+        if not in_place:
+            state.amplitudes = from_frame(state.amplitudes, order)
+        return state
+
+    return state_at
+
+
 def _ansatz_state(table: EnergyTable, params: QaoaParams, mixer: str, pairs) -> StateVector:
-    state = uniform_superposition(table.num_qubits)
-    for layer in range(params.p):
-        apply_phase_separation(state, table, params.gammas[layer])
-        if mixer == "standard":
-            apply_mixer(state, params.beta_mixes[layer])
-        elif mixer == "conditional":
-            apply_conditional_mixer(state, params.beta_mixes[layer], pairs)
-        else:
-            raise ValueError(f"unknown mixer: {mixer!r}")
-    return state
+    """One state of ``_ansatz(table, mixer, pairs)``."""
+    return _ansatz(table, mixer, pairs)(params)
 
 
 def run_ansatz(
@@ -330,18 +361,19 @@ def _search_angles(
     """One angle search: minimize the ansatz expectation from scaled angles theta.
 
     ``minimize(objective, theta)`` returns (best theta, best value, evals),
-    as ``minimize_with_budget`` does. Returns (table, scale, best theta,
-    evals), with evals in physical units and in evaluation order.
+    as ``minimize_with_budget`` does. Returns (ansatz, scale, best theta,
+    evals): ``ansatz`` maps physical angles to the state (``_ansatz``), and
+    evals are in physical units and in evaluation order.
     """
     table = energy_table(hamiltonian)
     scale = _angle_scale(hamiltonian)
+    ansatz = _ansatz(table, mixer, pairs)
 
     def objective(theta):
-        state = _ansatz_state(table, _physical_params(theta, scale), mixer, pairs)
-        return expectation(state, table)
+        return expectation(ansatz(_physical_params(theta, scale)), table)
 
     best_theta, _, evals = minimize(objective, theta)
-    return table, scale, best_theta, evals
+    return ansatz, scale, best_theta, evals
 
 
 def _draw_initial_angles(rng: np.random.Generator, p: int) -> np.ndarray:
@@ -458,7 +490,7 @@ def run_schedule(
         pairs = mixer_pairs(program.labels) if mixer == "conditional" else None
         chunk = min(config.doubling_interval, config.max_iterations - len(rows))
         minimize = partial(_minimize_exact_budget, optimizer=optimizer, budget=chunk)
-        table, scale, best_theta, evals = _search_angles(
+        ansatz, scale, best_theta, evals = _search_angles(
             to_ising(program), theta, minimize, mixer, pairs
         )
         if initial_params is None:
@@ -467,7 +499,7 @@ def run_schedule(
         first = len(rows) + 1
         rows.extend(TraceRow(i, value, beta_penalty) for i, value in enumerate(evals, first))
         final_params = _physical_params(theta, scale)
-        state = _ansatz_state(table, final_params, mixer, pairs)
+        state = ansatz(final_params)
         check_seed = int(master.integers(0, 2**63))
         counts = sample_counts(state, config.feasibility_shots, check_seed)
         sampled_fraction = _sampled_feasible_fraction(feasible, counts)
@@ -502,10 +534,10 @@ def _run_fixed_penalty(
 ) -> ExperimentRecord:
     theta0 = _draw_initial_angles(np.random.default_rng(seed), p)
     minimize = partial(minimize_with_budget, optimizer=optimizer, budget=budget)
-    table, scale, theta, evals = _search_angles(to_ising(program), theta0, minimize)
+    ansatz, scale, theta, evals = _search_angles(to_ising(program), theta0, minimize)
     final_params = _physical_params(theta, scale)
     return _record(
-        instance, _ansatz_state(table, final_params, "standard", None), report_most_probable,
+        instance, ansatz(final_params), report_most_probable,
         method=method, seed=seed, mixer="standard", optimizer=optimizer,
         initial_params=_physical_params(theta0, scale), final_params=final_params,
         final_beta_penalty=a_card, sampled_feasible_fraction=None,

@@ -9,8 +9,17 @@ used only for tables that carry no form. A textual gate export plus a
 test-side interpreter covers the gate-level view. Both mixers are tensor
 powers of one small unitary and run on a shared kernel that applies them
 as dense block gates, one BLAS matmul per block of BLOCK_QUBITS qubits.
+
 Amplitude index convention: qubit 0 is the least significant bit (see
-``bitstrings``).
+``bitstrings``). A frame is another qubit order, ``order[i]`` being the
+qubit stored at bit i. The conditional mixer's tensor power needs each
+(asset, ancilla) pair on adjacent bits, asset low: the pair frame
+(``pair_frame``). ``to_frame`` and ``from_frame`` move per-basis-state
+arrays between orders with one transpose each; ``frame_table`` carries a
+table into a frame (its bit form in O(m^2), its energies once). In the
+frame, phase separation and a mixer on the frame's pairs ``[(0, 1), (2,
+3), ...]`` need no transpose, so ``qaoa._ansatz`` transposes each state
+once, on the way out, instead of twice per layer.
 """
 
 from __future__ import annotations
@@ -97,14 +106,16 @@ def apply_phase_separation(state: StateVector, table: EnergyTable, gamma: float)
 
 # Qubits covered by one dense block gate. Both mixers apply a tensor power
 # of one small unitary, so a block of 4 qubits is a 16x16 matrix and each
-# block costs one BLAS call over the state. Measured with one BLAS thread
-# (2-vCPU x86-64 VM, OpenBLAS 0.3): widths 2, 3, 4, 5, 6 take 18.6, 8.1,
-# 7.5, 8.9, 11.4 ms for the standard layer at m = 18 and 19.3, 17.5, 10.5,
-# 10.8, 15.9 ms for the conditional one (a width of 3 fits only one
-# 2-qubit pair per block). Below 4, passes over the state dominate; above
-# it, the d^2 multiply-adds per amplitude do. Small states pay a fixed
-# 0.05-0.2 ms per call for building the gates and permuting, more than
-# their arithmetic below m = 10.
+# block costs one BLAS call over the state. Measured at m = 18 with one
+# BLAS thread (2-vCPU x86-64 VM, OpenBLAS 0.3, best of 21): widths 2, 3,
+# 4, 5, 6, 8 take 12.6, 7.2, 6.9, 6.7, 8.5, 18.1 ms for the standard layer
+# and 12.5, 12.2, 6.8, 6.7, 8.5, 17.5 ms for the conditional one on pairs
+# already in the pair frame, with no transpose (widths 3 and 5 fit one and
+# two 2-qubit pairs per block, as 2 and 4 do). A second run on the same VM
+# was up to 1.3x slower throughout, with the same ranking. Below 4, passes
+# over the state dominate; above 5, the d^2 multiply-adds per amplitude
+# do. Small states pay a fixed 0.05-0.15 ms per call for building the
+# gates, more than their arithmetic below m = 10.
 BLOCK_QUBITS = 4
 
 
@@ -181,6 +192,51 @@ def _pair_unit(beta_angle: float) -> np.ndarray:
     return np.kron(np.eye(2), rx @ project_0) + np.kron(rx, rx @ project_1)
 
 
+def pair_frame(num_qubits: int, pairs) -> list[int]:
+    """The pair-adjacent qubit order for ``pairs``: frame position -> qubit.
+
+    Pair k's asset qubit moves to position 2k and its ancilla to 2k + 1;
+    unpaired qubits follow in ascending order. In this frame the pairs are
+    ``[(0, 1), (2, 3), ...]``, the layout ``apply_conditional_mixer``
+    applies without a transpose.
+    """
+    cleaned = _validate_pairs(num_qubits, pairs)
+    paired = [qubit for pair in cleaned for qubit in pair]
+    return paired + sorted(set(range(num_qubits)) - set(paired))
+
+
+def _frame_view(values: np.ndarray, order) -> np.ndarray:
+    """``values`` as a (2,)*m view whose axes run over the frame's qubits."""
+    m = len(order)
+    # Axis a of the (2,)*m view holds qubit m-1-a (qubit 0 is the least
+    # significant bit), so the frame's axes list its qubits from the top down.
+    return values.reshape((2,) * m).transpose([m - 1 - qubit for qubit in reversed(order)])
+
+
+def to_frame(values: np.ndarray, order) -> np.ndarray:
+    """Per-basis-state ``values`` reindexed so that bit i is qubit order[i];
+    a new contiguous array."""
+    return np.ascontiguousarray(_frame_view(values, order)).reshape(-1)
+
+
+def from_frame(values: np.ndarray, order) -> np.ndarray:
+    """Inverse of ``to_frame``: canonical order is the frame of the inverse
+    permutation."""
+    return to_frame(values, np.argsort(order))
+
+
+def frame_table(table: EnergyTable, order) -> EnergyTable:
+    """``table`` in the qubit order ``order``: energies reindexed by
+    ``to_frame``, and the bit form's Q and b permuted to match (x_order[i]
+    is frame bit i), so phase separation in the frame costs what it does
+    in place."""
+    form = table.form
+    if form is not None:
+        quadratic, linear, constant = form
+        form = (quadratic[np.ix_(order, order)], linear[order], constant)
+    return EnergyTable(table.num_qubits, to_frame(table.energies, order), form)
+
+
 def apply_conditional_mixer(state: StateVector, beta_angle: float, pairs) -> StateVector:
     """Slack-aware mixer layer.
 
@@ -192,24 +248,25 @@ def apply_conditional_mixer(state: StateVector, beta_angle: float, pairs) -> Sta
 
     Pairs are disjoint, so gates on different pairs act on different
     qubits and commute: "all controlled rotations, then all asset
-    rotations" equals one fused 4x4 unitary per pair. The qubits are
-    permuted so that each pair is adjacent (ancilla above asset, unpaired
-    qubits on top), the tensor power of that unitary is applied in blocks
-    of BLOCK_QUBITS qubits, and the result is permuted back into place.
+    rotations" equals one fused 4x4 unitary per pair. In the pair frame
+    (``pair_frame``) that layer is the tensor power of the unit, applied
+    in blocks of BLOCK_QUBITS qubits. Pairs that are already the frame's,
+    ``[(0, 1), (2, 3), ...]``, are mixed in place; any other layout is
+    transposed into its frame and back around the tensor power. An ansatz
+    that runs every layer in the frame (``qaoa._ansatz``) pays for one
+    transpose per state instead of two per layer.
     """
-    cleaned = _validate_pairs(state.num_qubits, pairs)
+    m = state.num_qubits
+    cleaned = _validate_pairs(m, pairs)
     if not cleaned:
         return state
-    m = state.num_qubits
-    paired = [qubit for pair in cleaned for qubit in pair]
-    order = paired + sorted(set(range(m)) - set(paired))  # new position -> qubit
-    # Axis a of the (2,)*m view holds qubit m-1-a (qubit 0 is the least
-    # significant bit), so the new axes list qubits from the top down.
-    axes = [m - 1 - qubit for qubit in reversed(order)]
-    tensor = state.amplitudes.reshape((2,) * m)
-    permuted = np.ascontiguousarray(tensor.transpose(axes)).reshape(-1)
-    mixed = _apply_unit_power(permuted, _pair_unit(beta_angle), len(cleaned))
-    tensor[...] = mixed.reshape((2,) * m).transpose(np.argsort(axes))
+    order = pair_frame(m, cleaned)
+    unit = _pair_unit(beta_angle)
+    if order == list(range(m)):
+        state.amplitudes[:] = _apply_unit_power(state.amplitudes, unit, len(cleaned))
+    else:
+        mixed = _apply_unit_power(to_frame(state.amplitudes, order), unit, len(cleaned))
+        state.amplitudes.reshape((2,) * m)[...] = _frame_view(mixed, np.argsort(order))
     return state
 
 

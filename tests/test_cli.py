@@ -391,3 +391,36 @@ def test_config_key_that_names_no_setting_exits_2(tmp_path, capsys):
     assert main([*sweep, "--config", str(shared), "--out", str(tmp_path / "shared_sweep")]) \
         == EXIT_OK
     capsys.readouterr()
+
+
+def test_slack_qaoa_refuses_caps_the_encoding_cannot_close(tmp_path, capsys):
+    from dataclasses import replace
+
+    import numpy as np
+
+    from qmarko.cli import EXIT_INVALID
+    from qmarko.instance import generate_instance, to_json
+
+    inst = generate_instance(4, 2, 3)
+    uncapped = np.flatnonzero(inst.alpha == 0.0)[0]
+    fractional = inst.alpha.copy()
+    fractional[uncapped] = 0.5
+    over_k = np.ones(4)
+    over_k[uncapped] = 0.0  # three caps at 1, k = 2
+    for name, alpha in (("fractional", fractional), ("over_k", over_k)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(to_json(replace(inst, alpha=alpha)))
+        runs = (["solve", "--instance", str(path), "--method", "slack-qaoa"],
+                ["sweep", "--instance", str(path), "--methods", "oracle,slack-qaoa",
+                 "--seeds", "1"])
+        for argv in runs:
+            out = tmp_path / f"{name}_{argv[0]}"
+            assert main([*argv, "--out", str(out)]) == EXIT_INVALID, (name, argv)
+            assert not out.exists(), (name, argv)
+            assert "slack-ancilla encoding" in capsys.readouterr().err
+        # Methods that do not encode the caps with slack bits still run.
+        out = tmp_path / f"{name}_oracle"
+        assert main(["sweep", "--instance", str(path), "--methods", "oracle", "--seeds", "1",
+                     "--out", str(out)]) == EXIT_OK
+        assert (out / "oracle_seed1" / "record.json").exists()
+    capsys.readouterr()

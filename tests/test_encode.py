@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,21 @@ def test_slack_ancilla_rejects_nonpositive_beta():
     for beta in (0.0, -5.0):
         with pytest.raises(ValueError):
             build_slack_ancilla_qubo(inst, beta)
+
+
+def test_slack_ancilla_refuses_caps_it_cannot_close():
+    inst = generate_instance(4, 2, 3)
+    build_slack_ancilla_qubo(inst, 100.0)
+    uncapped = np.flatnonzero(inst.alpha == 0.0)[0]
+    fractional = inst.alpha.copy()
+    fractional[uncapped] = 0.5
+    over_k = np.ones(4)
+    over_k[uncapped] = 0.0  # three caps at 1, k = 2
+    for alpha in (fractional, over_k):
+        with pytest.raises(ValueError, match="slack-ancilla encoding"):
+            build_slack_ancilla_qubo(replace(inst, alpha=alpha), 100.0)
+    # Fewer than k caps at 1 is a mask the slack bits still close exactly.
+    build_slack_ancilla_qubo(_bare_instance(3, 2, alpha=[0.0, 1.0, 0.0]), 100.0)
 
 
 def test_penalty_zero_set_is_exactly_the_slack_equality():

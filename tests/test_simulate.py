@@ -458,3 +458,43 @@ def test_phase_separation_peak_memory_on_an_energy_table():
     finally:
         tracemalloc.stop()
     assert peak <= 1.6 * state.amplitudes.nbytes
+
+
+@pytest.mark.parametrize("m", (10, 12, 14))
+def test_frame_ansatz_matches_layer_by_layer_composition(m, monkeypatch):
+    # Above the dense reference's sizes: the ansatz runs every layer in the
+    # pair frame, the composition of the public kernels transposes per layer.
+    import qmarko.simulate as simulate
+    from qmarko.qaoa import _ansatz
+
+    rng = np.random.default_rng(900 + m)
+    hamiltonian = _random_hamiltonian(m, rng)
+    table = energy_table(hamiltonian)
+    params = QaoaParams(3, tuple(rng.uniform(-1, 1, 3) / m), tuple(rng.uniform(-np.pi, np.pi, 3)))
+    qubits = [int(q) for q in rng.permutation(m)]
+    half = m // 2
+    layouts = {
+        "random pairs": [(qubits[2 * i], qubits[2 * i + 1]) for i in range(half)],
+        "unpaired qubits": [(qubits[2 * i], qubits[2 * i + 1]) for i in range(half - 2)],
+        "ancilla below asset": [(half + i, i) for i in range(half)],
+        "already adjacent": [(2 * i, 2 * i + 1) for i in range(half - 1)],
+    }
+    transposes = []
+    original_view = simulate._frame_view
+
+    def counted_view(*args, **kwargs):
+        transposes.append(args)
+        return original_view(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_frame_view", counted_view)
+    for name, pairs in layouts.items():
+        ansatz = _ansatz(table, "conditional", pairs)
+        transposes.clear()
+        state = ansatz(params)
+        # One transpose per state out of the frame; none when it is in place.
+        assert len(transposes) == (0 if name == "already adjacent" else 1), name
+        composed = uniform_superposition(m)
+        for gamma, beta_mix in zip(params.gammas, params.beta_mixes):
+            apply_phase_separation(composed, table, gamma)
+            apply_conditional_mixer(composed, beta_mix, pairs)
+        assert np.abs(state.amplitudes - composed.amplitudes).max() <= 1e-12, name
