@@ -31,6 +31,7 @@ from pathlib import Path
 
 from . import instance as instance_mod
 from . import encode, oracle, qaoa
+from .instance import as_integer
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -49,16 +50,9 @@ SUMMARY_COLUMNS = (
     "variance_bound_slack",
 )
 
-def _integer(value) -> int:
-    """int() that refuses booleans and fractions instead of truncating them."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"not an integer: {value!r}")
-    return int(value)
-
-
 def _seed(value) -> int:
     """A non-negative integer: the seed setting, QMARKO_SEED and each --seeds entry."""
-    seed = _integer(value)
+    seed = as_integer(value)
     if seed < 0:
         raise ValueError(f"a seed must be non-negative, got {seed}")
     return seed
@@ -78,26 +72,26 @@ _SCHEDULE_DEFAULTS = qaoa.ScheduleConfig()
 # back to QMARKO_SEED, penalty is per method (METHODS) and the mixer is
 # conditional.
 SETTINGS = {
-    "n": (_integer, 3, "asset count"),
-    "k": (_integer, 1, "cardinality bound"),
+    "n": (as_integer, 3, "asset count"),
+    "k": (as_integer, 1, "cardinality bound"),
     "seed": (_seed, None, "non-negative random seed (falls back to QMARKO_SEED, then 0)"),
     "lambda_weight": (float, 1.0, "return weight lambda of the generated instance"),
     "q_risk": (float, 0.5, "risk weight q of the generated instance"),
-    "p": (_integer, 2, "ansatz depth; one slack-qaoa layer takes ~1 s at the 24-qubit limit "
-                       "(12 assets; extrapolated from 0.04 s at 20 qubits and 0.24 s at 22)"),
+    "p": (as_integer, 2, "ansatz depth; one slack-qaoa layer takes ~1 s at the 24-qubit limit "
+                          "(12 assets; extrapolated from 0.04 s at 20 qubits and 0.24 s at 22)"),
     "optimizer": (_choice(*qaoa.SCIPY_METHODS), "cobyla",
                   f"one of {', '.join(sorted(qaoa.SCIPY_METHODS))}"),
     "penalty": (float, None, "fixed penalty weight of the baselines (default per method)"),
     "beta_init": (float, _SCHEDULE_DEFAULTS.beta_penalty_init, "initial schedule penalty weight"),
-    "doubling_interval": (_integer, _SCHEDULE_DEFAULTS.doubling_interval,
+    "doubling_interval": (as_integer, _SCHEDULE_DEFAULTS.doubling_interval,
                           "optimizer iterations between penalty checks"),
-    "shots": (_integer, _SCHEDULE_DEFAULTS.feasibility_shots, "feasibility-check sample count"),
+    "shots": (as_integer, _SCHEDULE_DEFAULTS.feasibility_shots, "feasibility-check sample count"),
     "feasibility_target": (float, _SCHEDULE_DEFAULTS.feasibility_target,
                            "sampled feasible fraction that ends the schedule"),
-    "max_iter": (_integer, _SCHEDULE_DEFAULTS.max_iterations, "objective-evaluation budget"),
+    "max_iter": (as_integer, _SCHEDULE_DEFAULTS.max_iterations, "objective-evaluation budget"),
     "mixer": (_choice(*MIXERS), None,
               f"slack-qaoa mixer, one of {', '.join(MIXERS)} (default conditional)"),
-    "jobs": (_integer, 1, "worker processes, capped at the number of cells"),
+    "jobs": (as_integer, 1, "worker processes, capped at the number of cells"),
 }
 _QAOA_KEYS = ("p", "optimizer", "penalty", "beta_init", "doubling_interval", "shots",
               "feasibility_target", "max_iter", "mixer")
@@ -430,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seeds", required=True, help="comma-separated list of non-negative seeds")
     sweep.add_argument("--out", required=True, help="sweep output directory")
 
-    report = sub.add_parser("report", help="emit comparison table and histograms",
+    report = sub.add_parser("report", help="emit the comparison table and each record's "
+                                           "asset-marginal histogram (hist_<cell>.csv)",
                             allow_abbrev=False)
     report.add_argument("--run-dir", required=True, dest="run_dir")
     report.set_defaults(func=cmd_report)

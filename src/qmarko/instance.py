@@ -213,18 +213,29 @@ def to_json(instance: PortfolioInstance) -> str:
     return json.dumps(doc, indent=2)
 
 
+def as_integer(value) -> int:
+    """int() that refuses booleans and fractions instead of truncating them.
+
+    The one integer rule for instance files and CLI settings: whatever
+    int() takes without losing a digit converts (2.0, "3").
+    """
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def from_json(text: str) -> PortfolioInstance:
     try:
         doc = json.loads(text)
         return PortfolioInstance(
-            n=int(doc["n"]),
-            k=int(doc["k"]),
+            n=as_integer(doc["n"]),
+            k=as_integer(doc["k"]),
             mu=np.array(doc["mu"], dtype=float),
             sigma=np.array(doc["sigma"], dtype=float),
             alpha=np.array(doc["alpha"], dtype=float),
             lambda_weight=float(doc["lambda"]),
             q_risk=float(doc["q"]),
-            seed=int(doc["seed"]),
+            seed=as_integer(doc["seed"]),
         )
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValueError(f"malformed instance document: {exc}") from exc

@@ -12,8 +12,9 @@ One run path. Every angle search, whether ``optimize_angles``, a segment
 of ``run_schedule`` or a fixed-penalty baseline run, is one call of
 ``_search_angles`` (tabulate the Hamiltonian, build its ansatz once, scale
 the angles, minimize the expectation), and every record is built from its
-final state by ``_record`` (picks, feasible mass, histogram, variance
-bound).
+final state by ``_record`` (register probabilities, asset marginal, picks,
+feasible mass, variance bound). The record's JSON ``histogram`` is the
+asset marginal: 2^n entries whatever the register size.
 
 Angle units. Every optimizer searches scaled coordinates theta in which the
 phase angle is ``gamma = theta_gamma / s``, with ``s = sum|h| + sum|J|`` the
@@ -145,7 +146,14 @@ class PortfolioPick:
     probability: float | None = None
 
 
-@dataclass(frozen=True)
+def _histogram(probabilities: np.ndarray) -> dict[str, float]:
+    """Probabilities of a 2^b distribution keyed by their b-bit basis labels,
+    in basis-index order."""
+    size = probabilities.size
+    return dict(zip(basis_labels(np.arange(size), size.bit_length() - 1), probabilities.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
 class ExperimentRecord:
     """Everything one variational run produced, JSON-serializable.
 
@@ -153,11 +161,15 @@ class ExperimentRecord:
     Hamiltonian at ``final_beta_penalty`` (``initial_params`` at the first
     penalty weight of a schedule), so ``_ansatz_state(table,
     record.final_params, record.mixer, pairs)`` on that Hamiltonian's table
-    reproduces the final state. ``histogram`` keys are in basis-index order;
-    ``qmarko report`` writes them in that stored order without sorting.
-    ``trace`` holds one row per optimizer evaluation, numbered from 1 across
-    penalty doublings; ``iterations_used`` and ``objective_trace`` are
-    derived from it, not stored.
+    reproduces the final state. ``trace`` holds one row per optimizer
+    evaluation, numbered from 1 across penalty doublings; ``iterations_used``
+    and ``objective_trace`` are derived from it, not stored.
+
+    In memory the record holds the final state's 2^m register
+    ``probabilities`` and its 2^n asset ``marginal``, both in basis-index
+    order; ``histogram`` labels the register probabilities on each access.
+    ``record.json`` (``to_dict``) holds the marginal only, under the key
+    ``histogram``. Records compare by identity, since they hold arrays.
     """
 
     method: str
@@ -167,7 +179,8 @@ class ExperimentRecord:
     initial_params: QaoaParams
     final_params: QaoaParams
     final_beta_penalty: float
-    histogram: dict[str, float]
+    probabilities: np.ndarray
+    marginal: np.ndarray
     best_feasible: PortfolioPick | None
     most_probable: PortfolioPick
     reported: PortfolioPick | None
@@ -178,6 +191,11 @@ class ExperimentRecord:
     variance_bound: bounds.BoundReport
 
     @property
+    def histogram(self) -> dict[str, float]:
+        """Probability of every register basis state, keyed by its m-bit label."""
+        return _histogram(self.probabilities)
+
+    @property
     def iterations_used(self) -> int:
         return len(self.trace)
 
@@ -186,7 +204,9 @@ class ExperimentRecord:
         return tuple(row.expectation for row in self.trace)
 
     def to_dict(self) -> dict:
-        # asdict on the parts only: on the record it would deep-copy the histogram.
+        # asdict on the parts only: on the record it would deep-copy the arrays.
+        # "histogram" is the asset marginal keyed by n-bit labels, in
+        # basis-index order; `qmarko report` writes it in that order.
         return {
             "method": self.method,
             "seed": self.seed,
@@ -195,7 +215,7 @@ class ExperimentRecord:
             "initial_params": asdict(self.initial_params),
             "final_params": asdict(self.final_params),
             "final_beta_penalty": self.final_beta_penalty,
-            "histogram": self.histogram,
+            "histogram": _histogram(self.marginal),
             "best_feasible": asdict(self.best_feasible) if self.best_feasible else None,
             "most_probable": asdict(self.most_probable),
             "bitstring": self.reported.bitstring if self.reported else None,
@@ -410,20 +430,13 @@ def _sampled_feasible_fraction(feasible: np.ndarray, counts: np.ndarray) -> floa
     return int(per_selection[feasible].sum()) / int(counts.sum())
 
 
-def _full_histogram(state: StateVector) -> dict[str, float]:
-    """Probability of every basis state, keyed by label, in basis-index order."""
-    labels = basis_labels(np.arange(1 << state.num_qubits), state.num_qubits)
-    return dict(zip(labels, state.probabilities().tolist()))
-
-
-def _portfolio_picks(instance: PortfolioInstance, state: StateVector):
+def _picks(instance: PortfolioInstance, marginal: np.ndarray):
     """(best_feasible, most_probable, exact feasible mass) from the asset marginal.
 
     best_feasible is the lowest-objective feasible selection whose marginal
     exceeds REPORTING_THRESHOLD (lowest index on ties), or None.
     """
     n = instance.n
-    marginal = bounds.asset_marginal(state, n)
     feasible = feasible_table(instance)
 
     def pick(index: int) -> PortfolioPick:
@@ -440,15 +453,25 @@ def _portfolio_picks(instance: PortfolioInstance, state: StateVector):
     return best, pick(int(np.argmax(marginal))), float(marginal[feasible].sum())
 
 
+def _portfolio_picks(instance: PortfolioInstance, state: StateVector):
+    """``_picks`` of the state's asset marginal."""
+    return _picks(instance, bounds.asset_marginal(state, instance.n))
+
+
 def _record(
     instance: PortfolioInstance, state: StateVector, report_most_probable: bool, **fields
 ) -> ExperimentRecord:
-    """The record of a run that ended in ``state``: picks, exact feasible
-    mass, histogram and variance bound come from the state, the remaining
-    ``ExperimentRecord`` fields from the caller."""
-    best_feasible, most_probable, feasible_mass = _portfolio_picks(instance, state)
+    """The record of a run that ended in ``state``: register probabilities,
+    asset marginal, picks, exact feasible mass and variance bound come from
+    the state, the remaining ``ExperimentRecord`` fields from the caller.
+    The amplitudes are squared into register probabilities once, and the
+    marginal, picks and feasible mass are read from them."""
+    probabilities = state.probabilities()
+    marginal = probabilities.reshape(-1, 1 << instance.n).sum(axis=0)  # as bounds.asset_marginal
+    best_feasible, most_probable, feasible_mass = _picks(instance, marginal)
     return ExperimentRecord(
-        histogram=_full_histogram(state),
+        probabilities=probabilities,
+        marginal=marginal,
         best_feasible=best_feasible,
         most_probable=most_probable,
         reported=most_probable if report_most_probable else best_feasible,

@@ -424,3 +424,39 @@ def test_slack_qaoa_refuses_caps_the_encoding_cannot_close(tmp_path, capsys):
                      "--out", str(out)]) == EXIT_OK
         assert (out / "oracle_seed1" / "record.json").exists()
     capsys.readouterr()
+
+
+def test_records_and_histogram_files_hold_the_asset_marginal(tmp_path, capsys):
+    from qmarko.instance import from_json
+    from qmarko.qaoa import ScheduleConfig, run_schedule
+
+    n, seed = 4, 1
+    out = tmp_path / "sweep"
+    assert main([
+        "sweep", "--n", str(n), "--k", "2", "--methods", ",".join(METHODS),
+        "--seeds", str(seed), "--max-iter", "12", "--doubling-interval", "6",
+        "--shots", "64", "--out", str(out),
+    ]) == EXIT_OK
+    assert main(["report", "--run-dir", str(out)]) == EXIT_OK
+    capsys.readouterr()
+
+    for method in METHODS:
+        run_id = f"{method}_seed{seed}"
+        histogram = json.loads((out / run_id / "record.json").read_text())["histogram"]
+        with (out / f"hist_{run_id}.csv").open() as fh:
+            rows = list(csv.reader(fh))[1:]
+        for keys in (list(histogram), [bits for bits, _ in rows]):
+            assert all(len(bits) == n and set(bits) <= {"0", "1"} for bits in keys), method
+        if method.endswith("-qaoa"):
+            assert len(histogram) == len(rows) == 1 << n, method
+
+    # The slack cell's whole record is smaller than the 2^(2n)-entry register
+    # histogram of the same run would be on its own.
+    record_text = (out / f"slack-qaoa_seed{seed}" / "record.json").read_text()
+    inst = from_json((out / f"instance_seed{seed}.json").read_text())
+    config = ScheduleConfig(doubling_interval=6, feasibility_shots=64, max_iterations=12)
+    rerun = run_schedule(inst, config, seed=seed)
+    assert json.loads(json.dumps(rerun.to_dict())) == json.loads(record_text)
+    register = rerun.histogram
+    assert len(register) == 1 << (2 * n)
+    assert len(record_text) < len(json.dumps(register, indent=2))

@@ -214,3 +214,29 @@ def test_non_finite_weights_are_rejected_on_load(tmp_path, capsys, field, bad):
                  "--out", str(tmp_path / "run")])
     assert code == EXIT_INVALID
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, bad", [("n", 3.5), ("k", 2.7), ("k", True), ("seed", 3.9),
+                                        ("seed", False)])
+def test_fractional_or_boolean_integers_are_rejected_on_load(tmp_path, capsys, field, bad):
+    from qmarko.cli import EXIT_INVALID, main
+
+    doc = json.loads(to_json(generate_instance(4, 2, seed=3)))
+    doc[field] = bad
+    text = json.dumps(doc)
+    with pytest.raises(ValueError, match="not an integer"):
+        from_json(text)
+    path = tmp_path / "instance.json"
+    path.write_text(text)
+    runs = (["solve", "--instance", str(path), "--method", "oracle"],
+            ["sweep", "--instance", str(path), "--methods", "oracle", "--seeds", "1"])
+    for argv in runs:
+        out = tmp_path / argv[0]
+        assert main([*argv, "--out", str(out)]) == EXIT_INVALID, argv
+        assert not out.exists(), argv
+        assert "not an integer" in capsys.readouterr().err
+    # Integral floats still load, as an integer setting takes them.
+    doc[field] = {"n": 4.0, "k": 2.0, "seed": 3.0}[field]
+    inst = from_json(json.dumps(doc))
+    assert (inst.n, inst.k, inst.seed) == (4, 2, 3)
+    assert all(type(v) is int for v in (inst.n, inst.k, inst.seed))

@@ -436,3 +436,35 @@ def test_trace_is_numbered_from_one_across_penalty_doublings():
 
     baseline = run_baseline_penalty_qaoa(inst, a_card=1000.0, p=2, budget=7, seed=5)
     _assert_trace_numbered(baseline, 7)
+
+
+# --- serialised histogram: the asset marginal --------------------------------
+
+def _assert_serialised_histogram_is_asset_marginal(record, n):
+    from qmarko.bitstrings import index_to_string
+
+    serialised = record.to_dict()["histogram"]
+    assert list(serialised) == [index_to_string(i, n) for i in range(1 << n)]
+    register = record.histogram
+    summed = dict.fromkeys(serialised, 0.0)
+    for key, probability in register.items():
+        summed[key[:n]] += probability
+    for key, probability in serialised.items():
+        assert abs(probability - summed[key]) <= 1e-14, key
+    return serialised, register
+
+
+def test_serialised_histogram_is_the_asset_marginal():
+    inst = generate_instance(3, 1, seed=15)
+    schedule = run_schedule(inst, ScheduleConfig(doubling_interval=4, max_iterations=8), seed=15)
+    _, register = _assert_serialised_histogram_is_asset_marginal(schedule, inst.n)
+    assert len(next(iter(register))) == 2 * inst.n
+
+    cardinality = run_cardinality_slack_qaoa(inst, a_card=1000.0, p=2, budget=8, seed=15)
+    _, register = _assert_serialised_histogram_is_asset_marginal(cardinality, inst.n)
+    assert len(next(iter(register))) == inst.n + 1
+
+    # Without ancillas (m = n) the marginal is the register distribution, exactly.
+    penalty = run_baseline_penalty_qaoa(inst, a_card=1000.0, p=2, budget=8, seed=15)
+    serialised, register = _assert_serialised_histogram_is_asset_marginal(penalty, inst.n)
+    assert list(serialised.items()) == list(register.items())
