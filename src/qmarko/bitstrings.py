@@ -51,7 +51,7 @@ def string_to_bits(bits: str) -> np.ndarray:
     return index_to_bits(string_to_index(bits), len(bits))
 
 
-def _prefix_recursion(quadratic, linear, constant, combine, lift) -> np.ndarray:
+def _prefix_recursion(quadratic, linear, constant, combine, lift, out=None) -> np.ndarray:
     """lift(x'Qx + b'x + c) for every basis state x, where ``lift`` maps
     sums to ``combine``-products (identity for np.add, x -> exp(-i*gamma*x)
     for np.multiply), so only the lifted coefficients are ever evaluated.
@@ -59,9 +59,11 @@ def _prefix_recursion(quadratic, linear, constant, combine, lift) -> np.ndarray:
     The table over bits 0..k is ``[T, T o lift(d_k)]``, with ``T`` the
     table over bits 0..k-1, ``o`` = ``combine`` and
     ``d_k(x) = b_k + Q_kk + sum_{j<k} (Q_jk + Q_kj) x_j``; lift(d_k) is
-    itself built by doubling. Any storage of Q works (full, triangular,
-    non-symmetric). Time and extra memory are O(2^m); the limit MAX_QUBITS
-    is checked before anything of that size is allocated.
+    itself built by doubling, in the half of the table it then fills, so
+    the table is the only array of size 2^m. Any storage of Q works (full,
+    triangular, non-symmetric). Time is O(2^m); the limit MAX_QUBITS is
+    checked before anything of that size is allocated. The table is
+    written into ``out`` when given (a 2^m array of the lifted dtype).
     """
     linear = np.asarray(linear, dtype=float)
     m = linear.size
@@ -71,14 +73,14 @@ def _prefix_recursion(quadratic, linear, constant, combine, lift) -> np.ndarray:
     pair = lift(quadratic + quadratic.T)
     own = lift(linear + np.diagonal(quadratic))
     start = lift(np.float64(constant))
-    table = np.empty(1 << m, dtype=start.dtype)
+    table = np.empty(1 << m, dtype=start.dtype) if out is None else out
     table[0] = start
-    delta = np.empty(1 << max(m - 1, 0), dtype=start.dtype)
     for k in range(m):
+        delta = table[1 << k : 2 << k]
         delta[0] = own[k]
         for j in range(k):
             combine(delta[: 1 << j], pair[j, k], out=delta[1 << j : 2 << j])
-        combine(table[: 1 << k], delta[: 1 << k], out=table[1 << k : 2 << k])
+        combine(table[: 1 << k], delta, out=delta)
     return table
 
 
@@ -87,8 +89,11 @@ def quadratic_form_table(quadratic, linear, constant: float) -> np.ndarray:
     return _prefix_recursion(quadratic, linear, constant, np.add, np.asarray)
 
 
-def quadratic_form_phases(quadratic, linear, constant: float, gamma: float) -> np.ndarray:
-    """exp(-i*gamma*(x'Qx + b'x + c)) for every basis state x, indexed as above."""
+def quadratic_form_phases(
+    quadratic, linear, constant: float, gamma: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """exp(-i*gamma*(x'Qx + b'x + c)) for every basis state x, indexed as
+    above; written into the complex array ``out`` when given."""
     return _prefix_recursion(
-        quadratic, linear, constant, np.multiply, lambda terms: np.exp(-1j * gamma * terms)
+        quadratic, linear, constant, np.multiply, lambda terms: np.exp(-1j * gamma * terms), out
     )

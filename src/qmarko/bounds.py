@@ -82,12 +82,17 @@ def asset_marginal(state: StateVector, n: int) -> np.ndarray:
 
 
 def check_variance_bound(state: StateVector, instance: PortfolioInstance) -> BoundReport:
-    """Evaluate Var(R)*Var(M) - Cov(R,M)^2 on the asset-bit marginal.
+    """Evaluate Var(R)*Var(M) - Cov(R,M)^2 on the state's asset-bit marginal.
 
     The slack is nonnegative up to rounding for every state; a materially
     negative value indicates a broken moment computation.
     """
-    p = asset_marginal(state, instance.n)
+    return variance_bound(asset_marginal(state, instance.n), instance)
+
+
+def variance_bound(p: np.ndarray, instance: PortfolioInstance) -> BoundReport:
+    """``check_variance_bound`` on an asset marginal ``p`` (2^n probabilities
+    in basis-index order) that the caller already holds."""
     risk = risk_observable(instance)
     ret = return_observable(instance)
     mean_r, mean_m, var_r, var_m, cov = _moments_from_probabilities(p, risk.values, ret.values)

@@ -16,6 +16,17 @@ final state by ``_record`` (register probabilities, asset marginal, picks,
 feasible mass, variance bound). The record's JSON ``histogram`` is the
 asset marginal: 2^n entries whatever the register size.
 
+Frames. ``_ansatz`` evolves a state that the rest of the package never
+sees. In the real frame (phase S = diag(1, i) taken off every qubit)
+both mixers' units are real matrices, which halves the arithmetic of
+their block gates; for the conditional mixer the state is also in the
+pair frame (qubits reordered so that each asset sits next to its
+ancilla), where its layer needs no transpose. Neither frame changes a
+probability, so the search's objective is taken in the frames, against
+the table permuted once; a state that leaves the ansatz, for a
+feasibility check or a record, is put back into canonical phase and
+order first.
+
 Angle units. Every optimizer searches scaled coordinates theta in which the
 phase angle is ``gamma = theta_gamma / s``, with ``s = sum|h| + sum|J|`` the
 coefficient norm of the Hamiltonian being optimized (offset excluded; 1 for
@@ -52,16 +63,17 @@ from .instance import PortfolioInstance, classical_objective, feasible_table, ob
 from .simulate import (
     EnergyTable,
     StateVector,
-    apply_conditional_mixer,
-    apply_mixer,
     apply_phase_separation,
+    apply_real_frame_mixer,
     energy_table,
     expectation,
     frame_table,
     from_frame,
+    from_real_frame,
     pair_frame,
+    real_frame_uniform,
     sample_counts,
-    uniform_superposition,
+    workspace,
 )
 
 SCIPY_METHODS = {"cobyla": "COBYLA", "nelder-mead": "Nelder-Mead"}
@@ -306,39 +318,60 @@ def mixer_pairs(labels) -> list[tuple[int, int]]:
     return [(assets[i], slacks[i]) for i in sorted(assets) if i in slacks]
 
 
-def _ansatz(table: EnergyTable, mixer: str, pairs):
-    """The depth-p ansatz on ``table`` as a function of its angles: p
-    alternating layers of phase separation and mixing on the uniform state.
+class _ansatz:
+    """The depth-p ansatz on ``table``: p alternating layers of phase
+    separation and mixing on the uniform state, as a function of its angles.
 
-    The conditional mixer runs every layer in the pair frame
-    (``simulate.pair_frame``). The uniform start state is the same in any
-    qubit order; phase separation reads the table permuted into the frame
-    once, here (its bit form costs O(m^2) to permute); each mixer layer is
-    the pair unit's tensor power with no transpose. The state leaving the
-    ansatz is transposed back to the canonical order once, so states and
-    expectations are read against ``table`` as it is.
+    ``ansatz(params)`` is the state, a new array in canonical qubit order;
+    ``ansatz.expectation(params)`` is its expectation under ``table``.
+
+    Every layer runs in the real frame (see ``simulate``), where each mixer
+    unit is real. The conditional mixer also runs in the pair frame
+    (``simulate.pair_frame``), with the table permuted into it once, here
+    (its bit form costs O(m^2) to permute). Probabilities are the same in
+    every frame up to the order of the basis states, so ``expectation``
+    reads the state where it is, against the frame's table. Only a state
+    that leaves the ansatz gets S and is transposed back to canonical order.
+
+    One ``simulate.workspace`` of two 2^m buffers serves every evaluation:
+    the state lives in one, and the other takes each layer's phases and
+    each mixer block's output. Its contents do not outlive a call, and a
+    returned state never shares memory with it.
     """
-    if mixer not in ("standard", "conditional"):
-        raise ValueError(f"unknown mixer: {mixer!r}")
-    m = table.num_qubits
-    order = pair_frame(m, pairs) if mixer == "conditional" else list(range(m))
-    frame_pairs = [(2 * k, 2 * k + 1) for k in range(len(pairs or ()))]
-    in_place = order == list(range(m))
-    layer_table = table if in_place else frame_table(table, order)
 
-    def state_at(params: QaoaParams) -> StateVector:
-        state = uniform_superposition(m)
+    def __init__(self, table: EnergyTable, mixer: str, pairs):
+        if mixer not in ("standard", "conditional"):
+            raise ValueError(f"unknown mixer: {mixer!r}")
+        m = table.num_qubits
+        order = pair_frame(m, pairs) if mixer == "conditional" else list(range(m))
+        self._pair_count = len(pairs or ()) if mixer == "conditional" else None
+        self._order = None if order == list(range(m)) else order
+        self._table = table if self._order is None else frame_table(table, order)
+        self._buffers = workspace(m)
+
+    def _frame_state(self, params: QaoaParams) -> tuple[np.ndarray, np.ndarray]:
+        """(buffer holding the state in the frame, the other buffer)."""
+        table = self._table
+        state, spare = self._buffers
+        real_frame_uniform(state)
         for gamma, beta_mix in zip(params.gammas, params.beta_mixes):
-            apply_phase_separation(state, layer_table, gamma)
-            if mixer == "standard":
-                apply_mixer(state, beta_mix)
-            else:
-                apply_conditional_mixer(state, beta_mix, frame_pairs)
-        if not in_place:
-            state.amplitudes = from_frame(state.amplitudes, order)
-        return state
+            apply_phase_separation(StateVector(table.num_qubits, state), table, gamma, spare)
+            if apply_real_frame_mixer(state, spare, beta_mix, self._pair_count) is spare:
+                state, spare = spare, state
+        return state, spare
 
-    return state_at
+    def expectation(self, params: QaoaParams) -> float:
+        state, _ = self._frame_state(params)
+        return expectation(StateVector(self._table.num_qubits, state), self._table)
+
+    def __call__(self, params: QaoaParams) -> StateVector:
+        state, spare = self._frame_state(params)
+        from_real_frame(state, spare)
+        if self._order is None:
+            amplitudes = state.copy()
+        else:
+            amplitudes = from_frame(state, self._order)
+        return StateVector(self._table.num_qubits, amplitudes)
 
 
 def _ansatz_state(table: EnergyTable, params: QaoaParams, mixer: str, pairs) -> StateVector:
@@ -382,15 +415,16 @@ def _search_angles(
 
     ``minimize(objective, theta)`` returns (best theta, best value, evals),
     as ``minimize_with_budget`` does. Returns (ansatz, scale, best theta,
-    evals): ``ansatz`` maps physical angles to the state (``_ansatz``), and
-    evals are in physical units and in evaluation order.
+    evals): ``ansatz`` maps physical angles to the state (``_ansatz``) and
+    holds its workspace, and evals are in physical units and in evaluation
+    order.
     """
     table = energy_table(hamiltonian)
     scale = _angle_scale(hamiltonian)
     ansatz = _ansatz(table, mixer, pairs)
 
     def objective(theta):
-        return expectation(ansatz(_physical_params(theta, scale)), table)
+        return ansatz.expectation(_physical_params(theta, scale))
 
     best_theta, _, evals = minimize(objective, theta)
     return ansatz, scale, best_theta, evals
@@ -465,7 +499,7 @@ def _record(
     asset marginal, picks, exact feasible mass and variance bound come from
     the state, the remaining ``ExperimentRecord`` fields from the caller.
     The amplitudes are squared into register probabilities once, and the
-    marginal, picks and feasible mass are read from them."""
+    marginal, picks, feasible mass and variance bound are read from them."""
     probabilities = state.probabilities()
     marginal = probabilities.reshape(-1, 1 << instance.n).sum(axis=0)  # as bounds.asset_marginal
     best_feasible, most_probable, feasible_mass = _picks(instance, marginal)
@@ -476,7 +510,7 @@ def _record(
         most_probable=most_probable,
         reported=most_probable if report_most_probable else best_feasible,
         feasible_fraction=feasible_mass,
-        variance_bound=bounds.check_variance_bound(state, instance),
+        variance_bound=bounds.variance_bound(marginal, instance),
         **fields,
     )
 
@@ -523,6 +557,7 @@ def run_schedule(
         rows.extend(TraceRow(i, value, beta_penalty) for i, value in enumerate(evals, first))
         final_params = _physical_params(theta, scale)
         state = ansatz(final_params)
+        del ansatz  # its workspace goes before the next segment builds one
         check_seed = int(master.integers(0, 2**63))
         counts = sample_counts(state, config.feasibility_shots, check_seed)
         sampled_fraction = _sampled_feasible_fraction(feasible, counts)

@@ -20,6 +20,20 @@ table into a frame (its bit form in O(m^2), its energies once). In the
 frame, phase separation and a mixer on the frame's pairs ``[(0, 1), (2,
 3), ...]`` need no transpose, so ``qaoa._ansatz`` transposes each state
 once, on the way out, instead of twice per layer.
+
+The real frame is a change of phase, not of order. With S = diag(1, i)
+on every qubit and R(beta) = [[cos beta, sin beta], [-sin beta, cos
+beta]], exp(-i*beta*X) = S R(beta) S^dag, and the same S on both qubits
+of a pair makes the conditional mixer's 4x4 unit real too. S is diagonal,
+so it commutes with phase separation: an ansatz started from S^dag|+>^m
+(``real_frame_uniform``) runs every mixer layer with a real unit
+(``apply_real_frame_mixer``) and applies S once, to a state that leaves
+it (``from_real_frame``). Probabilities and expectations are the same in
+both frames. A real unit acts on the float64 view of the complex
+amplitudes, half the multiply-adds of a complex one. The two frames
+compose: ``qaoa._ansatz`` runs the conditional mixer in both at once.
+Every block kernel writes into a spare buffer (``workspace``) instead of
+a new array, and phase separation can build its phases in that buffer.
 """
 
 from __future__ import annotations
@@ -82,64 +96,119 @@ def energy_table(hamiltonian: IsingHamiltonian) -> EnergyTable:
     )
 
 
-def uniform_superposition(num_qubits: int) -> StateVector:
-    """Equal-amplitude state over all basis states, phase zero."""
+def _check_qubits(num_qubits: int) -> None:
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise ValueError(f"qubit count {num_qubits} outside [1, {MAX_QUBITS}]")
+
+
+def uniform_superposition(num_qubits: int) -> StateVector:
+    """Equal-amplitude state over all basis states, phase zero."""
+    _check_qubits(num_qubits)
     size = 1 << num_qubits
     amplitudes = np.full(size, 1.0 / np.sqrt(size), dtype=np.complex128)
     return StateVector(num_qubits, amplitudes)
 
 
-def apply_phase_separation(state: StateVector, table: EnergyTable, gamma: float) -> StateVector:
-    """Multiply each amplitude by exp(-i*gamma*E(x)); exact diagonal evolution."""
+def workspace(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two 2^m complex buffers for an ansatz to hold its state in one and
+    its phases or the next block's output in the other. The qubit count is
+    checked against MAX_QUBITS first."""
+    _check_qubits(num_qubits)
+    # Two arrays, not the rows of one: a single 2 x 2^m allocation raised
+    # the peak RSS of an 18-qubit sweep by 5 MB (the allocator then kept
+    # later 2^m-sized temporaries on its heap).
+    return tuple(np.empty(1 << num_qubits, dtype=np.complex128) for _ in range(2))
+
+
+def _popcount_phases(out: np.ndarray, unit: complex, scale: float) -> np.ndarray:
+    """out[x] = scale * unit**popcount(x), by doubling. For unit = +-1j each
+    entry is +-scale or +-1j*scale exactly."""
+    out[0] = scale
+    for k in range(out.size.bit_length() - 1):
+        np.multiply(out[: 1 << k], unit, out=out[1 << k : 2 << k])
+    return out
+
+
+def real_frame_uniform(out: np.ndarray) -> np.ndarray:
+    """S^dag on every qubit of the uniform superposition, written into
+    ``out``: (-i)^popcount(x) / sqrt(2^m)."""
+    return _popcount_phases(out, -1j, 1.0 / np.sqrt(out.size))
+
+
+def from_real_frame(amplitudes: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """S on every qubit, in place: amplitude x times i^popcount(x). The
+    phases are built in ``spare``. Qubit order does not matter, since every
+    qubit gets the same S."""
+    amplitudes *= _popcount_phases(spare, 1j, 1.0)
+    return amplitudes
+
+
+def apply_phase_separation(
+    state: StateVector, table: EnergyTable, gamma: float, spare: np.ndarray | None = None
+) -> StateVector:
+    """Multiply each amplitude by exp(-i*gamma*E(x)); exact diagonal evolution.
+
+    The phases are built in ``spare`` (a 2^m complex buffer) when given,
+    else in a new array.
+    """
     if table.num_qubits != state.num_qubits:
         raise ValueError(
             f"table has {table.num_qubits} qubits, state has {state.num_qubits}"
         )
     if table.form is None:
-        state.amplitudes *= np.exp(-1j * gamma * table.energies)
+        phases = np.multiply(table.energies, -1j * gamma, out=spare)
+        np.exp(phases, out=phases)
     else:
-        state.amplitudes *= quadratic_form_phases(*table.form, gamma)
+        phases = quadratic_form_phases(*table.form, gamma, out=spare)
+    state.amplitudes *= phases
     return state
 
 
 # Qubits covered by one dense block gate. Both mixers apply a tensor power
 # of one small unitary, so a block of 4 qubits is a 16x16 matrix and each
-# block costs one BLAS call over the state. Measured at m = 18 with one
-# BLAS thread (2-vCPU x86-64 VM, OpenBLAS 0.3, best of 21): widths 2, 3,
-# 4, 5, 6, 8 take 12.6, 7.2, 6.9, 6.7, 8.5, 18.1 ms for the standard layer
-# and 12.5, 12.2, 6.8, 6.7, 8.5, 17.5 ms for the conditional one on pairs
-# already in the pair frame, with no transpose (widths 3 and 5 fit one and
-# two 2-qubit pairs per block, as 2 and 4 do). A second run on the same VM
-# was up to 1.3x slower throughout, with the same ranking. Below 4, passes
-# over the state dominate; above 5, the d^2 multiply-adds per amplitude
-# do. Small states pay a fixed 0.05-0.15 ms per call for building the
-# gates, more than their arithmetic below m = 10.
+# block costs one BLAS call over the state. Measured for the real-frame
+# layers an ansatz runs (``apply_real_frame_mixer``), at m = 18 with one
+# BLAS thread (2-vCPU x86-64 VM, OpenBLAS 0.3, best of 21, widths
+# interleaved): widths 2, 3, 4, 5, 6, 8 take 6.3, 4.4, 4.6, 5.3, 7.7,
+# 20.1 ms for the standard layer and 5.9, 5.9, 4.4, 4.3, 7.4, 19.2 ms for
+# the conditional one in the pair frame (widths 3 and 5 fit one and two
+# 2-qubit pairs per block, as 2 and 4 do). A second run agreed within 5%.
+# Below 4, passes over the state dominate; above 5, the d^2 multiply-adds
+# per amplitude do. At width 4 the lowest block, on complex arithmetic,
+# takes about a third of a layer. Small states pay a fixed 0.1-0.2 ms per
+# layer for building the gates, more than their arithmetic below m = 10.
 BLOCK_QUBITS = 4
 
 
-def _rx_matrix(beta_angle: float) -> np.ndarray:
-    """exp(-i*beta_angle*X), i.e. Rx(2*beta_angle)."""
-    cos_b = np.cos(beta_angle)
-    misin_b = -1j * np.sin(beta_angle)
-    return np.array([[cos_b, misin_b], [misin_b, cos_b]])
+def _rx_matrix(beta_angle: float, real_frame: bool = False) -> np.ndarray:
+    """exp(-i*beta_angle*X), i.e. Rx(2*beta_angle); in the real frame
+    S^dag exp(-i*beta_angle*X) S = R(beta_angle), a real rotation."""
+    cos_b, sin_b = np.cos(beta_angle), np.sin(beta_angle)
+    if real_frame:
+        return np.array([[cos_b, sin_b], [-sin_b, cos_b]])
+    return np.array([[cos_b, -1j * sin_b], [-1j * sin_b, cos_b]])
 
 
-def _apply_unit_power(amplitudes: np.ndarray, unit: np.ndarray, count: int) -> np.ndarray:
+def _apply_unit_power(
+    amplitudes: np.ndarray, unit: np.ndarray, count: int, spare: np.ndarray
+) -> np.ndarray:
     """``unit`` tensored ``count`` times, applied to the low qubits.
 
     Copy k of ``unit`` (a 2^w x 2^w matrix on w qubits) acts on qubits
     [k*w, (k+1)*w); higher qubits are untouched. Copies are grouped into
     blocks of at most BLOCK_QUBITS qubits, whose gate is the Kronecker
-    power of ``unit``. The lowest block is one GEMM over rows of the flat
-    state; each higher block is one batched matmul with the block's qubits
-    as the middle axis. Returns a new flat array; ``amplitudes`` is only
-    read, unless ``count`` is 0 and it is returned as is.
+    power of ``unit``. The lowest block is one complex GEMM over rows of
+    the flat state; each higher block is one batched matmul with the
+    block's qubits as the middle axis, on the float64 view of the
+    amplitudes when ``unit`` is real (real and imaginary parts are then
+    two more columns). Each block writes into the other of ``amplitudes``
+    and ``spare`` (flat 2^m complex arrays); returns the one holding the
+    result, ``amplitudes`` itself after an even number of blocks.
     """
     width = unit.shape[0].bit_length() - 1
     per_block = max(1, BLOCK_QUBITS // width)
-    current = amplitudes
+    real = not np.iscomplexobj(unit)
+    current, other = amplitudes, spare
     low = 0
     while count > 0:
         copies = min(per_block, count)
@@ -148,12 +217,29 @@ def _apply_unit_power(amplitudes: np.ndarray, unit: np.ndarray, count: int) -> n
             gate = np.kron(gate, unit)
         dim = gate.shape[0]
         if low == 0:
-            current = current.reshape(-1, dim) @ gate.T
+            lowest = gate.T.astype(np.complex128)
+            np.matmul(current.reshape(-1, dim), lowest, out=other.reshape(-1, dim))
+        elif real:
+            shape = (-1, dim, 2 << low)
+            np.matmul(
+                gate,
+                current.view(np.float64).reshape(shape),
+                out=other.view(np.float64).reshape(shape),
+            )
         else:
-            current = np.matmul(gate, current.reshape(-1, dim, 1 << low))
+            shape = (-1, dim, 1 << low)
+            np.matmul(gate, current.reshape(shape), out=other.reshape(shape))
+        current, other = other, current
         low += copies * width
         count -= copies
-    return current.reshape(-1)
+    return current
+
+
+def _apply_unit_power_in_place(amplitudes: np.ndarray, unit: np.ndarray, count: int) -> None:
+    """``_apply_unit_power`` with a new spare buffer, the result left in ``amplitudes``."""
+    mixed = _apply_unit_power(amplitudes, unit, count, np.empty_like(amplitudes))
+    if mixed is not amplitudes:
+        amplitudes[:] = mixed
 
 
 def apply_mixer(state: StateVector, beta_angle: float) -> StateVector:
@@ -162,9 +248,24 @@ def apply_mixer(state: StateVector, beta_angle: float) -> StateVector:
     The m rotations act on distinct qubits, so the layer is the tensor
     power Rx^(x m), applied in blocks of BLOCK_QUBITS qubits.
     """
-    unit = _rx_matrix(beta_angle)
-    state.amplitudes[:] = _apply_unit_power(state.amplitudes, unit, state.num_qubits)
+    _apply_unit_power_in_place(state.amplitudes, _rx_matrix(beta_angle), state.num_qubits)
     return state
+
+
+def apply_real_frame_mixer(
+    amplitudes: np.ndarray, spare: np.ndarray, beta_angle: float, pair_count: int | None = None
+) -> np.ndarray:
+    """One mixer layer on a state in the real frame: R(beta_angle) on every
+    qubit (the standard mixer) when ``pair_count`` is None, else the real
+    pair unit on the pair frame's first ``pair_count`` pairs ``[(0, 1),
+    (2, 3), ...]`` (the conditional mixer). Ping-pongs between the two
+    buffers as ``_apply_unit_power`` does and returns the one holding the
+    result."""
+    if pair_count is None:
+        unit, count = _rx_matrix(beta_angle, real_frame=True), amplitudes.size.bit_length() - 1
+    else:
+        unit, count = _pair_unit(beta_angle, real_frame=True), pair_count
+    return _apply_unit_power(amplitudes, unit, count, spare)
 
 
 def _validate_pairs(num_qubits: int, pairs) -> list[tuple[int, int]]:
@@ -181,12 +282,14 @@ def _validate_pairs(num_qubits: int, pairs) -> list[tuple[int, int]]:
     return cleaned
 
 
-def _pair_unit(beta_angle: float) -> np.ndarray:
+def _pair_unit(beta_angle: float, real_frame: bool = False) -> np.ndarray:
     """Rx(asset) . CRx(asset -> ancilla) on one pair, as a 4x4 matrix.
 
-    Basis index 2*ancilla + asset (the ancilla is the higher qubit).
+    Basis index 2*ancilla + asset (the ancilla is the higher qubit). The
+    projectors commute with S, so the real-frame unit is the same formula
+    over R(beta_angle).
     """
-    rx = _rx_matrix(beta_angle)
+    rx = _rx_matrix(beta_angle, real_frame)
     project_0 = np.diag([1.0, 0.0])
     project_1 = np.diag([0.0, 1.0])
     return np.kron(np.eye(2), rx @ project_0) + np.kron(rx, rx @ project_1)
@@ -263,9 +366,10 @@ def apply_conditional_mixer(state: StateVector, beta_angle: float, pairs) -> Sta
     order = pair_frame(m, cleaned)
     unit = _pair_unit(beta_angle)
     if order == list(range(m)):
-        state.amplitudes[:] = _apply_unit_power(state.amplitudes, unit, len(cleaned))
+        _apply_unit_power_in_place(state.amplitudes, unit, len(cleaned))
     else:
-        mixed = _apply_unit_power(to_frame(state.amplitudes, order), unit, len(cleaned))
+        framed = to_frame(state.amplitudes, order)
+        mixed = _apply_unit_power(framed, unit, len(cleaned), np.empty_like(framed))
         state.amplitudes.reshape((2,) * m)[...] = _frame_view(mixed, np.argsort(order))
     return state
 

@@ -86,10 +86,17 @@ _P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 def dense_reference_ansatz(hamiltonian: IsingHamiltonian, params, mixer: str, pairs=None) -> np.ndarray:
     """From-scratch ansatz evolution via explicit 2^m x 2^m matrices."""
     m = hamiltonian.num_qubits
-    size = 1 << m
     energies = np.array(
-        [naive_ising_energy(hamiltonian, index_to_bits(x, m)) for x in range(size)]
+        [naive_ising_energy(hamiltonian, index_to_bits(x, m)) for x in range(1 << m)]
     )
+    return dense_reference_evolution(energies, params, mixer, pairs)
+
+
+def dense_reference_evolution(energies, params, mixer: str, pairs=None) -> np.ndarray:
+    """The ansatz on a diagonal Hamiltonian given by its 2^m energies, via
+    explicit 2^m x 2^m matrices."""
+    size = len(energies)
+    m = size.bit_length() - 1
     state = np.full(size, 1.0 / np.sqrt(size), dtype=complex)
     for layer in range(params.p):
         state = np.diag(np.exp(-1j * params.gammas[layer] * energies)) @ state

@@ -468,3 +468,105 @@ def test_serialised_histogram_is_the_asset_marginal():
     penalty = run_baseline_penalty_qaoa(inst, a_card=1000.0, p=2, budget=8, seed=15)
     serialised, register = _assert_serialised_histogram_is_asset_marginal(penalty, inst.n)
     assert list(serialised.items()) == list(register.items())
+
+
+# --- the ansatz's workspace ------------------------------------------------------
+
+def _ansatz_layouts(n):
+    """(hamiltonian, mixer, pairs) for each way the ansatz lays out its state:
+    the standard mixer in place, the conditional mixer in the slack program's
+    pair frame, and the conditional mixer on pairs already adjacent."""
+    program = build_slack_ancilla_qubo(generate_instance(n, 2, seed=n), 100.0)
+    hamiltonian = to_ising(program)
+    adjacent = [(2 * i, 2 * i + 1) for i in range(n)]
+    return {
+        "standard": (hamiltonian, "standard", None),
+        "pair frame": (hamiltonian, "conditional", mixer_pairs(program.labels)),
+        "adjacent pairs": (hamiltonian, "conditional", adjacent),
+    }
+
+
+_PARAMS_A = QaoaParams(2, (0.013, 0.021), (0.4, 0.9))
+_PARAMS_B = QaoaParams(2, (-0.02, 0.005), (1.1, 0.2))
+
+
+@pytest.mark.parametrize("layout", ("standard", "pair frame", "adjacent pairs"))
+def test_returned_state_is_unchanged_by_later_evaluations(layout):
+    from qmarko.qaoa import _ansatz
+
+    hamiltonian, mixer, pairs = _ansatz_layouts(4)[layout]
+    ansatz = _ansatz(energy_table(hamiltonian), mixer, pairs)
+    state = ansatz(_PARAMS_A)
+    kept = state.amplitudes.copy()
+    ansatz(_PARAMS_B)
+    ansatz.expectation(_PARAMS_B)
+    assert np.array_equal(state.amplitudes, kept)
+
+
+@pytest.mark.parametrize("layout", ("standard", "pair frame", "adjacent pairs"))
+def test_evaluations_do_not_depend_on_earlier_ones(layout):
+    from qmarko.qaoa import _ansatz
+
+    hamiltonian, mixer, pairs = _ansatz_layouts(4)[layout]
+    ansatz = _ansatz(energy_table(hamiltonian), mixer, pairs)
+    value, amplitudes = ansatz.expectation(_PARAMS_A), ansatz(_PARAMS_A).amplitudes
+    ansatz.expectation(_PARAMS_B)
+    ansatz(_PARAMS_B)
+    assert ansatz.expectation(_PARAMS_A) == value
+    assert np.array_equal(ansatz(_PARAMS_A).amplitudes, amplitudes)
+
+
+@pytest.mark.parametrize("layout", ("standard", "pair frame", "adjacent pairs"))
+def test_search_objective_is_the_expectation_of_the_state(layout):
+    from qmarko.qaoa import _physical_params, _search_angles
+
+    hamiltonian, mixer, pairs = _ansatz_layouts(4)[layout]
+    thetas = np.random.default_rng(41).uniform(0.0, np.pi, size=(5, 4))
+
+    def minimize(objective, theta):
+        values = [objective(t) for t in thetas]
+        return theta, min(values), values
+
+    ansatz, scale, _, values = _search_angles(hamiltonian, thetas[0], minimize, mixer, pairs)
+    table = energy_table(hamiltonian)
+    for theta, value in zip(thetas, values):
+        direct = expectation(ansatz(_physical_params(theta, scale)), table)
+        assert value == pytest.approx(direct, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("mixer", ("standard", "conditional"))
+def test_ansatz_peak_memory_is_its_workspace_and_one_state(mixer):
+    import tracemalloc
+
+    from qmarko.qaoa import _ansatz
+
+    hamiltonian, _, pairs = _ansatz_layouts(7)["pair frame" if mixer == "conditional" else mixer]
+    table = energy_table(hamiltonian)  # m = 14
+    tracemalloc.start()
+    try:
+        ansatz = _ansatz(table, mixer, pairs)  # held: its workspace stays allocated
+        state = ansatz(_PARAMS_A)
+        first = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        ansatz.expectation(_PARAMS_B)
+        ansatz(_PARAMS_B)
+        later = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    nbytes = state.amplitudes.nbytes
+    # Two workspace buffers, the returned state and, in the pair frame, the
+    # permuted energies (half a state).
+    assert first <= 3.6 * nbytes, first / nbytes
+    # Later evaluations reuse the workspace.
+    assert later <= 1.1 * nbytes, later / nbytes
+
+
+def test_ansatz_refuses_more_than_max_qubits_before_allocating():
+    from qmarko.qaoa import _ansatz
+    from qmarko.simulate import MAX_QUBITS, EnergyTable
+
+    # The energies are a stand-in: the qubit count is checked before the
+    # workspace, 2 x 2^25 amplitudes, would be allocated.
+    with pytest.raises(ValueError, match="outside"):
+        _ansatz(EnergyTable(MAX_QUBITS + 1, np.zeros(1)), "standard", None)

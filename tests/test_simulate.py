@@ -498,3 +498,38 @@ def test_frame_ansatz_matches_layer_by_layer_composition(m, monkeypatch):
             apply_phase_separation(composed, table, gamma)
             apply_conditional_mixer(composed, beta_mix, pairs)
         assert np.abs(state.amplitudes - composed.amplitudes).max() <= 1e-12, name
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_ansatz_on_energies_without_a_form_matches_dense_reference(m):
+    # Tables given by their energies alone take the np.exp phase path, in
+    # place (standard mixer) and in the pair frame (conditional mixer).
+    from helpers import dense_reference_evolution
+    from qmarko.qaoa import _ansatz_state
+
+    rng = np.random.default_rng(1000 + m)
+    table = EnergyTable(m, rng.normal(scale=3.0, size=1 << m))
+    assert table.form is None
+    params = QaoaParams(2, tuple(rng.uniform(-np.pi, np.pi, 2)), tuple(rng.uniform(-np.pi, np.pi, 2)))
+    state = _ansatz_state(table, params, "standard", None)
+    reference = dense_reference_evolution(table.energies, params, "standard")
+    assert np.allclose(state.amplitudes, reference, rtol=0, atol=1e-10)
+    for pairs in _conditional_layouts(m, rng):
+        state = _ansatz_state(table, params, "conditional", pairs)
+        reference = dense_reference_evolution(table.energies, params, "conditional", pairs)
+        assert np.allclose(state.amplitudes, reference, rtol=0, atol=1e-10), pairs
+
+
+@pytest.mark.parametrize("with_form", (True, False))
+def test_phase_separation_into_a_spare_buffer_matches_a_new_array(with_form):
+    rng = np.random.default_rng(31)
+    m = 6
+    table = energy_table(_random_hamiltonian(m, rng))
+    if not with_form:
+        table = EnergyTable(m, table.energies)
+    amplitudes = random_state(m, 32)
+    spare = np.full(1 << m, np.nan, dtype=complex)
+    in_spare = apply_phase_separation(StateVector(m, amplitudes.copy()), table, 0.7, spare)
+    allocated = apply_phase_separation(StateVector(m, amplitudes.copy()), table, 0.7)
+    assert np.array_equal(in_spare.amplitudes, allocated.amplitudes)
+    assert np.array_equal(amplitudes * spare, in_spare.amplitudes)
