@@ -14,6 +14,13 @@ a negative seed. A config file may hold other commands' settings, so one
 file serves all three; a key that names no setting exits 2. `sweep --jobs`
 is capped by the number of cells. A command checks every input before it
 writes any file.
+
+Records: `solve` and `sweep` write `record.json` as exactly
+`json.dumps(doc, indent=2)` plus a newline, formatting each histogram
+probability once. `report` copies each probability's decimal text from the
+record into `hist_<cell>.csv` unchanged, after `float()` has checked it. A
+record that is not a JSON object, or whose histogram is not an object of
+numbers, exits 2 with an error naming the record.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ import math
 import os
 import sys
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -107,6 +115,36 @@ def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
     tmp.write_text(text)
     os.replace(tmp, path)
+
+
+def _labels_to_finite_floats(histogram: dict) -> bool:
+    """Whether json.dumps writes each entry as `"key": repr(value)`: str keys
+    of "0"/"1" only (nothing to escape) and finite float values."""
+    keys, values = histogram.keys(), histogram.values()
+    if not ({*map(type, keys)} <= {str} and {*map(type, values)} <= {float}):
+        return False
+    # A NaN or an infinity makes the sum non-finite; an overflowing sum of
+    # finite values only sends the histogram through json.dumps whole.
+    # Non-ASCII characters, lone surrogates too, encode as "?", not a bit.
+    labels = "".join(keys).encode("ascii", "replace")
+    return math.isfinite(sum(values)) and not labels.translate(None, b"01")
+
+
+def _record_text(doc: dict) -> str:
+    """record.json's text: exactly `json.dumps(doc, indent=2) + "\\n"`.
+
+    `indent` makes json fall back to its pure-Python encoder, which formats a
+    2^n-entry histogram one chunk at a time. Instead the document is dumped
+    with an empty histogram and the entries are joined in one pass. Any other
+    histogram goes through json.dumps whole."""
+    histogram = doc.get("histogram")
+    if not (isinstance(histogram, dict) and histogram and _labels_to_finite_floats(histogram)):
+        return json.dumps(doc, indent=2) + "\n"
+    # Only a top-level key follows a newline and exactly two spaces.
+    head, _, tail = json.dumps({**doc, "histogram": {}}, indent=2).partition(
+        '\n  "histogram": {}')
+    entries = ",\n    ".join([f'"{key}": {value!r}' for key, value in histogram.items()])
+    return f'{head}\n  "histogram": {{\n    {entries}\n  }}{tail}\n'
 
 
 def _resolve(args) -> dict:
@@ -258,7 +296,7 @@ def cmd_solve(args) -> int:
     doc, trace_text = _run_method(inst, method, cfg, schedule)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out_dir / "record.json", json.dumps(doc, indent=2) + "\n")
+    _write_atomic(out_dir / "record.json", _record_text(doc))
     _write_atomic(out_dir / "trace.csv", trace_text)
     _print_solve_row(doc)
     if not doc.get("feasible") or doc.get("bitstring") is None:
@@ -278,7 +316,7 @@ def _run_cell(payload: tuple) -> dict:
     try:
         inst = instance_mod.from_json(instance_text)
         doc, trace_text = _run_method(inst, method, {**cfg, "seed": seed}, schedule)
-        _write_atomic(run_dir / "record.json", json.dumps(doc, indent=2) + "\n")
+        _write_atomic(run_dir / "record.json", _record_text(doc))
         _write_atomic(run_dir / "trace.csv", trace_text)
         row["bitstring"] = doc.get("bitstring") or ""
         row["feasible"] = str(bool(doc.get("feasible")))
@@ -351,6 +389,36 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _histogram_csv(record_path: Path) -> str:
+    """hist_<cell>.csv of one record, in the record's order.
+
+    Every JSON number is loaded as its text, checked with float() and copied,
+    so no probability is parsed to a float and formatted again. A value that
+    float() takes but that is not bare ASCII text (a boolean, NaN, text with
+    surrounding spaces) is written as repr(float(value)), which keeps the CSV
+    one row per line.
+    """
+    try:
+        record = json.loads(record_path.read_text(), parse_float=str, parse_int=str)
+    except ValueError as exc:
+        raise ValueError(f"{record_path}: {exc}") from exc
+    if not isinstance(record, dict):
+        raise ValueError(f"{record_path}: holds a {type(record).__name__}, not a JSON object")
+    histogram = record.get("histogram") or {}
+    if not isinstance(histogram, dict):
+        raise ValueError(f"{record_path}: the histogram is a {type(histogram).__name__}, "
+                         "not a JSON object")
+    try:
+        deque(map(float, histogram.values()), maxlen=0)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{record_path}: a histogram probability is not a number: {exc}") from exc
+    return "bitstring,probability\n" + "".join([
+        f"{bitstring},{text}\n" if type(text) is str and text.isascii() and text.strip() == text
+        else f"{bitstring},{float(text)!r}\n"
+        for bitstring, text in histogram.items()
+    ])
+
+
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
     summary_path = run_dir / "summary.csv"
@@ -380,12 +448,7 @@ def cmd_report(args) -> int:
         record_path = run_dir / run_id / "record.json"
         if not record_path.exists():
             continue
-        record = json.loads(record_path.read_text())
-        histogram = record.get("histogram") or {}
-        text = "bitstring,probability\n" + "".join(
-            f"{bitstring},{float(probability)!r}\n" for bitstring, probability in histogram.items()
-        )
-        _write_atomic(run_dir / f"hist_{run_id}.csv", text)
+        _write_atomic(run_dir / f"hist_{run_id}.csv", _histogram_csv(record_path))
         written += 1
     print(f"wrote report.md and {written} histogram files under {run_dir}")
     return EXIT_OK
@@ -425,7 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", required=True, help="sweep output directory")
 
     report = sub.add_parser("report", help="emit the comparison table and each record's "
-                                           "asset-marginal histogram (hist_<cell>.csv)",
+                                           "asset-marginal histogram (hist_<cell>.csv, "
+                                           "each probability's text copied from the record)",
                             allow_abbrev=False)
     report.add_argument("--run-dir", required=True, dest="run_dir")
     report.set_defaults(func=cmd_report)
