@@ -5,8 +5,9 @@ all of them.
 A basis-state index encodes qubit 0 in its least-significant bit. The
 string form prints qubit 0 first (leftmost), so asset 0 is the first
 character: index 1 on three qubits renders as ``"100"``. Only
-``basis_labels`` turns basis-state indices into these labels
-(``index_to_string`` is its one-index case).
+``basis_label_block`` turns basis-state indices into these labels, as one
+ASCII block; ``basis_labels`` splits it into strings and
+``index_to_string`` is their one-index case.
 
 One prefix recursion serves sums and phases: combined by addition it
 gives the form's values (``quadratic_form_table``), combined by
@@ -23,14 +24,22 @@ import numpy as np
 MAX_QUBITS = 24
 
 
-def basis_labels(indices, num_bits: int) -> list[str]:
-    """Labels of many basis-state indices (num_bits <= 64) in one numpy pass:
-    bits unpacked lowest first, shifted to ASCII digits, decoded once, sliced."""
+def basis_label_block(indices, num_bits: int, end: bytes) -> bytes:
+    """Labels of many basis-state indices (num_bits <= 64) as one ASCII block,
+    in one numpy pass: per index, its bits unpacked lowest first and shifted
+    to the digits "0"/"1", then ``end``."""
     indices = np.asarray(indices, dtype="<u8").reshape(-1)
     low_bytes = indices.view(np.uint8).reshape(-1, 8)[:, : -(-num_bits // 8)]
-    bits = np.unpackbits(low_bytes, axis=1, bitorder="little")[:, :num_bits]
-    text = (bits + np.uint8(ord("0"))).tobytes().decode("ascii")
-    return [text[i * num_bits : (i + 1) * num_bits] for i in range(indices.size)]
+    rows = np.empty((indices.size, num_bits + len(end)), dtype=np.uint8)
+    np.add(np.unpackbits(low_bytes, axis=1, count=num_bits, bitorder="little"), np.uint8(ord("0")),
+           out=rows[:, :num_bits])
+    rows[:, num_bits:] = np.frombuffer(end, dtype=np.uint8)
+    return rows.tobytes()
+
+
+def basis_labels(indices, num_bits: int) -> list[str]:
+    """Labels of many basis-state indices: their block, decoded once and split once."""
+    return basis_label_block(indices, num_bits, b"\n").decode("ascii").splitlines()
 
 
 def index_to_string(index: int, num_bits: int) -> str:

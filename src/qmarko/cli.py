@@ -17,10 +17,16 @@ writes any file.
 
 Records: `solve` and `sweep` write `record.json` as exactly
 `json.dumps(doc, indent=2)` plus a newline, formatting each histogram
-probability once. `report` copies each probability's decimal text from the
-record into `hist_<cell>.csv` unchanged, after `float()` has checked it. A
-record that is not a JSON object, or whose histogram is not an object of
-numbers, exits 2 with an error naming the record.
+probability once. A QAOA record's histogram is formatted straight from its
+asset-marginal array, one chunk of entries per template, with no 2^n-entry
+container; a marginal that is not all finite is labelled and goes through
+json.dumps, and so do the oracle's and the classical baseline's dict
+histograms unless they are "0"/"1" labels to finite floats. `report` copies
+each probability's decimal text from the record into `hist_<cell>.csv`
+unchanged, after `float()` has checked it. A record that is not a JSON
+object, or whose histogram is not an object of numbers, exits 2 with an
+error naming the record, and `report` leaves no file behind: it renames its
+outputs into place only after the last record has converted.
 """
 
 from __future__ import annotations
@@ -37,8 +43,11 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from . import instance as instance_mod
 from . import encode, oracle, qaoa
+from .bitstrings import basis_label_block
 from .instance import as_integer
 
 EXIT_OK = 0
@@ -111,8 +120,12 @@ COMMAND_SETTINGS = {
 }
 
 
+def _temp_path(path: Path) -> Path:
+    return path.with_name(path.name + f".tmp.{os.getpid()}")
+
+
 def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
+    tmp = _temp_path(path)
     tmp.write_text(text)
     os.replace(tmp, path)
 
@@ -130,21 +143,57 @@ def _labels_to_finite_floats(histogram: dict) -> bool:
     return math.isfinite(sum(values)) and not labels.translate(None, b"01")
 
 
+# Histogram entries per template in _marginal_entries, and the text between
+# one entry's value and the next entry's label.
+_CHUNK = 1 << 12
+_NEXT_ENTRY = ',\n    "'
+_ENTRY_END = ('": %r' + _NEXT_ENTRY).encode("ascii")
+
+
+def _marginal_entries(marginal: np.ndarray) -> list[str]:
+    """The entries of a finite marginal's histogram as json.dumps(indent=2)
+    writes them, in chunks.
+
+    Each chunk is one template: its labels' ASCII block from `bitstrings`,
+    each label followed by `": %r,` and the next entry's indent and quote,
+    filled with the chunk's probabilities (%r is the repr json uses for a
+    finite float). No 2^n-entry container is built."""
+    num_bits = marginal.size.bit_length() - 1
+    chunks = ['"']
+    for start in range(0, marginal.size, _CHUNK):
+        stop = min(start + _CHUNK, marginal.size)
+        labels = basis_label_block(np.arange(start, stop), num_bits, _ENTRY_END)
+        chunks.append(labels.decode("ascii") % tuple(marginal[start:stop].tolist()))
+    chunks[-1] = chunks[-1].removesuffix(_NEXT_ENTRY)
+    return chunks
+
+
 def _record_text(doc: dict) -> str:
-    """record.json's text: exactly `json.dumps(doc, indent=2) + "\\n"`.
+    """record.json's text: exactly `json.dumps(doc, indent=2) + "\\n"`, where an
+    array histogram (`ExperimentRecord.document`) stands for its labelled
+    dict (`ExperimentRecord.to_dict`).
 
     `indent` makes json fall back to its pure-Python encoder, which formats a
-    2^n-entry histogram one chunk at a time. Instead the document is dumped
-    with an empty histogram and the entries are joined in one pass. Any other
-    histogram goes through json.dumps whole."""
+    2^n-entry histogram one entry at a time. Instead the document is dumped
+    with an empty histogram and the entries are spliced in: a finite array's
+    chunk by chunk (`_marginal_entries`), a dict of "0"/"1" labels to finite
+    floats joined in one pass. An array that is not all finite is labelled
+    and, like any other histogram, goes through json.dumps whole."""
     histogram = doc.get("histogram")
-    if not (isinstance(histogram, dict) and histogram and _labels_to_finite_floats(histogram)):
+    if isinstance(histogram, np.ndarray):
+        if np.isfinite(histogram).all():
+            entries = _marginal_entries(histogram)
+        else:
+            return json.dumps({**doc, "histogram": qaoa.labelled_histogram(histogram)},
+                              indent=2) + "\n"
+    elif isinstance(histogram, dict) and histogram and _labels_to_finite_floats(histogram):
+        entries = [",\n    ".join([f'"{key}": {value!r}' for key, value in histogram.items()])]
+    else:
         return json.dumps(doc, indent=2) + "\n"
     # Only a top-level key follows a newline and exactly two spaces.
     head, _, tail = json.dumps({**doc, "histogram": {}}, indent=2).partition(
         '\n  "histogram": {}')
-    entries = ",\n    ".join([f'"{key}": {value!r}' for key, value in histogram.items()])
-    return f'{head}\n  "histogram": {{\n    {entries}\n  }}{tail}\n'
+    return "".join([head, '\n  "histogram": {\n    ', *entries, "\n  }", tail, "\n"])
 
 
 def _resolve(args) -> dict:
@@ -229,7 +278,7 @@ def _slack_qaoa(inst, cfg, schedule, penalty) -> tuple[dict, list]:
         inst, schedule, p=cfg["p"], mixer=cfg["mixer"] or "conditional",
         seed=cfg["seed"], optimizer=cfg["optimizer"],
     )
-    return record.to_dict(), record.trace
+    return record.document(), record.trace
 
 
 def _fixed_penalty_qaoa(entry_point: str):
@@ -240,7 +289,7 @@ def _fixed_penalty_qaoa(entry_point: str):
         record = getattr(qaoa, entry_point)(inst, a_card=penalty, p=cfg["p"],
                                             budget=cfg["max_iter"], seed=cfg["seed"],
                                             optimizer=cfg["optimizer"])
-        return record.to_dict(), record.trace
+        return record.document(), record.trace
     return run
 
 
@@ -439,18 +488,28 @@ def cmd_report(args) -> int:
             f"| {row['feasible']} | {value_text} |"
         )
     table = "\n".join(lines) + "\n"
-    _write_atomic(run_dir / "report.md", table)
-    print(table, end="")
 
-    written = 0
-    for row in rows:
-        run_id = f"{row['method']}_seed{row['seed']}"
-        record_path = run_dir / run_id / "record.json"
-        if not record_path.exists():
-            continue
-        _write_atomic(run_dir / f"hist_{run_id}.csv", _histogram_csv(record_path))
-        written += 1
-    print(f"wrote report.md and {written} histogram files under {run_dir}")
+    # Every output is written under its temp name and renamed only once the
+    # last record has converted, so a malformed record leaves no file behind.
+    outputs = [run_dir / "report.md"]
+    try:
+        _temp_path(outputs[0]).write_text(table)
+        for row in rows:
+            run_id = f"{row['method']}_seed{row['seed']}"
+            record_path = run_dir / run_id / "record.json"
+            if not record_path.exists():
+                continue
+            text = _histogram_csv(record_path)
+            outputs.append(run_dir / f"hist_{run_id}.csv")
+            _temp_path(outputs[-1]).write_text(text)
+    except BaseException:
+        for path in outputs:
+            _temp_path(path).unlink(missing_ok=True)
+        raise
+    for path in dict.fromkeys(outputs):  # a summary row may repeat a cell
+        os.replace(_temp_path(path), path)
+    print(table, end="")
+    print(f"wrote report.md and {len(outputs) - 1} histogram files under {run_dir}")
     return EXIT_OK
 
 

@@ -158,7 +158,7 @@ class PortfolioPick:
     probability: float | None = None
 
 
-def _histogram(probabilities: np.ndarray) -> dict[str, float]:
+def labelled_histogram(probabilities: np.ndarray) -> dict[str, float]:
     """Probabilities of a 2^b distribution keyed by their b-bit basis labels,
     in basis-index order."""
     size = probabilities.size
@@ -181,7 +181,8 @@ class ExperimentRecord:
     ``probabilities`` and its 2^n asset ``marginal``, both in basis-index
     order; ``histogram`` labels the register probabilities on each access.
     ``record.json`` (``to_dict``) holds the marginal only, under the key
-    ``histogram``. Records compare by identity, since they hold arrays.
+    ``histogram``; ``document`` is the same document with the marginal
+    still an array. Records compare by identity, since they hold arrays.
     """
 
     method: str
@@ -205,7 +206,7 @@ class ExperimentRecord:
     @property
     def histogram(self) -> dict[str, float]:
         """Probability of every register basis state, keyed by its m-bit label."""
-        return _histogram(self.probabilities)
+        return labelled_histogram(self.probabilities)
 
     @property
     def iterations_used(self) -> int:
@@ -215,10 +216,10 @@ class ExperimentRecord:
     def objective_trace(self) -> tuple[float, ...]:
         return tuple(row.expectation for row in self.trace)
 
-    def to_dict(self) -> dict:
+    def document(self) -> dict:
+        """record.json's document with "histogram" left as the marginal array;
+        `qmarko` formats it straight from the array."""
         # asdict on the parts only: on the record it would deep-copy the arrays.
-        # "histogram" is the asset marginal keyed by n-bit labels, in
-        # basis-index order; `qmarko report` writes it in that order.
         return {
             "method": self.method,
             "seed": self.seed,
@@ -227,7 +228,7 @@ class ExperimentRecord:
             "initial_params": asdict(self.initial_params),
             "final_params": asdict(self.final_params),
             "final_beta_penalty": self.final_beta_penalty,
-            "histogram": _histogram(self.marginal),
+            "histogram": self.marginal,
             "best_feasible": asdict(self.best_feasible) if self.best_feasible else None,
             "most_probable": asdict(self.most_probable),
             "bitstring": self.reported.bitstring if self.reported else None,
@@ -241,6 +242,12 @@ class ExperimentRecord:
             "trace": [asdict(row) for row in self.trace],
             "variance_bound": asdict(self.variance_bound),
         }
+
+    def to_dict(self) -> dict:
+        """record.json's document as JSON values: "histogram" is the asset
+        marginal keyed by n-bit labels, in basis-index order; `qmarko report`
+        writes it in that order."""
+        return {**self.document(), "histogram": labelled_histogram(self.marginal)}
 
 
 class _BudgetExhausted(Exception):

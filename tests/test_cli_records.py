@@ -3,14 +3,21 @@
 import csv
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qmarko import cli
 from qmarko.cli import EXIT_INVALID, EXIT_NO_FEASIBLE, EXIT_OK, METHODS, SUMMARY_COLUMNS, main
 from qmarko.instance import generate_instance
-from qmarko.qaoa import run_baseline_penalty_qaoa
+from qmarko.qaoa import (
+    ScheduleConfig,
+    run_baseline_penalty_qaoa,
+    run_cardinality_slack_qaoa,
+    run_schedule,
+)
 
 FAST = ["--max-iter", "12", "--doubling-interval", "6", "--shots", "64"]
 
@@ -151,3 +158,77 @@ def test_report_exits_2_on_a_malformed_record(tmp_path, capsys, record_text):
     assert main(["report", "--run-dir", str(tmp_path / "run")]) == EXIT_INVALID
     assert str(record_path) in capsys.readouterr().err
     assert not (tmp_path / "run" / "hist_oracle_seed1.csv").exists()
+
+
+def _labelled(doc: dict) -> dict:
+    """`doc` with its marginal array keyed by n-bit labels, qubit 0 first,
+    labelled here without the package's labeller."""
+    marginal = doc["histogram"]
+    bits = marginal.size.bit_length() - 1
+    labels = [format(index, f"0{bits}b")[::-1] for index in range(marginal.size)]
+    return {**doc, "histogram": dict(zip(labels, marginal.tolist()))}
+
+
+@st.composite
+def _marginals(draw):
+    """Arrays of 2^1 ... 2^14 probabilities, below, at and above one writer
+    chunk, with 0.0, the smallest subnormal and 1.0 forced in."""
+    size = 1 << draw(st.integers(1, 14))
+    marginal = draw(arrays(np.float64, size, elements=st.floats(0, 1), fill=st.floats(0, 1)))
+    forced = [0.0, 5e-324, 1.0][:size]
+    positions = draw(st.lists(st.integers(0, size - 1), min_size=len(forced),
+                              max_size=len(forced), unique=True))
+    marginal[positions] = forced
+    return marginal
+
+
+# No shrink phase: a failure turns on the size, a power of two, and shrinking
+# up to 2^14 floats one at a time takes minutes.
+@settings(max_examples=60, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(_marginals())
+def test_record_writer_formats_a_marginal_array_as_json_dumps_of_its_labels(marginal):
+    doc = {"method": "x", "histogram": marginal, "trace": [{"a": 1.0}], "value": None}
+    assert cli._record_text(doc) == _dumps(_labelled(doc))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_record_writer_labels_a_non_finite_marginal_for_json_dumps(value):
+    marginal = np.full(1 << 13, 1.0 / (1 << 13))
+    marginal[4097] = value
+    doc = {"seed": 1, "histogram": marginal, "iterations": 0}
+    assert cli._record_text(doc) == _dumps(_labelled(doc))
+
+
+@pytest.mark.parametrize("run", [
+    lambda inst: run_schedule(inst, ScheduleConfig(doubling_interval=6, feasibility_shots=64,
+                                                   max_iterations=12), seed=2),
+    lambda inst: run_baseline_penalty_qaoa(inst, p=1, budget=6, seed=2),
+    lambda inst: run_cardinality_slack_qaoa(inst, p=1, budget=6, seed=2),
+], ids=["slack-qaoa", "penalty-qaoa", "cardinality-slack-qaoa"])
+def test_record_writer_gives_the_same_text_for_the_array_document(run):
+    record = run(generate_instance(4, 2, 5))
+    assert isinstance(record.document()["histogram"], np.ndarray)
+    assert cli._record_text(record.document()) == cli._record_text(record.to_dict())
+
+
+def test_report_writes_nothing_when_a_later_record_is_malformed(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--n", "3", "--k", "1", "--methods", "oracle,penalty-qaoa",
+                 "--seeds", "1", *FAST, "--out", str(out)]) == EXIT_OK
+    second = out / "penalty-qaoa_seed1" / "record.json"
+    good_record = second.read_text()
+    second.write_text('{"histogram": {"100": null}}')
+    assert main(["report", "--run-dir", str(out)]) == EXIT_INVALID
+    assert str(second) in capsys.readouterr().err
+    assert not [path.name for path in out.iterdir()
+                if path.name == "report.md" or path.name.startswith("hist_") or ".tmp." in path.name]
+
+    # An earlier report is left as it was.
+    second.write_text(good_record)
+    assert main(["report", "--run-dir", str(out)]) == EXIT_OK
+    before = {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()}
+    assert {"report.md", "hist_oracle_seed1.csv", "hist_penalty-qaoa_seed1.csv"} <= set(before)
+    second.write_text('{"histogram": {"100": null}}')
+    assert main(["report", "--run-dir", str(out)]) == EXIT_INVALID
+    assert {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()} == before
+    capsys.readouterr()
