@@ -56,10 +56,6 @@ def index_to_bits(index: int, num_bits: int) -> np.ndarray:
     return (index >> np.arange(num_bits)) & 1
 
 
-def string_to_bits(bits: str) -> np.ndarray:
-    return index_to_bits(string_to_index(bits), len(bits))
-
-
 def _prefix_recursion(quadratic, linear, constant, combine, lift, out=None) -> np.ndarray:
     """lift(x'Qx + b'x + c) for every basis state x, where ``lift`` maps
     sums to ``combine``-products (identity for np.add, x -> exp(-i*gamma*x)

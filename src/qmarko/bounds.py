@@ -1,9 +1,10 @@
 """Risk/return observables and the commuting-limit variance inequality.
 
 Both observables are diagonal in the computational basis and act only on
-the asset qubits, so Var(R) * Var(M) >= Cov(R, M)^2 holds for every state
-(Cauchy–Schwarz); ``check_variance_bound`` measures the slack of that
-inequality as an implementation guard and an empirical probe.
+the asset qubits, so Var(R) * Var(M) >= Cov(R, M)^2 holds for every
+distribution over the asset bits (Cauchy–Schwarz); ``variance_bound``
+measures the slack of that inequality on a record's asset marginal, as an
+implementation guard and an empirical probe.
 """
 
 from __future__ import annotations
@@ -14,43 +15,27 @@ import numpy as np
 
 from .encode import IsingHamiltonian
 from .instance import PortfolioInstance
-from .simulate import StateVector, energy_table
+from .simulate import energy_table
 
 
-@dataclass(frozen=True)
-class DiagonalObservable:
-    """Eigenvalue per computational basis state."""
-
-    num_qubits: int
-    values: np.ndarray
-
-
-def risk_observable(instance: PortfolioInstance) -> DiagonalObservable:
+def risk_observable(instance: PortfolioInstance) -> np.ndarray:
     """sum_{i<j} Sigma_ij z_i z_j + sum_i Sigma_ii z_i over the asset qubits,
-    tabulated as an n-qubit Ising energy."""
+    tabulated as an n-qubit Ising energy: one eigenvalue per basis state."""
     n = instance.n
     couplings = {(i, j): float(instance.sigma[i, j]) for i in range(n) for j in range(i + 1, n)}
     hamiltonian = IsingHamiltonian(n, couplings, np.diag(instance.sigma), 0.0)
-    return DiagonalObservable(n, energy_table(hamiltonian).energies)
+    return energy_table(hamiltonian).energies
 
 
-def return_observable(instance: PortfolioInstance) -> DiagonalObservable:
+def return_observable(instance: PortfolioInstance) -> np.ndarray:
     """sum_i mu_i z_i over the asset qubits, tabulated as an n-qubit Ising energy."""
     hamiltonian = IsingHamiltonian(instance.n, {}, instance.mu, 0.0)
-    return DiagonalObservable(instance.n, energy_table(hamiltonian).energies)
-
-
-def moments(state: StateVector, a: DiagonalObservable, b: DiagonalObservable):
-    """(mean_a, mean_b, var_a, var_b, cov_ab) under the measurement distribution."""
-    if a.num_qubits != state.num_qubits or b.num_qubits != state.num_qubits:
-        raise ValueError(
-            f"observables on {a.num_qubits}/{b.num_qubits} qubits cannot pair "
-            f"with a {state.num_qubits}-qubit state"
-        )
-    return _moments_from_probabilities(state.probabilities(), a.values, b.values)
+    return energy_table(hamiltonian).energies
 
 
 def _moments_from_probabilities(p: np.ndarray, va: np.ndarray, vb: np.ndarray):
+    """(mean_a, mean_b, var_a, var_b, cov_ab) of two diagonal observables
+    under the distribution ``p``."""
     mean_a = float(p @ va)
     mean_b = float(p @ vb)
     var_a = float(p @ (va * va)) - mean_a * mean_a
@@ -73,29 +58,16 @@ class BoundReport:
     slack: float
 
 
-def asset_marginal(state: StateVector, n: int) -> np.ndarray:
-    """Probability distribution over the first n qubits, ancillas traced out."""
-    if state.num_qubits < n:
-        raise ValueError(f"state has {state.num_qubits} qubits, needs at least {n}")
-    p = state.probabilities()
-    return p.reshape(-1, 1 << n).sum(axis=0)
-
-
-def check_variance_bound(state: StateVector, instance: PortfolioInstance) -> BoundReport:
-    """Evaluate Var(R)*Var(M) - Cov(R,M)^2 on the state's asset-bit marginal.
-
-    The slack is nonnegative up to rounding for every state; a materially
-    negative value indicates a broken moment computation.
-    """
-    return variance_bound(asset_marginal(state, instance.n), instance)
-
-
 def variance_bound(p: np.ndarray, instance: PortfolioInstance) -> BoundReport:
-    """``check_variance_bound`` on an asset marginal ``p`` (2^n probabilities
-    in basis-index order) that the caller already holds."""
-    risk = risk_observable(instance)
-    ret = return_observable(instance)
-    mean_r, mean_m, var_r, var_m, cov = _moments_from_probabilities(p, risk.values, ret.values)
+    """Var(R)*Var(M) - Cov(R,M)^2 on an asset marginal ``p`` (2^n
+    probabilities in basis-index order).
+
+    The slack is nonnegative up to rounding for every distribution; a
+    materially negative value indicates a broken moment computation.
+    """
+    mean_r, mean_m, var_r, var_m, cov = _moments_from_probabilities(
+        p, risk_observable(instance), return_observable(instance)
+    )
     slack = var_r * var_m - cov * cov
     return BoundReport(
         mean_risk=mean_r,

@@ -232,18 +232,3 @@ def to_ising(program: QuboProgram) -> IsingHamiltonian:
         + (float(q.sum()) - trace) / 4.0
     )
     return IsingHamiltonian(m, couplings, fields, offset)
-
-
-def ising_energy(hamiltonian: IsingHamiltonian, x) -> float:
-    """Energy of a bitstring under the spin convention z = 1 - 2x."""
-    bits = np.asarray(x, dtype=float)
-    if bits.shape != (hamiltonian.num_qubits,):
-        raise ValueError(
-            f"x must have shape ({hamiltonian.num_qubits},), got {bits.shape}"
-        )
-    z = 1.0 - 2.0 * bits
-    energy = hamiltonian.offset + float(hamiltonian.fields @ z)
-    for (i, j), coupling in hamiltonian.couplings.items():
-        energy += coupling * z[i] * z[j]
-    return float(energy)
-

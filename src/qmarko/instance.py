@@ -24,7 +24,6 @@ MU_LOW = 0.01
 MU_HIGH = 0.10
 # Standard deviation of the lower-triangular covariance factor entries.
 SIGMA_FACTOR_STD = 0.05
-PSD_EIGENVALUE_FLOOR = -1e-10
 
 
 @dataclass(frozen=True)
@@ -98,51 +97,6 @@ def generate_instance(
     return PortfolioInstance(
         n=n, k=k, mu=mu, sigma=sigma, alpha=alpha,
         lambda_weight=lambda_weight, q_risk=q_risk, seed=seed,
-    )
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Per-invariant pass/fail flags; failures are reported, never raised."""
-
-    symmetric: bool
-    positive_semidefinite: bool
-    mu_in_range: bool
-    alpha_k_hot: bool
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.symmetric
-            and self.positive_semidefinite
-            and self.mu_in_range
-            and self.alpha_k_hot
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "symmetric": self.symmetric,
-            "positive_semidefinite": self.positive_semidefinite,
-            "mu_in_range": self.mu_in_range,
-            "alpha_k_hot": self.alpha_k_hot,
-            "passed": self.passed,
-        }
-
-
-def validate(instance: PortfolioInstance) -> ValidationReport:
-    """Check the generator invariants on an arbitrary instance."""
-    sigma = instance.sigma
-    symmetric = bool(np.all(sigma == sigma.T))
-    psd = bool(np.linalg.eigvalsh(sigma).min() >= PSD_EIGENVALUE_FLOOR)
-    mu_ok = bool(np.all((instance.mu >= MU_LOW) & (instance.mu <= MU_HIGH)))
-    ones = int(np.count_nonzero(instance.alpha == 1.0))
-    zeros = int(np.count_nonzero(instance.alpha == 0.0))
-    k_hot = ones == instance.k and zeros == instance.n - instance.k
-    return ValidationReport(
-        symmetric=symmetric,
-        positive_semidefinite=psd,
-        mu_in_range=mu_ok,
-        alpha_k_hot=k_hot,
     )
 
 

@@ -8,13 +8,14 @@ until the sampled portfolios are feasible at the target rate or the
 iteration cap is hit. Angle optimization is warm-started across penalty
 doublings.
 
-One run path. Every angle search, whether ``optimize_angles``, a segment
-of ``run_schedule`` or a fixed-penalty baseline run, is one call of
-``_search_angles`` (tabulate the Hamiltonian, build its ansatz once, scale
-the angles, minimize the expectation), and every record is built from its
-final state by ``_record`` (register probabilities, asset marginal, picks,
-feasible mass, variance bound). The record's JSON ``histogram`` is the
-asset marginal: 2^n entries whatever the register size.
+One run path. Every angle search, whether a segment of ``run_schedule``
+or a fixed-penalty baseline run, is one call of ``_search_angles``
+(tabulate the Hamiltonian, build its ansatz once, scale the angles,
+minimize the expectation); ``_ansatz`` is the one ansatz entry point; and
+every record is built from its final state by ``_record`` (register
+probabilities, asset marginal, picks, feasible mass, variance bound). The
+record's JSON ``histogram`` is the asset marginal: 2^n entries whatever
+the register size.
 
 Frames. ``_ansatz`` evolves a state that the rest of the package never
 sees. In the real frame (phase S = diag(1, i) taken off every qubit)
@@ -35,8 +36,7 @@ a scaled phase angle means the same fraction of the spectrum whatever the
 penalty weight, so the landscape keeps its period in theta as the penalty
 grows, and the warm start carries theta, not gamma, across a doubling.
 Mixer angles are never scaled. Everything outside the search is physical:
-``QaoaParams`` in records, ``run_ansatz``, circuit export, traces and
-expectations.
+``QaoaParams`` in records and in ``_ansatz``, traces and expectations.
 """
 
 from __future__ import annotations
@@ -171,11 +171,12 @@ class ExperimentRecord:
 
     ``initial_params`` and ``final_params`` are physical angles for the
     Hamiltonian at ``final_beta_penalty`` (``initial_params`` at the first
-    penalty weight of a schedule), so ``_ansatz_state(table,
-    record.final_params, record.mixer, pairs)`` on that Hamiltonian's table
-    reproduces the final state. ``trace`` holds one row per optimizer
-    evaluation, numbered from 1 across penalty doublings; ``iterations_used``
-    and ``objective_trace`` are derived from it, not stored.
+    penalty weight of a schedule), so ``_ansatz(table, record.mixer,
+    pairs)(record.final_params)`` on that Hamiltonian's table reproduces
+    the final state, and its asset marginal is ``marginal`` exactly.
+    ``trace`` holds one row per optimizer evaluation, numbered from 1
+    across penalty doublings; ``iterations_used`` and ``objective_trace``
+    are derived from it, not stored.
 
     In memory the record holds the final state's 2^m register
     ``probabilities`` and its 2^n asset ``marginal``, both in basis-index
@@ -381,21 +382,6 @@ class _ansatz:
         return StateVector(self._table.num_qubits, amplitudes)
 
 
-def _ansatz_state(table: EnergyTable, params: QaoaParams, mixer: str, pairs) -> StateVector:
-    """One state of ``_ansatz(table, mixer, pairs)``."""
-    return _ansatz(table, mixer, pairs)(params)
-
-
-def run_ansatz(
-    hamiltonian: IsingHamiltonian,
-    params: QaoaParams,
-    mixer: str = "standard",
-    pairs=None,
-) -> StateVector:
-    """p alternating layers of phase separation and mixing on the uniform state."""
-    return _ansatz_state(energy_table(hamiltonian), params, mixer, pairs)
-
-
 def _angle_scale(hamiltonian: IsingHamiltonian) -> float:
     """Coefficient norm sum|h| + sum|J| (offset excluded), or 1.0 when it is 0.
 
@@ -442,28 +428,6 @@ def _draw_initial_angles(rng: np.random.Generator, p: int) -> np.ndarray:
     return rng.uniform(0.0, np.pi, size=2 * p)
 
 
-def optimize_angles(
-    hamiltonian: IsingHamiltonian,
-    p: int,
-    optimizer: str = "cobyla",
-    budget: int = 200,
-    seed: int = 0,
-    mixer: str = "standard",
-    pairs=None,
-):
-    """Minimize the ansatz expectation over the 2p angles from a seeded start.
-
-    The search runs in scaled coordinates (see ``_angle_scale``); the
-    returned angles are physical. Returns (best_params, trace); the trace
-    lists every objective value in evaluation order. Budget exhaustion
-    returns the best angles seen.
-    """
-    theta0 = _draw_initial_angles(np.random.default_rng(seed), p)
-    minimize = partial(minimize_with_budget, optimizer=optimizer, budget=budget)
-    _, scale, theta, evals = _search_angles(hamiltonian, theta0, minimize, mixer, pairs)
-    return _physical_params(theta, scale), evals
-
-
 def _sampled_feasible_fraction(feasible: np.ndarray, counts: np.ndarray) -> float:
     """Share of the sampled shots whose asset bits (the low n bits of the
     basis index) select a feasible portfolio."""
@@ -494,11 +458,6 @@ def _picks(instance: PortfolioInstance, marginal: np.ndarray):
     return best, pick(int(np.argmax(marginal))), float(marginal[feasible].sum())
 
 
-def _portfolio_picks(instance: PortfolioInstance, state: StateVector):
-    """``_picks`` of the state's asset marginal."""
-    return _picks(instance, bounds.asset_marginal(state, instance.n))
-
-
 def _record(
     instance: PortfolioInstance, state: StateVector, report_most_probable: bool, **fields
 ) -> ExperimentRecord:
@@ -508,7 +467,8 @@ def _record(
     The amplitudes are squared into register probabilities once, and the
     marginal, picks, feasible mass and variance bound are read from them."""
     probabilities = state.probabilities()
-    marginal = probabilities.reshape(-1, 1 << instance.n).sum(axis=0)  # as bounds.asset_marginal
+    # Sum over the ancilla bits, the high bits of the basis index.
+    marginal = probabilities.reshape(-1, 1 << instance.n).sum(axis=0)
     best_feasible, most_probable, feasible_mass = _picks(instance, marginal)
     return ExperimentRecord(
         probabilities=probabilities,

@@ -5,10 +5,11 @@ over the whole register rather than applying gates one by one. The
 phases come from the table's bit form by multiplicative doubling
 (``bitstrings.quadratic_form_phases``), one complex exponential per
 coefficient rather than per amplitude; ``np.exp`` over the energies is
-used only for tables that carry no form. A textual gate export plus a
-test-side interpreter covers the gate-level view. Both mixers are tensor
-powers of one small unitary and run on a shared kernel that applies them
-as dense block gates, one BLAS matmul per block of BLOCK_QUBITS qubits.
+used only for tables that carry no form. Both mixers are tensor powers
+of one small real unitary (see the real frame below) and run on one
+kernel that applies them as dense block gates, one BLAS matmul per block
+of BLOCK_QUBITS qubits. ``qaoa._ansatz`` is the one caller that composes
+these kernels into an ansatz.
 
 Amplitude index convention: qubit 0 is the least significant bit (see
 ``bitstrings``). A frame is another qubit order, ``order[i]`` being the
@@ -39,21 +40,17 @@ a new array, and phase separation can build its phases in that buffer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 # MAX_QUBITS lives next to the tabulator and is re-exported from here.
-from .bitstrings import MAX_QUBITS, basis_labels, quadratic_form_phases, quadratic_form_table
+from .bitstrings import MAX_QUBITS, quadratic_form_phases, quadratic_form_table
 from .encode import IsingHamiltonian
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .qaoa import QaoaParams
 
 
 @dataclass
 class StateVector:
-    """2^m complex amplitudes; mutated in place by the apply_* operations."""
+    """2^m complex amplitudes; mutated in place by phase separation."""
 
     num_qubits: int
     amplitudes: np.ndarray
@@ -96,24 +93,12 @@ def energy_table(hamiltonian: IsingHamiltonian) -> EnergyTable:
     )
 
 
-def _check_qubits(num_qubits: int) -> None:
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValueError(f"qubit count {num_qubits} outside [1, {MAX_QUBITS}]")
-
-
-def uniform_superposition(num_qubits: int) -> StateVector:
-    """Equal-amplitude state over all basis states, phase zero."""
-    _check_qubits(num_qubits)
-    size = 1 << num_qubits
-    amplitudes = np.full(size, 1.0 / np.sqrt(size), dtype=np.complex128)
-    return StateVector(num_qubits, amplitudes)
-
-
 def workspace(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     """Two 2^m complex buffers for an ansatz to hold its state in one and
     its phases or the next block's output in the other. The qubit count is
     checked against MAX_QUBITS first."""
-    _check_qubits(num_qubits)
+    if not 1 <= num_qubits <= MAX_QUBITS:
+        raise ValueError(f"qubit count {num_qubits} outside [1, {MAX_QUBITS}]")
     # Two arrays, not the rows of one: a single 2 x 2^m allocation raised
     # the peak RSS of an 18-qubit sweep by 5 MB (the allocator then kept
     # later 2^m-sized temporaries on its heap).
@@ -180,13 +165,11 @@ def apply_phase_separation(
 BLOCK_QUBITS = 4
 
 
-def _rx_matrix(beta_angle: float, real_frame: bool = False) -> np.ndarray:
-    """exp(-i*beta_angle*X), i.e. Rx(2*beta_angle); in the real frame
-    S^dag exp(-i*beta_angle*X) S = R(beta_angle), a real rotation."""
+def _rx_matrix(beta_angle: float) -> np.ndarray:
+    """exp(-i*beta_angle*X) in the real frame: S^dag exp(-i*beta_angle*X) S
+    = R(beta_angle), a real rotation."""
     cos_b, sin_b = np.cos(beta_angle), np.sin(beta_angle)
-    if real_frame:
-        return np.array([[cos_b, sin_b], [-sin_b, cos_b]])
-    return np.array([[cos_b, -1j * sin_b], [-1j * sin_b, cos_b]])
+    return np.array([[cos_b, sin_b], [-sin_b, cos_b]])
 
 
 def _apply_unit_power(
@@ -197,17 +180,16 @@ def _apply_unit_power(
     Copy k of ``unit`` (a 2^w x 2^w matrix on w qubits) acts on qubits
     [k*w, (k+1)*w); higher qubits are untouched. Copies are grouped into
     blocks of at most BLOCK_QUBITS qubits, whose gate is the Kronecker
-    power of ``unit``. The lowest block is one complex GEMM over rows of
-    the flat state; each higher block is one batched matmul with the
-    block's qubits as the middle axis, on the float64 view of the
-    amplitudes when ``unit`` is real (real and imaginary parts are then
-    two more columns). Each block writes into the other of ``amplitudes``
-    and ``spare`` (flat 2^m complex arrays); returns the one holding the
-    result, ``amplitudes`` itself after an even number of blocks.
+    power of ``unit``, a real matrix. The lowest block is one complex GEMM
+    over rows of the flat state; each higher block is one batched matmul
+    with the block's qubits as the middle axis, on the float64 view of the
+    amplitudes (real and imaginary parts are then two more columns). Each
+    block writes into the other of ``amplitudes`` and ``spare`` (flat 2^m
+    complex arrays); returns the one holding the result, ``amplitudes``
+    itself after an even number of blocks.
     """
     width = unit.shape[0].bit_length() - 1
     per_block = max(1, BLOCK_QUBITS // width)
-    real = not np.iscomplexobj(unit)
     current, other = amplitudes, spare
     low = 0
     while count > 0:
@@ -219,37 +201,17 @@ def _apply_unit_power(
         if low == 0:
             lowest = gate.T.astype(np.complex128)
             np.matmul(current.reshape(-1, dim), lowest, out=other.reshape(-1, dim))
-        elif real:
+        else:
             shape = (-1, dim, 2 << low)
             np.matmul(
                 gate,
                 current.view(np.float64).reshape(shape),
                 out=other.view(np.float64).reshape(shape),
             )
-        else:
-            shape = (-1, dim, 1 << low)
-            np.matmul(gate, current.reshape(shape), out=other.reshape(shape))
         current, other = other, current
         low += copies * width
         count -= copies
     return current
-
-
-def _apply_unit_power_in_place(amplitudes: np.ndarray, unit: np.ndarray, count: int) -> None:
-    """``_apply_unit_power`` with a new spare buffer, the result left in ``amplitudes``."""
-    mixed = _apply_unit_power(amplitudes, unit, count, np.empty_like(amplitudes))
-    if mixed is not amplitudes:
-        amplitudes[:] = mixed
-
-
-def apply_mixer(state: StateVector, beta_angle: float) -> StateVector:
-    """exp(-i*beta_angle*X) on every qubit, i.e. Rx(2*beta_angle) each.
-
-    The m rotations act on distinct qubits, so the layer is the tensor
-    power Rx^(x m), applied in blocks of BLOCK_QUBITS qubits.
-    """
-    _apply_unit_power_in_place(state.amplitudes, _rx_matrix(beta_angle), state.num_qubits)
-    return state
 
 
 def apply_real_frame_mixer(
@@ -262,9 +224,9 @@ def apply_real_frame_mixer(
     buffers as ``_apply_unit_power`` does and returns the one holding the
     result."""
     if pair_count is None:
-        unit, count = _rx_matrix(beta_angle, real_frame=True), amplitudes.size.bit_length() - 1
+        unit, count = _rx_matrix(beta_angle), amplitudes.size.bit_length() - 1
     else:
-        unit, count = _pair_unit(beta_angle, real_frame=True), pair_count
+        unit, count = _pair_unit(beta_angle), pair_count
     return _apply_unit_power(amplitudes, unit, count, spare)
 
 
@@ -282,14 +244,18 @@ def _validate_pairs(num_qubits: int, pairs) -> list[tuple[int, int]]:
     return cleaned
 
 
-def _pair_unit(beta_angle: float, real_frame: bool = False) -> np.ndarray:
-    """Rx(asset) . CRx(asset -> ancilla) on one pair, as a 4x4 matrix.
+def _pair_unit(beta_angle: float) -> np.ndarray:
+    """Rx(asset) . CRx(asset -> ancilla) on one pair in the real frame, as a
+    4x4 matrix.
 
-    Basis index 2*ancilla + asset (the ancilla is the higher qubit). The
-    projectors commute with S, so the real-frame unit is the same formula
-    over R(beta_angle).
+    Each ancilla is rotated only where its asset qubit is 1 (a controlled
+    rotation, whatever the ancilla holds), then the asset is rotated: the
+    controlled rotation reads the asset bit before the asset rotation
+    scrambles it. Basis index 2*ancilla + asset (the ancilla is the higher
+    qubit). The projectors commute with S, so the unit is the gate-level
+    formula over R(beta_angle).
     """
-    rx = _rx_matrix(beta_angle, real_frame)
+    rx = _rx_matrix(beta_angle)
     project_0 = np.diag([1.0, 0.0])
     project_1 = np.diag([0.0, 1.0])
     return np.kron(np.eye(2), rx @ project_0) + np.kron(rx, rx @ project_1)
@@ -300,8 +266,10 @@ def pair_frame(num_qubits: int, pairs) -> list[int]:
 
     Pair k's asset qubit moves to position 2k and its ancilla to 2k + 1;
     unpaired qubits follow in ascending order. In this frame the pairs are
-    ``[(0, 1), (2, 3), ...]``, the layout ``apply_conditional_mixer``
-    applies without a transpose.
+    ``[(0, 1), (2, 3), ...]``: pairs are disjoint, so their units commute,
+    and the conditional mixer layer is the tensor power of ``_pair_unit``
+    that ``apply_real_frame_mixer`` applies without a transpose. Raises
+    ValueError on a qubit out of range or in two pairs.
     """
     cleaned = _validate_pairs(num_qubits, pairs)
     paired = [qubit for pair in cleaned for qubit in pair]
@@ -340,40 +308,6 @@ def frame_table(table: EnergyTable, order) -> EnergyTable:
     return EnergyTable(table.num_qubits, to_frame(table.energies, order), form)
 
 
-def apply_conditional_mixer(state: StateVector, beta_angle: float, pairs) -> StateVector:
-    """Slack-aware mixer layer.
-
-    Each ancilla receives exp(-i*beta_angle*X) only on basis states where
-    its paired asset qubit is 1 (a controlled rotation, applied whatever
-    the ancilla currently holds); asset qubits then receive the standard
-    Rx(2*beta_angle). The controlled rotations read the asset bits before
-    the asset rotations scramble them.
-
-    Pairs are disjoint, so gates on different pairs act on different
-    qubits and commute: "all controlled rotations, then all asset
-    rotations" equals one fused 4x4 unitary per pair. In the pair frame
-    (``pair_frame``) that layer is the tensor power of the unit, applied
-    in blocks of BLOCK_QUBITS qubits. Pairs that are already the frame's,
-    ``[(0, 1), (2, 3), ...]``, are mixed in place; any other layout is
-    transposed into its frame and back around the tensor power. An ansatz
-    that runs every layer in the frame (``qaoa._ansatz``) pays for one
-    transpose per state instead of two per layer.
-    """
-    m = state.num_qubits
-    cleaned = _validate_pairs(m, pairs)
-    if not cleaned:
-        return state
-    order = pair_frame(m, cleaned)
-    unit = _pair_unit(beta_angle)
-    if order == list(range(m)):
-        _apply_unit_power_in_place(state.amplitudes, unit, len(cleaned))
-    else:
-        framed = to_frame(state.amplitudes, order)
-        mixed = _apply_unit_power(framed, unit, len(cleaned), np.empty_like(framed))
-        state.amplitudes.reshape((2,) * m)[...] = _frame_view(mixed, np.argsort(order))
-    return state
-
-
 def expectation(state: StateVector, table: EnergyTable) -> float:
     """Exact <H> = sum_x |amp_x|^2 E(x) for a diagonal Hamiltonian."""
     if table.num_qubits != state.num_qubits:
@@ -391,50 +325,3 @@ def sample_counts(state: StateVector, shots: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     probabilities = state.probabilities()
     return rng.multinomial(shots, probabilities / probabilities.sum())
-
-
-def sample(state: StateVector, shots: int, seed: int) -> dict[str, int]:
-    """Histogram of `shots` seeded draws, keyed by label, drawn states only."""
-    counts = sample_counts(state, shots, seed)
-    drawn = np.flatnonzero(counts)
-    return dict(zip(basis_labels(drawn, state.num_qubits), counts[drawn].tolist()))
-
-
-def export_circuit_text(
-    params: "QaoaParams",
-    hamiltonian: IsingHamiltonian,
-    mixer: str = "standard",
-    pairs=None,
-) -> str:
-    """Gate list equivalent to the alternating diagonal evolution.
-
-    One line per gate, angles in radians at full precision:
-    ``gphase a``, ``rzz i j a``, ``rz i a``, ``rx i a``, ``crx c t a``.
-    Layers appear in application order; replaying the list on a uniform
-    superposition reproduces the simulated state exactly (including global
-    phase, carried by gphase lines).
-    """
-    m = hamiltonian.num_qubits
-    lines = [f"# qubits {m}", f"# p {params.p}", f"# mixer {mixer}"]
-    for layer in range(params.p):
-        gamma = params.gammas[layer]
-        beta_mix = params.beta_mixes[layer]
-        if hamiltonian.offset != 0.0:
-            lines.append(f"gphase {float(-gamma * hamiltonian.offset)!r}")
-        for (i, j), coupling in sorted(hamiltonian.couplings.items()):
-            lines.append(f"rzz {i} {j} {float(2.0 * gamma * coupling)!r}")
-        for i, field in enumerate(hamiltonian.fields):
-            if field != 0.0:
-                lines.append(f"rz {i} {float(2.0 * gamma * field)!r}")
-        if mixer == "standard":
-            for qubit in range(m):
-                lines.append(f"rx {qubit} {float(2.0 * beta_mix)!r}")
-        elif mixer == "conditional":
-            cleaned = _validate_pairs(m, pairs)
-            for asset_qubit, ancilla_qubit in cleaned:
-                lines.append(f"crx {asset_qubit} {ancilla_qubit} {float(2.0 * beta_mix)!r}")
-            for asset_qubit, _ in cleaned:
-                lines.append(f"rx {asset_qubit} {float(2.0 * beta_mix)!r}")
-        else:
-            raise ValueError(f"unknown mixer: {mixer!r}")
-    return "\n".join(lines) + "\n"

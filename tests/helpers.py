@@ -1,7 +1,7 @@
 """Independent reference implementations used only by the tests.
 
 Everything here recomputes results through a different route than the
-package (explicit loops, dense matrices, gate-by-gate replay) so the two
+package (explicit loops, dense matrices, one gate at a time) so the two
 sides of each equivalence check stay independent.
 """
 
@@ -66,6 +66,12 @@ def direct_cardinality_objective(inst: PortfolioInstance, bits, a_card: float) -
     )
 
 
+def label_bits(label: str) -> np.ndarray:
+    """The bits of a basis label, read character by character: qubit 0 is
+    the first character."""
+    return np.array([int(ch) for ch in label])
+
+
 # --- dense matrix reference for the ansatz -------------------------------
 
 def embed_single(op: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
@@ -117,47 +123,61 @@ def dense_reference_evolution(energies, params, mixer: str, pairs=None) -> np.nd
     return state
 
 
-# --- gate-by-gate interpreter for exported circuits ----------------------
+# --- gate-by-gate reference for the ansatz ----------------------------------
 
-def replay_circuit(text: str, num_qubits: int, initial: np.ndarray | None = None) -> np.ndarray:
-    """Apply an exported gate list line by line to a dense state."""
-    size = 1 << num_qubits
-    if initial is None:
-        state = np.full(size, 1.0 / np.sqrt(size), dtype=complex)
-    else:
-        state = np.array(initial, dtype=complex)
-    idx = np.arange(size)
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        name = tokens[0]
-        if name == "gphase":
-            state = state * np.exp(1j * float(tokens[1]))
-        elif name == "rz":
-            qubit, theta = int(tokens[1]), float(tokens[2])
-            z = 1.0 - 2.0 * ((idx >> qubit) & 1)
-            state = state * np.exp(-1j * theta / 2.0 * z)
-        elif name == "rzz":
-            q1, q2, theta = int(tokens[1]), int(tokens[2]), float(tokens[3])
-            z1 = 1.0 - 2.0 * ((idx >> q1) & 1)
-            z2 = 1.0 - 2.0 * ((idx >> q2) & 1)
-            state = state * np.exp(-1j * theta / 2.0 * z1 * z2)
-        elif name == "rx":
-            qubit, theta = int(tokens[1]), float(tokens[2])
-            state = embed_single(rx_matrix(theta), qubit, num_qubits) @ state
-        elif name == "crx":
-            control, target, theta = int(tokens[1]), int(tokens[2]), float(tokens[3])
-            op = embed_single(_P0, control, num_qubits) + embed_single(
-                _P1, control, num_qubits
-            ) @ embed_single(rx_matrix(theta), target, num_qubits)
-            state = op @ state
-        elif name == "h":
-            hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-            state = embed_single(hadamard, int(tokens[1]), num_qubits) @ state
-        else:
-            raise ValueError(f"unknown gate line: {line!r}")
+def _qubit_axis(qubit: int, num_qubits: int) -> int:
+    # Qubit 0 is the least significant bit, the last axis of the (2,)*m view.
+    return num_qubits - 1 - qubit
+
+
+def apply_rx(state: np.ndarray, theta: float, qubit: int) -> np.ndarray:
+    """Rx(theta) on one qubit, by np.tensordot on the (2,)*m view."""
+    m = state.size.bit_length() - 1
+    axis = _qubit_axis(qubit, m)
+    turned = np.tensordot(rx_matrix(theta), state.reshape((2,) * m), axes=([1], [axis]))
+    return np.moveaxis(turned, 0, axis).reshape(-1)
+
+
+def apply_crx(state: np.ndarray, theta: float, control: int, target: int) -> np.ndarray:
+    """Rx(theta) on ``target`` where ``control`` is 1, by np.tensordot on the
+    (2,)*m view. The gate's axes are (control out, target out, control in,
+    target in)."""
+    m = state.size.bit_length() - 1
+    gate = np.zeros((2, 2, 2, 2), dtype=complex)
+    gate[0, :, 0, :] = np.eye(2)
+    gate[1, :, 1, :] = rx_matrix(theta)
+    axes = [_qubit_axis(control, m), _qubit_axis(target, m)]
+    turned = np.tensordot(gate, state.reshape((2,) * m), axes=([2, 3], axes))
+    return np.moveaxis(turned, [0, 1], axes).reshape(-1)
+
+
+def gate_reference_mixer(state: np.ndarray, beta_mix: float, pairs=None) -> np.ndarray:
+    """One mixer layer, one gate at a time: Rx(2*beta_mix) on every qubit
+    when ``pairs`` is None, else the conditional mixer, every CRx before
+    the asset Rx gates."""
+    theta = 2.0 * beta_mix
+    if pairs is None:
+        for qubit in range(state.size.bit_length() - 1):
+            state = apply_rx(state, theta, qubit)
+        return state
+    for asset_qubit, ancilla_qubit in pairs:
+        state = apply_crx(state, theta, asset_qubit, ancilla_qubit)
+    for asset_qubit, _ in pairs:
+        state = apply_rx(state, theta, asset_qubit)
+    return state
+
+
+def gate_reference_evolution(energies, params, mixer: str, pairs=None) -> np.ndarray:
+    """The ansatz on 2^m energies, one gate at a time: the diagonal phases,
+    then ``gate_reference_mixer``. No frames and no block gates, so it
+    reaches sizes the dense reference cannot."""
+    if mixer not in ("standard", "conditional"):
+        raise ValueError(mixer)
+    energies = np.asarray(energies, dtype=float)
+    state = np.full(energies.size, 1.0 / np.sqrt(energies.size), dtype=complex)
+    for gamma, beta_mix in zip(params.gammas, params.beta_mixes):
+        state = state * np.exp(-1j * gamma * energies)
+        state = gate_reference_mixer(state, beta_mix, None if mixer == "standard" else pairs or [])
     return state
 
 

@@ -3,7 +3,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qmarko.bitstrings import index_to_bits, string_to_bits
+from helpers import label_bits
+from qmarko.bitstrings import index_to_bits
 from qmarko.encode import QuboProgram, VarLabel, build_slack_ancilla_qubo, qubo_energy
 from qmarko.instance import PortfolioInstance, classical_objective, generate_instance, is_feasible
 from qmarko.oracle import classical_baseline, exhaustive_portfolio_optimum, exhaustive_qubo_minimum
@@ -45,7 +46,7 @@ def test_portfolio_optimum_is_always_feasible():
     for seed in range(30):
         inst = generate_instance(4, 2, seed=seed)
         bits, _ = exhaustive_portfolio_optimum(inst)
-        assert is_feasible(inst, string_to_bits(bits))
+        assert is_feasible(inst, label_bits(bits))
 
 
 def test_portfolio_optimum_permutation_invariance():
@@ -59,8 +60,8 @@ def test_portfolio_optimum_permutation_invariance():
         )
         bits, value = exhaustive_portfolio_optimum(inst)
         pbits, pvalue = exhaustive_portfolio_optimum(permuted)
-        arr = string_to_bits(bits)
-        assert list(string_to_bits(pbits)) == list(arr[perm])
+        arr = label_bits(bits)
+        assert list(label_bits(pbits)) == list(arr[perm])
         assert pvalue == pytest.approx(value, abs=1e-12)
 
 
@@ -116,9 +117,9 @@ def test_qubo_minimum_permutation_invariance():
     permuted_program = build_slack_ancilla_qubo(permuted_inst, 32.0)
     bits, energy = exhaustive_qubo_minimum(program)
     pbits, penergy = exhaustive_qubo_minimum(permuted_program)
-    arr = string_to_bits(bits)
+    arr = label_bits(bits)
     expected = np.concatenate([arr[:3][perm], arr[3:][perm]])
-    assert list(string_to_bits(pbits)) == list(expected)
+    assert list(label_bits(pbits)) == list(expected)
     assert penergy == pytest.approx(energy, abs=1e-12)
 
 
@@ -155,9 +156,9 @@ def test_baseline_reports_value_consistent_with_objective():
     inst = generate_instance(3, 1, seed=31)
     result = classical_baseline(inst, beta_penalty=100.0, budget=150, seed=2)
     assert result.value == pytest.approx(
-        classical_objective(inst, string_to_bits(result.bitstring)), abs=1e-14
+        classical_objective(inst, label_bits(result.bitstring)), abs=1e-14
     )
-    assert result.feasible == is_feasible(inst, string_to_bits(result.bitstring))
+    assert result.feasible == is_feasible(inst, label_bits(result.bitstring))
 
 
 def test_enumeration_guards():

@@ -3,25 +3,39 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import dense_reference_ansatz
-from qmarko.bitstrings import index_to_bits, string_to_bits
-from qmarko.bounds import asset_marginal
+from functools import partial
+
+from helpers import dense_reference_ansatz, label_bits
+from qmarko.bitstrings import index_to_bits
 from qmarko.encode import IsingHamiltonian, build_penalty_qubo, build_slack_ancilla_qubo, to_ising
 from qmarko.instance import PortfolioInstance, classical_objective, generate_instance, is_feasible
 from qmarko.oracle import exhaustive_portfolio_optimum, exhaustive_qubo_minimum
 from qmarko.qaoa import (
     QaoaParams,
     ScheduleConfig,
-    _ansatz_state,
+    _ansatz,
+    _draw_initial_angles,
+    _physical_params,
+    _search_angles,
     minimize_with_budget,
     mixer_pairs,
-    optimize_angles,
-    run_ansatz,
     run_baseline_penalty_qaoa,
     run_cardinality_slack_qaoa,
     run_schedule,
 )
 from qmarko.simulate import energy_table, expectation
+
+
+def _state(hamiltonian, params, mixer="standard", pairs=None):
+    return _ansatz(energy_table(hamiltonian), mixer, pairs)(params)
+
+
+def _optimize_angles(hamiltonian, p, budget, seed):
+    """A fixed-penalty run's angle search: (best physical angles, evals)."""
+    theta0 = _draw_initial_angles(np.random.default_rng(seed), p)
+    minimize = partial(minimize_with_budget, optimizer="cobyla", budget=budget)
+    _, scale, theta, evals = _search_angles(hamiltonian, theta0, minimize)
+    return _physical_params(theta, scale), evals
 
 
 # --- parameter containers ----------------------------------------------------
@@ -103,13 +117,13 @@ def test_mixer_pairs_from_labels():
 
 def test_run_ansatz_zero_angles_is_uniform():
     hamiltonian = to_ising(build_slack_ancilla_qubo(generate_instance(2, 1, seed=1), 10.0))
-    state = run_ansatz(hamiltonian, QaoaParams(2, (0.0, 0.0), (0.0, 0.0)))
+    state = _state(hamiltonian, QaoaParams(2, (0.0, 0.0), (0.0, 0.0)))
     assert np.allclose(state.amplitudes, np.full(16, 0.25), atol=1e-12)
 
 
 def test_run_ansatz_pure_mixer_keeps_uniform_probabilities():
     hamiltonian = IsingHamiltonian(3, {}, np.zeros(3), 0.0)
-    state = run_ansatz(hamiltonian, QaoaParams(1, (0.7,), (0.45,)))
+    state = _state(hamiltonian, QaoaParams(1, (0.7,), (0.45,)))
     assert np.allclose(state.probabilities(), np.full(8, 1 / 8), atol=1e-12)
 
 
@@ -121,7 +135,7 @@ def test_run_ansatz_expectation_matches_dense_reference():
     table = energy_table(hamiltonian)
     for mixer in ("standard", "conditional"):
         pairs = mixer_pairs(program.labels) if mixer == "conditional" else None
-        state = run_ansatz(hamiltonian, params, mixer=mixer, pairs=pairs)
+        state = _state(hamiltonian, params, mixer, pairs)
         reference = dense_reference_ansatz(hamiltonian, params, mixer, pairs)
         ref_expectation = float(
             np.real(np.conj(reference) @ (table.energies * reference))
@@ -133,8 +147,8 @@ def test_run_ansatz_expectation_matches_dense_reference():
 
 def test_optimize_angles_flat_landscape_returns_offset():
     hamiltonian = IsingHamiltonian(2, {}, np.zeros(2), 3.25)
-    params, trace = optimize_angles(hamiltonian, p=1, budget=25, seed=0)
-    state = run_ansatz(hamiltonian, params)
+    params, trace = _optimize_angles(hamiltonian, p=1, budget=25, seed=0)
+    state = _state(hamiltonian, params)
     assert expectation(state, energy_table(hamiltonian)) == pytest.approx(3.25, abs=1e-12)
     assert all(v == pytest.approx(3.25, abs=1e-12) for v in trace)
 
@@ -160,8 +174,8 @@ def test_optimize_angles_reaches_single_qubit_ground_state():
     hamiltonian = IsingHamiltonian(1, {}, np.array([1.0]), 0.0)
     grid_min = _grid_search_single_qubit()
     assert grid_min == pytest.approx(-1.0, abs=1e-3)
-    params, _ = optimize_angles(hamiltonian, p=1, budget=200, seed=3)
-    achieved = expectation(run_ansatz(hamiltonian, params), energy_table(hamiltonian))
+    params, _ = _optimize_angles(hamiltonian, p=1, budget=200, seed=3)
+    achieved = expectation(_state(hamiltonian, params), energy_table(hamiltonian))
     assert achieved <= grid_min + 1e-3
     assert achieved == pytest.approx(-1.0, abs=1e-3)
 
@@ -169,11 +183,11 @@ def test_optimize_angles_reaches_single_qubit_ground_state():
 def test_optimize_angles_improves_on_initial_expectation():
     inst = generate_instance(3, 1, seed=4)
     hamiltonian = to_ising(build_slack_ancilla_qubo(inst, 100.0))
-    params, trace = optimize_angles(hamiltonian, p=2, budget=200, seed=4)
+    params, trace = _optimize_angles(hamiltonian, p=2, budget=200, seed=4)
     assert len(trace) <= 200
     running_min = np.minimum.accumulate(trace)
     assert np.all(np.diff(running_min) <= 0.0)
-    final = expectation(run_ansatz(hamiltonian, params), energy_table(hamiltonian))
+    final = expectation(_state(hamiltonian, params), energy_table(hamiltonian))
     assert final <= trace[0] + 1e-12
 
 
@@ -189,8 +203,8 @@ def test_optimize_angles_is_invariant_under_energy_scaling():
         factor * hamiltonian.fields,
         factor * hamiltonian.offset,
     )
-    params, trace = optimize_angles(hamiltonian, p=2, budget=200, seed=4)
-    scaled_params, scaled_trace = optimize_angles(scaled, p=2, budget=200, seed=4)
+    params, trace = _optimize_angles(hamiltonian, p=2, budget=200, seed=4)
+    scaled_params, scaled_trace = _optimize_angles(scaled, p=2, budget=200, seed=4)
     assert len(scaled_trace) == len(trace)
     assert scaled_trace == [factor * v for v in trace]
     assert scaled_params.gammas == tuple(g / factor for g in params.gammas)
@@ -265,26 +279,18 @@ def test_schedule_running_best_never_increases_within_fixed_beta():
             segment_best = min(segment_best, row.expectation)
 
 
-def test_schedule_final_infeasible_mass_not_above_initial_beta_mass():
+def test_schedule_final_params_reproduce_the_recorded_marginal():
+    # The record's contract: its final angles on the final penalty's
+    # Hamiltonian give back the state it was built from.
     config = ScheduleConfig()
-    for seed in (1, 2, 3):
+    for seed in range(1, 13):
         inst = generate_instance(3, 1, seed=seed)
         record = run_schedule(inst, config, seed=seed)
-        program_final = build_slack_ancilla_qubo(inst, record.final_beta_penalty)
-        program_init = build_slack_ancilla_qubo(inst, config.beta_penalty_init)
-        pairs = mixer_pairs(program_final.labels)
-        infeasible = []
-        for program in (program_final, program_init):
-            table = energy_table(to_ising(program))
-            state = _ansatz_state(table, record.final_params, record.mixer, pairs)
-            marginal = asset_marginal(state, inst.n)
-            mass = sum(
-                float(marginal[y])
-                for y in range(1 << inst.n)
-                if not is_feasible(inst, index_to_bits(y, inst.n))
-            )
-            infeasible.append(mass)
-        assert infeasible[0] <= infeasible[1] + 1e-9
+        program = build_slack_ancilla_qubo(inst, record.final_beta_penalty)
+        pairs = mixer_pairs(program.labels)
+        state = _state(to_ising(program), record.final_params, record.mixer, pairs)
+        marginal = state.probabilities().reshape(-1, 1 << inst.n).sum(axis=0)
+        assert np.array_equal(marginal, record.marginal), seed
 
 
 def test_schedule_record_is_self_consistent():
@@ -292,7 +298,7 @@ def test_schedule_record_is_self_consistent():
     record = run_schedule(inst, seed=11)
     assert sum(record.histogram.values()) == pytest.approx(1.0, abs=1e-9)
     assert record.best_feasible is not None
-    bits = string_to_bits(record.best_feasible.bitstring)
+    bits = label_bits(record.best_feasible.bitstring)
     assert is_feasible(inst, bits)
     assert record.best_feasible.value == pytest.approx(
         classical_objective(inst, bits), abs=1e-12
@@ -309,7 +315,7 @@ def test_baseline_reports_most_probable_with_flag():
     record = run_baseline_penalty_qaoa(inst, a_card=1000.0, p=2, budget=200, seed=12)
     assert record.method == "penalty-qaoa"
     assert record.reported == record.most_probable
-    bits = string_to_bits(record.most_probable.bitstring)
+    bits = label_bits(record.most_probable.bitstring)
     assert record.most_probable.feasible == is_feasible(inst, bits)
     assert record.most_probable.value == pytest.approx(
         classical_objective(inst, bits), abs=1e-12
@@ -353,7 +359,7 @@ def test_baseline_flags_constructed_all_ones_failure():
     bits, _ = exhaustive_qubo_minimum(build_penalty_qubo(inst, 0.1))
     assert bits == "111"
     record = run_baseline_penalty_qaoa(inst, a_card=0.1, p=2, budget=200, seed=1)
-    reported_bits = string_to_bits(record.reported.bitstring)
+    reported_bits = label_bits(record.reported.bitstring)
     assert record.reported.feasible == is_feasible(inst, reported_bits)
     if record.reported.bitstring == "111":
         assert not record.reported.feasible
@@ -365,7 +371,7 @@ def test_cardinality_slack_runner_reports_best_feasible():
     assert record.method == "cardinality-slack-qaoa"
     assert record.reported == record.best_feasible
     assert record.best_feasible is not None
-    bits = string_to_bits(record.best_feasible.bitstring)
+    bits = label_bits(record.best_feasible.bitstring)
     assert is_feasible(inst, bits)
     # histogram spans asset bits plus ceil(log2(k+1)) slack bits
     assert all(len(b) == 4 for b in record.histogram)
@@ -375,13 +381,13 @@ def test_cardinality_slack_runner_reports_best_feasible():
 
 def _assert_picks_match(inst, state):
     from helpers import naive_portfolio_picks
-    from qmarko.qaoa import REPORTING_THRESHOLD, _portfolio_picks
+    from qmarko.qaoa import REPORTING_THRESHOLD, _picks
 
-    best, most_probable, mass = _portfolio_picks(inst, state)
-    marginal = asset_marginal(state, inst.n)
+    marginal = state.probabilities().reshape(-1, 1 << inst.n).sum(axis=0)
+    best, most_probable, mass = _picks(inst, marginal)
     ref_best, ref_most_probable, ref_mass = naive_portfolio_picks(inst, marginal, REPORTING_THRESHOLD)
     assert (most_probable.bitstring, most_probable.value, most_probable.probability) == ref_most_probable
-    assert most_probable.feasible == is_feasible(inst, string_to_bits(most_probable.bitstring))
+    assert most_probable.feasible == is_feasible(inst, label_bits(most_probable.bitstring))
     if ref_best is None:
         assert best is None
     else:

@@ -5,22 +5,32 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import expm
 
-from helpers import dense_reference_ansatz, naive_ising_energy, random_state, replay_circuit
-from qmarko.bitstrings import index_to_bits, string_to_index
+from helpers import (
+    dense_reference_ansatz,
+    dense_reference_evolution,
+    gate_reference_evolution,
+    gate_reference_mixer,
+    naive_ising_energy,
+    random_state,
+)
+from qmarko.bitstrings import basis_labels, index_to_bits, string_to_index
 from qmarko.encode import IsingHamiltonian, build_penalty_qubo, build_slack_ancilla_qubo, to_ising
 from qmarko.instance import generate_instance
-from qmarko.qaoa import QaoaParams, mixer_pairs, run_ansatz
+from qmarko.qaoa import QaoaParams, _ansatz, mixer_pairs
 from qmarko.simulate import (
     EnergyTable,
     StateVector,
-    apply_conditional_mixer,
-    apply_mixer,
     apply_phase_separation,
+    apply_real_frame_mixer,
     energy_table,
     expectation,
-    export_circuit_text,
-    sample,
-    uniform_superposition,
+    from_frame,
+    from_real_frame,
+    pair_frame,
+    real_frame_uniform,
+    sample_counts,
+    to_frame,
+    workspace,
 )
 
 
@@ -29,19 +39,47 @@ def _random_table(m, seed):
     return EnergyTable(m, rng.normal(size=1 << m))
 
 
+def _uniform(m):
+    """The ansatz's initial state |+>^m, taken out of the real frame."""
+    state, spare = workspace(m)
+    return StateVector(m, from_real_frame(real_frame_uniform(state), spare))
+
+
+def _mix(state, beta_angle, pairs=None):
+    """One mixer layer as the ansatz runs it, on a state in canonical phase
+    and order: S^dag, the pair frame for ``pairs`` (the conditional mixer),
+    the real-unit kernel, then S and canonical order again. In place."""
+    size = state.amplitudes.size
+    m = state.num_qubits
+    # S's phases, i^popcount(x), are the same in every qubit order.
+    s_phases = from_real_frame(np.ones(size, dtype=complex), np.empty(size, dtype=complex))
+    order = list(range(m)) if pairs is None else pair_frame(m, pairs)
+    framed = to_frame(state.amplitudes * s_phases.conj(), order)
+    pair_count = None if pairs is None else len(pairs)
+    mixed = apply_real_frame_mixer(framed, np.empty_like(framed), beta_angle, pair_count)
+    state.amplitudes[:] = from_frame(mixed * s_phases, order)
+    return state
+
+
+def _drawn(counts, num_qubits):
+    """Sampled counts keyed by basis label, drawn states only."""
+    drawn = np.flatnonzero(counts)
+    return dict(zip(basis_labels(drawn, num_qubits), counts[drawn].tolist()))
+
+
 def test_uniform_superposition_values():
-    state = uniform_superposition(1)
+    state = _uniform(1)
     assert np.allclose(state.amplitudes, [1 / np.sqrt(2)] * 2)
-    state = uniform_superposition(3)
+    state = _uniform(3)
     assert np.allclose(state.amplitudes, np.full(8, 1 / (2 * np.sqrt(2))))
     for m in range(1, 13):
-        assert np.linalg.norm(uniform_superposition(m).amplitudes) == pytest.approx(1.0)
+        assert np.linalg.norm(_uniform(m).amplitudes) == pytest.approx(1.0)
 
 
 def test_uniform_superposition_guards():
     for m in (0, 25, -3):
         with pytest.raises(ValueError):
-            uniform_superposition(m)
+            _uniform(m)
 
 
 def test_energy_table_matches_naive_evaluation():
@@ -54,7 +92,7 @@ def test_energy_table_matches_naive_evaluation():
 
 
 def test_phase_separation_identity_at_zero():
-    state = uniform_superposition(3)
+    state = _uniform(3)
     before = state.amplitudes.copy()
     apply_phase_separation(state, _random_table(3, 0), 0.0)
     assert np.array_equal(state.amplitudes, before)
@@ -73,7 +111,7 @@ def test_phase_separation_constant_energy_is_global_phase():
 def test_phase_separation_matches_matrix_exponential():
     e1 = 0.731
     table = EnergyTable(1, np.array([0.0, e1]))
-    state = uniform_superposition(1)
+    state = _uniform(1)
     apply_phase_separation(state, table, 0.4)
     diag_h = np.diag([0.0, e1])
     expected = expm(-1j * 0.4 * diag_h) @ np.full(2, 1 / np.sqrt(2), dtype=complex)
@@ -82,46 +120,46 @@ def test_phase_separation_matches_matrix_exponential():
 
 def test_phase_separation_dimension_mismatch():
     with pytest.raises(ValueError):
-        apply_phase_separation(uniform_superposition(2), _random_table(3, 0), 0.1)
+        apply_phase_separation(_uniform(2), _random_table(3, 0), 0.1)
 
 
 def test_mixer_identity_at_zero():
     state = StateVector(3, random_state(3, 2))
     before = state.amplitudes.copy()
-    apply_mixer(state, 0.0)
+    _mix(state, 0.0)
     assert np.allclose(state.amplitudes, before, atol=1e-15)
 
 
 def test_mixer_half_pi_flips_all_bits():
-    state = uniform_superposition(3)
+    state = _uniform(3)
     state.amplitudes[:] = 0
     state.amplitudes[0] = 1.0  # |000>
-    apply_mixer(state, np.pi / 2)
+    _mix(state, np.pi / 2)
     probs = state.probabilities()
     assert probs[-1] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_mixer_quarter_pi_balances_single_qubit():
-    state = uniform_superposition(1)
+    state = _uniform(1)
     state.amplitudes[:] = [1.0, 0.0]
-    apply_mixer(state, np.pi / 4)
+    _mix(state, np.pi / 4)
     assert np.allclose(state.probabilities(), [0.5, 0.5], atol=1e-12)
 
 
 def test_conditional_mixer_identity_at_zero():
     state = StateVector(2, random_state(2, 3))
     before = state.amplitudes.copy()
-    apply_conditional_mixer(state, 0.0, [(0, 1)])
+    _mix(state, 0.0, [(0, 1)])
     assert np.allclose(state.amplitudes, before, atol=1e-15)
 
 
 def test_conditional_mixer_asset_on_flips_ancilla():
     # |asset=1, ancilla=0>: the controlled rotation flips the ancilla, then
     # the asset rotation flips the asset; beta=pi/2 lands on |01> up to phase.
-    state = uniform_superposition(2)
+    state = _uniform(2)
     state.amplitudes[:] = 0
     state.amplitudes[string_to_index("10")] = 1.0
-    apply_conditional_mixer(state, np.pi / 2, [(0, 1)])
+    _mix(state, np.pi / 2, [(0, 1)])
     probs = state.probabilities()
     assert probs[string_to_index("01")] == pytest.approx(1.0, abs=1e-10)
     # the ancilla ends in 1 with certainty
@@ -130,35 +168,35 @@ def test_conditional_mixer_asset_on_flips_ancilla():
 
 @pytest.mark.parametrize("beta", [0.3, np.pi / 2, 1.9])
 def test_conditional_mixer_asset_off_leaves_ancilla_marginal(beta):
-    state = uniform_superposition(2)
+    state = _uniform(2)
     state.amplitudes[:] = 0
     state.amplitudes[string_to_index("01")] = 1.0  # asset off, ancilla 1
-    apply_conditional_mixer(state, beta, [(0, 1)])
+    _mix(state, beta, [(0, 1)])
     probs = state.probabilities()
     ancilla_one = probs[string_to_index("01")] + probs[string_to_index("11")]
     assert ancilla_one == pytest.approx(1.0, abs=1e-10)
 
 
 def test_conditional_mixer_validates_pairs():
-    state = uniform_superposition(2)
+    state = _uniform(2)
     with pytest.raises(ValueError):
-        apply_conditional_mixer(state, 0.1, [(0, 2)])
+        _mix(state, 0.1, [(0, 2)])
     with pytest.raises(ValueError):
-        apply_conditional_mixer(state, 0.1, [(0, 0)])
-    state4 = uniform_superposition(4)
+        _mix(state, 0.1, [(0, 0)])
+    state4 = _uniform(4)
     with pytest.raises(ValueError):
-        apply_conditional_mixer(state4, 0.1, [(0, 1), (1, 2)])
+        _mix(state4, 0.1, [(0, 1), (1, 2)])
 
 
 def test_expectation_uniform_is_mean_energy():
     table = _random_table(3, 7)
-    state = uniform_superposition(3)
+    state = _uniform(3)
     assert expectation(state, table) == pytest.approx(table.energies.mean(), abs=1e-12)
 
 
 def test_expectation_on_basis_state():
     table = _random_table(2, 8)
-    state = uniform_superposition(2)
+    state = _uniform(2)
     state.amplitudes[:] = 0
     state.amplitudes[2] = 1.0
     assert expectation(state, table) == pytest.approx(table.energies[2], abs=1e-13)
@@ -174,17 +212,17 @@ def test_expectation_matches_naive_sum():
 
 
 def test_sample_basis_state_single_bin():
-    state = uniform_superposition(2)
+    state = _uniform(2)
     state.amplitudes[:] = 0
     state.amplitudes[1] = 1.0
-    counts = sample(state, 500, seed=0)
+    counts = _drawn(sample_counts(state, 500, seed=0), 2)
     assert counts == {"100"[:2]: 500} or counts == {"10": 500}
 
 
 def test_sample_binomial_three_sigma():
-    state = uniform_superposition(1)
+    state = _uniform(1)
     shots = 10**5
-    counts = sample(state, shots, seed=123)
+    counts = _drawn(sample_counts(state, shots, seed=123), 1)
     sigma = np.sqrt(shots * 0.25)
     for bit in ("0", "1"):
         assert abs(counts.get(bit, 0) - shots / 2) <= 3 * sigma
@@ -195,9 +233,9 @@ def test_sample_energy_mean_within_three_sigma_of_expectation():
     hamiltonian = to_ising(build_penalty_qubo(inst, 5.0))
     table = energy_table(hamiltonian)
     params = QaoaParams(2, (0.4, 0.9), (0.7, 0.3))
-    state = run_ansatz(hamiltonian, params)
+    state = _ansatz(table, "standard", None)(params)
     shots = 20000
-    counts = sample(state, shots, seed=77)
+    counts = _drawn(sample_counts(state, shots, seed=77), 3)
     sampled_mean = sum(
         c * table.energies[string_to_index(b)] for b, c in counts.items()
     ) / shots
@@ -210,8 +248,11 @@ def test_sample_energy_mean_within_three_sigma_of_expectation():
 
 def test_sample_is_seeded_and_reproducible():
     state = StateVector(3, random_state(3, 5))
-    assert sample(state, 1000, seed=9) == sample(state, 1000, seed=9)
-    assert sample(state, 1000, seed=9) != sample(state, 1000, seed=10)
+    def sample(seed):
+        return _drawn(sample_counts(state, 1000, seed=seed), 3)
+
+    assert sample(9) == sample(9)
+    assert sample(9) != sample(10)
 
 
 def test_sampling_chisquare_consistency():
@@ -219,7 +260,7 @@ def test_sampling_chisquare_consistency():
     for m in range(1, 5):
         state = StateVector(m, random_state(m, 40 + m))
         probs = state.probabilities()
-        counts = sample(state, shots, seed=m)
+        counts = _drawn(sample_counts(state, shots, seed=m), m)
         observed = np.array(
             [counts.get(
                 "".join("1" if (x >> i) & 1 else "0" for i in range(m)), 0
@@ -237,15 +278,21 @@ def test_unitarity_over_random_sequences(seed):
     state = StateVector(m, random_state(m, seed))
     table = _random_table(m, seed + 1)
     pairs = [(0, 1)] if m >= 2 else None
+    reference = state.amplitudes.copy()
     for _ in range(100):
         op = rng.integers(0, 3 if pairs else 2)
+        angle = float(rng.normal())
         if op == 0:
-            apply_phase_separation(state, table, float(rng.normal()))
+            apply_phase_separation(state, table, angle)
+            reference = reference * np.exp(-1j * angle * table.energies)
         elif op == 1:
-            apply_mixer(state, float(rng.normal()))
+            _mix(state, angle)
+            reference = gate_reference_mixer(reference, angle)
         else:
-            apply_conditional_mixer(state, float(rng.normal()), pairs)
+            _mix(state, angle, pairs)
+            reference = gate_reference_mixer(reference, angle, pairs)
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
+    assert np.abs(state.amplitudes - reference).max() <= 1e-10
 
 
 @given(seed=st.integers(0, 10**6), g1=st.floats(-3, 3), g2=st.floats(-3, 3))
@@ -268,7 +315,7 @@ def test_mixer_acts_as_bit_flip_at_half_pi(seed):
     m = 3
     state = StateVector(m, random_state(m, seed))
     original = state.probabilities()
-    apply_mixer(state, np.pi / 2)
+    _mix(state, np.pi / 2)
     flipped = state.probabilities()
     full = (1 << m) - 1
     for x in range(1 << m):
@@ -280,60 +327,11 @@ def test_mixer_acts_as_bit_flip_at_half_pi(seed):
 def test_mixer_periodicity_at_pi(seed):
     state = StateVector(3, random_state(3, seed))
     original = state.amplitudes.copy()
-    apply_mixer(state, np.pi)
+    _mix(state, np.pi)
     # identity up to a global phase
     assert np.allclose(state.amplitudes, -original, atol=1e-12) or np.allclose(
         state.amplitudes, original, atol=1e-12
     )
-
-
-# --- circuit export -----------------------------------------------------------
-
-def test_export_zero_hamiltonian_is_mixer_only():
-    hamiltonian = IsingHamiltonian(3, {}, np.zeros(3), 0.0)
-    text = export_circuit_text(QaoaParams(1, (0.3,), (0.6,)), hamiltonian)
-    gates = [ln.split()[0] for ln in text.splitlines() if ln and not ln.startswith("#")]
-    assert gates == ["rx"] * 3
-
-
-def test_export_gate_counts_per_layer():
-    inst = generate_instance(3, 1, seed=12)
-    hamiltonian = to_ising(build_penalty_qubo(inst, 10.0))
-    params = QaoaParams(2, (0.3, 0.5), (0.2, 0.4))
-    text = export_circuit_text(params, hamiltonian)
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    n_rzz = sum(ln.startswith("rzz") for ln in lines)
-    n_rz = sum(ln.startswith("rz ") for ln in lines)
-    n_rx = sum(ln.startswith("rx") for ln in lines)
-    nonzero_fields = int(np.count_nonzero(hamiltonian.fields))
-    assert n_rzz == 2 * len(hamiltonian.couplings)
-    assert n_rz == 2 * nonzero_fields
-    assert n_rx == 2 * hamiltonian.num_qubits
-
-
-def test_export_replay_matches_diagonal_evolution_standard():
-    inst = generate_instance(3, 1, seed=14)
-    hamiltonian = to_ising(build_penalty_qubo(inst, 10.0))
-    params = QaoaParams(2, (0.37, 0.81), (0.55, 0.21))
-    state = run_ansatz(hamiltonian, params)
-    replayed = replay_circuit(
-        export_circuit_text(params, hamiltonian), hamiltonian.num_qubits
-    )
-    assert np.allclose(replayed, state.amplitudes, atol=1e-9)
-
-
-def test_export_replay_matches_diagonal_evolution_conditional():
-    inst = generate_instance(2, 1, seed=15)
-    program = build_slack_ancilla_qubo(inst, 20.0)
-    hamiltonian = to_ising(program)
-    pairs = mixer_pairs(program.labels)
-    params = QaoaParams(2, (0.4, 0.6), (0.3, 0.9))
-    state = run_ansatz(hamiltonian, params, mixer="conditional", pairs=pairs)
-    replayed = replay_circuit(
-        export_circuit_text(params, hamiltonian, mixer="conditional", pairs=pairs),
-        hamiltonian.num_qubits,
-    )
-    assert np.allclose(replayed, state.amplitudes, atol=1e-9)
 
 
 def test_run_ansatz_matches_dense_reference():
@@ -343,7 +341,7 @@ def test_run_ansatz_matches_dense_reference():
     params = QaoaParams(2, (0.8, 0.15), (0.45, 0.7))
     for mixer in ("standard", "conditional"):
         pairs = mixer_pairs(program.labels) if mixer == "conditional" else None
-        state = run_ansatz(hamiltonian, params, mixer=mixer, pairs=pairs)
+        state = _ansatz(energy_table(hamiltonian), mixer, pairs)(params)
         reference = dense_reference_ansatz(hamiltonian, params, mixer, pairs)
         assert np.allclose(state.amplitudes, reference, atol=1e-10)
 
@@ -377,25 +375,24 @@ def test_mixers_match_dense_reference_on_arbitrary_layouts(m):
     rng = np.random.default_rng(500 + m)
     hamiltonian = _random_hamiltonian(m, rng)
     params = QaoaParams(2, tuple(rng.uniform(-np.pi, np.pi, 2)), tuple(rng.uniform(-np.pi, np.pi, 2)))
-    state = run_ansatz(hamiltonian, params)
+    table = energy_table(hamiltonian)
+    state = _ansatz(table, "standard", None)(params)
     reference = dense_reference_ansatz(hamiltonian, params, "standard")
     assert np.allclose(state.amplitudes, reference, rtol=0, atol=1e-10)
     for pairs in _conditional_layouts(m, rng):
-        state = run_ansatz(hamiltonian, params, mixer="conditional", pairs=pairs)
+        state = _ansatz(table, "conditional", pairs)(params)
         reference = dense_reference_ansatz(hamiltonian, params, "conditional", pairs)
         assert np.allclose(state.amplitudes, reference, rtol=0, atol=1e-10), pairs
 
 
-def test_conditional_without_pairs_matches_export():
+def test_conditional_without_pairs_matches_dense_reference():
     inst = generate_instance(3, 1, seed=17)
     hamiltonian = to_ising(build_penalty_qubo(inst, 10.0))
     params = QaoaParams(2, (0.4, 0.6), (0.3, 0.9))
-    state = run_ansatz(hamiltonian, params, mixer="conditional", pairs=None)
-    replayed = replay_circuit(
-        export_circuit_text(params, hamiltonian, mixer="conditional", pairs=None),
-        hamiltonian.num_qubits,
-    )
-    assert np.allclose(replayed, state.amplitudes, atol=1e-9)
+    table = energy_table(hamiltonian)
+    state = _ansatz(table, "conditional", None)(params)
+    reference = dense_reference_evolution(table.energies, params, "conditional", [])
+    assert np.allclose(reference, state.amplitudes, atol=1e-9)
 
 
 def test_energy_table_peak_memory_is_a_small_multiple_of_the_table():
@@ -450,7 +447,7 @@ def test_phase_separation_peak_memory_on_an_energy_table():
     rng = np.random.default_rng(17)
     couplings = {(i, j): float(rng.normal()) for i in range(m) for j in range(i + 1, m)}
     table = energy_table(IsingHamiltonian(m, couplings, rng.normal(size=m), 0.5))
-    state = uniform_superposition(m)
+    state = _uniform(m)
     tracemalloc.start()
     try:
         apply_phase_separation(state, table, 0.3)
@@ -463,9 +460,8 @@ def test_phase_separation_peak_memory_on_an_energy_table():
 @pytest.mark.parametrize("m", (10, 12, 14))
 def test_frame_ansatz_matches_layer_by_layer_composition(m, monkeypatch):
     # Above the dense reference's sizes: the ansatz runs every layer in the
-    # pair frame, the composition of the public kernels transposes per layer.
+    # pair frame, the gate-by-gate reference applies each gate in place.
     import qmarko.simulate as simulate
-    from qmarko.qaoa import _ansatz
 
     rng = np.random.default_rng(900 + m)
     hamiltonian = _random_hamiltonian(m, rng)
@@ -493,29 +489,23 @@ def test_frame_ansatz_matches_layer_by_layer_composition(m, monkeypatch):
         state = ansatz(params)
         # One transpose per state out of the frame; none when it is in place.
         assert len(transposes) == (0 if name == "already adjacent" else 1), name
-        composed = uniform_superposition(m)
-        for gamma, beta_mix in zip(params.gammas, params.beta_mixes):
-            apply_phase_separation(composed, table, gamma)
-            apply_conditional_mixer(composed, beta_mix, pairs)
-        assert np.abs(state.amplitudes - composed.amplitudes).max() <= 1e-12, name
+        composed = gate_reference_evolution(table.energies, params, "conditional", pairs)
+        assert np.abs(state.amplitudes - composed).max() <= 1e-12, name
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_ansatz_on_energies_without_a_form_matches_dense_reference(m):
     # Tables given by their energies alone take the np.exp phase path, in
     # place (standard mixer) and in the pair frame (conditional mixer).
-    from helpers import dense_reference_evolution
-    from qmarko.qaoa import _ansatz_state
-
     rng = np.random.default_rng(1000 + m)
     table = EnergyTable(m, rng.normal(scale=3.0, size=1 << m))
     assert table.form is None
     params = QaoaParams(2, tuple(rng.uniform(-np.pi, np.pi, 2)), tuple(rng.uniform(-np.pi, np.pi, 2)))
-    state = _ansatz_state(table, params, "standard", None)
+    state = _ansatz(table, "standard", None)(params)
     reference = dense_reference_evolution(table.energies, params, "standard")
     assert np.allclose(state.amplitudes, reference, rtol=0, atol=1e-10)
     for pairs in _conditional_layouts(m, rng):
-        state = _ansatz_state(table, params, "conditional", pairs)
+        state = _ansatz(table, "conditional", pairs)(params)
         reference = dense_reference_evolution(table.energies, params, "conditional", pairs)
         assert np.allclose(state.amplitudes, reference, rtol=0, atol=1e-10), pairs
 
