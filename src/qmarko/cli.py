@@ -20,13 +20,13 @@ Records: `solve` and `sweep` write `record.json` as exactly
 probability once. A QAOA record's histogram is formatted straight from its
 asset-marginal array, one chunk of entries per template, with no 2^n-entry
 container; a marginal that is not all finite is labelled and goes through
-json.dumps, and so do the oracle's and the classical baseline's dict
-histograms unless they are "0"/"1" labels to finite floats. `report` copies
-each probability's decimal text from the record into `hist_<cell>.csv`
-unchanged, after `float()` has checked it. A record that is not a JSON
-object, or whose histogram is not an object of numbers, exits 2 with an
-error naming the record, and `report` leaves no file behind: it renames its
-outputs into place only after the last record has converted.
+json.dumps, and so do the oracle's and the classical baseline's one-entry
+dict histograms. `report` copies each probability's decimal text from the
+record into `hist_<cell>.csv` unchanged, after `float()` has checked it. A
+record that is not a JSON object, or whose histogram is not an object of
+numbers, exits 2 with an error naming the record, and `report` leaves no
+file behind: it renames its outputs into place only after the last record
+has converted.
 """
 
 from __future__ import annotations
@@ -130,19 +130,6 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _labels_to_finite_floats(histogram: dict) -> bool:
-    """Whether json.dumps writes each entry as `"key": repr(value)`: str keys
-    of "0"/"1" only (nothing to escape) and finite float values."""
-    keys, values = histogram.keys(), histogram.values()
-    if not ({*map(type, keys)} <= {str} and {*map(type, values)} <= {float}):
-        return False
-    # A NaN or an infinity makes the sum non-finite; an overflowing sum of
-    # finite values only sends the histogram through json.dumps whole.
-    # Non-ASCII characters, lone surrogates too, encode as "?", not a bit.
-    labels = "".join(keys).encode("ascii", "replace")
-    return math.isfinite(sum(values)) and not labels.translate(None, b"01")
-
-
 # Histogram entries per template in _marginal_entries, and the text between
 # one entry's value and the next entry's label.
 _CHUNK = 1 << 12
@@ -174,26 +161,22 @@ def _record_text(doc: dict) -> str:
     dict (`ExperimentRecord.to_dict`).
 
     `indent` makes json fall back to its pure-Python encoder, which formats a
-    2^n-entry histogram one entry at a time. Instead the document is dumped
-    with an empty histogram and the entries are spliced in: a finite array's
-    chunk by chunk (`_marginal_entries`), a dict of "0"/"1" labels to finite
-    floats joined in one pass. An array that is not all finite is labelled
-    and, like any other histogram, goes through json.dumps whole."""
+    2^n-entry histogram one entry at a time. Instead a finite array's
+    document is dumped with an empty histogram and the entries are spliced
+    in chunk by chunk (`_marginal_entries`). An array that is not all finite
+    is labelled and goes through json.dumps whole, as does any other
+    histogram: the oracle's and the classical baseline's are one entry."""
     histogram = doc.get("histogram")
-    if isinstance(histogram, np.ndarray):
-        if np.isfinite(histogram).all():
-            entries = _marginal_entries(histogram)
-        else:
-            return json.dumps({**doc, "histogram": qaoa.labelled_histogram(histogram)},
-                              indent=2) + "\n"
-    elif isinstance(histogram, dict) and histogram and _labels_to_finite_floats(histogram):
-        entries = [",\n    ".join([f'"{key}": {value!r}' for key, value in histogram.items()])]
-    else:
+    if not isinstance(histogram, np.ndarray):
         return json.dumps(doc, indent=2) + "\n"
+    if not np.isfinite(histogram).all():
+        return json.dumps({**doc, "histogram": qaoa.labelled_histogram(histogram)},
+                          indent=2) + "\n"
     # Only a top-level key follows a newline and exactly two spaces.
     head, _, tail = json.dumps({**doc, "histogram": {}}, indent=2).partition(
         '\n  "histogram": {}')
-    return "".join([head, '\n  "histogram": {\n    ', *entries, "\n  }", tail, "\n"])
+    return "".join([head, '\n  "histogram": {\n    ', *_marginal_entries(histogram), "\n  }",
+                    tail, "\n"])
 
 
 def _resolve(args) -> dict:

@@ -73,6 +73,8 @@ class QuboProgram:
             raise ValueError(f"linear must have shape ({m},), got {b.shape}")
         if len(self.labels) != m:
             raise ValueError(f"expected {m} labels, got {len(self.labels)}")
+        if not (np.isfinite(q).all() and np.isfinite(b).all() and math.isfinite(self.constant)):
+            raise ValueError("QUBO coefficients must be finite (penalty weight too large?)")
         q.flags.writeable = False
         b.flags.writeable = False
         object.__setattr__(self, "quadratic", q)
@@ -82,7 +84,7 @@ class QuboProgram:
 
 @dataclass(frozen=True)
 class IsingHamiltonian:
-    """Diagonal Hamiltonian: sum J_ij Z_i Z_j + sum h_i Z_i + offset."""
+    """Diagonal Hamiltonian: sum J_ij Z_i Z_j + sum h_i Z_i + offset, all finite."""
 
     num_qubits: int
     couplings: dict[tuple[int, int], float]
@@ -96,6 +98,8 @@ class IsingHamiltonian:
         for (i, j) in self.couplings:
             if not 0 <= i < j < self.num_qubits:
                 raise ValueError(f"coupling key ({i}, {j}) is not ordered within range")
+        if not np.isfinite([self.offset, *self.couplings.values(), *h]).all():
+            raise ValueError("Ising coefficients must be finite (penalty weight too large?)")
         h.flags.writeable = False
         object.__setattr__(self, "fields", h)
 
@@ -112,8 +116,9 @@ def _base_objective(instance: PortfolioInstance, num_vars: int):
 
 def _add_squared_penalty(quadratic, linear, coeffs, offset: float, weight: float) -> float:
     """Accumulate weight * (coeffs.x + offset)^2; returns the constant term."""
-    quadratic += weight * np.outer(coeffs, coeffs)
-    linear += 2.0 * weight * offset * coeffs
+    with np.errstate(over="ignore", invalid="ignore"):  # QuboProgram refuses an overflow
+        quadratic += weight * np.outer(coeffs, coeffs)
+        linear += 2.0 * weight * offset * coeffs
     return weight * offset * offset
 
 
@@ -215,20 +220,21 @@ def to_ising(program: QuboProgram) -> IsingHamiltonian:
     """
     q = program.quadratic
     b = program.linear
-    pair = q + q.T  # pair[i, j] = Q_ij + Q_ji; diagonal = 2 Q_ii
-    fields = -b / 2.0 - pair.sum(axis=1) / 4.0
-    couplings: dict[tuple[int, int], float] = {}
-    m = program.num_vars
-    for i in range(m):
-        for j in range(i + 1, m):
-            coupling = pair[i, j] / 4.0
-            if coupling != 0.0:
-                couplings[(i, j)] = coupling
-    trace = float(np.trace(q))
-    offset = (
-        program.constant
-        + float(b.sum()) / 2.0
-        + trace / 2.0
-        + (float(q.sum()) - trace) / 4.0
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # IsingHamiltonian refuses an overflow
+        pair = q + q.T  # pair[i, j] = Q_ij + Q_ji; diagonal = 2 Q_ii
+        fields = -b / 2.0 - pair.sum(axis=1) / 4.0
+        couplings: dict[tuple[int, int], float] = {}
+        m = program.num_vars
+        for i in range(m):
+            for j in range(i + 1, m):
+                coupling = pair[i, j] / 4.0
+                if coupling != 0.0:
+                    couplings[(i, j)] = coupling
+        trace = float(np.trace(q))
+        offset = (
+            program.constant
+            + float(b.sum()) / 2.0
+            + trace / 2.0
+            + (float(q.sum()) - trace) / 4.0
+        )
     return IsingHamiltonian(m, couplings, fields, offset)

@@ -64,7 +64,8 @@ def classical_baseline(
     Uses the same optimizer machinery as the variational runs. The unit
     box is passed as native inequality constraints where the method
     supports them; iterates are additionally clipped before evaluation so
-    the unconstrained variant stays inside the cube too.
+    the unconstrained variant stays inside the cube too. A relaxed
+    objective that overflows at an iterate raises ValueError.
     """
     if not 0 < beta_penalty < math.inf:
         raise ValueError(f"penalty weight must be positive and finite, got {beta_penalty}")
@@ -74,11 +75,14 @@ def classical_baseline(
         v = np.clip(v, 0.0, 1.0)
         w, s = v[:n], v[n:]
         slack_residual = w - instance.alpha + s
-        return (
+        value = (
             instance.q_risk * float(w @ instance.sigma @ w)
             - instance.lambda_weight * float(instance.mu @ w)
             + beta_penalty * float(slack_residual @ slack_residual)
         )
+        if not math.isfinite(value):
+            raise ValueError(f"the relaxed objective overflows at penalty weight {beta_penalty!r}")
+        return value
 
     box = [{"type": "ineq", "fun": (lambda x, i=i: x[i])} for i in range(2 * n)]
     box += [{"type": "ineq", "fun": (lambda x, i=i: 1.0 - x[i])} for i in range(2 * n)]

@@ -12,10 +12,10 @@ One run path. Every angle search, whether a segment of ``run_schedule``
 or a fixed-penalty baseline run, is one call of ``_search_angles``
 (tabulate the Hamiltonian, build its ansatz once, scale the angles,
 minimize the expectation); ``_ansatz`` is the one ansatz entry point; and
-every record is built from its final state by ``_record`` (register
-probabilities, asset marginal, picks, feasible mass, variance bound). The
-record's JSON ``histogram`` is the asset marginal: 2^n entries whatever
-the register size.
+every record is built from its final state by ``_record`` (asset
+marginal, picks, feasible mass, variance bound). The record keeps the
+asset marginal only, and its JSON ``histogram`` is that marginal: 2^n
+entries whatever the register size.
 
 Frames. ``_ansatz`` evolves a state that the rest of the package never
 sees. In the real frame (phase S = diag(1, i) taken off every qubit)
@@ -115,9 +115,6 @@ class QaoaParams:
         p = vec.size // 2
         return cls(p, tuple(vec[:p]), tuple(vec[p:]))
 
-    def to_vector(self) -> np.ndarray:
-        return np.array(self.gammas + self.beta_mixes, dtype=float)
-
 
 @dataclass(frozen=True)
 class ScheduleConfig:
@@ -175,15 +172,15 @@ class ExperimentRecord:
     pairs)(record.final_params)`` on that Hamiltonian's table reproduces
     the final state, and its asset marginal is ``marginal`` exactly.
     ``trace`` holds one row per optimizer evaluation, numbered from 1
-    across penalty doublings; ``iterations_used`` and ``objective_trace``
-    are derived from it, not stored.
+    across penalty doublings; ``iterations_used`` is derived from it, and
+    each row carries its evaluation's expectation.
 
-    In memory the record holds the final state's 2^m register
-    ``probabilities`` and its 2^n asset ``marginal``, both in basis-index
-    order; ``histogram`` labels the register probabilities on each access.
-    ``record.json`` (``to_dict``) holds the marginal only, under the key
-    ``histogram``; ``document`` is the same document with the marginal
-    still an array. Records compare by identity, since they hold arrays.
+    Of the final state the record keeps the 2^n asset ``marginal``, in
+    basis-index order; the 2^m register distribution is rebuilt, when
+    wanted, by the ansatz call above. ``record.json`` (``to_dict``) holds
+    the marginal under the key ``histogram``; ``document`` is the same
+    document with the marginal still an array. Records compare by
+    identity, since they hold arrays.
     """
 
     method: str
@@ -193,7 +190,6 @@ class ExperimentRecord:
     initial_params: QaoaParams
     final_params: QaoaParams
     final_beta_penalty: float
-    probabilities: np.ndarray
     marginal: np.ndarray
     best_feasible: PortfolioPick | None
     most_probable: PortfolioPick
@@ -205,17 +201,8 @@ class ExperimentRecord:
     variance_bound: bounds.BoundReport
 
     @property
-    def histogram(self) -> dict[str, float]:
-        """Probability of every register basis state, keyed by its m-bit label."""
-        return labelled_histogram(self.probabilities)
-
-    @property
     def iterations_used(self) -> int:
         return len(self.trace)
-
-    @property
-    def objective_trace(self) -> tuple[float, ...]:
-        return tuple(row.expectation for row in self.trace)
 
     def document(self) -> dict:
         """record.json's document with "histogram" left as the marginal array;
@@ -239,7 +226,6 @@ class ExperimentRecord:
             "sampled_feasible_fraction": self.sampled_feasible_fraction,
             "iterations": self.iterations_used,
             "terminated_by": self.terminated_by,
-            "objective_trace": list(self.objective_trace),
             "trace": [asdict(row) for row in self.trace],
             "variance_bound": asdict(self.variance_bound),
         }
@@ -461,17 +447,15 @@ def _picks(instance: PortfolioInstance, marginal: np.ndarray):
 def _record(
     instance: PortfolioInstance, state: StateVector, report_most_probable: bool, **fields
 ) -> ExperimentRecord:
-    """The record of a run that ended in ``state``: register probabilities,
-    asset marginal, picks, exact feasible mass and variance bound come from
-    the state, the remaining ``ExperimentRecord`` fields from the caller.
-    The amplitudes are squared into register probabilities once, and the
-    marginal, picks, feasible mass and variance bound are read from them."""
-    probabilities = state.probabilities()
+    """The record of a run that ended in ``state``: asset marginal, picks,
+    exact feasible mass and variance bound come from the state, the
+    remaining ``ExperimentRecord`` fields from the caller. The amplitudes
+    are squared and reduced to the asset marginal once, and the picks,
+    feasible mass and variance bound are read from it."""
     # Sum over the ancilla bits, the high bits of the basis index.
-    marginal = probabilities.reshape(-1, 1 << instance.n).sum(axis=0)
+    marginal = state.probabilities().reshape(-1, 1 << instance.n).sum(axis=0)
     best_feasible, most_probable, feasible_mass = _picks(instance, marginal)
     return ExperimentRecord(
-        probabilities=probabilities,
         marginal=marginal,
         best_feasible=best_feasible,
         most_probable=most_probable,

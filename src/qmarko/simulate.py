@@ -4,8 +4,7 @@ The phase-separation step multiplies amplitudes by exp(-i*gamma*E(x))
 over the whole register rather than applying gates one by one. The
 phases come from the table's bit form by multiplicative doubling
 (``bitstrings.quadratic_form_phases``), one complex exponential per
-coefficient rather than per amplitude; ``np.exp`` over the energies is
-used only for tables that carry no form. Both mixers are tensor powers
+coefficient rather than per amplitude. Both mixers are tensor powers
 of one small real unitary (see the real frame below) and run on one
 kernel that applies them as dense block gates, one BLAS matmul per block
 of BLOCK_QUBITS qubits. ``qaoa._ansatz`` is the one caller that composes
@@ -65,13 +64,12 @@ class EnergyTable:
 
     ``form`` is the bit form (Q, b, c) with E(x) = x'Qx + b'x + c, as
     ``energy_table`` fills it; phase separation builds its phases from it
-    by multiplicative doubling. A table without a form (energies given
-    directly) gets its phases from ``np.exp`` over the energies.
+    by multiplicative doubling.
     """
 
     num_qubits: int
     energies: np.ndarray
-    form: tuple[np.ndarray, np.ndarray, float] | None = None
+    form: tuple[np.ndarray, np.ndarray, float]
 
 
 def energy_table(hamiltonian: IsingHamiltonian) -> EnergyTable:
@@ -80,17 +78,20 @@ def energy_table(hamiltonian: IsingHamiltonian) -> EnergyTable:
     Substituting z = 1 - 2x turns the Ising form into a quadratic form
     over bits (J_ij z_i z_j = J_ij (1 - 2x_i - 2x_j + 4 x_i x_j)), which
     ``quadratic_form_table`` tabulates in O(2^m) time and extra memory.
+    Raises ValueError if an energy overflows.
     """
     m = hamiltonian.num_qubits
     quadratic = np.zeros((m, m))
-    for (i, j), coupling in hamiltonian.couplings.items():
-        quadratic[i, j] = 4.0 * coupling
-    touching = quadratic.sum(axis=0) + quadratic.sum(axis=1)
-    linear = -2.0 * hamiltonian.fields - touching / 2.0
-    constant = hamiltonian.offset + hamiltonian.fields.sum() + quadratic.sum() / 4.0
-    return EnergyTable(
-        m, quadratic_form_table(quadratic, linear, constant), (quadratic, linear, constant)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (i, j), coupling in hamiltonian.couplings.items():
+            quadratic[i, j] = 4.0 * coupling
+        touching = quadratic.sum(axis=0) + quadratic.sum(axis=1)
+        linear = -2.0 * hamiltonian.fields - touching / 2.0
+        constant = hamiltonian.offset + hamiltonian.fields.sum() + quadratic.sum() / 4.0
+        energies = quadratic_form_table(quadratic, linear, constant)
+    if not np.isfinite([energies.min(), energies.max()]).all():  # NaN propagates to both
+        raise ValueError("energies must be finite (penalty weight too large?)")
+    return EnergyTable(m, energies, (quadratic, linear, constant))
 
 
 def workspace(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -140,12 +141,7 @@ def apply_phase_separation(
         raise ValueError(
             f"table has {table.num_qubits} qubits, state has {state.num_qubits}"
         )
-    if table.form is None:
-        phases = np.multiply(table.energies, -1j * gamma, out=spare)
-        np.exp(phases, out=phases)
-    else:
-        phases = quadratic_form_phases(*table.form, gamma, out=spare)
-    state.amplitudes *= phases
+    state.amplitudes *= quadratic_form_phases(*table.form, gamma, out=spare)
     return state
 
 
@@ -301,10 +297,8 @@ def frame_table(table: EnergyTable, order) -> EnergyTable:
     ``to_frame``, and the bit form's Q and b permuted to match (x_order[i]
     is frame bit i), so phase separation in the frame costs what it does
     in place."""
-    form = table.form
-    if form is not None:
-        quadratic, linear, constant = form
-        form = (quadratic[np.ix_(order, order)], linear[order], constant)
+    quadratic, linear, constant = table.form
+    form = (quadratic[np.ix_(order, order)], linear[order], constant)
     return EnergyTable(table.num_qubits, to_frame(table.energies, order), form)
 
 

@@ -2,16 +2,21 @@
 
 Everything here recomputes results through a different route than the
 package (explicit loops, dense matrices, one gate at a time) so the two
-sides of each equivalence check stay independent.
+sides of each equivalence check stay independent. ``final_register`` is
+the exception: it replays the package's own ansatz, as a record's
+contract says its final state is rebuilt.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from qmarko import encode
 from qmarko.bitstrings import index_to_bits, index_to_string
 from qmarko.encode import IsingHamiltonian, QuboProgram, cardinality_slack_weights
 from qmarko.instance import PortfolioInstance, classical_objective, is_feasible
+from qmarko.qaoa import _ansatz, labelled_histogram, mixer_pairs
+from qmarko.simulate import energy_table
 
 
 def naive_qubo_energy(program: QuboProgram, bits) -> float:
@@ -207,3 +212,23 @@ def naive_portfolio_picks(inst: PortfolioInstance, marginal, threshold: float):
         if marginal[idx] > threshold and (best is None or pick[1] < best[1]):
             best = pick
     return best, most_probable, feasible_mass
+
+
+# --- a record's final register -------------------------------------------
+
+_PROGRAMS = {
+    "slack-qaoa": encode.build_slack_ancilla_qubo,
+    "penalty-qaoa": encode.build_penalty_qubo,
+    "cardinality-slack-qaoa": encode.build_cardinality_slack_qubo,
+}
+
+
+def final_register(record, inst: PortfolioInstance) -> dict[str, float]:
+    """The 2^m register probabilities of a QAOA record's final state, keyed
+    by m-bit label: ``_ansatz`` on the table of the record's program at
+    ``final_beta_penalty``, evaluated at ``final_params``."""
+    program = _PROGRAMS[record.method](inst, record.final_beta_penalty)
+    pairs = mixer_pairs(program.labels) if record.mixer == "conditional" else None
+    table = energy_table(encode.to_ising(program))
+    state = _ansatz(table, record.mixer, pairs)(record.final_params)
+    return labelled_histogram(state.probabilities())

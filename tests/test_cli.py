@@ -143,6 +143,36 @@ def test_non_finite_penalty_weights_are_rejected(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method, flag", [
+    ("penalty-qaoa", "--penalty"),
+    ("cardinality-slack-qaoa", "--penalty"),
+    ("classical-baseline", "--penalty"),
+    ("slack-qaoa", "--beta-init"),
+])
+def test_penalty_weights_that_overflow_exit_2_without_a_record(tmp_path, capsys, method, flag):
+    # 1e308 passes the positive-and-finite check but overflows the program
+    # (2 * weight * offset, Q + Q^T) or the relaxed objective.
+    from qmarko.cli import EXIT_INVALID
+
+    instance = str(tmp_path / "instance.json")
+    assert main(["generate", "--n", "3", "--k", "1", "--seed", "1", "--out", instance]) == EXIT_OK
+    run = [flag, "1e308", "--max-iter", "8", "--doubling-interval", "4", "--shots", "32"]
+    out = tmp_path / "solve"
+    assert main(["solve", "--instance", instance, "--method", method, "--seed", "1", *run,
+                 "--out", str(out)]) == EXIT_INVALID
+    assert not out.exists()
+    assert "penalty weight" in capsys.readouterr().err
+    # A sweep cell records the error instead, and the sweep goes on.
+    sweep = tmp_path / "sweep"
+    assert main(["sweep", "--instance", instance, "--methods", f"oracle,{method}",
+                 "--seeds", "1", *run, "--out", str(sweep)]) == EXIT_OK
+    cell = sweep / f"{method}_seed1"
+    assert not (cell / "record.json").exists()
+    assert (cell / "error.txt").read_text().startswith("ValueError: ")
+    assert (sweep / "oracle_seed1" / "record.json").exists()
+    capsys.readouterr()
+
+
 def test_null_and_list_settings_exit_2_without_writing(tmp_path, capsys):
     from qmarko.cli import EXIT_INVALID
 
@@ -427,6 +457,7 @@ def test_slack_qaoa_refuses_caps_the_encoding_cannot_close(tmp_path, capsys):
 
 
 def test_records_and_histogram_files_hold_the_asset_marginal(tmp_path, capsys):
+    from helpers import final_register
     from qmarko.instance import from_json
     from qmarko.qaoa import ScheduleConfig, run_schedule
 
@@ -457,6 +488,6 @@ def test_records_and_histogram_files_hold_the_asset_marginal(tmp_path, capsys):
     config = ScheduleConfig(doubling_interval=6, feasibility_shots=64, max_iterations=12)
     rerun = run_schedule(inst, config, seed=seed)
     assert json.loads(json.dumps(rerun.to_dict())) == json.loads(record_text)
-    register = rerun.histogram
+    register = final_register(rerun, inst)
     assert len(register) == 1 << (2 * n)
     assert len(record_text) < len(json.dumps(register, indent=2))

@@ -310,3 +310,28 @@ def test_argmin_invariant_under_positive_scaling(seed, scale):
     assert set(np.flatnonzero(energies <= energies.min() + tol)) == set(
         np.flatnonzero(scaled_energies <= scaled_energies.min() + scale * tol)
     )
+
+
+def test_programs_and_hamiltonians_refuse_non_finite_coefficients():
+    labels = (VarLabel.asset(0), VarLabel.asset(1))
+    for quadratic, linear, constant in (
+        ([[np.inf, 0.0], [0.0, 0.0]], [0.0, 0.0], 0.0),
+        (np.zeros((2, 2)), [np.nan, 0.0], 0.0),
+        (np.zeros((2, 2)), [0.0, 0.0], -np.inf),
+    ):
+        with pytest.raises(ValueError, match="QUBO coefficients"):
+            QuboProgram(2, labels, quadratic, linear, constant)
+    for couplings, fields, offset in (
+        ({(0, 1): np.inf}, np.zeros(2), 0.0),
+        ({}, np.array([0.0, np.nan]), 0.0),
+        ({}, np.zeros(2), np.inf),
+    ):
+        with pytest.raises(ValueError, match="Ising coefficients"):
+            IsingHamiltonian(2, couplings, fields, offset)
+    # Finite weights whose arithmetic overflows are refused without a
+    # RuntimeWarning: 2 * weight * offset in the builder, Q + Q^T in the map.
+    with pytest.raises(ValueError, match="QUBO coefficients"):
+        build_penalty_qubo(generate_instance(3, 1, seed=1), 1e308)
+    finite = QuboProgram(2, labels, [[0.0, 1e308], [1e308, 0.0]], [0.0, 0.0], 0.0)
+    with pytest.raises(ValueError, match="Ising coefficients"):
+        to_ising(finite)

@@ -5,7 +5,7 @@ import pytest
 
 from functools import partial
 
-from helpers import dense_reference_ansatz, label_bits
+from helpers import dense_reference_ansatz, final_register, label_bits
 from qmarko.bitstrings import index_to_bits
 from qmarko.encode import IsingHamiltonian, build_penalty_qubo, build_slack_ancilla_qubo, to_ising
 from qmarko.instance import PortfolioInstance, classical_objective, generate_instance, is_feasible
@@ -53,7 +53,7 @@ def test_params_validation():
 
 def test_params_vector_round_trip():
     params = QaoaParams(2, (0.1, 0.2), (0.3, 0.4))
-    assert QaoaParams.from_vector(params.to_vector()) == params
+    assert QaoaParams.from_vector([0.1, 0.2, 0.3, 0.4]) == params
     with pytest.raises(ValueError):
         QaoaParams.from_vector([0.1, 0.2, 0.3])
 
@@ -296,14 +296,13 @@ def test_schedule_final_params_reproduce_the_recorded_marginal():
 def test_schedule_record_is_self_consistent():
     inst = generate_instance(3, 1, seed=11)
     record = run_schedule(inst, seed=11)
-    assert sum(record.histogram.values()) == pytest.approx(1.0, abs=1e-9)
+    assert sum(final_register(record, inst).values()) == pytest.approx(1.0, abs=1e-9)
     assert record.best_feasible is not None
     bits = label_bits(record.best_feasible.bitstring)
     assert is_feasible(inst, bits)
     assert record.best_feasible.value == pytest.approx(
         classical_objective(inst, bits), abs=1e-12
     )
-    assert record.objective_trace == tuple(row.expectation for row in record.trace)
     assert record.reported == record.best_feasible
     assert record.variance_bound.slack >= -1e-9
 
@@ -320,7 +319,7 @@ def test_baseline_reports_most_probable_with_flag():
     assert record.most_probable.value == pytest.approx(
         classical_objective(inst, bits), abs=1e-12
     )
-    assert sum(record.histogram.values()) == pytest.approx(1.0, abs=1e-9)
+    assert sum(final_register(record, inst).values()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_baseline_penalty_strength_pushes_mass_toward_cardinality():
@@ -337,7 +336,7 @@ def test_baseline_penalty_strength_pushes_mass_toward_cardinality():
 
     def off_cardinality_mass(record):
         total = 0.0
-        for bitstring, probability in record.histogram.items():
+        for bitstring, probability in final_register(record, inst).items():
             if sum(map(int, bitstring)) != inst.k:
                 total += probability
         return total
@@ -374,7 +373,7 @@ def test_cardinality_slack_runner_reports_best_feasible():
     bits = label_bits(record.best_feasible.bitstring)
     assert is_feasible(inst, bits)
     # histogram spans asset bits plus ceil(log2(k+1)) slack bits
-    assert all(len(b) == 4 for b in record.histogram)
+    assert all(len(b) == 4 for b in final_register(record, inst))
 
 
 # --- portfolio picks against the loop reference ------------------------------
@@ -428,7 +427,9 @@ def _assert_trace_numbered(record, expected_length):
     assert [row.iteration for row in record.trace] == list(range(1, expected_length + 1))
     doc = record.to_dict()
     assert doc["iterations"] == len(record.trace) == record.iterations_used
-    assert doc["objective_trace"] == [row.expectation for row in record.trace]
+    # The trace rows carry the evaluations; no second list repeats them.
+    assert "objective_trace" not in doc
+    assert [row["expectation"] for row in doc["trace"]] == [row.expectation for row in record.trace]
     assert [row["iteration"] for row in doc["trace"]] == list(range(1, expected_length + 1))
 
 
@@ -446,12 +447,13 @@ def test_trace_is_numbered_from_one_across_penalty_doublings():
 
 # --- serialised histogram: the asset marginal --------------------------------
 
-def _assert_serialised_histogram_is_asset_marginal(record, n):
+def _assert_serialised_histogram_is_asset_marginal(record, inst):
     from qmarko.bitstrings import index_to_string
 
+    n = inst.n
     serialised = record.to_dict()["histogram"]
     assert list(serialised) == [index_to_string(i, n) for i in range(1 << n)]
-    register = record.histogram
+    register = final_register(record, inst)
     summed = dict.fromkeys(serialised, 0.0)
     for key, probability in register.items():
         summed[key[:n]] += probability
@@ -463,16 +465,16 @@ def _assert_serialised_histogram_is_asset_marginal(record, n):
 def test_serialised_histogram_is_the_asset_marginal():
     inst = generate_instance(3, 1, seed=15)
     schedule = run_schedule(inst, ScheduleConfig(doubling_interval=4, max_iterations=8), seed=15)
-    _, register = _assert_serialised_histogram_is_asset_marginal(schedule, inst.n)
+    _, register = _assert_serialised_histogram_is_asset_marginal(schedule, inst)
     assert len(next(iter(register))) == 2 * inst.n
 
     cardinality = run_cardinality_slack_qaoa(inst, a_card=1000.0, p=2, budget=8, seed=15)
-    _, register = _assert_serialised_histogram_is_asset_marginal(cardinality, inst.n)
+    _, register = _assert_serialised_histogram_is_asset_marginal(cardinality, inst)
     assert len(next(iter(register))) == inst.n + 1
 
     # Without ancillas (m = n) the marginal is the register distribution, exactly.
     penalty = run_baseline_penalty_qaoa(inst, a_card=1000.0, p=2, budget=8, seed=15)
-    serialised, register = _assert_serialised_histogram_is_asset_marginal(penalty, inst.n)
+    serialised, register = _assert_serialised_histogram_is_asset_marginal(penalty, inst)
     assert list(serialised.items()) == list(register.items())
 
 
@@ -572,7 +574,9 @@ def test_ansatz_refuses_more_than_max_qubits_before_allocating():
     from qmarko.qaoa import _ansatz
     from qmarko.simulate import MAX_QUBITS, EnergyTable
 
-    # The energies are a stand-in: the qubit count is checked before the
-    # workspace, 2 x 2^25 amplitudes, would be allocated.
+    # The energies and form are stand-ins: the qubit count is checked before
+    # the workspace, 2 x 2^25 amplitudes, would be allocated.
+    m = MAX_QUBITS + 1
+    table = EnergyTable(m, np.zeros(1), (np.zeros((m, m)), np.zeros(m), 0.0))
     with pytest.raises(ValueError, match="outside"):
-        _ansatz(EnergyTable(MAX_QUBITS + 1, np.zeros(1)), "standard", None)
+        _ansatz(table, "standard", None)
