@@ -12,7 +12,8 @@ ASCII block; ``basis_labels`` splits it into strings and
 One prefix recursion serves sums and phases: combined by addition it
 gives the form's values (``quadratic_form_table``), combined by
 multiplication over unit phases it gives exp(-i*gamma*value)
-(``quadratic_form_phases``) without a complex exponential per entry.
+(``quadratic_form_phases``) without a complex exponential per entry, and
+with any per-bit factor and overall scale folded into its coefficients.
 """
 
 from __future__ import annotations
@@ -56,28 +57,33 @@ def index_to_bits(index: int, num_bits: int) -> np.ndarray:
     return (index >> np.arange(num_bits)) & 1
 
 
-def _prefix_recursion(quadratic, linear, constant, combine, lift, out=None) -> np.ndarray:
-    """lift(x'Qx + b'x + c) for every basis state x, where ``lift`` maps
-    sums to ``combine``-products (identity for np.add, x -> exp(-i*gamma*x)
-    for np.multiply), so only the lifted coefficients are ever evaluated.
-
-    The table over bits 0..k is ``[T, T o lift(d_k)]``, with ``T`` the
-    table over bits 0..k-1, ``o`` = ``combine`` and
-    ``d_k(x) = b_k + Q_kk + sum_{j<k} (Q_jk + Q_kj) x_j``; lift(d_k) is
-    itself built by doubling, in the half of the table it then fills, so
-    the table is the only array of size 2^m. Any storage of Q works (full,
-    triangular, non-symmetric). Time is O(2^m); the limit MAX_QUBITS is
-    checked before anything of that size is allocated. The table is
-    written into ``out`` when given (a 2^m array of the lifted dtype).
-    """
+def _bit_terms(quadratic, linear, constant):
+    """The form's coefficients as the prefix recursion adds them: (Q + Q',
+    b + diag(Q), c) as float64. The limit MAX_QUBITS is checked here, before
+    anything of size 2^m is allocated."""
     linear = np.asarray(linear, dtype=float)
-    m = linear.size
-    if m > MAX_QUBITS:
-        raise ValueError(f"refusing to tabulate {m} variables (limit {MAX_QUBITS})")
+    if linear.size > MAX_QUBITS:
+        raise ValueError(f"refusing to tabulate {linear.size} variables (limit {MAX_QUBITS})")
     quadratic = np.asarray(quadratic, dtype=float)
-    pair = lift(quadratic + quadratic.T)
-    own = lift(linear + np.diagonal(quadratic))
-    start = lift(np.float64(constant))
+    return quadratic + quadratic.T, linear + np.diagonal(quadratic), np.float64(constant)
+
+
+def _prefix_recursion(pair, own, start, combine, out=None) -> np.ndarray:
+    """The ``combine``-product over every basis state x of ``start``,
+    ``own[k]`` for each set bit k and ``pair[j, k]`` for each set pair j < k:
+    for lifted coefficients (see ``_bit_terms``) this is lift(x'Qx + b'x + c),
+    where ``lift`` maps sums to ``combine``-products (identity for np.add,
+    x -> exp(-i*gamma*x) for np.multiply), so only the lifted coefficients
+    are ever evaluated.
+
+    The table over bits 0..k is ``[T, T o d_k]``, with ``T`` the table over
+    bits 0..k-1, ``o`` = ``combine`` and ``d_k(x) = own[k] o (o_{j<k, x_j=1}
+    pair[j, k])``; d_k is itself built by doubling, in the half of the table
+    it then fills, so the table is the only array of size 2^m. Any storage
+    of Q works (full, triangular, non-symmetric). Time is O(2^m). The table
+    is written into ``out`` when given (a 2^m array of ``start``'s dtype).
+    """
+    m = own.size
     table = np.empty(1 << m, dtype=start.dtype) if out is None else out
     table[0] = start
     for k in range(m):
@@ -91,14 +97,17 @@ def _prefix_recursion(quadratic, linear, constant, combine, lift, out=None) -> n
 
 def quadratic_form_table(quadratic, linear, constant: float) -> np.ndarray:
     """x'Qx + b'x + c for every basis state x, indexed as above."""
-    return _prefix_recursion(quadratic, linear, constant, np.add, np.asarray)
+    return _prefix_recursion(*_bit_terms(quadratic, linear, constant), np.add)
 
 
 def quadratic_form_phases(
-    quadratic, linear, constant: float, gamma: float, out: np.ndarray | None = None
+    quadratic, linear, constant: float, gamma: float, out: np.ndarray | None = None,
+    unit: complex = 1.0, scale: float = 1.0,
 ) -> np.ndarray:
-    """exp(-i*gamma*(x'Qx + b'x + c)) for every basis state x, indexed as
-    above; written into the complex array ``out`` when given."""
-    return _prefix_recursion(
-        quadratic, linear, constant, np.multiply, lambda terms: np.exp(-1j * gamma * terms), out
-    )
+    """scale * unit**popcount(x) * exp(-i*gamma*(x'Qx + b'x + c)) for every
+    basis state x, indexed as above; written into the complex array ``out``
+    when given. ``unit`` is folded into each bit's lifted term and ``scale``
+    into the lifted constant, so neither costs a pass over the table."""
+    pair, own, start = (np.exp(-1j * gamma * terms)
+                        for terms in _bit_terms(quadratic, linear, constant))
+    return _prefix_recursion(pair, unit * own, scale * start, np.multiply, out)

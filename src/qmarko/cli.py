@@ -11,7 +11,10 @@ flag, else the config-file entry, else the default (QMARKO_SEED, then 0, for
 an unset seed), converted to its type. A value that does not convert (null,
 a list, text, or a fraction or boolean for an integer) exits 2, and so does
 a negative seed. A config file may hold other commands' settings, so one
-file serves all three; a key that names no setting exits 2. `sweep --jobs`
+file serves all three; a key that names no setting exits 2. A setting a
+method would ignore exits 2: `--mixer` on any method but slack-qaoa, and
+`--penalty` on a `solve` method, or a `sweep` grid, that takes no fixed
+weight (slack-qaoa and the oracle take none). `sweep --jobs`
 is capped by the number of cells. A command checks every input before it
 writes any file.
 
@@ -288,6 +291,15 @@ METHODS = {
 }
 
 
+def _check_penalty_applies(cfg: dict, methods) -> None:
+    """A set penalty weight needs at least one method that takes one: the
+    slack schedule and the oracle would drop it without a word."""
+    if cfg["penalty"] is None or any(METHODS[method][1] is not None for method in methods):
+        return
+    weighted = ", ".join(method for method, (_, weight) in METHODS.items() if weight is not None)
+    raise ValueError(f"--penalty applies to {weighted} only, not {', '.join(methods)}")
+
+
 def _run_method(
     inst: instance_mod.PortfolioInstance, method: str, cfg: dict, schedule: qaoa.ScheduleConfig
 ) -> tuple[dict, str]:
@@ -323,6 +335,7 @@ def cmd_solve(args) -> int:
     method = _choice(*METHODS)(args.method)
     if cfg["mixer"] is not None and method != "slack-qaoa":
         raise ValueError(f"--mixer applies to slack-qaoa only, not {method}")
+    _check_penalty_applies(cfg, [method])
     schedule = _schedule(cfg)
     inst = instance_mod.load_instance(args.instance)
     doc, trace_text = _run_method(inst, method, cfg, schedule)
@@ -375,6 +388,7 @@ def cmd_sweep(args) -> int:
     cfg = _resolve(args)
     methods = _grid(args.methods, "--methods", _choice(*METHODS))
     seeds = _grid(args.seeds, "--seeds", _seed)
+    _check_penalty_applies(cfg, methods)
     schedule = _schedule(cfg)
     if cfg["jobs"] < 1:
         raise ValueError(f"--jobs must be >= 1, got {cfg['jobs']}")

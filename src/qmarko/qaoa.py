@@ -71,7 +71,7 @@ from .simulate import (
     from_frame,
     from_real_frame,
     pair_frame,
-    real_frame_uniform,
+    real_frame_phased_uniform,
     sample_counts,
     workspace,
 )
@@ -327,10 +327,18 @@ class _ansatz:
     reads the state where it is, against the frame's table. Only a state
     that leaves the ansatz gets S and is transposed back to canonical order.
 
+    The first layer's phase separation is folded into the start state
+    (``simulate.real_frame_phased_uniform``), so layers 2..p alone run
+    ``apply_phase_separation``.
+
     One ``simulate.workspace`` of two 2^m buffers serves every evaluation:
     the state lives in one, and the other takes each layer's phases and
-    each mixer block's output. Its contents do not outlive a call, and a
-    returned state never shares memory with it.
+    each mixer block's output. The state in the frame outlives the call
+    that built it: the ansatz remembers its angles, and an evaluation at
+    equal angles (typically ``ansatz(best)`` after a search whose last
+    evaluation was its best) reads it instead of recomputing it. Only a
+    later evaluation at other angles overwrites it. A returned state never
+    shares memory with the workspace.
     """
 
     def __init__(self, table: EnergyTable, mixer: str, pairs):
@@ -342,16 +350,24 @@ class _ansatz:
         self._order = None if order == list(range(m)) else order
         self._table = table if self._order is None else frame_table(table, order)
         self._buffers = workspace(m)
+        self._held: QaoaParams | None = None  # angles of the state in self._buffers[0]
 
     def _frame_state(self, params: QaoaParams) -> tuple[np.ndarray, np.ndarray]:
         """(buffer holding the state in the frame, the other buffer)."""
+        if params == self._held:
+            return self._buffers
+        self._held = None
         table = self._table
         state, spare = self._buffers
-        real_frame_uniform(state)
-        for gamma, beta_mix in zip(params.gammas, params.beta_mixes):
-            apply_phase_separation(StateVector(table.num_qubits, state), table, gamma, spare)
+        real_frame_phased_uniform(state, table, params.gammas[0])
+        for layer, beta_mix in enumerate(params.beta_mixes):
+            if layer > 0:
+                apply_phase_separation(
+                    StateVector(table.num_qubits, state), table, params.gammas[layer], spare
+                )
             if apply_real_frame_mixer(state, spare, beta_mix, self._pair_count) is spare:
                 state, spare = spare, state
+        self._buffers, self._held = (state, spare), params
         return state, spare
 
     def expectation(self, params: QaoaParams) -> float:
@@ -360,11 +376,10 @@ class _ansatz:
 
     def __call__(self, params: QaoaParams) -> StateVector:
         state, spare = self._frame_state(params)
-        from_real_frame(state, spare)
         if self._order is None:
-            amplitudes = state.copy()
+            amplitudes = from_real_frame(state, spare)
         else:
-            amplitudes = from_frame(state, self._order)
+            amplitudes = from_frame(from_real_frame(state, spare, out=spare), self._order)
         return StateVector(self._table.num_qubits, amplitudes)
 
 

@@ -26,14 +26,21 @@ on every qubit and R(beta) = [[cos beta, sin beta], [-sin beta, cos
 beta]], exp(-i*beta*X) = S R(beta) S^dag, and the same S on both qubits
 of a pair makes the conditional mixer's 4x4 unit real too. S is diagonal,
 so it commutes with phase separation: an ansatz started from S^dag|+>^m
-(``real_frame_uniform``) runs every mixer layer with a real unit
-(``apply_real_frame_mixer``) and applies S once, to a state that leaves
-it (``from_real_frame``). Probabilities and expectations are the same in
-both frames. A real unit acts on the float64 view of the complex
-amplitudes, half the multiply-adds of a complex one. The two frames
-compose: ``qaoa._ansatz`` runs the conditional mixer in both at once.
-Every block kernel writes into a spare buffer (``workspace``) instead of
-a new array, and phase separation can build its phases in that buffer.
+runs every mixer layer with a real unit (``apply_real_frame_mixer``) and
+applies S once, to a state that leaves it (``from_real_frame``).
+Probabilities and expectations are the same in both frames. A real unit
+acts on the float64 view of the complex amplitudes, half the multiply-adds
+of a complex one. The two frames compose: ``qaoa._ansatz`` runs the
+conditional mixer in both at once.
+
+The start state is folded into the first layer: S^dag|+>^m is
+(-i)^popcount(x) / sqrt(2^m), a product over bits like the phases, so
+``real_frame_phased_uniform`` writes it times layer 1's phases in the one
+recursion that builds those phases, with no pass to set the start state
+and none to multiply the phases in. Later layers run
+``apply_phase_separation``. Every block kernel writes into a spare buffer
+(``workspace``) instead of a new array, and phase separation can build its
+phases in that buffer.
 """
 
 from __future__ import annotations
@@ -106,27 +113,32 @@ def workspace(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.empty(1 << num_qubits, dtype=np.complex128) for _ in range(2))
 
 
-def _popcount_phases(out: np.ndarray, unit: complex, scale: float) -> np.ndarray:
-    """out[x] = scale * unit**popcount(x), by doubling. For unit = +-1j each
-    entry is +-scale or +-1j*scale exactly."""
-    out[0] = scale
-    for k in range(out.size.bit_length() - 1):
-        np.multiply(out[: 1 << k], unit, out=out[1 << k : 2 << k])
-    return out
+def real_frame_phased_uniform(out: np.ndarray, table: EnergyTable, gamma: float) -> np.ndarray:
+    """The ansatz's state after its first phase separation, in the real
+    frame, written into ``out``: exp(-i*gamma*E(x)) times S^dag on every
+    qubit of the uniform superposition, (-i)^popcount(x) / sqrt(2^m). One
+    pass of ``quadratic_form_phases`` builds it, with -i folded into each
+    bit's term and 1/sqrt(2^m) into the constant; gamma = 0 gives the
+    real-frame uniform state itself."""
+    if out.size != 1 << table.num_qubits:
+        raise ValueError(f"table has {table.num_qubits} qubits, buffer has {out.size} amplitudes")
+    return quadratic_form_phases(
+        *table.form, gamma, out=out, unit=-1j, scale=1.0 / np.sqrt(out.size)
+    )
 
 
-def real_frame_uniform(out: np.ndarray) -> np.ndarray:
-    """S^dag on every qubit of the uniform superposition, written into
-    ``out``: (-i)^popcount(x) / sqrt(2^m)."""
-    return _popcount_phases(out, -1j, 1.0 / np.sqrt(out.size))
-
-
-def from_real_frame(amplitudes: np.ndarray, spare: np.ndarray) -> np.ndarray:
-    """S on every qubit, in place: amplitude x times i^popcount(x). The
-    phases are built in ``spare``. Qubit order does not matter, since every
-    qubit gets the same S."""
-    amplitudes *= _popcount_phases(spare, 1j, 1.0)
-    return amplitudes
+def from_real_frame(
+    amplitudes: np.ndarray, spare: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """S on every qubit: amplitude x times i^popcount(x), written into
+    ``out`` (``spare`` will do) or a new array; ``amplitudes`` is left as
+    it is. The phases are built in ``spare`` by doubling, each entry +-1 or
+    +-1j exactly. Qubit order does not matter, since every qubit gets the
+    same S."""
+    spare[0] = 1.0
+    for k in range(spare.size.bit_length() - 1):
+        np.multiply(spare[: 1 << k], 1j, out=spare[1 << k : 2 << k])
+    return np.multiply(amplitudes, spare, out=out)
 
 
 def apply_phase_separation(
@@ -156,8 +168,13 @@ def apply_phase_separation(
 # 2-qubit pairs per block, as 2 and 4 do). A second run agreed within 5%.
 # Below 4, passes over the state dominate; above 5, the d^2 multiply-adds
 # per amplitude do. At width 4 the lowest block, on complex arithmetic,
-# takes about a third of a layer. Small states pay a fixed 0.1-0.2 ms per
-# layer for building the gates, more than their arithmetic below m = 10.
+# takes about a third of a layer. Below m = 10 a layer's cost is mostly
+# building its gates: one Kronecker power per distinct block size (at most
+# two per layer, the top block being the only partial one) and the pair
+# unit written out from cos and sin. At m = 8 (median of 2000) a standard
+# layer then takes 0.06 ms and a conditional one 0.03 ms, against 0.11 and
+# 0.08 ms with a Kronecker power per block and the pair unit built by
+# kron and matmul.
 BLOCK_QUBITS = 4
 
 
@@ -176,23 +193,28 @@ def _apply_unit_power(
     Copy k of ``unit`` (a 2^w x 2^w matrix on w qubits) acts on qubits
     [k*w, (k+1)*w); higher qubits are untouched. Copies are grouped into
     blocks of at most BLOCK_QUBITS qubits, whose gate is the Kronecker
-    power of ``unit``, a real matrix. The lowest block is one complex GEMM
-    over rows of the flat state; each higher block is one batched matmul
-    with the block's qubits as the middle axis, on the float64 view of the
-    amplitudes (real and imaginary parts are then two more columns). Each
-    block writes into the other of ``amplitudes`` and ``spare`` (flat 2^m
-    complex arrays); returns the one holding the result, ``amplitudes``
+    power of ``unit``, a real matrix, built once per distinct block size
+    (every block is full but the top one). The lowest block is one complex
+    GEMM over rows of the flat state; each higher block is one batched
+    matmul with the block's qubits as the middle axis, on the float64 view
+    of the amplitudes (real and imaginary parts are then two more columns).
+    Each block writes into the other of ``amplitudes`` and ``spare`` (flat
+    2^m complex arrays); returns the one holding the result, ``amplitudes``
     itself after an even number of blocks.
     """
     width = unit.shape[0].bit_length() - 1
     per_block = max(1, BLOCK_QUBITS // width)
+    gates: dict[int, np.ndarray] = {}
     current, other = amplitudes, spare
     low = 0
     while count > 0:
         copies = min(per_block, count)
-        gate = unit
-        for _ in range(copies - 1):
-            gate = np.kron(gate, unit)
+        if copies not in gates:
+            gate = unit
+            for _ in range(copies - 1):
+                gate = np.kron(gate, unit)
+            gates[copies] = gate
+        gate = gates[copies]
         dim = gate.shape[0]
         if low == 0:
             lowest = gate.T.astype(np.complex128)
@@ -249,12 +271,19 @@ def _pair_unit(beta_angle: float) -> np.ndarray:
     controlled rotation reads the asset bit before the asset rotation
     scrambles it. Basis index 2*ancilla + asset (the ancilla is the higher
     qubit). The projectors commute with S, so the unit is the gate-level
-    formula over R(beta_angle).
+    formula kron(I, R P_0) + kron(R, R P_1) over R = R(beta_angle), written
+    out entry by entry from cos and sin, with the same values.
     """
-    rx = _rx_matrix(beta_angle)
-    project_0 = np.diag([1.0, 0.0])
-    project_1 = np.diag([0.0, 1.0])
-    return np.kron(np.eye(2), rx @ project_0) + np.kron(rx, rx @ project_1)
+    cos_b, sin_b = np.cos(beta_angle), np.sin(beta_angle)
+    cos_sin, cos_sq, sin_sq = cos_b * sin_b, cos_b * cos_b, sin_b * sin_b
+    # Entry (2a + i, 2b + j) is [a == b] * R[i, 0] for an asset input j = 0
+    # and R[a, b] * R[i, 1] for j = 1: each entry is at most one product.
+    return np.array([
+        [cos_b, cos_sin, 0.0, sin_sq],
+        [-sin_b, cos_sq, 0.0, cos_sin],
+        [0.0, -sin_sq, cos_b, cos_sin],
+        [0.0, -cos_sin, -sin_b, cos_sq],
+    ])
 
 
 def pair_frame(num_qubits: int, pairs) -> list[int]:

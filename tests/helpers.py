@@ -156,6 +156,16 @@ def apply_crx(state: np.ndarray, theta: float, control: int, target: int) -> np.
     return np.moveaxis(turned, [0, 1], axes).reshape(-1)
 
 
+def real_frame_pair_unit(beta_angle: float) -> np.ndarray:
+    """The conditional mixer's 4x4 pair unit in the real frame (basis index
+    2*ancilla + asset) by its gate formula kron(I, R P_0) + kron(R, R P_1),
+    R = [[cos, sin], [-sin, cos]] the real-frame Rx(2*beta_angle)."""
+    cos_b, sin_b = np.cos(beta_angle), np.sin(beta_angle)
+    rotation = np.array([[cos_b, sin_b], [-sin_b, cos_b]])
+    project_0, project_1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    return np.kron(np.eye(2), rotation @ project_0) + np.kron(rotation, rotation @ project_1)
+
+
 def gate_reference_mixer(state: np.ndarray, beta_mix: float, pairs=None) -> np.ndarray:
     """One mixer layer, one gate at a time: Rx(2*beta_mix) on every qubit
     when ``pairs`` is None, else the conditional mixer, every CRx before

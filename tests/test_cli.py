@@ -67,6 +67,41 @@ def test_solve_rejects_mixer_for_methods_without_one(tmp_path, capsys):
     assert record["mixer"] == "standard"
 
 
+def test_penalty_needs_a_method_that_takes_a_weight(tmp_path, capsys):
+    from qmarko.cli import EXIT_INVALID
+
+    instance = str(tmp_path / "instance.json")
+    assert main(["generate", "--n", "3", "--k", "1", "--seed", "1", "--out", instance]) == EXIT_OK
+    fast = ["--max-iter", "4", "--doubling-interval", "2", "--shots", "16"]
+    for method in ("slack-qaoa", "oracle"):
+        out = tmp_path / f"solve_{method}"
+        assert main(["solve", "--instance", instance, "--method", method, "--penalty", "1e308",
+                     *fast, "--out", str(out)]) == EXIT_INVALID, method
+        assert not out.exists(), method
+        err = capsys.readouterr().err
+        assert "--penalty applies to penalty-qaoa, cardinality-slack-qaoa, classical-baseline" \
+            in err, method
+        assert method in err.rsplit("not", 1)[1], method
+    # Set in a config file, the weight is refused the same way.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"penalty": 50.0}))
+    assert main(["solve", "--instance", instance, "--method", "oracle", "--config", str(config),
+                 "--out", str(tmp_path / "solve_config")]) == EXIT_INVALID
+    assert not (tmp_path / "solve_config").exists()
+
+    sweep = tmp_path / "sweep"
+    assert main(["sweep", "--instance", instance, "--methods", "slack-qaoa,oracle", "--seeds", "1",
+                 "--penalty", "50", *fast, "--out", str(sweep)]) == EXIT_INVALID
+    assert not sweep.exists()
+    assert "--penalty applies to" in capsys.readouterr().err
+    # A grid that mixes weighted and unweighted methods takes the weight.
+    assert main(["sweep", "--instance", instance, "--methods", "slack-qaoa,oracle,penalty-qaoa",
+                 "--seeds", "1", "--penalty", "50", *fast, "--out", str(sweep)]) == EXIT_OK
+    record = json.loads((sweep / "penalty-qaoa_seed1" / "record.json").read_text())
+    assert record["final_beta_penalty"] == 50.0
+    capsys.readouterr()
+
+
 def test_settings_resolve_flags_over_config_over_defaults(tmp_path, capsys, monkeypatch):
     from qmarko.cli import EXIT_INVALID
 

@@ -64,8 +64,13 @@ def test_record_writer_matches_json_dumps_on_a_register_wide_penalty_record():
     {"01": -0.0, "10": 5e-324, "11": 1e16},
 ])
 def test_record_writer_matches_json_dumps_on_any_histogram(histogram):
-    doc = {"method": "x", "histogram": histogram, "trace": [{"a": 1.0}], "value": None}
-    assert cli._record_text(doc) == _dumps(doc)
+    # A histogram-shaped dict (any keys and values, the oracle's one-entry
+    # histogram among them) on either side of a marginal array: the
+    # entries spliced in must leave the rest as json.dumps writes it.
+    marginal = np.array([0.125, 0.375, 0.0, 0.5])
+    doc = {"method": "x", "best_feasible": {"histogram": histogram}, "histogram": marginal,
+           "trace": [histogram], "value": None}
+    assert cli._record_text(doc) == _dumps(_labelled(doc))
 
 
 def test_record_writer_finds_only_the_top_level_histogram():
@@ -78,13 +83,16 @@ def test_record_writer_finds_only_the_top_level_histogram():
 
 @settings(max_examples=200, deadline=None)
 @given(st.dictionaries(
-    st.text("01x\"\n", max_size=3) | st.integers(-2, 2),
-    st.floats() | st.integers() | st.booleans() | st.none(),
+    st.text("01x\"\n", max_size=3) | st.integers(-2, 2) | st.just("histogram"),
+    st.floats() | st.integers() | st.booleans() | st.none() | st.just({}),
     max_size=6,
-))
-def test_record_writer_gives_json_dumps_bytes_on_generated_histograms(histogram):
-    doc = {"seed": 1, "histogram": histogram, "iterations": 0}
-    assert cli._record_text(doc) == _dumps(doc)
+), st.sampled_from([2, 8]))
+def test_record_writer_gives_json_dumps_bytes_on_generated_histograms(histogram, size):
+    # Generated dicts, nested "histogram": {} keys among them, before and
+    # after the top-level marginal array: only that one is spliced.
+    doc = {"seed": 1, "before": histogram, "histogram": np.full(size, 1.0 / size),
+           "iterations": 0, "after": [histogram]}
+    assert cli._record_text(doc) == _dumps(_labelled(doc))
 
 
 def test_solve_and_sweep_write_the_same_record(tmp_path, capsys):

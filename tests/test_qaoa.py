@@ -525,6 +525,33 @@ def test_evaluations_do_not_depend_on_earlier_ones(layout):
 
 
 @pytest.mark.parametrize("layout", ("standard", "pair frame", "adjacent pairs"))
+def test_state_at_the_last_evaluated_angles_is_read_not_recomputed(layout, monkeypatch):
+    import qmarko.qaoa as qaoa
+
+    hamiltonian, mixer, pairs = _ansatz_layouts(4)[layout]
+    table = energy_table(hamiltonian)
+    fresh = _ansatz(table, mixer, pairs)(_PARAMS_A).amplitudes
+    layers = []
+    original_mixer = qaoa.apply_real_frame_mixer
+
+    def counted_mixer(*args, **kwargs):
+        layers.append(args)
+        return original_mixer(*args, **kwargs)
+
+    monkeypatch.setattr(qaoa, "apply_real_frame_mixer", counted_mixer)
+    ansatz = _ansatz(table, mixer, pairs)
+    ansatz.expectation(_PARAMS_A)
+    layers.clear()
+    assert np.array_equal(ansatz(_PARAMS_A).amplitudes, fresh)
+    assert np.array_equal(ansatz(_PARAMS_A).amplitudes, fresh)
+    assert layers == []
+    ansatz.expectation(_PARAMS_B)
+    assert np.array_equal(ansatz(_PARAMS_A).amplitudes, fresh)
+    # p mixer layers at _PARAMS_B, then p to rebuild the state at _PARAMS_A.
+    assert len(layers) == 2 * _PARAMS_A.p
+
+
+@pytest.mark.parametrize("layout", ("standard", "pair frame", "adjacent pairs"))
 def test_search_objective_is_the_expectation_of_the_state(layout):
     from qmarko.qaoa import _physical_params, _search_angles
 

@@ -12,6 +12,7 @@ from helpers import (
     gate_reference_mixer,
     naive_ising_energy,
     random_state,
+    real_frame_pair_unit,
 )
 from qmarko.bitstrings import basis_labels, index_to_bits, string_to_index
 from qmarko.encode import IsingHamiltonian, build_penalty_qubo, build_slack_ancilla_qubo, to_ising
@@ -20,6 +21,7 @@ from qmarko.qaoa import QaoaParams, _ansatz, mixer_pairs
 from qmarko.simulate import (
     EnergyTable,
     StateVector,
+    _pair_unit,
     apply_phase_separation,
     apply_real_frame_mixer,
     energy_table,
@@ -27,7 +29,7 @@ from qmarko.simulate import (
     from_frame,
     from_real_frame,
     pair_frame,
-    real_frame_uniform,
+    real_frame_phased_uniform,
     sample_counts,
     to_frame,
     workspace,
@@ -39,9 +41,11 @@ def _random_table(m, seed):
 
 
 def _uniform(m):
-    """The ansatz's initial state |+>^m, taken out of the real frame."""
+    """The ansatz's initial state |+>^m: its phased start at gamma = 0, taken
+    out of the real frame."""
     state, spare = workspace(m)
-    return StateVector(m, from_real_frame(real_frame_uniform(state), spare))
+    start = real_frame_phased_uniform(state, _random_table(m, 0), 0.0)
+    return StateVector(m, from_real_frame(start, spare))
 
 
 def _mix(state, beta_angle, pairs=None):
@@ -444,6 +448,38 @@ def test_phase_separation_on_energy_table_matches_naive_energy_phases(m):
             )
             expected = amplitudes * np.exp(-1j * gamma * energies)
             assert np.abs(state.amplitudes - expected).max() <= 1e-12, (weight, gamma)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_phased_uniform_is_phase_separation_of_the_real_frame_uniform_state(m):
+    # The real-frame uniform state S^dag|+>^m, built here entry by entry.
+    popcounts = np.array([bin(x).count("1") for x in range(1 << m)])
+    uniform = np.array([1, -1j, -1, 1j])[popcounts % 4] / np.sqrt(1 << m)
+    rng = np.random.default_rng(1000 + m)
+    for weight in (1.0, 1e5):
+        base = _random_hamiltonian(m, rng)
+        hamiltonian = IsingHamiltonian(
+            m,
+            {pair: weight * c for pair, c in base.couplings.items()},
+            weight * base.fields,
+            weight * base.offset,
+        )
+        table = energy_table(hamiltonian)
+        norm = float(np.abs(hamiltonian.fields).sum()) + sum(
+            abs(c) for c in hamiltonian.couplings.values()
+        )
+        for gamma in (0.0, float(rng.uniform(-np.pi, np.pi)) / norm):
+            fused = real_frame_phased_uniform(np.full(1 << m, np.nan, dtype=complex), table, gamma)
+            layered = apply_phase_separation(StateVector(m, uniform.copy()), table, gamma)
+            assert np.abs(fused - layered.amplitudes).max() <= 1e-15, (weight, gamma)
+    with pytest.raises(ValueError, match="qubits"):
+        real_frame_phased_uniform(np.empty(2 << m, dtype=complex), table, 0.1)
+
+
+@given(beta_angle=st.floats(-10, 10) | st.sampled_from([0.0, np.pi / 2, np.pi, -np.pi / 4]))
+@settings(max_examples=200, deadline=None)
+def test_pair_unit_equals_its_gate_formula_entry_for_entry(beta_angle):
+    assert np.array_equal(_pair_unit(beta_angle), real_frame_pair_unit(beta_angle))
 
 
 def test_phase_separation_peak_memory_on_an_energy_table():
