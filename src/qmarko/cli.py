@@ -12,11 +12,11 @@ an unset seed), converted to its type. A value that does not convert (null,
 a list, text, or a fraction or boolean for an integer) exits 2, and so does
 a negative seed. A config file may hold other commands' settings, so one
 file serves all three; a key that names no setting exits 2. A setting a
-method would ignore exits 2: `--mixer` on any method but slack-qaoa, and
-`--penalty` on a `solve` method, or a `sweep` grid, that takes no fixed
-weight (slack-qaoa and the oracle take none). `sweep --jobs`
-is capped by the number of cells. A command checks every input before it
-writes any file.
+method would ignore exits 2: `--mixer` on a `solve` method, or a `sweep`
+grid, without slack-qaoa, and `--penalty` on a `solve` method, or a `sweep`
+grid, that takes no fixed weight (slack-qaoa and the oracle take none).
+`sweep --jobs` is capped by the number of cells. A command checks every
+input before it writes any file.
 
 Records: `solve` and `sweep` write `record.json` as exactly
 `json.dumps(doc, indent=2)` plus a newline, formatting each histogram
@@ -300,6 +300,13 @@ def _check_penalty_applies(cfg: dict, methods) -> None:
     raise ValueError(f"--penalty applies to {weighted} only, not {', '.join(methods)}")
 
 
+def _check_mixer_applies(cfg: dict, methods) -> None:
+    """A set mixer needs slack-qaoa among the methods: the fixed-penalty
+    baselines run the standard mixer whatever is set."""
+    if cfg["mixer"] is not None and "slack-qaoa" not in methods:
+        raise ValueError(f"--mixer applies to slack-qaoa only, not {', '.join(methods)}")
+
+
 def _run_method(
     inst: instance_mod.PortfolioInstance, method: str, cfg: dict, schedule: qaoa.ScheduleConfig
 ) -> tuple[dict, str]:
@@ -333,8 +340,7 @@ def cmd_generate(args) -> int:
 def cmd_solve(args) -> int:
     cfg = _resolve(args)
     method = _choice(*METHODS)(args.method)
-    if cfg["mixer"] is not None and method != "slack-qaoa":
-        raise ValueError(f"--mixer applies to slack-qaoa only, not {method}")
+    _check_mixer_applies(cfg, [method])
     _check_penalty_applies(cfg, [method])
     schedule = _schedule(cfg)
     inst = instance_mod.load_instance(args.instance)
@@ -388,6 +394,7 @@ def cmd_sweep(args) -> int:
     cfg = _resolve(args)
     methods = _grid(args.methods, "--methods", _choice(*METHODS))
     seeds = _grid(args.seeds, "--seeds", _seed)
+    _check_mixer_applies(cfg, methods)
     _check_penalty_applies(cfg, methods)
     schedule = _schedule(cfg)
     if cfg["jobs"] < 1:

@@ -6,9 +6,11 @@ phases come from the table's bit form by multiplicative doubling
 (``bitstrings.quadratic_form_phases``), one complex exponential per
 coefficient rather than per amplitude. Both mixers are tensor powers
 of one small real unitary (see the real frame below) and run on one
-kernel that applies them as dense block gates, one BLAS matmul per block
-of BLOCK_QUBITS qubits. ``qaoa._ansatz`` is the one caller that composes
-these kernels into an ansatz.
+kernel that applies them as dense block gates of BLOCK_QUBITS qubits, one
+pass over the state per block, each a real matmul on the float64 view of
+the amplitudes shaped so that it runs near the speed of a copy.
+``qaoa._ansatz`` is the one caller that composes these kernels into an
+ansatz.
 
 Amplitude index convention: qubit 0 is the least significant bit (see
 ``bitstrings``). A frame is another qubit order, ``order[i]`` being the
@@ -159,23 +161,34 @@ def apply_phase_separation(
 
 # Qubits covered by one dense block gate. Both mixers apply a tensor power
 # of one small unitary, so a block of 4 qubits is a 16x16 matrix and each
-# block costs one BLAS call over the state. Measured for the real-frame
-# layers an ansatz runs (``apply_real_frame_mixer``), at m = 18 with one
-# BLAS thread (2-vCPU x86-64 VM, OpenBLAS 0.3, best of 21, widths
-# interleaved): widths 2, 3, 4, 5, 6, 8 take 6.3, 4.4, 4.6, 5.3, 7.7,
-# 20.1 ms for the standard layer and 5.9, 5.9, 4.4, 4.3, 7.4, 19.2 ms for
-# the conditional one in the pair frame (widths 3 and 5 fit one and two
-# 2-qubit pairs per block, as 2 and 4 do). A second run agreed within 5%.
-# Below 4, passes over the state dominate; above 5, the d^2 multiply-adds
-# per amplitude do. At width 4 the lowest block, on complex arithmetic,
-# takes about a third of a layer. Below m = 10 a layer's cost is mostly
-# building its gates: one Kronecker power per distinct block size (at most
-# two per layer, the top block being the only partial one) and the pair
-# unit written out from cos and sin. At m = 8 (median of 2000) a standard
-# layer then takes 0.06 ms and a conditional one 0.03 ms, against 0.11 and
-# 0.08 ms with a Kronecker power per block and the pair unit built by
-# kron and matmul.
+# block costs one pass over the state. Measured for the real-frame layers
+# an ansatz runs (``apply_real_frame_mixer``), at m = 18 with one BLAS
+# thread (2-vCPU x86-64 VM, OpenBLAS 0.3, median of 51, widths
+# interleaved): widths 2, 3, 4, 5, 6 take 4.9, 3.3, 3.2, 4.0, 7.5 ms for
+# the standard layer and 5.2, 5.3, 3.3, 3.3, 8.2 ms for the conditional
+# one in the pair frame (widths 3 and 5 fit one and two 2-qubit pairs per
+# block, as 2 and 4 do). Below 4, passes over the state dominate; above 5,
+# the d^2 multiply-adds per amplitude do. A copy of the 4 MiB state takes
+# 0.36 ms; at width 4 each block pass takes 0.4-0.7 ms. Below m = 10 a
+# layer's cost is mostly building its gates: one Kronecker power per
+# distinct block size (at most two per layer, the top block being the only
+# partial one) and the pair unit written out from cos and sin. At m = 8
+# (median of 2000) a standard layer then takes 0.06 ms and a conditional
+# one 0.03 ms, against 0.11 and 0.08 ms with a Kronecker power per block
+# and the pair unit built by kron and matmul.
 BLOCK_QUBITS = 4
+# Rows of the lowest block per BLAS call. At m = 18 its pass takes 0.71 ms
+# in calls of 64 rows, 1.30 ms as one real GEMM over all 2^14 rows and
+# 1.28 ms as one complex GEMM with the gate cast to complex. 32 to 256 rows
+# were within 2% of each other at m = 16, 18 and 20.
+_LOWEST_ROWS = 64
+# Widest panel, in float64 columns, that a higher block multiplies in one
+# BLAS call; wider panels are split into chunks of this many columns. At
+# m = 18 the block at qubit 12 (16 x 8192 panels) takes 0.72 ms in chunks
+# against 0.86 ms whole, and the 2-qubit top block (4 x 131072) 0.42 ms
+# against 0.63 ms. Chunks of 512, 1024 and 2048 columns were within noise
+# of each other; 4096 was as slow as no chunks at m = 20.
+_PANEL_COLUMNS = 1024
 
 
 def _rx_matrix(beta_angle: float) -> np.ndarray:
@@ -194,12 +207,16 @@ def _apply_unit_power(
     [k*w, (k+1)*w); higher qubits are untouched. Copies are grouped into
     blocks of at most BLOCK_QUBITS qubits, whose gate is the Kronecker
     power of ``unit``, a real matrix, built once per distinct block size
-    (every block is full but the top one). The lowest block is one complex
-    GEMM over rows of the flat state; each higher block is one batched
-    matmul with the block's qubits as the middle axis, on the float64 view
-    of the amplitudes (real and imaginary parts are then two more columns).
-    Each block writes into the other of ``amplitudes`` and ``spare`` (flat
-    2^m complex arrays); returns the one holding the result, ``amplitudes``
+    (every block is full but the top one). Every block is a real matmul on
+    the float64 view of the amplitudes, whose real and imaginary parts are
+    then two interleaved columns. The lowest block multiplies rows of 2*d
+    floats (d amplitudes) by kron(gate.T, I_2), _LOWEST_ROWS rows per BLAS
+    call. Each higher block multiplies the gate into panels with the
+    block's qubits as rows; a panel wider than _PANEL_COLUMNS columns is
+    split into chunks of that width by a transposed view, so each BLAS call
+    touches a cache-sized piece. Each block writes into the other of
+    ``amplitudes`` and ``spare`` (flat 2^m complex arrays) through ``out=``,
+    with no temporary; returns the one holding the result, ``amplitudes``
     itself after an even number of blocks.
     """
     width = unit.shape[0].bit_length() - 1
@@ -216,15 +233,25 @@ def _apply_unit_power(
             gates[copies] = gate
         gate = gates[copies]
         dim = gate.shape[0]
+        source, target = current.view(np.float64), other.view(np.float64)
         if low == 0:
-            lowest = gate.T.astype(np.complex128)
-            np.matmul(current.reshape(-1, dim), lowest, out=other.reshape(-1, dim))
+            # kron(gate.T, I_2) on rows of dim interleaved (re, im) pairs:
+            # the real parts and the imaginary parts each get gate.T.
+            lowest = np.zeros((2 * dim, 2 * dim))
+            lowest[0::2, 0::2] = lowest[1::2, 1::2] = gate.T
+            shape = (-1, min(_LOWEST_ROWS, current.size // dim), 2 * dim)
+            np.matmul(source.reshape(shape), lowest, out=target.reshape(shape))
         else:
-            shape = (-1, dim, 2 << low)
+            inner = 2 << low
+            if inner <= _PANEL_COLUMNS:
+                shape, axes = (-1, dim, inner), (0, 1, 2)
+            else:
+                shape = (-1, dim, inner // _PANEL_COLUMNS, _PANEL_COLUMNS)
+                axes = (0, 2, 1, 3)
             np.matmul(
                 gate,
-                current.view(np.float64).reshape(shape),
-                out=other.view(np.float64).reshape(shape),
+                source.reshape(shape).transpose(axes),
+                out=target.reshape(shape).transpose(axes),
             )
         current, other = other, current
         low += copies * width

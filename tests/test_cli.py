@@ -102,6 +102,33 @@ def test_penalty_needs_a_method_that_takes_a_weight(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_mixer_needs_slack_qaoa_in_the_grid(tmp_path, capsys):
+    from qmarko.cli import EXIT_INVALID
+
+    fast = ["--n", "3", "--k", "1", "--seeds", "1", "--max-iter", "4",
+            "--doubling-interval", "2", "--shots", "16"]
+    sweep = tmp_path / "sweep"
+    assert main(["sweep", "--methods", "oracle,penalty-qaoa", "--mixer", "conditional", *fast,
+                 "--out", str(sweep)]) == EXIT_INVALID
+    assert not sweep.exists()
+    err = capsys.readouterr().err
+    assert "--mixer applies to slack-qaoa only, not oracle, penalty-qaoa" in err
+    # Set in a config file, the mixer is refused the same way.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mixer": "standard"}))
+    assert main(["sweep", "--methods", "penalty-qaoa", "--config", str(config), *fast,
+                 "--out", str(sweep)]) == EXIT_INVALID
+    assert not sweep.exists()
+    assert "--mixer applies to" in capsys.readouterr().err
+    # A grid that mixes slack-qaoa with other methods takes the mixer (slack-qaoa's
+    # default is conditional).
+    assert main(["sweep", "--methods", "slack-qaoa,penalty-qaoa", "--mixer", "standard", *fast,
+                 "--out", str(sweep)]) == EXIT_OK
+    record = json.loads((sweep / "slack-qaoa_seed1" / "record.json").read_text())
+    assert record["mixer"] == "standard"
+    capsys.readouterr()
+
+
 def test_settings_resolve_flags_over_config_over_defaults(tmp_path, capsys, monkeypatch):
     from qmarko.cli import EXIT_INVALID
 

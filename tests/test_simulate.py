@@ -535,6 +535,40 @@ def test_frame_ansatz_matches_layer_by_layer_composition(m, monkeypatch):
         assert np.abs(state.amplitudes - composed).max() <= 1e-12, name
 
 
+@pytest.mark.parametrize("m, pair_count", [(11, 5), (13, 5), (16, 7)])
+def test_mixers_match_gate_reference_on_row_batches_and_column_chunks(m, pair_count):
+    # At these sizes the lowest block runs in several batches of rows
+    # (simulate._LOWEST_ROWS); at m = 13 and 16 the block from qubit 12 up
+    # multiplies its panels in column chunks (simulate._PANEL_COLUMNS). An
+    # odd pair count leaves the conditional mixer's top block half full.
+    rng = np.random.default_rng(1100 + m)
+    qubits = [int(q) for q in rng.permutation(m)]
+    pairs = [(qubits[2 * i], qubits[2 * i + 1]) for i in range(pair_count)]
+    for layout in (None, pairs):
+        amplitudes = random_state(m, 1200 + m)
+        beta_angle = float(rng.uniform(-np.pi, np.pi))
+        mixed = _mix(StateVector(m, amplitudes.copy()), beta_angle, layout)
+        reference = gate_reference_mixer(amplitudes, beta_angle, layout)
+        assert np.abs(mixed.amplitudes - reference).max() <= 1e-12, layout
+
+
+def test_mixer_layers_allocate_no_state_sized_temporary():
+    import tracemalloc
+
+    m = 16
+    amplitudes, spare = random_state(m, 41), np.empty(1 << m, dtype=complex)
+    for pair_count in (None, m // 2, m // 2 - 1):
+        apply_real_frame_mixer(amplitudes, spare, 0.4, pair_count)  # warm up
+        tracemalloc.start()
+        try:
+            apply_real_frame_mixer(amplitudes, spare, 0.4, pair_count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The state is 1 MiB; a layer's gates take a few KiB.
+        assert peak < 64 * 1024, (pair_count, peak)
+
+
 def test_phase_separation_into_a_spare_buffer_matches_a_new_array():
     rng = np.random.default_rng(31)
     m = 6
