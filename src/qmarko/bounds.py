@@ -13,24 +13,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encode import IsingHamiltonian
+from .bitstrings import quadratic_form_table
 from .instance import PortfolioInstance
-from .simulate import energy_table
+
+
+def _spin_form_table(couplings: np.ndarray, fields: np.ndarray) -> np.ndarray:
+    """sum_{i<j} J_ij z_i z_j + sum_i h_i z_i for every basis state, with
+    z = 1 - 2x: J_ij z_i z_j = J_ij (1 - 2x_i - 2x_j + 4 x_i x_j) and
+    h_i z_i = h_i - 2 h_i x_i, tabulated as a quadratic form over bits."""
+    upper = np.triu(couplings, 1)
+    linear = -2.0 * fields - 2.0 * (upper.sum(axis=0) + upper.sum(axis=1))
+    return quadratic_form_table(4.0 * upper, linear, fields.sum() + upper.sum())
 
 
 def risk_observable(instance: PortfolioInstance) -> np.ndarray:
-    """sum_{i<j} Sigma_ij z_i z_j + sum_i Sigma_ii z_i over the asset qubits,
-    tabulated as an n-qubit Ising energy: one eigenvalue per basis state."""
-    n = instance.n
-    couplings = {(i, j): float(instance.sigma[i, j]) for i in range(n) for j in range(i + 1, n)}
-    hamiltonian = IsingHamiltonian(n, couplings, np.diag(instance.sigma), 0.0)
-    return energy_table(hamiltonian).energies
+    """sum_{i<j} Sigma_ij z_i z_j + sum_i Sigma_ii z_i over the asset qubits:
+    one eigenvalue per basis state."""
+    return _spin_form_table(instance.sigma, np.diag(instance.sigma))
 
 
 def return_observable(instance: PortfolioInstance) -> np.ndarray:
-    """sum_i mu_i z_i over the asset qubits, tabulated as an n-qubit Ising energy."""
-    hamiltonian = IsingHamiltonian(instance.n, {}, instance.mu, 0.0)
-    return energy_table(hamiltonian).energies
+    """sum_i mu_i z_i over the asset qubits: one eigenvalue per basis state."""
+    return _spin_form_table(np.zeros((instance.n, instance.n)), instance.mu)
 
 
 def _moments_from_probabilities(p: np.ndarray, va: np.ndarray, vb: np.ndarray):

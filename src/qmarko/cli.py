@@ -16,7 +16,9 @@ method would ignore exits 2: `--mixer` on a `solve` method, or a `sweep`
 grid, without slack-qaoa, and `--penalty` on a `solve` method, or a `sweep`
 grid, that takes no fixed weight (slack-qaoa and the oracle take none).
 `sweep --jobs` is capped by the number of cells. A command checks every
-input before it writes any file.
+input before it writes any file. A sweep cell first deletes the
+`record.json`, `trace.csv` and `error.txt` an earlier sweep into the same
+directory left, so a cell holds only its own run's outcome.
 
 Records: `solve` and `sweep` write `record.json` as exactly
 `json.dumps(doc, indent=2)` plus a newline, formatting each histogram
@@ -360,6 +362,8 @@ def _run_cell(payload: tuple) -> dict:
     method, seed, instance_text, cfg, schedule, run_dir_text = payload
     run_dir = Path(run_dir_text)
     run_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("record.json", "trace.csv", "error.txt"):
+        (run_dir / name).unlink(missing_ok=True)
     row = {key: "" for key in SUMMARY_COLUMNS}
     row["method"] = method
     row["seed"] = seed

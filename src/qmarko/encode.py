@@ -1,4 +1,4 @@
-"""Penalized QUBO builders and the exact QUBO -> Ising mapping.
+"""Penalized QUBO builders.
 
 Three constraint encodings are provided:
 
@@ -10,9 +10,12 @@ Three constraint encodings are provided:
 * ``build_cardinality_slack_qubo`` internalizes ``sum w_i <= k`` through a
   binary-encoded integer slack, ``a * (sum w_i + s - k)^2``.
 
-The Ising mapping substitutes ``x_i = (1 - z_i) / 2`` term by term, so for
-every bitstring the Ising energy equals the QUBO energy to machine
-precision. Spin convention: bit 0 maps to z = +1, bit 1 to z = -1.
+A program is the QAOA cost Hamiltonian itself: the diagonal operator with
+eigenvalue x'Qx + b'x + c on basis state x. Its Ising form, through
+``x_i = (1 - z_i) / 2`` (bit 0 is z = +1, bit 1 is z = -1), is the same
+diagonal, so ``simulate.energy_table`` tabulates the program as it is and
+no Ising copy is built; only the angle scale (``qaoa._angle_scale``) reads
+the Ising coefficients, in closed form.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ class QuboProgram:
     Q_ij + Q_ji exactly once per unordered pair.
     """
 
-    num_vars: int
+    num_qubits: int
     labels: tuple[VarLabel, ...]
     quadratic: np.ndarray
     linear: np.ndarray
@@ -66,7 +69,7 @@ class QuboProgram:
     def __post_init__(self) -> None:
         q = np.array(self.quadratic, dtype=float)
         b = np.array(self.linear, dtype=float)
-        m = self.num_vars
+        m = self.num_qubits
         if q.shape != (m, m):
             raise ValueError(f"quadratic must have shape ({m}, {m}), got {q.shape}")
         if b.shape != (m,):
@@ -80,28 +83,6 @@ class QuboProgram:
         object.__setattr__(self, "quadratic", q)
         object.__setattr__(self, "linear", b)
         object.__setattr__(self, "labels", tuple(self.labels))
-
-
-@dataclass(frozen=True)
-class IsingHamiltonian:
-    """Diagonal Hamiltonian: sum J_ij Z_i Z_j + sum h_i Z_i + offset, all finite."""
-
-    num_qubits: int
-    couplings: dict[tuple[int, int], float]
-    fields: np.ndarray
-    offset: float
-
-    def __post_init__(self) -> None:
-        h = np.array(self.fields, dtype=float)
-        if h.shape != (self.num_qubits,):
-            raise ValueError(f"fields must have shape ({self.num_qubits},), got {h.shape}")
-        for (i, j) in self.couplings:
-            if not 0 <= i < j < self.num_qubits:
-                raise ValueError(f"coupling key ({i}, {j}) is not ordered within range")
-        if not np.isfinite([self.offset, *self.couplings.values(), *h]).all():
-            raise ValueError("Ising coefficients must be finite (penalty weight too large?)")
-        h.flags.writeable = False
-        object.__setattr__(self, "fields", h)
 
 
 def _base_objective(instance: PortfolioInstance, num_vars: int):
@@ -207,34 +188,6 @@ def build_cardinality_slack_qubo(instance: PortfolioInstance, a_card: float) -> 
 def qubo_energy(program: QuboProgram, x) -> float:
     """Exact value of x'Qx + b'x + c."""
     v = np.asarray(x, dtype=float)
-    if v.shape != (program.num_vars,):
-        raise ValueError(f"x must have shape ({program.num_vars},), got {v.shape}")
+    if v.shape != (program.num_qubits,):
+        raise ValueError(f"x must have shape ({program.num_qubits},), got {v.shape}")
     return float(v @ program.quadratic @ v + program.linear @ v + program.constant)
-
-
-def to_ising(program: QuboProgram) -> IsingHamiltonian:
-    """Map the program through x_i = (1 - z_i) / 2.
-
-    Z_i^2 terms are identities and fold into the offset. Works for any
-    storage of Q (symmetric or triangular): only Q_ij + Q_ji matters.
-    """
-    q = program.quadratic
-    b = program.linear
-    with np.errstate(over="ignore", invalid="ignore"):  # IsingHamiltonian refuses an overflow
-        pair = q + q.T  # pair[i, j] = Q_ij + Q_ji; diagonal = 2 Q_ii
-        fields = -b / 2.0 - pair.sum(axis=1) / 4.0
-        couplings: dict[tuple[int, int], float] = {}
-        m = program.num_vars
-        for i in range(m):
-            for j in range(i + 1, m):
-                coupling = pair[i, j] / 4.0
-                if coupling != 0.0:
-                    couplings[(i, j)] = coupling
-        trace = float(np.trace(q))
-        offset = (
-            program.constant
-            + float(b.sum()) / 2.0
-            + trace / 2.0
-            + (float(q.sum()) - trace) / 4.0
-        )
-    return IsingHamiltonian(m, couplings, fields, offset)

@@ -35,7 +35,7 @@ def exhaustive_portfolio_optimum(instance: PortfolioInstance) -> tuple[str, floa
 def exhaustive_qubo_minimum(program: QuboProgram) -> tuple[str, float]:
     """Global minimum over all 2^m assignments; ties break toward the
     lowest bitstring index."""
-    m = program.num_vars
+    m = program.num_qubits
     table = quadratic_form_table(program.quadratic, program.linear, program.constant)
     best = int(np.argmin(table))
     return index_to_string(best, m), qubo_energy(program, index_to_bits(best, m))

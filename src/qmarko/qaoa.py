@@ -10,7 +10,7 @@ doublings.
 
 One run path. Every angle search, whether a segment of ``run_schedule``
 or a fixed-penalty baseline run, is one call of ``_search_angles``
-(tabulate the Hamiltonian, build its ansatz once, scale the angles,
+(tabulate the program, build its ansatz once, scale the angles,
 minimize the expectation); ``_ansatz`` is the one ansatz entry point; and
 every record is built from its final state by ``_record`` (asset
 marginal, picks, feasible mass, variance bound). The record keeps the
@@ -30,8 +30,9 @@ order first.
 
 Angle units. Every optimizer searches scaled coordinates theta in which the
 phase angle is ``gamma = theta_gamma / s``, with ``s = sum|h| + sum|J|`` the
-coefficient norm of the Hamiltonian being optimized (offset excluded; 1 for
-a Hamiltonian without fields and couplings). Since ``|E(x) - offset| <= s``,
+coefficient norm of the optimized program's Ising form (offset excluded; 1
+for a program without fields and couplings), computed from (Q, b) in closed
+form by ``_angle_scale``. Since ``|E(x) - offset| <= s``,
 a scaled phase angle means the same fraction of the spectrum whatever the
 penalty weight, so the landscape keeps its period in theta as the penalty
 grows, and the warm start carries theta, not gamma, across a doubling.
@@ -53,11 +54,10 @@ from .bitstrings import basis_labels, index_to_bits, index_to_string
 from .encode import (
     ASSET,
     SLACK_ASSET,
-    IsingHamiltonian,
+    QuboProgram,
     build_cardinality_slack_qubo,
     build_penalty_qubo,
     build_slack_ancilla_qubo,
-    to_ising,
 )
 from .instance import PortfolioInstance, classical_objective, feasible_table, objective_table
 from .simulate import (
@@ -167,9 +167,9 @@ class ExperimentRecord:
     """Everything one variational run produced, JSON-serializable.
 
     ``initial_params`` and ``final_params`` are physical angles for the
-    Hamiltonian at ``final_beta_penalty`` (``initial_params`` at the first
+    program at ``final_beta_penalty`` (``initial_params`` at the first
     penalty weight of a schedule), so ``_ansatz(table, record.mixer,
-    pairs)(record.final_params)`` on that Hamiltonian's table reproduces
+    pairs)(record.final_params)`` on that program's table reproduces
     the final state, and its asset marginal is ``marginal`` exactly.
     ``trace`` holds one row per optimizer evaluation, numbered from 1
     across penalty doublings; ``iterations_used`` is derived from it, and
@@ -383,15 +383,18 @@ class _ansatz:
         return StateVector(self._table.num_qubits, amplitudes)
 
 
-def _angle_scale(hamiltonian: IsingHamiltonian) -> float:
-    """Coefficient norm sum|h| + sum|J| (offset excluded), or 1.0 when it is 0.
+def _angle_scale(program: QuboProgram) -> float:
+    """Coefficient norm sum|h| + sum|J| of the program's Ising form (offset
+    excluded), or 1.0 when it is 0.
 
     It bounds |E(x) - offset|, so gamma = theta_gamma / scale keeps the
     phase landscape's period in theta independent of the energy scale.
+    Through x = (1 - z) / 2 and with P = Q + Q', the couplings are J_ij =
+    P_ij / 4 for i < j and the fields h_i = -(b_i + sum_j P_ij / 2) / 2.
     """
-    norm = float(np.abs(hamiltonian.fields).sum()) + sum(
-        abs(c) for c in hamiltonian.couplings.values()
-    )
+    pair = program.quadratic + program.quadratic.T
+    fields = (program.linear + pair.sum(axis=1) / 2.0) / 2.0
+    norm = float(np.abs(fields).sum() + np.abs(np.triu(pair, 1)).sum() / 4.0)
     return norm if norm > 0.0 else 1.0
 
 
@@ -403,7 +406,7 @@ def _physical_params(theta, scale: float) -> QaoaParams:
 
 
 def _search_angles(
-    hamiltonian: IsingHamiltonian, theta, minimize, mixer: str = "standard", pairs=None
+    program: QuboProgram, theta, minimize, mixer: str = "standard", pairs=None
 ):
     """One angle search: minimize the ansatz expectation from scaled angles theta.
 
@@ -413,8 +416,8 @@ def _search_angles(
     holds its workspace, and evals are in physical units and in evaluation
     order.
     """
-    table = energy_table(hamiltonian)
-    scale = _angle_scale(hamiltonian)
+    table = energy_table(program)
+    scale = _angle_scale(program)
     ansatz = _ansatz(table, mixer, pairs)
 
     def objective(theta):
@@ -513,9 +516,7 @@ def run_schedule(
         pairs = mixer_pairs(program.labels) if mixer == "conditional" else None
         chunk = min(config.doubling_interval, config.max_iterations - len(rows))
         minimize = partial(_minimize_exact_budget, optimizer=optimizer, budget=chunk)
-        ansatz, scale, best_theta, evals = _search_angles(
-            to_ising(program), theta, minimize, mixer, pairs
-        )
+        ansatz, scale, best_theta, evals = _search_angles(program, theta, minimize, mixer, pairs)
         if initial_params is None:
             initial_params = _physical_params(theta, scale)
         theta = best_theta
@@ -558,7 +559,7 @@ def _run_fixed_penalty(
 ) -> ExperimentRecord:
     theta0 = _draw_initial_angles(np.random.default_rng(seed), p)
     minimize = partial(minimize_with_budget, optimizer=optimizer, budget=budget)
-    ansatz, scale, theta, evals = _search_angles(to_ising(program), theta0, minimize)
+    ansatz, scale, theta, evals = _search_angles(program, theta0, minimize)
     final_params = _physical_params(theta, scale)
     return _record(
         instance, ansatz(final_params), report_most_probable,

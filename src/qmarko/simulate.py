@@ -53,7 +53,7 @@ import numpy as np
 
 # MAX_QUBITS lives next to the tabulator and is re-exported from here.
 from .bitstrings import MAX_QUBITS, quadratic_form_phases, quadratic_form_table
-from .encode import IsingHamiltonian
+from .encode import QuboProgram
 
 
 @dataclass
@@ -71,9 +71,9 @@ class StateVector:
 class EnergyTable:
     """Per-basis-state energies of a diagonal Hamiltonian.
 
-    ``form`` is the bit form (Q, b, c) with E(x) = x'Qx + b'x + c, as
-    ``energy_table`` fills it; phase separation builds its phases from it
-    by multiplicative doubling.
+    ``form`` is the program's bit form (Q, b, c), as stored, with E(x) =
+    x'Qx + b'x + c; phase separation builds its phases from it by
+    multiplicative doubling.
     """
 
     num_qubits: int
@@ -81,26 +81,17 @@ class EnergyTable:
     form: tuple[np.ndarray, np.ndarray, float]
 
 
-def energy_table(hamiltonian: IsingHamiltonian) -> EnergyTable:
-    """Tabulate the Hamiltonian's energy for every basis state.
-
-    Substituting z = 1 - 2x turns the Ising form into a quadratic form
-    over bits (J_ij z_i z_j = J_ij (1 - 2x_i - 2x_j + 4 x_i x_j)), which
-    ``quadratic_form_table`` tabulates in O(2^m) time and extra memory.
-    Raises ValueError if an energy overflows.
+def energy_table(program: QuboProgram) -> EnergyTable:
+    """Tabulate the program's energy x'Qx + b'x + c for every basis state,
+    with ``quadratic_form_table`` in O(2^m) time and extra memory. Raises
+    ValueError if an energy overflows.
     """
-    m = hamiltonian.num_qubits
-    quadratic = np.zeros((m, m))
+    form = (program.quadratic, program.linear, program.constant)
     with np.errstate(over="ignore", invalid="ignore"):
-        for (i, j), coupling in hamiltonian.couplings.items():
-            quadratic[i, j] = 4.0 * coupling
-        touching = quadratic.sum(axis=0) + quadratic.sum(axis=1)
-        linear = -2.0 * hamiltonian.fields - touching / 2.0
-        constant = hamiltonian.offset + hamiltonian.fields.sum() + quadratic.sum() / 4.0
-        energies = quadratic_form_table(quadratic, linear, constant)
+        energies = quadratic_form_table(*form)
     if not np.isfinite([energies.min(), energies.max()]).all():  # NaN propagates to both
         raise ValueError("energies must be finite (penalty weight too large?)")
-    return EnergyTable(m, energies, (quadratic, linear, constant))
+    return EnergyTable(program.num_qubits, energies, form)
 
 
 def workspace(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ import numpy as np
 
 from qmarko import encode
 from qmarko.bitstrings import index_to_bits, index_to_string
-from qmarko.encode import IsingHamiltonian, QuboProgram, cardinality_slack_weights
+from qmarko.encode import QuboProgram, cardinality_slack_weights
 from qmarko.instance import PortfolioInstance, classical_objective, is_feasible
 from qmarko.qaoa import _ansatz, labelled_histogram, mixer_pairs
 from qmarko.simulate import energy_table
@@ -21,19 +21,47 @@ from qmarko.simulate import energy_table
 
 def naive_qubo_energy(program: QuboProgram, bits) -> float:
     total = float(program.constant)
-    for i in range(program.num_vars):
+    for i in range(program.num_qubits):
         total += program.linear[i] * bits[i]
-        for j in range(program.num_vars):
+        for j in range(program.num_qubits):
             total += program.quadratic[i, j] * bits[i] * bits[j]
     return total
 
 
-def naive_ising_energy(hamiltonian: IsingHamiltonian, bits) -> float:
+def naive_ising_coefficients(program: QuboProgram):
+    """(couplings {(i, j): J_ij} for i < j, fields h, offset) of the
+    program's Ising form, substituting x_i = (1 - z_i) / 2 term by term:
+    b_i x_i = b_i (1 - z_i) / 2, Q_ii x_i^2 = Q_ii (1 - z_i) / 2, and for
+    i != j, Q_ij x_i x_j = Q_ij (1 - z_i - z_j + z_i z_j) / 4."""
+    m = program.num_qubits
+    couplings: dict[tuple[int, int], float] = {}
+    fields = [0.0] * m
+    offset = float(program.constant)
+    for i in range(m):
+        b_i, q_ii = float(program.linear[i]), float(program.quadratic[i, i])
+        offset += b_i / 2.0 + q_ii / 2.0
+        fields[i] -= b_i / 2.0 + q_ii / 2.0
+        for j in range(m):
+            if j == i:
+                continue
+            q_ij = float(program.quadratic[i, j])
+            offset += q_ij / 4.0
+            fields[i] -= q_ij / 4.0
+            fields[j] -= q_ij / 4.0
+            key = (min(i, j), max(i, j))
+            couplings[key] = couplings.get(key, 0.0) + q_ij / 4.0
+    return couplings, np.array(fields), offset
+
+
+def naive_ising_energy(coefficients, bits) -> float:
+    """sum J_ij z_i z_j + sum h_i z_i + offset at z = 1 - 2x, for
+    ``coefficients`` as ``naive_ising_coefficients`` returns them."""
+    couplings, fields, offset = coefficients
     z = [1.0 - 2.0 * b for b in bits]
-    total = float(hamiltonian.offset)
-    for i in range(hamiltonian.num_qubits):
-        total += hamiltonian.fields[i] * z[i]
-    for (i, j), coupling in hamiltonian.couplings.items():
+    total = float(offset)
+    for i in range(len(fields)):
+        total += fields[i] * z[i]
+    for (i, j), coupling in couplings.items():
         total += coupling * z[i] * z[j]
     return total
 
@@ -94,11 +122,11 @@ _P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 _P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 
 
-def dense_reference_ansatz(hamiltonian: IsingHamiltonian, params, mixer: str, pairs=None) -> np.ndarray:
+def dense_reference_ansatz(program: QuboProgram, params, mixer: str, pairs=None) -> np.ndarray:
     """From-scratch ansatz evolution via explicit 2^m x 2^m matrices."""
-    m = hamiltonian.num_qubits
+    m = program.num_qubits
     energies = np.array(
-        [naive_ising_energy(hamiltonian, index_to_bits(x, m)) for x in range(1 << m)]
+        [naive_qubo_energy(program, index_to_bits(x, m)) for x in range(1 << m)]
     )
     return dense_reference_evolution(energies, params, mixer, pairs)
 
@@ -239,6 +267,6 @@ def final_register(record, inst: PortfolioInstance) -> dict[str, float]:
     ``final_beta_penalty``, evaluated at ``final_params``."""
     program = _PROGRAMS[record.method](inst, record.final_beta_penalty)
     pairs = mixer_pairs(program.labels) if record.mixer == "conditional" else None
-    table = energy_table(encode.to_ising(program))
+    table = energy_table(program)
     state = _ansatz(table, record.mixer, pairs)(record.final_params)
     return labelled_histogram(state.probabilities())

@@ -10,7 +10,7 @@ from qmarko.bitstrings import (
     quadratic_form_phases,
     quadratic_form_table,
 )
-from qmarko.encode import IsingHamiltonian, QuboProgram, VarLabel
+from qmarko.encode import QuboProgram, VarLabel
 from qmarko.instance import PortfolioInstance
 from qmarko.oracle import exhaustive_portfolio_optimum, exhaustive_qubo_minimum
 from qmarko.simulate import energy_table
@@ -39,11 +39,12 @@ def test_quadratic_form_table_matches_naive_energy(m, storage):
 def test_every_enumeration_refuses_25_variables():
     m = MAX_QUBITS + 1
     assert m == 25
-    with pytest.raises(ValueError):
-        energy_table(IsingHamiltonian(m, {(0, 1): 1.0}, np.ones(m), 0.0))
     labels = tuple(VarLabel.asset(i) for i in range(m))
+    program = QuboProgram(m, labels, np.eye(m), np.ones(m), 0.0)
     with pytest.raises(ValueError):
-        exhaustive_qubo_minimum(QuboProgram(m, labels, np.eye(m), np.ones(m), 0.0))
+        energy_table(program)
+    with pytest.raises(ValueError):
+        exhaustive_qubo_minimum(program)
     alpha = np.zeros(m)
     alpha[0] = 1.0
     with pytest.raises(ValueError):

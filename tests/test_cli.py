@@ -235,6 +235,28 @@ def test_penalty_weights_that_overflow_exit_2_without_a_record(tmp_path, capsys,
     capsys.readouterr()
 
 
+def test_a_rerun_sweep_cell_holds_only_its_own_outcome(tmp_path, capsys):
+    # A cell that fails after a success keeps no record or trace of the
+    # earlier run, so report writes no histogram for it; a cell that
+    # succeeds after a failure keeps no error.
+    sweep = tmp_path / "sweep"
+    cell = sweep / "penalty-qaoa_seed1"
+    run = ["sweep", "--n", "3", "--k", "1", "--methods", "penalty-qaoa", "--seeds", "1",
+           "--max-iter", "10", "--out", str(sweep)]
+    assert main(run) == EXIT_OK
+    assert (cell / "record.json").exists() and (cell / "trace.csv").exists()
+    assert main([*run, "--penalty", "1e308"]) == EXIT_OK
+    assert (cell / "error.txt").read_text().startswith("ValueError: ")
+    assert not (cell / "record.json").exists()
+    assert not (cell / "trace.csv").exists()
+    assert main(["report", "--run-dir", str(sweep)]) == EXIT_OK
+    assert not (sweep / "hist_penalty-qaoa_seed1.csv").exists()
+    assert main(run) == EXIT_OK
+    assert not (cell / "error.txt").exists()
+    assert (cell / "record.json").exists() and (cell / "trace.csv").exists()
+    capsys.readouterr()
+
+
 def test_null_and_list_settings_exit_2_without_writing(tmp_path, capsys):
     from qmarko.cli import EXIT_INVALID
 

@@ -9,19 +9,18 @@ from helpers import (
     direct_cardinality_objective,
     direct_penalty_objective,
     direct_slack_objective,
+    naive_ising_coefficients,
     naive_ising_energy,
     naive_qubo_energy,
 )
 from qmarko.bitstrings import index_to_bits
 from qmarko.encode import (
-    IsingHamiltonian,
     QuboProgram,
     VarLabel,
     build_cardinality_slack_qubo,
     build_penalty_qubo,
     build_slack_ancilla_qubo,
     qubo_energy,
-    to_ising,
 )
 from qmarko.instance import PortfolioInstance, generate_instance
 
@@ -47,7 +46,7 @@ def _random_program(seed, m):
 def test_slack_ancilla_hand_expansion():
     inst = _bare_instance(1, 1, alpha=[1.0])
     program = build_slack_ancilla_qubo(inst, 1.0)
-    assert program.num_vars == 2
+    assert program.num_qubits == 2
     expected = {(1, 0): 0.0, (0, 1): 0.0, (0, 0): 1.0, (1, 1): 1.0}
     for (w, s), energy in expected.items():
         assert qubo_energy(program, [w, s]) == pytest.approx(energy, abs=1e-15)
@@ -138,7 +137,7 @@ def test_penalty_monotone_in_beta(seed, beta):
 def test_penalty_qubo_arithmetic():
     inst = _bare_instance(3, 1, alpha=[1.0, 0.0, 0.0])
     program = build_penalty_qubo(inst, 1.0)
-    assert program.num_vars == 3
+    assert program.num_qubits == 3
     assert qubo_energy(program, [1, 0, 0]) == pytest.approx(0.0, abs=1e-15)
     assert qubo_energy(program, [1, 1, 1]) == pytest.approx(4.0)
     assert qubo_energy(program, [0, 0, 0]) == pytest.approx(1.0)
@@ -167,7 +166,7 @@ def test_penalty_qubo_matches_direct_objective():
 def test_cardinality_slack_k1_layout_and_zero_set():
     inst = _bare_instance(3, 1, alpha=[1.0, 0.0, 0.0])
     program = build_cardinality_slack_qubo(inst, 1.0)
-    assert program.num_vars == 4  # one slack bit for k=1
+    assert program.num_qubits == 4  # one slack bit for k=1
     assert qubo_energy(program, [1, 0, 0, 0]) == pytest.approx(0.0, abs=1e-15)
     assert qubo_energy(program, [0, 0, 0, 1]) == pytest.approx(0.0, abs=1e-15)
 
@@ -194,7 +193,7 @@ def test_cardinality_slack_matches_direct_objective():
 def test_cardinality_slack_zero_set_is_the_inequality(k, n):
     inst = _bare_instance(n, k, alpha=np.ones(n))
     program = build_cardinality_slack_qubo(inst, 1.0)
-    m = program.num_vars
+    m = program.num_qubits
     reachable_zero_assets = set()
     for x in range(1 << m):
         bits = index_to_bits(x, m)
@@ -208,7 +207,7 @@ def test_cardinality_slack_zero_set_is_the_inequality(k, n):
     assert reachable_zero_assets == expected
 
 
-# --- energy evaluation and the Ising mapping ---------------------------------
+# --- energy evaluation and the Ising form ------------------------------------
 
 def test_qubo_energy_examples():
     program = QuboProgram(
@@ -231,69 +230,44 @@ def test_qubo_energy_matches_naive_evaluator(seed, m):
     )
 
 
-def test_to_ising_zero_program():
-    program = QuboProgram(2, (VarLabel.asset(0), VarLabel.asset(1)), np.zeros((2, 2)), np.zeros(2), 0.0)
-    hamiltonian = to_ising(program)
-    assert hamiltonian.couplings == {}
-    assert np.array_equal(hamiltonian.fields, np.zeros(2))
-    assert hamiltonian.offset == 0.0
-
-
-def test_to_ising_single_linear_term():
-    program = QuboProgram(1, (VarLabel.asset(0),), np.zeros((1, 1)), np.array([1.0]), 0.0)
-    hamiltonian = to_ising(program)
-    assert hamiltonian.fields[0] == pytest.approx(-0.5)
-    assert hamiltonian.offset == pytest.approx(0.5)
-
+# The Ising coefficients are the loop reference the angle scale is checked
+# against (tests/test_qaoa.py); these tests check the reference itself.
 
 def test_ising_energy_sign_convention():
-    hamiltonian = IsingHamiltonian(1, {}, np.array([1.0]), 0.0)
-    assert naive_ising_energy(hamiltonian, [0]) == pytest.approx(1.0)
-    assert naive_ising_energy(hamiltonian, [1]) == pytest.approx(-1.0)
+    # The one-qubit field h = 1 is the program 1 - 2x: bit 0 is z = +1.
+    program = QuboProgram(1, (VarLabel.asset(0),), np.zeros((1, 1)), np.array([-2.0]), 1.0)
+    coefficients = naive_ising_coefficients(program)
+    assert coefficients[1].tolist() == [1.0] and coefficients[2] == 0.0
+    assert naive_ising_energy(coefficients, [0]) == pytest.approx(1.0)
+    assert naive_ising_energy(coefficients, [1]) == pytest.approx(-1.0)
 
 
 def test_ising_energy_offset_only():
-    hamiltonian = IsingHamiltonian(2, {}, np.zeros(2), 1.25)
+    labels = (VarLabel.asset(0), VarLabel.asset(1))
+    program = QuboProgram(2, labels, np.zeros((2, 2)), np.zeros(2), 1.25)
+    coefficients = naive_ising_coefficients(program)
     for x in range(4):
-        assert naive_ising_energy(hamiltonian, index_to_bits(x, 2)) == 1.25
+        assert naive_ising_energy(coefficients, index_to_bits(x, 2)) == 1.25
 
 
 def test_slack_program_ising_equivalence_exhaustive():
     inst = generate_instance(3, 1, seed=4)
     program = build_slack_ancilla_qubo(inst, 100.0)
-    hamiltonian = to_ising(program)
+    coefficients = naive_ising_coefficients(program)
     for x in range(1 << 6):
         bits = index_to_bits(x, 6)
-        assert abs(naive_ising_energy(hamiltonian, bits) - qubo_energy(program, bits)) < 1e-12
+        assert abs(naive_ising_energy(coefficients, bits) - qubo_energy(program, bits)) < 1e-12
 
 
 @given(seed=st.integers(0, 10**6), m=st.integers(1, 6))
 @settings(max_examples=60, deadline=None)
 def test_mapping_exactness_random_programs(seed, m):
     program = _random_program(seed, m)
-    hamiltonian = to_ising(program)
+    coefficients = naive_ising_coefficients(program)
     for x in range(1 << m):
         bits = index_to_bits(x, m)
-        assert abs(naive_ising_energy(hamiltonian, bits) - qubo_energy(program, bits)) < 1e-12
-        assert abs(naive_ising_energy(hamiltonian, bits) - naive_qubo_energy(program, bits)) < 1e-12
-
-
-def test_to_ising_handles_triangular_storage():
-    # only Q_ij + Q_ji may matter, not how it is split
-    upper = QuboProgram(
-        2, (VarLabel.asset(0), VarLabel.asset(1)),
-        np.array([[1.0, 4.0], [0.0, 2.0]]), np.array([0.5, -0.5]), 0.25,
-    )
-    split = QuboProgram(
-        2, (VarLabel.asset(0), VarLabel.asset(1)),
-        np.array([[1.0, 2.0], [2.0, 2.0]]), np.array([0.5, -0.5]), 0.25,
-    )
-    h_upper, h_split = to_ising(upper), to_ising(split)
-    for x in range(4):
-        bits = index_to_bits(x, 2)
-        assert naive_ising_energy(h_upper, bits) == pytest.approx(
-            naive_ising_energy(h_split, bits), abs=1e-14
-        )
+        assert abs(naive_ising_energy(coefficients, bits) - qubo_energy(program, bits)) < 1e-12
+        assert abs(naive_ising_energy(coefficients, bits) - naive_qubo_energy(program, bits)) < 1e-12
 
 
 @given(seed=st.integers(0, 10**6), scale=st.floats(0.1, 100.0))
@@ -321,17 +295,8 @@ def test_programs_and_hamiltonians_refuse_non_finite_coefficients():
     ):
         with pytest.raises(ValueError, match="QUBO coefficients"):
             QuboProgram(2, labels, quadratic, linear, constant)
-    for couplings, fields, offset in (
-        ({(0, 1): np.inf}, np.zeros(2), 0.0),
-        ({}, np.array([0.0, np.nan]), 0.0),
-        ({}, np.zeros(2), np.inf),
-    ):
-        with pytest.raises(ValueError, match="Ising coefficients"):
-            IsingHamiltonian(2, couplings, fields, offset)
-    # Finite weights whose arithmetic overflows are refused without a
-    # RuntimeWarning: 2 * weight * offset in the builder, Q + Q^T in the map.
+    # A finite weight whose arithmetic overflows in the builder (2 * weight
+    # * offset) is refused without a RuntimeWarning; Q + Q^T overflowing in
+    # the tabulation is tests/test_simulate.py's.
     with pytest.raises(ValueError, match="QUBO coefficients"):
         build_penalty_qubo(generate_instance(3, 1, seed=1), 1e308)
-    finite = QuboProgram(2, labels, [[0.0, 1e308], [1e308, 0.0]], [0.0, 0.0], 0.0)
-    with pytest.raises(ValueError, match="Ising coefficients"):
-        to_ising(finite)

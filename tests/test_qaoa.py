@@ -2,17 +2,21 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dataclasses import replace
 from functools import partial
 
-from helpers import dense_reference_ansatz, final_register, label_bits
+from helpers import dense_reference_ansatz, final_register, label_bits, naive_ising_coefficients
 from qmarko.bitstrings import index_to_bits
-from qmarko.encode import IsingHamiltonian, build_penalty_qubo, build_slack_ancilla_qubo, to_ising
+from qmarko.encode import QuboProgram, VarLabel, build_penalty_qubo, build_slack_ancilla_qubo
 from qmarko.instance import PortfolioInstance, classical_objective, generate_instance, is_feasible
 from qmarko.oracle import exhaustive_portfolio_optimum, exhaustive_qubo_minimum
 from qmarko.qaoa import (
     QaoaParams,
     ScheduleConfig,
+    _angle_scale,
     _ansatz,
     _draw_initial_angles,
     _physical_params,
@@ -26,15 +30,20 @@ from qmarko.qaoa import (
 from qmarko.simulate import energy_table, expectation
 
 
-def _state(hamiltonian, params, mixer="standard", pairs=None):
-    return _ansatz(energy_table(hamiltonian), mixer, pairs)(params)
+def _state(program, params, mixer="standard", pairs=None):
+    return _ansatz(energy_table(program), mixer, pairs)(params)
 
 
-def _optimize_angles(hamiltonian, p, budget, seed):
+def _program(quadratic, linear, constant):
+    m = len(linear)
+    return QuboProgram(m, tuple(VarLabel.asset(i) for i in range(m)), quadratic, linear, constant)
+
+
+def _optimize_angles(program, p, budget, seed):
     """A fixed-penalty run's angle search: (best physical angles, evals)."""
     theta0 = _draw_initial_angles(np.random.default_rng(seed), p)
     minimize = partial(minimize_with_budget, optimizer="cobyla", budget=budget)
-    _, scale, theta, evals = _search_angles(hamiltonian, theta0, minimize)
+    _, scale, theta, evals = _search_angles(program, theta0, minimize)
     return _physical_params(theta, scale), evals
 
 
@@ -116,27 +125,26 @@ def test_mixer_pairs_from_labels():
 # --- ansatz -------------------------------------------------------------------
 
 def test_run_ansatz_zero_angles_is_uniform():
-    hamiltonian = to_ising(build_slack_ancilla_qubo(generate_instance(2, 1, seed=1), 10.0))
-    state = _state(hamiltonian, QaoaParams(2, (0.0, 0.0), (0.0, 0.0)))
+    program = build_slack_ancilla_qubo(generate_instance(2, 1, seed=1), 10.0)
+    state = _state(program, QaoaParams(2, (0.0, 0.0), (0.0, 0.0)))
     assert np.allclose(state.amplitudes, np.full(16, 0.25), atol=1e-12)
 
 
 def test_run_ansatz_pure_mixer_keeps_uniform_probabilities():
-    hamiltonian = IsingHamiltonian(3, {}, np.zeros(3), 0.0)
-    state = _state(hamiltonian, QaoaParams(1, (0.7,), (0.45,)))
+    program = _program(np.zeros((3, 3)), np.zeros(3), 0.0)
+    state = _state(program, QaoaParams(1, (0.7,), (0.45,)))
     assert np.allclose(state.probabilities(), np.full(8, 1 / 8), atol=1e-12)
 
 
 def test_run_ansatz_expectation_matches_dense_reference():
     inst = generate_instance(3, 1, seed=2)
     program = build_slack_ancilla_qubo(inst, 100.0)
-    hamiltonian = to_ising(program)
     params = QaoaParams(2, (0.31, 0.77), (0.52, 0.18))
-    table = energy_table(hamiltonian)
+    table = energy_table(program)
     for mixer in ("standard", "conditional"):
         pairs = mixer_pairs(program.labels) if mixer == "conditional" else None
-        state = _state(hamiltonian, params, mixer, pairs)
-        reference = dense_reference_ansatz(hamiltonian, params, mixer, pairs)
+        state = _state(program, params, mixer, pairs)
+        reference = dense_reference_ansatz(program, params, mixer, pairs)
         ref_expectation = float(
             np.real(np.conj(reference) @ (table.energies * reference))
         )
@@ -146,10 +154,10 @@ def test_run_ansatz_expectation_matches_dense_reference():
 # --- angle optimization ---------------------------------------------------------
 
 def test_optimize_angles_flat_landscape_returns_offset():
-    hamiltonian = IsingHamiltonian(2, {}, np.zeros(2), 3.25)
-    params, trace = _optimize_angles(hamiltonian, p=1, budget=25, seed=0)
-    state = _state(hamiltonian, params)
-    assert expectation(state, energy_table(hamiltonian)) == pytest.approx(3.25, abs=1e-12)
+    program = _program(np.zeros((2, 2)), np.zeros(2), 3.25)
+    params, trace = _optimize_angles(program, p=1, budget=25, seed=0)
+    state = _state(program, params)
+    assert expectation(state, energy_table(program)) == pytest.approx(3.25, abs=1e-12)
     assert all(v == pytest.approx(3.25, abs=1e-12) for v in trace)
 
 
@@ -171,23 +179,24 @@ def _grid_search_single_qubit(resolution=1e-3):
 
 
 def test_optimize_angles_reaches_single_qubit_ground_state():
-    hamiltonian = IsingHamiltonian(1, {}, np.array([1.0]), 0.0)
+    # The field h = 1, E = z: the program 1 - 2x.
+    program = _program(np.zeros((1, 1)), np.array([-2.0]), 1.0)
     grid_min = _grid_search_single_qubit()
     assert grid_min == pytest.approx(-1.0, abs=1e-3)
-    params, _ = _optimize_angles(hamiltonian, p=1, budget=200, seed=3)
-    achieved = expectation(_state(hamiltonian, params), energy_table(hamiltonian))
+    params, _ = _optimize_angles(program, p=1, budget=200, seed=3)
+    achieved = expectation(_state(program, params), energy_table(program))
     assert achieved <= grid_min + 1e-3
     assert achieved == pytest.approx(-1.0, abs=1e-3)
 
 
 def test_optimize_angles_improves_on_initial_expectation():
     inst = generate_instance(3, 1, seed=4)
-    hamiltonian = to_ising(build_slack_ancilla_qubo(inst, 100.0))
-    params, trace = _optimize_angles(hamiltonian, p=2, budget=200, seed=4)
+    program = build_slack_ancilla_qubo(inst, 100.0)
+    params, trace = _optimize_angles(program, p=2, budget=200, seed=4)
     assert len(trace) <= 200
     running_min = np.minimum.accumulate(trace)
     assert np.all(np.diff(running_min) <= 0.0)
-    final = expectation(_state(hamiltonian, params), energy_table(hamiltonian))
+    final = expectation(_state(program, params), energy_table(program))
     assert final <= trace[0] + 1e-12
 
 
@@ -195,20 +204,43 @@ def test_optimize_angles_is_invariant_under_energy_scaling():
     # A power-of-two factor is exact in floating point, so a search in
     # scale-aware angles must retrace the same path bit for bit.
     inst = generate_instance(3, 1, seed=4)
-    hamiltonian = to_ising(build_slack_ancilla_qubo(inst, 100.0))
+    program = build_slack_ancilla_qubo(inst, 100.0)
     factor = 2.0**10
-    scaled = IsingHamiltonian(
-        hamiltonian.num_qubits,
-        {key: factor * c for key, c in hamiltonian.couplings.items()},
-        factor * hamiltonian.fields,
-        factor * hamiltonian.offset,
+    scaled = replace(
+        program, quadratic=factor * program.quadratic, linear=factor * program.linear,
+        constant=factor * program.constant,
     )
-    params, trace = _optimize_angles(hamiltonian, p=2, budget=200, seed=4)
+    params, trace = _optimize_angles(program, p=2, budget=200, seed=4)
     scaled_params, scaled_trace = _optimize_angles(scaled, p=2, budget=200, seed=4)
     assert len(scaled_trace) == len(trace)
     assert scaled_trace == [factor * v for v in trace]
     assert scaled_params.gammas == tuple(g / factor for g in params.gammas)
     assert scaled_params.beta_mixes == params.beta_mixes
+
+
+@given(seed=st.integers(0, 10**6), m=st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_angle_scale_is_the_ising_norm_and_the_table_reads_only_q_plus_q_transpose(seed, m):
+    # One Q + Q^T in full, upper-triangular and split storage: for each, the
+    # closed-form scale is the loop reference's sum|h| + sum|J|, and the
+    # energies are the same bit for bit.
+    rng = np.random.default_rng(seed)
+    split = rng.normal(size=(m, m))
+    pair = split + split.T
+    storages = {
+        "full": pair / 2.0,
+        "upper": np.triu(pair, 1) + np.diag(np.diag(split)),
+        "split": split,
+    }
+    linear, constant = rng.normal(size=m), float(rng.normal())
+    tables = []
+    for name, quadratic in storages.items():
+        program = _program(quadratic, linear, constant)
+        couplings, fields, _ = naive_ising_coefficients(program)
+        norm = float(np.abs(fields).sum()) + sum(abs(c) for c in couplings.values())
+        assert _angle_scale(program) == pytest.approx(norm, rel=1e-12, abs=0), name
+        tables.append(energy_table(program).energies)
+    assert all(np.array_equal(tables[0], table) for table in tables[1:])
 
 
 # --- schedule -------------------------------------------------------------------
@@ -288,7 +320,7 @@ def test_schedule_final_params_reproduce_the_recorded_marginal():
         record = run_schedule(inst, config, seed=seed)
         program = build_slack_ancilla_qubo(inst, record.final_beta_penalty)
         pairs = mixer_pairs(program.labels)
-        state = _state(to_ising(program), record.final_params, record.mixer, pairs)
+        state = _state(program, record.final_params, record.mixer, pairs)
         marginal = state.probabilities().reshape(-1, 1 << inst.n).sum(axis=0)
         assert np.array_equal(marginal, record.marginal), seed
 
@@ -481,16 +513,15 @@ def test_serialised_histogram_is_the_asset_marginal():
 # --- the ansatz's workspace ------------------------------------------------------
 
 def _ansatz_layouts(n):
-    """(hamiltonian, mixer, pairs) for each way the ansatz lays out its state:
+    """(program, mixer, pairs) for each way the ansatz lays out its state:
     the standard mixer in place, the conditional mixer in the slack program's
     pair frame, and the conditional mixer on pairs already adjacent."""
     program = build_slack_ancilla_qubo(generate_instance(n, 2, seed=n), 100.0)
-    hamiltonian = to_ising(program)
     adjacent = [(2 * i, 2 * i + 1) for i in range(n)]
     return {
-        "standard": (hamiltonian, "standard", None),
-        "pair frame": (hamiltonian, "conditional", mixer_pairs(program.labels)),
-        "adjacent pairs": (hamiltonian, "conditional", adjacent),
+        "standard": (program, "standard", None),
+        "pair frame": (program, "conditional", mixer_pairs(program.labels)),
+        "adjacent pairs": (program, "conditional", adjacent),
     }
 
 
@@ -502,8 +533,8 @@ _PARAMS_B = QaoaParams(2, (-0.02, 0.005), (1.1, 0.2))
 def test_returned_state_is_unchanged_by_later_evaluations(layout):
     from qmarko.qaoa import _ansatz
 
-    hamiltonian, mixer, pairs = _ansatz_layouts(4)[layout]
-    ansatz = _ansatz(energy_table(hamiltonian), mixer, pairs)
+    program, mixer, pairs = _ansatz_layouts(4)[layout]
+    ansatz = _ansatz(energy_table(program), mixer, pairs)
     state = ansatz(_PARAMS_A)
     kept = state.amplitudes.copy()
     ansatz(_PARAMS_B)
@@ -515,8 +546,8 @@ def test_returned_state_is_unchanged_by_later_evaluations(layout):
 def test_evaluations_do_not_depend_on_earlier_ones(layout):
     from qmarko.qaoa import _ansatz
 
-    hamiltonian, mixer, pairs = _ansatz_layouts(4)[layout]
-    ansatz = _ansatz(energy_table(hamiltonian), mixer, pairs)
+    program, mixer, pairs = _ansatz_layouts(4)[layout]
+    ansatz = _ansatz(energy_table(program), mixer, pairs)
     value, amplitudes = ansatz.expectation(_PARAMS_A), ansatz(_PARAMS_A).amplitudes
     ansatz.expectation(_PARAMS_B)
     ansatz(_PARAMS_B)
@@ -528,8 +559,8 @@ def test_evaluations_do_not_depend_on_earlier_ones(layout):
 def test_state_at_the_last_evaluated_angles_is_read_not_recomputed(layout, monkeypatch):
     import qmarko.qaoa as qaoa
 
-    hamiltonian, mixer, pairs = _ansatz_layouts(4)[layout]
-    table = energy_table(hamiltonian)
+    program, mixer, pairs = _ansatz_layouts(4)[layout]
+    table = energy_table(program)
     fresh = _ansatz(table, mixer, pairs)(_PARAMS_A).amplitudes
     layers = []
     original_mixer = qaoa.apply_real_frame_mixer
@@ -555,15 +586,15 @@ def test_state_at_the_last_evaluated_angles_is_read_not_recomputed(layout, monke
 def test_search_objective_is_the_expectation_of_the_state(layout):
     from qmarko.qaoa import _physical_params, _search_angles
 
-    hamiltonian, mixer, pairs = _ansatz_layouts(4)[layout]
+    program, mixer, pairs = _ansatz_layouts(4)[layout]
     thetas = np.random.default_rng(41).uniform(0.0, np.pi, size=(5, 4))
 
     def minimize(objective, theta):
         values = [objective(t) for t in thetas]
         return theta, min(values), values
 
-    ansatz, scale, _, values = _search_angles(hamiltonian, thetas[0], minimize, mixer, pairs)
-    table = energy_table(hamiltonian)
+    ansatz, scale, _, values = _search_angles(program, thetas[0], minimize, mixer, pairs)
+    table = energy_table(program)
     for theta, value in zip(thetas, values):
         direct = expectation(ansatz(_physical_params(theta, scale)), table)
         assert value == pytest.approx(direct, rel=1e-12, abs=0)
@@ -575,8 +606,8 @@ def test_ansatz_peak_memory_is_its_workspace_and_one_state(mixer):
 
     from qmarko.qaoa import _ansatz
 
-    hamiltonian, _, pairs = _ansatz_layouts(7)["pair frame" if mixer == "conditional" else mixer]
-    table = energy_table(hamiltonian)  # m = 14
+    program, _, pairs = _ansatz_layouts(7)["pair frame" if mixer == "conditional" else mixer]
+    table = energy_table(program)  # m = 14
     tracemalloc.start()
     try:
         ansatz = _ansatz(table, mixer, pairs)  # held: its workspace stays allocated

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,14 +12,14 @@ from helpers import (
     dense_reference_evolution,
     gate_reference_evolution,
     gate_reference_mixer,
-    naive_ising_energy,
+    naive_qubo_energy,
     random_state,
     real_frame_pair_unit,
 )
 from qmarko.bitstrings import basis_labels, index_to_bits, string_to_index
-from qmarko.encode import IsingHamiltonian, build_penalty_qubo, build_slack_ancilla_qubo, to_ising
+from qmarko.encode import QuboProgram, VarLabel, build_penalty_qubo, build_slack_ancilla_qubo
 from qmarko.instance import generate_instance
-from qmarko.qaoa import QaoaParams, _ansatz, mixer_pairs
+from qmarko.qaoa import QaoaParams, _angle_scale, _ansatz, mixer_pairs
 from qmarko.simulate import (
     EnergyTable,
     StateVector,
@@ -37,7 +39,7 @@ from qmarko.simulate import (
 
 
 def _random_table(m, seed):
-    return energy_table(_random_hamiltonian(m, np.random.default_rng(seed)))
+    return energy_table(_random_program(m, np.random.default_rng(seed)))
 
 
 def _uniform(m):
@@ -86,19 +88,29 @@ def test_uniform_superposition_guards():
 
 
 def test_energy_table_matches_naive_evaluation():
-    hamiltonian = to_ising(build_slack_ancilla_qubo(generate_instance(2, 1, seed=6), 30.0))
-    table = energy_table(hamiltonian)
+    program = build_slack_ancilla_qubo(generate_instance(2, 1, seed=6), 30.0)
+    table = energy_table(program)
     for x in range(1 << 4):
         assert table.energies[x] == pytest.approx(
-            naive_ising_energy(hamiltonian, index_to_bits(x, 4)), abs=1e-12
+            naive_qubo_energy(program, index_to_bits(x, 4)), abs=1e-12
         )
 
 
 def test_energy_table_refuses_energies_that_overflow():
     # Finite coefficients whose energies overflow, refused without a RuntimeWarning.
-    hamiltonian = IsingHamiltonian(2, {(0, 1): 1e308}, np.array([1e308, 1e308]), 0.0)
+    labels = (VarLabel.asset(0), VarLabel.asset(1))
+    program = QuboProgram(2, labels, [[0.0, 1e308], [0.0, 0.0]], [1e308, 1e308], 0.0)
     with pytest.raises(ValueError, match="energies must be finite"):
-        energy_table(hamiltonian)
+        energy_table(program)
+
+
+def test_energy_table_refuses_a_pair_sum_that_overflows():
+    # Q_01 and Q_10 are finite, but the tabulation adds them: Q + Q^T
+    # overflows, and that too is refused without a RuntimeWarning.
+    labels = (VarLabel.asset(0), VarLabel.asset(1))
+    program = QuboProgram(2, labels, [[0.0, 1e308], [1e308, 0.0]], [0.0, 0.0], 0.0)
+    with pytest.raises(ValueError, match="energies must be finite"):
+        energy_table(program)
 
 
 def test_phase_separation_identity_at_zero():
@@ -240,8 +252,7 @@ def test_sample_binomial_three_sigma():
 
 def test_sample_energy_mean_within_three_sigma_of_expectation():
     inst = generate_instance(3, 1, seed=3)
-    hamiltonian = to_ising(build_penalty_qubo(inst, 5.0))
-    table = energy_table(hamiltonian)
+    table = energy_table(build_penalty_qubo(inst, 5.0))
     params = QaoaParams(2, (0.4, 0.9), (0.7, 0.3))
     state = _ansatz(table, "standard", None)(params)
     shots = 20000
@@ -347,20 +358,25 @@ def test_mixer_periodicity_at_pi(seed):
 def test_run_ansatz_matches_dense_reference():
     inst = generate_instance(3, 1, seed=16)
     program = build_slack_ancilla_qubo(inst, 100.0)
-    hamiltonian = to_ising(program)
     params = QaoaParams(2, (0.8, 0.15), (0.45, 0.7))
     for mixer in ("standard", "conditional"):
         pairs = mixer_pairs(program.labels) if mixer == "conditional" else None
-        state = _ansatz(energy_table(hamiltonian), mixer, pairs)(params)
-        reference = dense_reference_ansatz(hamiltonian, params, mixer, pairs)
+        state = _ansatz(energy_table(program), mixer, pairs)(params)
+        reference = dense_reference_ansatz(program, params, mixer, pairs)
         assert np.allclose(state.amplitudes, reference, atol=1e-10)
 
 
-def _random_hamiltonian(m, rng):
-    couplings = {
-        (i, j): float(rng.normal()) for i in range(m) for j in range(i + 1, m) if rng.random() < 0.5
-    }
-    return IsingHamiltonian(m, couplings, rng.normal(size=m), float(rng.normal()))
+def _random_program(m, rng, density=0.5):
+    """A program with each off-diagonal pair coupled with probability
+    ``density``, stored upper-triangular, and random b and c."""
+    quadratic = np.triu(rng.normal(size=(m, m)) * (rng.random((m, m)) < density), 1)
+    labels = tuple(VarLabel.asset(i) for i in range(m))
+    return QuboProgram(m, labels, quadratic, rng.normal(size=m), float(rng.normal()))
+
+
+def _scaled(program, weight):
+    return replace(program, quadratic=weight * program.quadratic,
+                   linear=weight * program.linear, constant=weight * program.constant)
 
 
 def _conditional_layouts(m, rng):
@@ -383,23 +399,22 @@ def _conditional_layouts(m, rng):
 def test_mixers_match_dense_reference_on_arbitrary_layouts(m):
     # m runs past simulate.BLOCK_QUBITS and over values that are not multiples of it.
     rng = np.random.default_rng(500 + m)
-    hamiltonian = _random_hamiltonian(m, rng)
+    program = _random_program(m, rng)
     params = QaoaParams(2, tuple(rng.uniform(-np.pi, np.pi, 2)), tuple(rng.uniform(-np.pi, np.pi, 2)))
-    table = energy_table(hamiltonian)
+    table = energy_table(program)
     state = _ansatz(table, "standard", None)(params)
-    reference = dense_reference_ansatz(hamiltonian, params, "standard")
+    reference = dense_reference_ansatz(program, params, "standard")
     assert np.allclose(state.amplitudes, reference, rtol=0, atol=1e-10)
     for pairs in _conditional_layouts(m, rng):
         state = _ansatz(table, "conditional", pairs)(params)
-        reference = dense_reference_ansatz(hamiltonian, params, "conditional", pairs)
+        reference = dense_reference_ansatz(program, params, "conditional", pairs)
         assert np.allclose(state.amplitudes, reference, rtol=0, atol=1e-10), pairs
 
 
 def test_conditional_without_pairs_matches_dense_reference():
     inst = generate_instance(3, 1, seed=17)
-    hamiltonian = to_ising(build_penalty_qubo(inst, 10.0))
     params = QaoaParams(2, (0.4, 0.6), (0.3, 0.9))
-    table = energy_table(hamiltonian)
+    table = energy_table(build_penalty_qubo(inst, 10.0))
     state = _ansatz(table, "conditional", None)(params)
     reference = dense_reference_evolution(table.energies, params, "conditional", [])
     assert np.allclose(reference, state.amplitudes, atol=1e-9)
@@ -408,13 +423,10 @@ def test_conditional_without_pairs_matches_dense_reference():
 def test_energy_table_peak_memory_is_a_small_multiple_of_the_table():
     import tracemalloc
 
-    m = 16
-    rng = np.random.default_rng(16)
-    couplings = {(i, j): float(rng.normal()) for i in range(m) for j in range(i + 1, m)}
-    hamiltonian = IsingHamiltonian(m, couplings, rng.normal(size=m), 0.5)
+    program = _random_program(16, np.random.default_rng(16), density=1.0)
     tracemalloc.start()
     try:
-        table = energy_table(hamiltonian)
+        table = energy_table(program)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -425,26 +437,18 @@ def test_energy_table_peak_memory_is_a_small_multiple_of_the_table():
 def test_phase_separation_on_energy_table_matches_naive_energy_phases(m):
     rng = np.random.default_rng(700 + m)
     for weight in (1.0, 1e5):
-        base = _random_hamiltonian(m, rng)
-        hamiltonian = IsingHamiltonian(
-            m,
-            {pair: weight * c for pair, c in base.couplings.items()},
-            weight * base.fields,
-            weight * base.offset,
-        )
+        program = _scaled(_random_program(m, rng), weight)
         energies = np.array(
-            [naive_ising_energy(hamiltonian, index_to_bits(x, m)) for x in range(1 << m)]
+            [naive_qubo_energy(program, index_to_bits(x, m)) for x in range(1 << m)]
         )
-        norm = float(np.abs(hamiltonian.fields).sum()) + sum(
-            abs(c) for c in hamiltonian.couplings.values()
-        )
+        norm = _angle_scale(program)
         # gamma = theta / norm as the angle search sets it; at weight 1e5
         # this is the slack Hamiltonian's scale at beta = 51200.
         for theta in (0.0, 0.4, np.pi, -2.3):
             gamma = theta / norm
             amplitudes = random_state(m, 800 + m)
             state = apply_phase_separation(
-                StateVector(m, amplitudes.copy()), energy_table(hamiltonian), gamma
+                StateVector(m, amplitudes.copy()), energy_table(program), gamma
             )
             expected = amplitudes * np.exp(-1j * gamma * energies)
             assert np.abs(state.amplitudes - expected).max() <= 1e-12, (weight, gamma)
@@ -457,17 +461,9 @@ def test_phased_uniform_is_phase_separation_of_the_real_frame_uniform_state(m):
     uniform = np.array([1, -1j, -1, 1j])[popcounts % 4] / np.sqrt(1 << m)
     rng = np.random.default_rng(1000 + m)
     for weight in (1.0, 1e5):
-        base = _random_hamiltonian(m, rng)
-        hamiltonian = IsingHamiltonian(
-            m,
-            {pair: weight * c for pair, c in base.couplings.items()},
-            weight * base.fields,
-            weight * base.offset,
-        )
-        table = energy_table(hamiltonian)
-        norm = float(np.abs(hamiltonian.fields).sum()) + sum(
-            abs(c) for c in hamiltonian.couplings.values()
-        )
+        program = _scaled(_random_program(m, rng), weight)
+        table = energy_table(program)
+        norm = _angle_scale(program)
         for gamma in (0.0, float(rng.uniform(-np.pi, np.pi)) / norm):
             fused = real_frame_phased_uniform(np.full(1 << m, np.nan, dtype=complex), table, gamma)
             layered = apply_phase_separation(StateVector(m, uniform.copy()), table, gamma)
@@ -486,9 +482,7 @@ def test_phase_separation_peak_memory_on_an_energy_table():
     import tracemalloc
 
     m = 16
-    rng = np.random.default_rng(17)
-    couplings = {(i, j): float(rng.normal()) for i in range(m) for j in range(i + 1, m)}
-    table = energy_table(IsingHamiltonian(m, couplings, rng.normal(size=m), 0.5))
+    table = energy_table(_random_program(m, np.random.default_rng(17), density=1.0))
     state = _uniform(m)
     tracemalloc.start()
     try:
@@ -506,8 +500,7 @@ def test_frame_ansatz_matches_layer_by_layer_composition(m, monkeypatch):
     import qmarko.simulate as simulate
 
     rng = np.random.default_rng(900 + m)
-    hamiltonian = _random_hamiltonian(m, rng)
-    table = energy_table(hamiltonian)
+    table = energy_table(_random_program(m, rng))
     params = QaoaParams(3, tuple(rng.uniform(-1, 1, 3) / m), tuple(rng.uniform(-np.pi, np.pi, 3)))
     qubits = [int(q) for q in rng.permutation(m)]
     half = m // 2
@@ -572,7 +565,7 @@ def test_mixer_layers_allocate_no_state_sized_temporary():
 def test_phase_separation_into_a_spare_buffer_matches_a_new_array():
     rng = np.random.default_rng(31)
     m = 6
-    table = energy_table(_random_hamiltonian(m, rng))
+    table = energy_table(_random_program(m, rng))
     amplitudes = random_state(m, 32)
     spare = np.full(1 << m, np.nan, dtype=complex)
     in_spare = apply_phase_separation(StateVector(m, amplitudes.copy()), table, 0.7, spare)
