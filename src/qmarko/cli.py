@@ -16,9 +16,10 @@ method would ignore exits 2: `--mixer` on a `solve` method, or a `sweep`
 grid, without slack-qaoa, and `--penalty` on a `solve` method, or a `sweep`
 grid, that takes no fixed weight (slack-qaoa and the oracle take none).
 `sweep --jobs` is capped by the number of cells. A command checks every
-input before it writes any file. A sweep cell first deletes the
-`record.json`, `trace.csv` and `error.txt` an earlier sweep into the same
-directory left, so a cell holds only its own run's outcome.
+input, and `sweep` every method's register size, before it writes any file.
+A run writes `record.json` only, or a failed sweep cell `error.txt`. A sweep
+cell first deletes the `record.json`, `error.txt` and (older versions')
+`trace.csv` left in its directory, so it holds only its own run's outcome.
 
 Records: `solve` and `sweep` write `record.json` as exactly
 `json.dumps(doc, indent=2)` plus a newline, formatting each histogram
@@ -52,7 +53,7 @@ import numpy as np
 
 from . import instance as instance_mod
 from . import encode, oracle, qaoa
-from .bitstrings import basis_label_block
+from .bitstrings import MAX_QUBITS, basis_label_block
 from .instance import as_integer
 
 EXIT_OK = 0
@@ -163,7 +164,7 @@ def _marginal_entries(marginal: np.ndarray) -> list[str]:
 def _record_text(doc: dict) -> str:
     """record.json's text: exactly `json.dumps(doc, indent=2) + "\\n"`, where an
     array histogram (`ExperimentRecord.document`) stands for its labelled
-    dict (`ExperimentRecord.to_dict`).
+    dict (`qaoa.labelled_histogram`).
 
     `indent` makes json fall back to its pure-Python encoder, which formats a
     2^n-entry histogram one entry at a time. Instead a finite array's
@@ -232,62 +233,43 @@ def _schedule(cfg: dict) -> qaoa.ScheduleConfig:
     )
 
 
-def _trace_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["iteration", "expectation", "beta_penalty", "feasible_fraction"])
-    for row in rows:
-        frac = "" if row.feasible_fraction is None else repr(row.feasible_fraction)
-        writer.writerow([row.iteration, repr(row.expectation), repr(row.beta_penalty), frac])
-    return buf.getvalue()
-
-
-def _oracle(inst, cfg, schedule, penalty) -> tuple[dict, list]:
+def _oracle(inst, method, cfg, schedule, penalty) -> dict:
     bitstring, value = oracle.exhaustive_portfolio_optimum(inst)
-    doc = {"method": "oracle", "seed": cfg["seed"], "bitstring": bitstring, "feasible": True,
-           "value": value, "iterations": 0, "histogram": {bitstring: 1.0}}
-    return doc, []
+    return {"method": method, "seed": cfg["seed"], "bitstring": bitstring, "feasible": True,
+            "value": value, "iterations": 0, "histogram": {bitstring: 1.0}}
 
 
-def _classical_baseline(inst, cfg, schedule, penalty) -> tuple[dict, list]:
+def _classical_baseline(inst, method, cfg, schedule, penalty) -> dict:
     result = oracle.classical_baseline(
         inst, beta_penalty=penalty, budget=cfg["max_iter"], seed=cfg["seed"],
         optimizer=cfg["optimizer"],
     )
-    doc = {"method": "classical-baseline", "seed": cfg["seed"], "bitstring": result.bitstring,
-           "feasible": result.feasible, "value": result.value, "iterations": len(result.trace),
-           "penalty": penalty, "histogram": {result.bitstring: 1.0},
-           "objective_trace": list(result.trace)}
-    return doc, [qaoa.TraceRow(i + 1, v, penalty) for i, v in enumerate(result.trace)]
+    return {"method": method, "seed": cfg["seed"], "bitstring": result.bitstring,
+            "feasible": result.feasible, "value": result.value, "iterations": len(result.trace),
+            "penalty": penalty, "histogram": {result.bitstring: 1.0},
+            "objective_trace": list(result.trace)}
 
 
-def _slack_qaoa(inst, cfg, schedule, penalty) -> tuple[dict, list]:
-    record = qaoa.run_schedule(
+def _slack_qaoa(inst, method, cfg, schedule, penalty) -> dict:
+    return qaoa.run_schedule(
         inst, schedule, p=cfg["p"], mixer=cfg["mixer"] or "conditional",
         seed=cfg["seed"], optimizer=cfg["optimizer"],
-    )
-    return record.document(), record.trace
+    ).document()
 
 
-def _fixed_penalty_qaoa(entry_point: str):
-    """The runner of a fixed-penalty QAOA baseline. It looks `qaoa.<entry_point>`
-    up per call, so a wrapper installed on the module (the benchmark's tracer)
-    sees every run."""
-    def run(inst, cfg, schedule, penalty) -> tuple[dict, list]:
-        record = getattr(qaoa, entry_point)(inst, a_card=penalty, p=cfg["p"],
-                                            budget=cfg["max_iter"], seed=cfg["seed"],
-                                            optimizer=cfg["optimizer"])
-        return record.document(), record.trace
-    return run
+def _fixed_penalty_qaoa(inst, method, cfg, schedule, penalty) -> dict:
+    return qaoa.run_fixed_penalty(inst, method, a_card=penalty, p=cfg["p"],
+                                  budget=cfg["max_iter"], seed=cfg["seed"],
+                                  optimizer=cfg["optimizer"]).document()
 
 
-# name: (runner, default penalty weight). Fixed-penalty QAOA baselines run at
-# 1e3; the classical baseline uses the same weight the slack schedule starts
-# from. The oracle and the slack schedule take no fixed weight.
+# name: (runner, default penalty weight); every runner is (instance, method,
+# settings, schedule, weight) -> record document. Fixed-penalty QAOA arms run at
+# 1e3, the classical baseline at the slack schedule's first weight; others take none.
 METHODS = {
     "slack-qaoa": (_slack_qaoa, None),
-    "penalty-qaoa": (_fixed_penalty_qaoa("run_baseline_penalty_qaoa"), 1000.0),
-    "cardinality-slack-qaoa": (_fixed_penalty_qaoa("run_cardinality_slack_qaoa"), 1000.0),
+    "penalty-qaoa": (_fixed_penalty_qaoa, 1000.0),
+    "cardinality-slack-qaoa": (_fixed_penalty_qaoa, 1000.0),
     "oracle": (_oracle, None),
     "classical-baseline": (_classical_baseline, 100.0),
 }
@@ -309,13 +291,27 @@ def _check_mixer_applies(cfg: dict, methods) -> None:
         raise ValueError(f"--mixer applies to slack-qaoa only, not {', '.join(methods)}")
 
 
+def _check_registers(inst: instance_mod.PortfolioInstance, methods) -> None:
+    """Refuse a method whose register (the oracle: its 2^n table) is over
+    MAX_QUBITS. A program's size does not depend on its weight, so each is
+    built at weight 1, in O(m^2); the slack build also checks the caps."""
+    builders = {"slack-qaoa": encode.build_slack_ancilla_qubo,
+                **{arm: build for arm, (build, _) in qaoa.FIXED_PENALTY_ARMS.items()}}
+    qubits = {"oracle": inst.n}
+    for method in methods:
+        if method in builders:
+            qubits[method] = builders[method](inst, 1.0).num_qubits
+        if qubits.get(method, 0) > MAX_QUBITS:
+            raise ValueError(f"{method} would tabulate {qubits[method]} variables "
+                             f"(limit {MAX_QUBITS})")
+
+
 def _run_method(
     inst: instance_mod.PortfolioInstance, method: str, cfg: dict, schedule: qaoa.ScheduleConfig
-) -> tuple[dict, str]:
-    """Execute one method; returns (record document, trace.csv text)."""
+) -> dict:
+    """Execute one method; returns its record document."""
     run, weight = METHODS[method]
-    doc, rows = run(inst, cfg, schedule, weight if cfg["penalty"] is None else cfg["penalty"])
-    return doc, _trace_csv(rows)
+    return run(inst, method, cfg, schedule, weight if cfg["penalty"] is None else cfg["penalty"])
 
 
 def _print_solve_row(doc: dict) -> None:
@@ -346,11 +342,10 @@ def cmd_solve(args) -> int:
     _check_penalty_applies(cfg, [method])
     schedule = _schedule(cfg)
     inst = instance_mod.load_instance(args.instance)
-    doc, trace_text = _run_method(inst, method, cfg, schedule)
+    doc = _run_method(inst, method, cfg, schedule)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_atomic(out_dir / "record.json", _record_text(doc))
-    _write_atomic(out_dir / "trace.csv", trace_text)
     _print_solve_row(doc)
     if not doc.get("feasible") or doc.get("bitstring") is None:
         return EXIT_NO_FEASIBLE
@@ -370,9 +365,8 @@ def _run_cell(payload: tuple) -> dict:
     started = time.perf_counter()
     try:
         inst = instance_mod.from_json(instance_text)
-        doc, trace_text = _run_method(inst, method, {**cfg, "seed": seed}, schedule)
+        doc = _run_method(inst, method, {**cfg, "seed": seed}, schedule)
         _write_atomic(run_dir / "record.json", _record_text(doc))
-        _write_atomic(run_dir / "trace.csv", trace_text)
         row["bitstring"] = doc.get("bitstring") or ""
         row["feasible"] = str(bool(doc.get("feasible")))
         row["value"] = "" if doc.get("value") is None else repr(doc["value"])
@@ -405,11 +399,6 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--jobs must be >= 1, got {cfg['jobs']}")
     if args.instance:
         inst = instance_mod.load_instance(args.instance)
-        if "slack-qaoa" in methods:
-            # A cell records its error and the sweep goes on, so refuse caps
-            # the slack encoding cannot close before anything is written.
-            # Generated instances are k-hot by construction.
-            encode.check_slack_caps(inst)
         text = instance_mod.to_json(inst) + "\n"
         instance_texts = dict.fromkeys(seeds, text)
         instance_files = {"instance.json": text}
@@ -419,6 +408,8 @@ def cmd_sweep(args) -> int:
             inst = instance_mod.generate_instance(cfg["n"], cfg["k"], seed)
             instance_texts[seed] = instance_mod.to_json(inst) + "\n"
         instance_files = {f"instance_seed{seed}.json": instance_texts[seed] for seed in seeds}
+    # Generated instances share n and k and have k-hot caps: one stands for all.
+    _check_registers(inst, methods)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in instance_files.items():

@@ -9,7 +9,8 @@ iteration cap is hit. Angle optimization is warm-started across penalty
 doublings.
 
 One run path. Every angle search, whether a segment of ``run_schedule``
-or a fixed-penalty baseline run, is one call of ``_search_angles``
+or a ``run_fixed_penalty`` run of an arm (a row of FIXED_PENALTY_ARMS:
+its program builder and reporting rule), is one call of ``_search_angles``
 (tabulate the program, build its ansatz once, scale the angles,
 minimize the expectation); ``_ansatz`` is the one ansatz entry point; and
 every record is built from its final state by ``_record`` (asset
@@ -177,10 +178,10 @@ class ExperimentRecord:
 
     Of the final state the record keeps the 2^n asset ``marginal``, in
     basis-index order; the 2^m register distribution is rebuilt, when
-    wanted, by the ansatz call above. ``record.json`` (``to_dict``) holds
-    the marginal under the key ``histogram``; ``document`` is the same
-    document with the marginal still an array. Records compare by
-    identity, since they hold arrays.
+    wanted, by the ansatz call above. ``document`` is ``record.json``'s
+    document with the marginal, as an array, under the key ``histogram``;
+    ``qmarko`` writes it with n-bit labels in basis-index order. Records
+    compare by identity, since they hold arrays.
     """
 
     method: str
@@ -229,12 +230,6 @@ class ExperimentRecord:
             "trace": [asdict(row) for row in self.trace],
             "variance_bound": asdict(self.variance_bound),
         }
-
-    def to_dict(self) -> dict:
-        """record.json's document as JSON values: "histogram" is the asset
-        marginal keyed by n-bit labels, in basis-index order; `qmarko report`
-        writes it in that order."""
-        return {**self.document(), "histogram": labelled_histogram(self.marginal)}
 
 
 class _BudgetExhausted(Exception):
@@ -546,17 +541,29 @@ def run_schedule(
     )
 
 
-def _run_fixed_penalty(
-    instance: PortfolioInstance,
-    program,
-    method: str,
-    a_card: float,
-    p: int,
-    budget: int,
-    seed: int,
-    optimizer: str,
-    report_most_probable: bool,
+# method: (program builder, report_most_probable); see run_fixed_penalty.
+FIXED_PENALTY_ARMS = {
+    "penalty-qaoa": (build_penalty_qubo, True),
+    "cardinality-slack-qaoa": (build_cardinality_slack_qubo, False),
+}
+
+
+def run_fixed_penalty(
+    instance: PortfolioInstance, method: str, a_card: float = 1000.0, p: int = 2,
+    budget: int = 200, seed: int = 0, optimizer: str = "cobyla",
 ) -> ExperimentRecord:
+    """Fixed-penalty QAOA arm ``method`` (a FIXED_PENALTY_ARMS key): one
+    standard-mixer angle search of ``budget`` evaluations on its program at
+    weight a_card. penalty-qaoa, over the asset bits only, reports the most
+    probable portfolio with its feasibility flag, reproducing the failure
+    mode where that portfolio violates the constraints; cardinality-slack-qaoa,
+    on the binary-slack cardinality encoding, reports the best feasible
+    portfolio above the probability threshold."""
+    if method not in FIXED_PENALTY_ARMS:
+        raise ValueError(f"unknown fixed-penalty arm: {method!r}; "
+                         f"choose from {', '.join(FIXED_PENALTY_ARMS)}")
+    build, report_most_probable = FIXED_PENALTY_ARMS[method]
+    program = build(instance, a_card)
     theta0 = _draw_initial_angles(np.random.default_rng(seed), p)
     minimize = partial(minimize_with_budget, optimizer=optimizer, budget=budget)
     ansatz, scale, theta, evals = _search_angles(program, theta0, minimize)
@@ -568,39 +575,4 @@ def _run_fixed_penalty(
         final_beta_penalty=a_card, sampled_feasible_fraction=None,
         terminated_by="completed",
         trace=tuple(TraceRow(i, value, a_card) for i, value in enumerate(evals, 1)),
-    )
-
-
-def run_baseline_penalty_qaoa(
-    instance: PortfolioInstance,
-    a_card: float = 1000.0,
-    p: int = 2,
-    budget: int = 200,
-    seed: int = 0,
-    optimizer: str = "cobyla",
-) -> ExperimentRecord:
-    """Fixed-penalty QAOA over the asset bits only; reports the most
-    probable portfolio with an explicit feasibility flag, reproducing the
-    failure mode where that portfolio violates the constraints."""
-    program = build_penalty_qubo(instance, a_card)
-    return _run_fixed_penalty(
-        instance, program, "penalty-qaoa", a_card, p, budget, seed, optimizer,
-        report_most_probable=True,
-    )
-
-
-def run_cardinality_slack_qaoa(
-    instance: PortfolioInstance,
-    a_card: float = 1000.0,
-    p: int = 2,
-    budget: int = 200,
-    seed: int = 0,
-    optimizer: str = "cobyla",
-) -> ExperimentRecord:
-    """Fixed-penalty QAOA on the binary-slack cardinality encoding; reports
-    the best feasible portfolio above the probability threshold."""
-    program = build_cardinality_slack_qubo(instance, a_card)
-    return _run_fixed_penalty(
-        instance, program, "cardinality-slack-qaoa", a_card, p, budget, seed, optimizer,
-        report_most_probable=False,
     )

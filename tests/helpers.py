@@ -270,3 +270,9 @@ def final_register(record, inst: PortfolioInstance) -> dict[str, float]:
     table = energy_table(program)
     state = _ansatz(table, record.mixer, pairs)(record.final_params)
     return labelled_histogram(state.probabilities())
+
+
+def record_json(record) -> dict:
+    """record.json's document as JSON values: ``record.document()`` with the
+    asset marginal keyed by n-bit labels, in basis-index order."""
+    return {**record.document(), "histogram": labelled_histogram(record.marginal)}

@@ -236,24 +236,25 @@ def test_penalty_weights_that_overflow_exit_2_without_a_record(tmp_path, capsys,
 
 
 def test_a_rerun_sweep_cell_holds_only_its_own_outcome(tmp_path, capsys):
-    # A cell that fails after a success keeps no record or trace of the
-    # earlier run, so report writes no histogram for it; a cell that
-    # succeeds after a failure keeps no error.
+    # A cell that fails after a success keeps no record of the earlier run,
+    # so report writes no histogram for it; a cell that succeeds after a
+    # failure keeps no error, nor the trace.csv an older version wrote.
     sweep = tmp_path / "sweep"
     cell = sweep / "penalty-qaoa_seed1"
     run = ["sweep", "--n", "3", "--k", "1", "--methods", "penalty-qaoa", "--seeds", "1",
            "--max-iter", "10", "--out", str(sweep)]
     assert main(run) == EXIT_OK
-    assert (cell / "record.json").exists() and (cell / "trace.csv").exists()
+    assert [path.name for path in cell.iterdir()] == ["record.json"]
     assert main([*run, "--penalty", "1e308"]) == EXIT_OK
     assert (cell / "error.txt").read_text().startswith("ValueError: ")
     assert not (cell / "record.json").exists()
-    assert not (cell / "trace.csv").exists()
+    assert [path.name for path in cell.iterdir()] == ["error.txt"]
     assert main(["report", "--run-dir", str(sweep)]) == EXIT_OK
     assert not (sweep / "hist_penalty-qaoa_seed1.csv").exists()
+    (cell / "trace.csv").write_text("iteration,expectation,beta_penalty,feasible_fraction\n")
     assert main(run) == EXIT_OK
     assert not (cell / "error.txt").exists()
-    assert (cell / "record.json").exists() and (cell / "trace.csv").exists()
+    assert [path.name for path in cell.iterdir()] == ["record.json"]
     capsys.readouterr()
 
 
@@ -296,6 +297,26 @@ def test_inputs_are_checked_before_any_file_is_written(tmp_path, capsys):
         assert main([*argv, "--out", str(out)]) == EXIT_INVALID, argv
         assert not out.exists(), argv
     capsys.readouterr()
+
+
+def test_sweep_refuses_a_register_over_the_limit_before_writing(tmp_path, capsys):
+    # A cell would only record the error, so sweep exits 2 as solve does:
+    # 13 assets give slack-qaoa 26 qubits, and 25 assets give the oracle a
+    # 2^25-entry table and penalty-qaoa 25 qubits.
+    from qmarko.cli import EXIT_INVALID
+    from qmarko.simulate import MAX_QUBITS
+
+    runs = [
+        ("13", "slack-qaoa,oracle", f"slack-qaoa would tabulate 26 variables (limit {MAX_QUBITS})"),
+        (str(MAX_QUBITS + 1), "oracle", f"oracle would tabulate {MAX_QUBITS + 1} variables"),
+        (str(MAX_QUBITS + 1), "classical-baseline,penalty-qaoa", "penalty-qaoa would tabulate"),
+    ]
+    for i, (n, methods, message) in enumerate(runs):
+        out = tmp_path / f"out{i}"
+        assert main(["sweep", "--n", n, "--k", "2", "--methods", methods, "--seeds", "1",
+                     "--out", str(out)]) == EXIT_INVALID, methods
+        assert not out.exists(), methods
+        assert message in capsys.readouterr().err, methods
 
 
 def test_sweep_grid_lists_each_entry_once(tmp_path, capsys):
@@ -541,7 +562,7 @@ def test_slack_qaoa_refuses_caps_the_encoding_cannot_close(tmp_path, capsys):
 
 
 def test_records_and_histogram_files_hold_the_asset_marginal(tmp_path, capsys):
-    from helpers import final_register
+    from helpers import final_register, record_json
     from qmarko.instance import from_json
     from qmarko.qaoa import ScheduleConfig, run_schedule
 
@@ -571,7 +592,7 @@ def test_records_and_histogram_files_hold_the_asset_marginal(tmp_path, capsys):
     inst = from_json((out / f"instance_seed{seed}.json").read_text())
     config = ScheduleConfig(doubling_interval=6, feasibility_shots=64, max_iterations=12)
     rerun = run_schedule(inst, config, seed=seed)
-    assert json.loads(json.dumps(rerun.to_dict())) == json.loads(record_text)
+    assert json.loads(json.dumps(record_json(rerun))) == json.loads(record_text)
     register = final_register(rerun, inst)
     assert len(register) == 1 << (2 * n)
     assert len(record_text) < len(json.dumps(register, indent=2))

@@ -9,15 +9,11 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import record_json
 from qmarko import cli
 from qmarko.cli import EXIT_INVALID, EXIT_NO_FEASIBLE, EXIT_OK, METHODS, SUMMARY_COLUMNS, main
 from qmarko.instance import generate_instance
-from qmarko.qaoa import (
-    ScheduleConfig,
-    run_baseline_penalty_qaoa,
-    run_cardinality_slack_qaoa,
-    run_schedule,
-)
+from qmarko.qaoa import ScheduleConfig, run_fixed_penalty, run_schedule
 
 FAST = ["--max-iter", "12", "--doubling-interval", "6", "--shots", "64"]
 
@@ -43,9 +39,31 @@ def test_records_and_histogram_files_of_every_method(tmp_path, capsys):
         assert rows == [["bitstring", "probability"], *map(list, histogram.items())], method
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_a_cell_holds_only_its_record_and_the_record_holds_the_trace(tmp_path, capsys, method):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--n", "3", "--k", "1", "--methods", method, "--seeds", "1",
+                 *FAST, "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    cell = out / f"{method}_seed1"
+    assert [path.name for path in cell.iterdir()] == ["record.json"]
+    doc = json.loads((cell / "record.json").read_text())
+    if method == "oracle":
+        assert doc["iterations"] == 0
+    elif method == "classical-baseline":
+        assert len(doc["objective_trace"]) == doc["iterations"] > 0
+        assert doc["penalty"] == METHODS[method][1]
+    else:
+        trace = doc["trace"]
+        assert [row["iteration"] for row in trace] == list(range(1, doc["iterations"] + 1))
+        assert doc["iterations"] > 0
+        if method != "slack-qaoa":
+            assert {row["beta_penalty"] for row in trace} == {doc["final_beta_penalty"]}
+
+
 def test_record_writer_matches_json_dumps_on_a_register_wide_penalty_record():
-    record = run_baseline_penalty_qaoa(generate_instance(8, 3, 2), p=1, budget=6, seed=2)
-    doc = record.to_dict()
+    record = run_fixed_penalty(generate_instance(8, 3, 2), "penalty-qaoa", p=1, budget=6, seed=2)
+    doc = record_json(record)
     assert len(doc["histogram"]) == 1 << 8
     assert cli._record_text(record.document()) == cli._record_text(doc) == _dumps(doc)
 
@@ -209,13 +227,13 @@ def test_record_writer_labels_a_non_finite_marginal_for_json_dumps(value):
 @pytest.mark.parametrize("run", [
     lambda inst: run_schedule(inst, ScheduleConfig(doubling_interval=6, feasibility_shots=64,
                                                    max_iterations=12), seed=2),
-    lambda inst: run_baseline_penalty_qaoa(inst, p=1, budget=6, seed=2),
-    lambda inst: run_cardinality_slack_qaoa(inst, p=1, budget=6, seed=2),
+    lambda inst: run_fixed_penalty(inst, "penalty-qaoa", p=1, budget=6, seed=2),
+    lambda inst: run_fixed_penalty(inst, "cardinality-slack-qaoa", p=1, budget=6, seed=2),
 ], ids=["slack-qaoa", "penalty-qaoa", "cardinality-slack-qaoa"])
 def test_record_writer_gives_the_same_text_for_the_array_document(run):
     record = run(generate_instance(4, 2, 5))
     assert isinstance(record.document()["histogram"], np.ndarray)
-    assert cli._record_text(record.document()) == cli._record_text(record.to_dict())
+    assert cli._record_text(record.document()) == cli._record_text(record_json(record))
 
 
 def test_report_writes_nothing_when_a_later_record_is_malformed(tmp_path, capsys):

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from dataclasses import replace
 from functools import partial
 
-from helpers import dense_reference_ansatz, final_register, label_bits, naive_ising_coefficients
+from helpers import (
+    dense_reference_ansatz,
+    final_register,
+    label_bits,
+    naive_ising_coefficients,
+    record_json,
+)
 from qmarko.bitstrings import index_to_bits
 from qmarko.encode import QuboProgram, VarLabel, build_penalty_qubo, build_slack_ancilla_qubo
 from qmarko.instance import PortfolioInstance, classical_objective, generate_instance, is_feasible
@@ -23,8 +29,7 @@ from qmarko.qaoa import (
     _search_angles,
     minimize_with_budget,
     mixer_pairs,
-    run_baseline_penalty_qaoa,
-    run_cardinality_slack_qaoa,
+    run_fixed_penalty,
     run_schedule,
 )
 from qmarko.simulate import energy_table, expectation
@@ -276,8 +281,8 @@ def test_schedule_respects_iteration_cap_of_one():
 
 def test_schedule_is_deterministic():
     inst = generate_instance(3, 1, seed=8)
-    a = run_schedule(inst, seed=8).to_dict()
-    b = run_schedule(inst, seed=8).to_dict()
+    a = record_json(run_schedule(inst, seed=8))
+    b = record_json(run_schedule(inst, seed=8))
     assert a == b
 
 
@@ -343,7 +348,7 @@ def test_schedule_record_is_self_consistent():
 
 def test_baseline_reports_most_probable_with_flag():
     inst = generate_instance(3, 1, seed=12)
-    record = run_baseline_penalty_qaoa(inst, a_card=1000.0, p=2, budget=200, seed=12)
+    record = run_fixed_penalty(inst, "penalty-qaoa", a_card=1000.0, p=2, budget=200, seed=12)
     assert record.method == "penalty-qaoa"
     assert record.reported == record.most_probable
     bits = label_bits(record.most_probable.bitstring)
@@ -373,8 +378,8 @@ def test_baseline_penalty_strength_pushes_mass_toward_cardinality():
                 total += probability
         return total
 
-    weak = run_baseline_penalty_qaoa(inst, a_card=weak_a, p=2, budget=200, seed=13)
-    strong = run_baseline_penalty_qaoa(inst, a_card=strong_a, p=2, budget=200, seed=13)
+    weak = run_fixed_penalty(inst, "penalty-qaoa", a_card=weak_a, p=2, budget=200, seed=13)
+    strong = run_fixed_penalty(inst, "penalty-qaoa", a_card=strong_a, p=2, budget=200, seed=13)
     assert off_cardinality_mass(strong) < off_cardinality_mass(weak)
 
 
@@ -389,16 +394,24 @@ def test_baseline_flags_constructed_all_ones_failure():
 
     bits, _ = exhaustive_qubo_minimum(build_penalty_qubo(inst, 0.1))
     assert bits == "111"
-    record = run_baseline_penalty_qaoa(inst, a_card=0.1, p=2, budget=200, seed=1)
+    record = run_fixed_penalty(inst, "penalty-qaoa", a_card=0.1, p=2, budget=200, seed=1)
     reported_bits = label_bits(record.reported.bitstring)
     assert record.reported.feasible == is_feasible(inst, reported_bits)
     if record.reported.bitstring == "111":
         assert not record.reported.feasible
 
 
+def test_fixed_penalty_runner_refuses_an_unknown_arm():
+    inst = generate_instance(3, 1, seed=14)
+    with pytest.raises(ValueError, match="'slack-qaoa'; choose from penalty-qaoa, "
+                                         "cardinality-slack-qaoa$"):
+        run_fixed_penalty(inst, "slack-qaoa")
+
+
 def test_cardinality_slack_runner_reports_best_feasible():
     inst = generate_instance(3, 1, seed=14)
-    record = run_cardinality_slack_qaoa(inst, a_card=1000.0, p=2, budget=200, seed=14)
+    record = run_fixed_penalty(inst, "cardinality-slack-qaoa", a_card=1000.0, p=2, budget=200,
+                               seed=14)
     assert record.method == "cardinality-slack-qaoa"
     assert record.reported == record.best_feasible
     assert record.best_feasible is not None
@@ -457,7 +470,7 @@ def test_portfolio_picks_best_feasible_is_none_below_threshold():
 
 def _assert_trace_numbered(record, expected_length):
     assert [row.iteration for row in record.trace] == list(range(1, expected_length + 1))
-    doc = record.to_dict()
+    doc = record_json(record)
     assert doc["iterations"] == len(record.trace) == record.iterations_used
     # The trace rows carry the evaluations; no second list repeats them.
     assert "objective_trace" not in doc
@@ -473,7 +486,7 @@ def test_trace_is_numbered_from_one_across_penalty_doublings():
     assert len({row.beta_penalty for row in record.trace}) == 3
     _assert_trace_numbered(record, 9)
 
-    baseline = run_baseline_penalty_qaoa(inst, a_card=1000.0, p=2, budget=7, seed=5)
+    baseline = run_fixed_penalty(inst, "penalty-qaoa", a_card=1000.0, p=2, budget=7, seed=5)
     _assert_trace_numbered(baseline, 7)
 
 
@@ -483,7 +496,7 @@ def _assert_serialised_histogram_is_asset_marginal(record, inst):
     from qmarko.bitstrings import index_to_string
 
     n = inst.n
-    serialised = record.to_dict()["histogram"]
+    serialised = record_json(record)["histogram"]
     assert list(serialised) == [index_to_string(i, n) for i in range(1 << n)]
     register = final_register(record, inst)
     summed = dict.fromkeys(serialised, 0.0)
@@ -500,12 +513,13 @@ def test_serialised_histogram_is_the_asset_marginal():
     _, register = _assert_serialised_histogram_is_asset_marginal(schedule, inst)
     assert len(next(iter(register))) == 2 * inst.n
 
-    cardinality = run_cardinality_slack_qaoa(inst, a_card=1000.0, p=2, budget=8, seed=15)
+    cardinality = run_fixed_penalty(inst, "cardinality-slack-qaoa", a_card=1000.0, p=2, budget=8,
+                                    seed=15)
     _, register = _assert_serialised_histogram_is_asset_marginal(cardinality, inst)
     assert len(next(iter(register))) == inst.n + 1
 
     # Without ancillas (m = n) the marginal is the register distribution, exactly.
-    penalty = run_baseline_penalty_qaoa(inst, a_card=1000.0, p=2, budget=8, seed=15)
+    penalty = run_fixed_penalty(inst, "penalty-qaoa", a_card=1000.0, p=2, budget=8, seed=15)
     serialised, register = _assert_serialised_histogram_is_asset_marginal(penalty, inst)
     assert list(serialised.items()) == list(register.items())
 
