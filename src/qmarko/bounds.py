@@ -1,5 +1,7 @@
-"""Risk/return observables and the commuting-limit variance inequality.
+"""The asset marginal, risk/return observables and the commuting-limit
+variance inequality.
 
+``asset_marginal`` reduces a register distribution to its asset bits.
 Both observables are diagonal in the computational basis and act only on
 the asset qubits, so Var(R) * Var(M) >= Cov(R, M)^2 holds for every
 distribution over the asset bits (Cauchy–Schwarz); ``variance_bound``
@@ -14,7 +16,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitstrings import quadratic_form_table
+from .encode import ASSET
 from .instance import PortfolioInstance
+
+
+def asset_marginal(probabilities: np.ndarray, labels) -> np.ndarray:
+    """The 2^n asset marginal of a register distribution over the qubits
+    ``labels`` name, in basis-index order over the asset bits: the
+    probabilities summed over every other qubit.
+
+    Each run of adjacent non-asset qubits is summed out with one reduction,
+    from the top qubit down, so the qubits below keep their bit positions:
+    the slacks that follow the assets (cardinality slack) go in one
+    reduction, the slack-ancilla program's slacks, one above each asset, by
+    successive halving. No qubit of the penalty program is summed out.
+    """
+    marginal = probabilities
+    run = 0  # non-asset qubits just above ``qubit``
+    for qubit in reversed(range(len(labels))):
+        if labels[qubit].kind == ASSET:
+            continue
+        run += 1
+        if qubit == 0 or labels[qubit - 1].kind == ASSET:
+            marginal = marginal.reshape(-1, 1 << run, 1 << qubit).sum(axis=1)
+            run = 0
+    return marginal.reshape(-1)
 
 
 def _spin_form_table(couplings: np.ndarray, fields: np.ndarray) -> np.ndarray:

@@ -25,14 +25,17 @@ Records: `solve` and `sweep` write `record.json` as exactly
 `json.dumps(doc, indent=2)` plus a newline, formatting each histogram
 probability once. A QAOA record's histogram is formatted straight from its
 asset-marginal array, one chunk of entries per template, with no 2^n-entry
-container; a marginal that is not all finite is labelled and goes through
-json.dumps, and so do the oracle's and the classical baseline's one-entry
-dict histograms. `report` copies each probability's decimal text from the
-record into `hist_<cell>.csv` unchanged, after `float()` has checked it. A
-record that is not a JSON object, or whose histogram is not an object of
-numbers, exits 2 with an error naming the record, and `report` leaves no
-file behind: it renames its outputs into place only after the last record
-has converted.
+container, and each chunk is written to the file as it is built; a
+marginal that is not all finite is labelled and goes through json.dumps,
+and so do the oracle's and the classical baseline's one-entry dict
+histograms. `report` copies each probability's decimal text from the
+record into `hist_<cell>.csv` unchanged, after `float()` has checked it,
+writing the file line by line. A record that is not a JSON object, or
+whose histogram is not an object of numbers (null, an array, a string, a
+number or a boolean among them), exits 2 with an error naming the record;
+a record with no histogram gives a header-only file. `report` leaves no
+file behind on an error: it renames its outputs into place only after the
+last record has converted.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ import sys
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -130,9 +134,17 @@ def _temp_path(path: Path) -> Path:
     return path.with_name(path.name + f".tmp.{os.getpid()}")
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, chunks) -> None:
+    """Write the strings of ``chunks``, an iterable read one at a time, under
+    a temp name, then rename it to ``path``; a chunk that fails to build
+    leaves no file."""
     tmp = _temp_path(path)
-    tmp.write_text(text)
+    try:
+        with tmp.open("w") as fh:
+            fh.writelines(chunks)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 
@@ -143,46 +155,47 @@ _NEXT_ENTRY = ',\n    "'
 _ENTRY_END = ('": %r' + _NEXT_ENTRY).encode("ascii")
 
 
-def _marginal_entries(marginal: np.ndarray) -> list[str]:
+def _marginal_entries(marginal: np.ndarray):
     """The entries of a finite marginal's histogram as json.dumps(indent=2)
-    writes them, in chunks.
+    writes them, in chunks, each built when it is asked for.
 
     Each chunk is one template: its labels' ASCII block from `bitstrings`,
     each label followed by `": %r,` and the next entry's indent and quote,
     filled with the chunk's probabilities (%r is the repr json uses for a
     finite float). No 2^n-entry container is built."""
     num_bits = marginal.size.bit_length() - 1
-    chunks = ['"']
+    yield '"'
     for start in range(0, marginal.size, _CHUNK):
         stop = min(start + _CHUNK, marginal.size)
         labels = basis_label_block(np.arange(start, stop), num_bits, _ENTRY_END)
-        chunks.append(labels.decode("ascii") % tuple(marginal[start:stop].tolist()))
-    chunks[-1] = chunks[-1].removesuffix(_NEXT_ENTRY)
-    return chunks
+        chunk = labels.decode("ascii") % tuple(marginal[start:stop].tolist())
+        yield chunk.removesuffix(_NEXT_ENTRY) if stop == marginal.size else chunk
 
 
-def _record_text(doc: dict) -> str:
-    """record.json's text: exactly `json.dumps(doc, indent=2) + "\\n"`, where an
-    array histogram (`ExperimentRecord.document`) stands for its labelled
-    dict (`qaoa.labelled_histogram`).
+def _record_chunks(doc: dict):
+    """record.json's text in chunks that join to exactly
+    `json.dumps(doc, indent=2) + "\\n"`, where an array histogram
+    (`ExperimentRecord.document`) stands for its labelled dict
+    (`qaoa.labelled_histogram`).
 
     `indent` makes json fall back to its pure-Python encoder, which formats a
     2^n-entry histogram one entry at a time. Instead a finite array's
     document is dumped with an empty histogram and the entries are spliced
-    in chunk by chunk (`_marginal_entries`). An array that is not all finite
-    is labelled and goes through json.dumps whole, as does any other
-    histogram: the oracle's and the classical baseline's are one entry."""
+    in chunk by chunk (`_marginal_entries`), so a writer holds one chunk at
+    a time. An array that is not all finite is labelled and goes through
+    json.dumps whole, as does any other histogram: the oracle's and the
+    classical baseline's are one entry."""
     histogram = doc.get("histogram")
     if not isinstance(histogram, np.ndarray):
-        return json.dumps(doc, indent=2) + "\n"
+        return [json.dumps(doc, indent=2), "\n"]
     if not np.isfinite(histogram).all():
-        return json.dumps({**doc, "histogram": qaoa.labelled_histogram(histogram)},
-                          indent=2) + "\n"
+        return [json.dumps({**doc, "histogram": qaoa.labelled_histogram(histogram)},
+                           indent=2), "\n"]
     # Only a top-level key follows a newline and exactly two spaces.
     head, _, tail = json.dumps({**doc, "histogram": {}}, indent=2).partition(
         '\n  "histogram": {}')
-    return "".join([head, '\n  "histogram": {\n    ', *_marginal_entries(histogram), "\n  }",
-                    tail, "\n"])
+    return chain([head, '\n  "histogram": {\n    '], _marginal_entries(histogram),
+                 ["\n  }", tail, "\n"])
 
 
 def _resolve(args) -> dict:
@@ -329,7 +342,7 @@ def cmd_generate(args) -> int:
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out, instance_mod.to_json(inst) + "\n")
+    _write_atomic(out, [instance_mod.to_json(inst), "\n"])
     active = int(inst.alpha.sum())
     print(f"wrote {out}: n={inst.n} k={inst.k} seed={inst.seed} active_thresholds={active}")
     return EXIT_OK
@@ -345,7 +358,7 @@ def cmd_solve(args) -> int:
     doc = _run_method(inst, method, cfg, schedule)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out_dir / "record.json", _record_text(doc))
+    _write_atomic(out_dir / "record.json", _record_chunks(doc))
     _print_solve_row(doc)
     if not doc.get("feasible") or doc.get("bitstring") is None:
         return EXIT_NO_FEASIBLE
@@ -366,7 +379,7 @@ def _run_cell(payload: tuple) -> dict:
     try:
         inst = instance_mod.from_json(instance_text)
         doc = _run_method(inst, method, {**cfg, "seed": seed}, schedule)
-        _write_atomic(run_dir / "record.json", _record_text(doc))
+        _write_atomic(run_dir / "record.json", _record_chunks(doc))
         row["bitstring"] = doc.get("bitstring") or ""
         row["feasible"] = str(bool(doc.get("feasible")))
         row["value"] = "" if doc.get("value") is None else repr(doc["value"])
@@ -374,7 +387,7 @@ def _run_cell(payload: tuple) -> dict:
         bound = doc.get("variance_bound")
         row["variance_bound_slack"] = repr(bound["slack"]) if bound else ""
     except Exception as exc:  # cell failures are recorded, the sweep continues
-        _write_atomic(run_dir / "error.txt", f"{type(exc).__name__}: {exc}\n")
+        _write_atomic(run_dir / "error.txt", [f"{type(exc).__name__}: {exc}\n"])
         row["feasible"] = "False"
     row["wall_ms"] = f"{(time.perf_counter() - started) * 1000.0:.3f}"
     return row
@@ -413,7 +426,7 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in instance_files.items():
-        _write_atomic(out_dir / name, text)
+        _write_atomic(out_dir / name, [text])
 
     payloads = [
         (method, seed, instance_texts[seed], cfg, schedule, str(out_dir / f"{method}_seed{seed}"))
@@ -432,39 +445,47 @@ def cmd_sweep(args) -> int:
     writer.writeheader()
     for row in rows:
         writer.writerow(row)
-    _write_atomic(out_dir / "summary.csv", buf.getvalue())
+    _write_atomic(out_dir / "summary.csv", [buf.getvalue()])
     print(f"wrote {out_dir / 'summary.csv'} ({len(rows)} runs)")
     return EXIT_OK
 
 
-def _histogram_csv(record_path: Path) -> str:
-    """hist_<cell>.csv of one record, in the record's order.
+# How report names a JSON value that is not an object, by its type as
+# json.loads gives it.
+_JSON_KINDS = {list: "an array", str: "a string", int: "a number", float: "a number",
+               bool: "a boolean", type(None): "null"}
+
+
+def _histogram_csv(record_path: Path):
+    """hist_<cell>.csv of one record, in the record's order, as lines built
+    when they are asked for; the record is checked whole first.
 
     Every JSON number is loaded as its text, checked with float() and copied,
     so no probability is parsed to a float and formatted again. A value that
     float() takes but that is not bare ASCII text (a boolean, NaN, text with
     surrounding spaces) is written as repr(float(value)), which keeps the CSV
-    one row per line.
+    one row per line. A record without a histogram gives the header alone.
     """
     try:
         record = json.loads(record_path.read_text(), parse_float=str, parse_int=str)
     except ValueError as exc:
         raise ValueError(f"{record_path}: {exc}") from exc
-    if not isinstance(record, dict):
-        raise ValueError(f"{record_path}: holds a {type(record).__name__}, not a JSON object")
-    histogram = record.get("histogram") or {}
+    histogram = record.get("histogram", {}) if isinstance(record, dict) else None
     if not isinstance(histogram, dict):
-        raise ValueError(f"{record_path}: the histogram is a {type(histogram).__name__}, "
-                         "not a JSON object")
+        # Numbers were loaded as text: load again to name what the value is.
+        plain = json.loads(record_path.read_text())
+        what, value = ("the histogram is", plain["histogram"]) if isinstance(plain, dict) \
+            else ("holds", plain)
+        raise ValueError(f"{record_path}: {what} {_JSON_KINDS[type(value)]}, not a JSON object")
     try:
         deque(map(float, histogram.values()), maxlen=0)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{record_path}: a histogram probability is not a number: {exc}") from exc
-    return "bitstring,probability\n" + "".join([
+    return chain(["bitstring,probability\n"], (
         f"{bitstring},{text}\n" if type(text) is str and text.isascii() and text.strip() == text
         else f"{bitstring},{float(text)!r}\n"
         for bitstring, text in histogram.items()
-    ])
+    ))
 
 
 def cmd_report(args) -> int:
@@ -498,9 +519,10 @@ def cmd_report(args) -> int:
             record_path = run_dir / run_id / "record.json"
             if not record_path.exists():
                 continue
-            text = _histogram_csv(record_path)
+            lines = _histogram_csv(record_path)
             outputs.append(run_dir / f"hist_{run_id}.csv")
-            _temp_path(outputs[-1]).write_text(text)
+            with _temp_path(outputs[-1]).open("w") as fh:
+                fh.writelines(lines)
     except BaseException:
         for path in outputs:
             _temp_path(path).unlink(missing_ok=True)

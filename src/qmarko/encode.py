@@ -4,11 +4,13 @@ Three constraint encodings are provided:
 
 * ``build_slack_ancilla_qubo`` closes each per-asset cap ``w_i <= alpha_i``
   with a dedicated binary slack bit and a squared-equality penalty
-  ``beta * (w_i - alpha_i + s_i)^2``.
+  ``beta * (w_i - alpha_i + s_i)^2``; each slack bit sits just above its
+  asset bit.
 * ``build_penalty_qubo`` adds the direct quadratic cardinality penalty
   ``a * (sum w_i - k)^2`` with no extra variables.
 * ``build_cardinality_slack_qubo`` internalizes ``sum w_i <= k`` through a
-  binary-encoded integer slack, ``a * (sum w_i + s - k)^2``.
+  binary-encoded integer slack, ``a * (sum w_i + s - k)^2``; its slack bits
+  follow the n asset bits.
 
 A program is the QAOA cost Hamiltonian itself: the diagonal operator with
 eigenvalue x'Qx + b'x + c on basis state x. Its Ising form, through
@@ -85,13 +87,14 @@ class QuboProgram:
         object.__setattr__(self, "labels", tuple(self.labels))
 
 
-def _base_objective(instance: PortfolioInstance, num_vars: int):
-    """Quadratic/linear arrays holding q*w'Sw - lambda*mu'w on the asset block."""
-    n = instance.n
-    quadratic = np.zeros((num_vars, num_vars))
-    linear = np.zeros(num_vars)
-    quadratic[:n, :n] = instance.q_risk * instance.sigma
-    linear[:n] = -instance.lambda_weight * instance.mu
+def _base_objective(instance: PortfolioInstance, labels):
+    """Quadratic/linear arrays over ``labels`` holding q*w'Sw - lambda*mu'w on
+    the asset bits, asset i being the i-th asset label."""
+    assets = [pos for pos, label in enumerate(labels) if label.kind == ASSET]
+    quadratic = np.zeros((len(labels), len(labels)))
+    linear = np.zeros(len(labels))
+    quadratic[np.ix_(assets, assets)] = instance.q_risk * instance.sigma
+    linear[assets] = -instance.lambda_weight * instance.mu
     return quadratic, linear
 
 
@@ -123,28 +126,29 @@ def check_slack_caps(instance: PortfolioInstance) -> None:
 
 
 def build_slack_ancilla_qubo(instance: PortfolioInstance, beta_penalty: float) -> QuboProgram:
-    """Slack-ancilla program over 2n bits: assets w_0..w_{n-1}, then one
-    binary slack per asset. Adds beta * (w_i - alpha_i + s_i)^2 per asset;
-    binary slack is exactly enough to close w_i <= alpha_i for binary alpha,
-    and the caps are checked to be such a mask (``check_slack_caps``).
+    """Slack-ancilla program over 2n bits in pair order: asset w_i at bit 2i
+    and its binary slack s_i at bit 2i + 1, the order in which the
+    conditional mixer acts on each (asset, slack) pair. Adds
+    beta * (w_i - alpha_i + s_i)^2 per asset; binary slack is exactly enough
+    to close w_i <= alpha_i for binary alpha, and the caps are checked to be
+    such a mask (``check_slack_caps``).
     """
     if not 0 < beta_penalty < math.inf:
         raise ValueError(f"penalty weight must be positive and finite, got {beta_penalty}")
     check_slack_caps(instance)
     n = instance.n
     m = 2 * n
-    quadratic, linear = _base_objective(instance, m)
+    labels = tuple(
+        label for i in range(n) for label in (VarLabel.asset(i), VarLabel.slack_asset(i))
+    )
+    quadratic, linear = _base_objective(instance, labels)
     constant = 0.0
     for i in range(n):
         coeffs = np.zeros(m)
-        coeffs[i] = 1.0
-        coeffs[n + i] = 1.0
+        coeffs[2 * i : 2 * i + 2] = 1.0
         constant += _add_squared_penalty(
             quadratic, linear, coeffs, -float(instance.alpha[i]), beta_penalty
         )
-    labels = tuple(VarLabel.asset(i) for i in range(n)) + tuple(
-        VarLabel.slack_asset(i) for i in range(n)
-    )
     return QuboProgram(m, labels, quadratic, linear, constant)
 
 
@@ -153,9 +157,9 @@ def build_penalty_qubo(instance: PortfolioInstance, a_card: float) -> QuboProgra
     if not 0 < a_card < math.inf:
         raise ValueError(f"penalty weight must be positive and finite, got {a_card}")
     n = instance.n
-    quadratic, linear = _base_objective(instance, n)
-    constant = _add_squared_penalty(quadratic, linear, np.ones(n), -float(instance.k), a_card)
     labels = tuple(VarLabel.asset(i) for i in range(n))
+    quadratic, linear = _base_objective(instance, labels)
+    constant = _add_squared_penalty(quadratic, linear, np.ones(n), -float(instance.k), a_card)
     return QuboProgram(n, labels, quadratic, linear, constant)
 
 
@@ -176,12 +180,12 @@ def build_cardinality_slack_qubo(instance: PortfolioInstance, a_card: float) -> 
     n, k = instance.n, instance.k
     weights = cardinality_slack_weights(k)
     m = n + len(weights)
-    quadratic, linear = _base_objective(instance, m)
-    coeffs = np.concatenate([np.ones(n), np.array(weights)])
-    constant = _add_squared_penalty(quadratic, linear, coeffs, -float(k), a_card)
     labels = tuple(VarLabel.asset(i) for i in range(n)) + tuple(
         VarLabel.slack_cardinality(b) for b in range(len(weights))
     )
+    quadratic, linear = _base_objective(instance, labels)
+    coeffs = np.concatenate([np.ones(n), np.array(weights)])
+    constant = _add_squared_penalty(quadratic, linear, coeffs, -float(k), a_card)
     return QuboProgram(m, labels, quadratic, linear, constant)
 
 

@@ -13,21 +13,20 @@ or a ``run_fixed_penalty`` run of an arm (a row of FIXED_PENALTY_ARMS:
 its program builder and reporting rule), is one call of ``_search_angles``
 (tabulate the program, build its ansatz once, scale the angles,
 minimize the expectation); ``_ansatz`` is the one ansatz entry point; and
-every record is built from its final state by ``_record`` (asset
-marginal, picks, feasible mass, variance bound). The record keeps the
-asset marginal only, and its JSON ``histogram`` is that marginal: 2^n
-entries whatever the register size.
+every record is built by ``_record`` from the asset marginal of its final
+state (``bounds.asset_marginal``: picks, feasible mass, variance bound).
+The record keeps the asset marginal only, and its JSON ``histogram`` is
+that marginal: 2^n entries whatever the register size.
 
-Frames. ``_ansatz`` evolves a state that the rest of the package never
-sees. In the real frame (phase S = diag(1, i) taken off every qubit)
-both mixers' units are real matrices, which halves the arithmetic of
-their block gates; for the conditional mixer the state is also in the
-pair frame (qubits reordered so that each asset sits next to its
-ancilla), where its layer needs no transpose. Neither frame changes a
-probability, so the search's objective is taken in the frames, against
-the table permuted once; a state that leaves the ansatz, for a
-feasibility check or a record, is put back into canonical phase and
-order first.
+Frames. ``_ansatz`` evolves its state in the real frame (phase S =
+diag(1, i) taken off every qubit), where both mixers' units are real
+matrices, which halves the arithmetic of their block gates. The
+slack-ancilla program keeps each asset next to its slack, so the
+conditional mixer's layer needs no reordering. The frame changes no
+probability, so the search's objective, each feasibility check and each
+record read the state where it is: the check samples 2^n selections from
+its asset marginal, not the 2^m register. Only a state returned by
+``ansatz(params)`` is put back into canonical phase.
 
 Angle units. Every optimizer searches scaled coordinates theta in which the
 phase angle is ``gamma = theta_gamma / s``, with ``s = sum|h| + sum|J|`` the
@@ -68,10 +67,7 @@ from .simulate import (
     apply_real_frame_mixer,
     energy_table,
     expectation,
-    frame_table,
-    from_frame,
     from_real_frame,
-    pair_frame,
     real_frame_phased_uniform,
     sample_counts,
     workspace,
@@ -176,12 +172,14 @@ class ExperimentRecord:
     across penalty doublings; ``iterations_used`` is derived from it, and
     each row carries its evaluation's expectation.
 
-    Of the final state the record keeps the 2^n asset ``marginal``, in
-    basis-index order; the 2^m register distribution is rebuilt, when
-    wanted, by the ansatz call above. ``document`` is ``record.json``'s
-    document with the marginal, as an array, under the key ``histogram``;
-    ``qmarko`` writes it with n-bit labels in basis-index order. Records
-    compare by identity, since they hold arrays.
+    Of the final state the record keeps the 2^n asset ``marginal``
+    (``bounds.asset_marginal`` over the program's labels), in basis-index
+    order; the 2^m register distribution is rebuilt, when wanted, by the
+    ansatz call above, in the program's qubit order (the slack-ancilla
+    program's asset i at qubit 2i, its slack at 2i + 1). ``document`` is
+    ``record.json``'s document with the marginal, as an array, under the
+    key ``histogram``; ``qmarko`` writes it with n-bit labels in
+    basis-index order. Records compare by identity, since they hold arrays.
     """
 
     method: str
@@ -311,16 +309,17 @@ class _ansatz:
     """The depth-p ansatz on ``table``: p alternating layers of phase
     separation and mixing on the uniform state, as a function of its angles.
 
-    ``ansatz(params)`` is the state, a new array in canonical qubit order;
-    ``ansatz.expectation(params)`` is its expectation under ``table``.
+    ``ansatz(params)`` is the state, a new array in canonical phase;
+    ``ansatz.probabilities(params)`` its probabilities and
+    ``ansatz.expectation(params)`` its expectation under ``table``.
 
     Every layer runs in the real frame (see ``simulate``), where each mixer
-    unit is real. The conditional mixer also runs in the pair frame
-    (``simulate.pair_frame``), with the table permuted into it once, here
-    (its bit form costs O(m^2) to permute). Probabilities are the same in
-    every frame up to the order of the basis states, so ``expectation``
-    reads the state where it is, against the frame's table. Only a state
-    that leaves the ansatz gets S and is transposed back to canonical order.
+    unit is real. The conditional mixer takes the pairs ``mixer_pairs``
+    finds in the slack-ancilla program, (0, 1), (2, 3), ..., each asset
+    below its slack, and refuses any other layout with ValueError.
+    Probabilities are the same in both frames, so ``probabilities`` and
+    ``expectation`` read the state where it is; only a state returned by
+    ``ansatz(params)`` gets S.
 
     The first layer's phase separation is folded into the start state
     (``simulate.real_frame_phased_uniform``), so layers 2..p alone run
@@ -332,19 +331,23 @@ class _ansatz:
     that built it: the ansatz remembers its angles, and an evaluation at
     equal angles (typically ``ansatz(best)`` after a search whose last
     evaluation was its best) reads it instead of recomputing it. Only a
-    later evaluation at other angles overwrites it. A returned state never
+    later evaluation at other angles overwrites it. A returned array never
     shares memory with the workspace.
     """
 
     def __init__(self, table: EnergyTable, mixer: str, pairs):
         if mixer not in ("standard", "conditional"):
             raise ValueError(f"unknown mixer: {mixer!r}")
-        m = table.num_qubits
-        order = pair_frame(m, pairs) if mixer == "conditional" else list(range(m))
-        self._pair_count = len(pairs or ()) if mixer == "conditional" else None
-        self._order = None if order == list(range(m)) else order
-        self._table = table if self._order is None else frame_table(table, order)
-        self._buffers = workspace(m)
+        self._pair_count = None
+        if mixer == "conditional":
+            pairs = [tuple(pair) for pair in pairs or ()]
+            adjacent = [(2 * k, 2 * k + 1) for k in range(len(pairs))]
+            if pairs != adjacent or 2 * len(pairs) > table.num_qubits:
+                raise ValueError(f"the conditional mixer takes pairs (0, 1), (2, 3), ... "
+                                 f"within {table.num_qubits} qubits, got {pairs}")
+            self._pair_count = len(pairs)
+        self._table = table
+        self._buffers = workspace(table.num_qubits)
         self._held: QaoaParams | None = None  # angles of the state in self._buffers[0]
 
     def _frame_state(self, params: QaoaParams) -> tuple[np.ndarray, np.ndarray]:
@@ -369,13 +372,13 @@ class _ansatz:
         state, _ = self._frame_state(params)
         return expectation(StateVector(self._table.num_qubits, state), self._table)
 
+    def probabilities(self, params: QaoaParams) -> np.ndarray:
+        state, _ = self._frame_state(params)
+        return StateVector(self._table.num_qubits, state).probabilities()
+
     def __call__(self, params: QaoaParams) -> StateVector:
         state, spare = self._frame_state(params)
-        if self._order is None:
-            amplitudes = from_real_frame(state, spare)
-        else:
-            amplitudes = from_frame(from_real_frame(state, spare, out=spare), self._order)
-        return StateVector(self._table.num_qubits, amplitudes)
+        return StateVector(self._table.num_qubits, from_real_frame(state, spare))
 
 
 def _angle_scale(program: QuboProgram) -> float:
@@ -427,11 +430,12 @@ def _draw_initial_angles(rng: np.random.Generator, p: int) -> np.ndarray:
     return rng.uniform(0.0, np.pi, size=2 * p)
 
 
-def _sampled_feasible_fraction(feasible: np.ndarray, counts: np.ndarray) -> float:
-    """Share of the sampled shots whose asset bits (the low n bits of the
-    basis index) select a feasible portfolio."""
-    per_selection = counts.reshape(-1, feasible.size).sum(axis=0)
-    return int(per_selection[feasible].sum()) / int(counts.sum())
+def _sampled_feasible_fraction(
+    feasible: np.ndarray, marginal: np.ndarray, shots: int, seed: int
+) -> float:
+    """Share of ``shots`` seeded draws from the 2^n asset marginal that
+    select a feasible portfolio."""
+    return int(sample_counts(marginal, shots, seed)[feasible].sum()) / shots
 
 
 def _picks(instance: PortfolioInstance, marginal: np.ndarray):
@@ -458,15 +462,12 @@ def _picks(instance: PortfolioInstance, marginal: np.ndarray):
 
 
 def _record(
-    instance: PortfolioInstance, state: StateVector, report_most_probable: bool, **fields
+    instance: PortfolioInstance, marginal: np.ndarray, report_most_probable: bool, **fields
 ) -> ExperimentRecord:
-    """The record of a run that ended in ``state``: asset marginal, picks,
-    exact feasible mass and variance bound come from the state, the
-    remaining ``ExperimentRecord`` fields from the caller. The amplitudes
-    are squared and reduced to the asset marginal once, and the picks,
-    feasible mass and variance bound are read from it."""
-    # Sum over the ancilla bits, the high bits of the basis index.
-    marginal = state.probabilities().reshape(-1, 1 << instance.n).sum(axis=0)
+    """The record of a run whose final state has the asset marginal
+    ``marginal``: picks, exact feasible mass and variance bound are read
+    from it, the remaining ``ExperimentRecord`` fields come from the
+    caller."""
     best_feasible, most_probable, feasible_mass = _picks(instance, marginal)
     return ExperimentRecord(
         marginal=marginal,
@@ -489,14 +490,14 @@ def run_schedule(
 ) -> ExperimentRecord:
     """Slack-ancilla QAOA with the penalty-doubling feasibility schedule.
 
-    Every ``doubling_interval`` optimizer iterations the current state is
-    sampled; if the feasible fraction misses the target the penalty weight
-    doubles and optimization continues from the best angles so far, carried
-    in scaled coordinates (see ``_angle_scale``) so that they keep their
-    meaning under the new weight. Stops on target or at ``max_iterations``.
-    The record's angles are physical. A missing best_feasible (possible
-    only if every feasible configuration fell below the reporting
-    threshold) is recorded, not raised.
+    Every ``doubling_interval`` optimizer iterations the current state's
+    asset marginal is sampled; if the feasible fraction misses the target
+    the penalty weight doubles and optimization continues from the best
+    angles so far, carried in scaled coordinates (see ``_angle_scale``) so
+    that they keep their meaning under the new weight. Stops on target or
+    at ``max_iterations``. The record's angles are physical. A missing
+    best_feasible (possible only if every feasible configuration fell below
+    the reporting threshold) is recorded, not raised.
     """
     if config is None:
         config = ScheduleConfig()
@@ -518,11 +519,12 @@ def run_schedule(
         first = len(rows) + 1
         rows.extend(TraceRow(i, value, beta_penalty) for i, value in enumerate(evals, first))
         final_params = _physical_params(theta, scale)
-        state = ansatz(final_params)
+        marginal = bounds.asset_marginal(ansatz.probabilities(final_params), program.labels)
         del ansatz  # its workspace goes before the next segment builds one
         check_seed = int(master.integers(0, 2**63))
-        counts = sample_counts(state, config.feasibility_shots, check_seed)
-        sampled_fraction = _sampled_feasible_fraction(feasible, counts)
+        sampled_fraction = _sampled_feasible_fraction(
+            feasible, marginal, config.feasibility_shots, check_seed
+        )
         rows[-1] = replace(rows[-1], feasible_fraction=sampled_fraction)
         if sampled_fraction >= config.feasibility_target:
             terminated_by = "feasibility_target"
@@ -533,7 +535,7 @@ def run_schedule(
         beta_penalty *= 2.0
 
     return _record(
-        instance, state, report_most_probable=False,
+        instance, marginal, report_most_probable=False,
         method="slack-qaoa", seed=seed, mixer=mixer, optimizer=optimizer,
         initial_params=initial_params, final_params=final_params,
         final_beta_penalty=beta_penalty, sampled_feasible_fraction=sampled_fraction,
@@ -568,8 +570,9 @@ def run_fixed_penalty(
     minimize = partial(minimize_with_budget, optimizer=optimizer, budget=budget)
     ansatz, scale, theta, evals = _search_angles(program, theta0, minimize)
     final_params = _physical_params(theta, scale)
+    marginal = bounds.asset_marginal(ansatz.probabilities(final_params), program.labels)
     return _record(
-        instance, ansatz(final_params), report_most_probable,
+        instance, marginal, report_most_probable,
         method=method, seed=seed, mixer="standard", optimizer=optimizer,
         initial_params=_physical_params(theta0, scale), final_params=final_params,
         final_beta_penalty=a_card, sampled_feasible_fraction=None,

@@ -13,17 +13,12 @@ the amplitudes shaped so that it runs near the speed of a copy.
 ansatz.
 
 Amplitude index convention: qubit 0 is the least significant bit (see
-``bitstrings``). A frame is another qubit order, ``order[i]`` being the
-qubit stored at bit i. The conditional mixer's tensor power needs each
-(asset, ancilla) pair on adjacent bits, asset low: the pair frame
-(``pair_frame``). ``to_frame`` and ``from_frame`` move per-basis-state
-arrays between orders with one transpose each; ``frame_table`` carries a
-table into a frame (its bit form in O(m^2), its energies once). In the
-frame, phase separation and a mixer on the frame's pairs ``[(0, 1), (2,
-3), ...]`` need no transpose, so ``qaoa._ansatz`` transposes each state
-once, on the way out, instead of twice per layer.
+``bitstrings``). The conditional mixer's tensor power needs each (asset,
+ancilla) pair on adjacent bits, asset low, as the slack-ancilla program
+lays them out (``encode.build_slack_ancilla_qubo``): its layer is the
+pair unit on pairs ``[(0, 1), (2, 3), ...]``, with no transpose.
 
-The real frame is a change of phase, not of order. With S = diag(1, i)
+The ansatz runs in one frame, the real frame, a change of phase. With S = diag(1, i)
 on every qubit and R(beta) = [[cos beta, sin beta], [-sin beta, cos
 beta]], exp(-i*beta*X) = S R(beta) S^dag, and the same S on both qubits
 of a pair makes the conditional mixer's 4x4 unit real too. S is diagonal,
@@ -32,8 +27,7 @@ runs every mixer layer with a real unit (``apply_real_frame_mixer``) and
 applies S once, to a state that leaves it (``from_real_frame``).
 Probabilities and expectations are the same in both frames. A real unit
 acts on the float64 view of the complex amplitudes, half the multiply-adds
-of a complex one. The two frames compose: ``qaoa._ansatz`` runs the
-conditional mixer in both at once.
+of a complex one.
 
 The start state is folded into the first layer: S^dag|+>^m is
 (-i)^popcount(x) / sqrt(2^m), a product over bits like the phases, so
@@ -120,18 +114,14 @@ def real_frame_phased_uniform(out: np.ndarray, table: EnergyTable, gamma: float)
     )
 
 
-def from_real_frame(
-    amplitudes: np.ndarray, spare: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """S on every qubit: amplitude x times i^popcount(x), written into
-    ``out`` (``spare`` will do) or a new array; ``amplitudes`` is left as
-    it is. The phases are built in ``spare`` by doubling, each entry +-1 or
-    +-1j exactly. Qubit order does not matter, since every qubit gets the
-    same S."""
+def from_real_frame(amplitudes: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """S on every qubit: amplitude x times i^popcount(x), as a new array;
+    ``amplitudes`` is left as it is. The phases are built in ``spare`` by
+    doubling, each entry +-1 or +-1j exactly."""
     spare[0] = 1.0
     for k in range(spare.size.bit_length() - 1):
         np.multiply(spare[: 1 << k], 1j, out=spare[1 << k : 2 << k])
-    return np.multiply(amplitudes, spare, out=out)
+    return amplitudes * spare
 
 
 def apply_phase_separation(
@@ -157,13 +147,13 @@ def apply_phase_separation(
 # thread (2-vCPU x86-64 VM, OpenBLAS 0.3, median of 51, widths
 # interleaved): widths 2, 3, 4, 5, 6 take 4.9, 3.3, 3.2, 4.0, 7.5 ms for
 # the standard layer and 5.2, 5.3, 3.3, 3.3, 8.2 ms for the conditional
-# one in the pair frame (widths 3 and 5 fit one and two 2-qubit pairs per
+# one on adjacent pairs (widths 3 and 5 fit one and two 2-qubit pairs per
 # block, as 2 and 4 do). Below 4, passes over the state dominate; above 5,
 # the d^2 multiply-adds per amplitude do. A copy of the 4 MiB state takes
 # 0.36 ms; at width 4 each block pass takes 0.4-0.7 ms. Below m = 10 a
-# layer's cost is mostly building its gates: one Kronecker power per
-# distinct block size (at most two per layer, the top block being the only
-# partial one) and the pair unit written out from cos and sin. At m = 8
+# layer's cost is mostly building its gates: one chain of Kronecker
+# products up to the full block, whose links give the partial top block's
+# gate too, and the pair unit written out from cos and sin. At m = 8
 # (median of 2000) a standard layer then takes 0.06 ms and a conditional
 # one 0.03 ms, against 0.11 and 0.08 ms with a Kronecker power per block
 # and the pair unit built by kron and matmul.
@@ -197,8 +187,9 @@ def _apply_unit_power(
     Copy k of ``unit`` (a 2^w x 2^w matrix on w qubits) acts on qubits
     [k*w, (k+1)*w); higher qubits are untouched. Copies are grouped into
     blocks of at most BLOCK_QUBITS qubits, whose gate is the Kronecker
-    power of ``unit``, a real matrix, built once per distinct block size
-    (every block is full but the top one). Every block is a real matmul on
+    power of ``unit``, a real matrix. The powers are the links of one
+    chain, built once per call up to the full block; every block is full
+    but the top one, whose gate is a link of the chain. Every block is a real matmul on
     the float64 view of the amplitudes, whose real and imaginary parts are
     then two interleaved columns. The lowest block multiplies rows of 2*d
     floats (d amplitudes) by kron(gate.T, I_2), _LOWEST_ROWS rows per BLAS
@@ -212,17 +203,14 @@ def _apply_unit_power(
     """
     width = unit.shape[0].bit_length() - 1
     per_block = max(1, BLOCK_QUBITS // width)
-    gates: dict[int, np.ndarray] = {}
+    powers = [unit]  # powers[c - 1] is unit tensored c times
+    while len(powers) < min(per_block, count):
+        powers.append(np.kron(powers[-1], unit))
     current, other = amplitudes, spare
     low = 0
     while count > 0:
         copies = min(per_block, count)
-        if copies not in gates:
-            gate = unit
-            for _ in range(copies - 1):
-                gate = np.kron(gate, unit)
-            gates[copies] = gate
-        gate = gates[copies]
+        gate = powers[copies - 1]
         dim = gate.shape[0]
         source, target = current.view(np.float64), other.view(np.float64)
         if low == 0:
@@ -255,8 +243,8 @@ def apply_real_frame_mixer(
 ) -> np.ndarray:
     """One mixer layer on a state in the real frame: R(beta_angle) on every
     qubit (the standard mixer) when ``pair_count`` is None, else the real
-    pair unit on the pair frame's first ``pair_count`` pairs ``[(0, 1),
-    (2, 3), ...]`` (the conditional mixer). Ping-pongs between the two
+    pair unit on the first ``pair_count`` adjacent pairs ``[(0, 1), (2,
+    3), ...]`` (the conditional mixer). Ping-pongs between the two
     buffers as ``_apply_unit_power`` does and returns the one holding the
     result."""
     if pair_count is None:
@@ -264,20 +252,6 @@ def apply_real_frame_mixer(
     else:
         unit, count = _pair_unit(beta_angle), pair_count
     return _apply_unit_power(amplitudes, unit, count, spare)
-
-
-def _validate_pairs(num_qubits: int, pairs) -> list[tuple[int, int]]:
-    seen: set[int] = set()
-    cleaned = []
-    for asset_qubit, ancilla_qubit in pairs or []:
-        for qubit in (asset_qubit, ancilla_qubit):
-            if not 0 <= qubit < num_qubits:
-                raise ValueError(f"qubit index {qubit} out of range for {num_qubits} qubits")
-            if qubit in seen:
-                raise ValueError(f"qubit {qubit} appears twice in mixer pairs")
-            seen.add(qubit)
-        cleaned.append((int(asset_qubit), int(ancilla_qubit)))
-    return cleaned
 
 
 def _pair_unit(beta_angle: float) -> np.ndarray:
@@ -304,51 +278,6 @@ def _pair_unit(beta_angle: float) -> np.ndarray:
     ])
 
 
-def pair_frame(num_qubits: int, pairs) -> list[int]:
-    """The pair-adjacent qubit order for ``pairs``: frame position -> qubit.
-
-    Pair k's asset qubit moves to position 2k and its ancilla to 2k + 1;
-    unpaired qubits follow in ascending order. In this frame the pairs are
-    ``[(0, 1), (2, 3), ...]``: pairs are disjoint, so their units commute,
-    and the conditional mixer layer is the tensor power of ``_pair_unit``
-    that ``apply_real_frame_mixer`` applies without a transpose. Raises
-    ValueError on a qubit out of range or in two pairs.
-    """
-    cleaned = _validate_pairs(num_qubits, pairs)
-    paired = [qubit for pair in cleaned for qubit in pair]
-    return paired + sorted(set(range(num_qubits)) - set(paired))
-
-
-def _frame_view(values: np.ndarray, order) -> np.ndarray:
-    """``values`` as a (2,)*m view whose axes run over the frame's qubits."""
-    m = len(order)
-    # Axis a of the (2,)*m view holds qubit m-1-a (qubit 0 is the least
-    # significant bit), so the frame's axes list its qubits from the top down.
-    return values.reshape((2,) * m).transpose([m - 1 - qubit for qubit in reversed(order)])
-
-
-def to_frame(values: np.ndarray, order) -> np.ndarray:
-    """Per-basis-state ``values`` reindexed so that bit i is qubit order[i];
-    a new contiguous array."""
-    return np.ascontiguousarray(_frame_view(values, order)).reshape(-1)
-
-
-def from_frame(values: np.ndarray, order) -> np.ndarray:
-    """Inverse of ``to_frame``: canonical order is the frame of the inverse
-    permutation."""
-    return to_frame(values, np.argsort(order))
-
-
-def frame_table(table: EnergyTable, order) -> EnergyTable:
-    """``table`` in the qubit order ``order``: energies reindexed by
-    ``to_frame``, and the bit form's Q and b permuted to match (x_order[i]
-    is frame bit i), so phase separation in the frame costs what it does
-    in place."""
-    quadratic, linear, constant = table.form
-    form = (quadratic[np.ix_(order, order)], linear[order], constant)
-    return EnergyTable(table.num_qubits, to_frame(table.energies, order), form)
-
-
 def expectation(state: StateVector, table: EnergyTable) -> float:
     """Exact <H> = sum_x |amp_x|^2 E(x) for a diagonal Hamiltonian."""
     if table.num_qubits != state.num_qubits:
@@ -358,11 +287,10 @@ def expectation(state: StateVector, table: EnergyTable) -> float:
     return float(np.dot(state.probabilities(), table.energies))
 
 
-def sample_counts(state: StateVector, shots: int, seed: int) -> np.ndarray:
-    """Counts per basis state of `shots` seeded draws from the measurement
-    distribution, indexed like the amplitudes."""
+def sample_counts(probabilities: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Counts per outcome of `shots` seeded draws from the distribution
+    ``probabilities`` (normalised first), indexed like it."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     rng = np.random.default_rng(seed)
-    probabilities = state.probabilities()
     return rng.multinomial(shots, probabilities / probabilities.sum())

@@ -13,7 +13,7 @@ import numpy as np
 
 from qmarko import encode
 from qmarko.bitstrings import index_to_bits, index_to_string
-from qmarko.encode import QuboProgram, cardinality_slack_weights
+from qmarko.encode import ASSET, QuboProgram, VarLabel, cardinality_slack_weights
 from qmarko.instance import PortfolioInstance, classical_objective, is_feasible
 from qmarko.qaoa import _ansatz, labelled_histogram, mixer_pairs
 from qmarko.simulate import energy_table
@@ -66,10 +66,11 @@ def naive_ising_energy(coefficients, bits) -> float:
     return total
 
 
-def direct_slack_objective(inst: PortfolioInstance, bits, beta: float) -> float:
-    n = inst.n
-    w = np.asarray(bits[:n], dtype=float)
-    s = np.asarray(bits[n : 2 * n], dtype=float)
+def direct_slack_objective(inst: PortfolioInstance, labels, bits, beta: float) -> float:
+    """The slack-ancilla objective with w_i and s_i read at the qubits that
+    ``labels`` name asset i and its slack."""
+    w = np.array([bits[labels.index(VarLabel.asset(i))] for i in range(inst.n)], dtype=float)
+    s = np.array([bits[labels.index(VarLabel.slack_asset(i))] for i in range(inst.n)], dtype=float)
     penalty = float(((w - inst.alpha + s) ** 2).sum())
     return (
         inst.q_risk * float(w @ inst.sigma @ w)
@@ -97,6 +98,23 @@ def direct_cardinality_objective(inst: PortfolioInstance, bits, a_card: float) -
         - inst.lambda_weight * float(inst.mu @ w)
         + a_card * (float(w.sum()) + slack - inst.k) ** 2
     )
+
+
+def asset_bits(labels, bits):
+    """The asset bits of a register's ``bits``, in asset order, at the
+    positions ``labels`` gives them."""
+    return [bits[pos] for pos, label in enumerate(labels) if label.kind == ASSET]
+
+
+def naive_asset_marginal(probabilities, labels) -> np.ndarray:
+    """The asset marginal by a loop over every basis state: each
+    probability is added to the selection its asset bits make."""
+    m = len(labels)
+    marginal = np.zeros(1 << sum(label.kind == ASSET for label in labels))
+    for x in range(1 << m):
+        selection = asset_bits(labels, index_to_bits(x, m))
+        marginal[sum(int(bit) << i for i, bit in enumerate(selection))] += probabilities[x]
+    return marginal
 
 
 def label_bits(label: str) -> np.ndarray:
@@ -261,11 +279,17 @@ _PROGRAMS = {
 }
 
 
+def record_program(record, inst: PortfolioInstance) -> QuboProgram:
+    """The program a QAOA record's final state was evolved on: the record's
+    method's builder at ``final_beta_penalty``."""
+    return _PROGRAMS[record.method](inst, record.final_beta_penalty)
+
+
 def final_register(record, inst: PortfolioInstance) -> dict[str, float]:
     """The 2^m register probabilities of a QAOA record's final state, keyed
-    by m-bit label: ``_ansatz`` on the table of the record's program at
-    ``final_beta_penalty``, evaluated at ``final_params``."""
-    program = _PROGRAMS[record.method](inst, record.final_beta_penalty)
+    by m-bit label in the program's qubit order: ``_ansatz`` on the table of
+    ``record_program``, evaluated at ``final_params``."""
+    program = record_program(record, inst)
     pairs = mixer_pairs(program.labels) if record.mixer == "conditional" else None
     table = energy_table(program)
     state = _ansatz(table, record.mixer, pairs)(record.final_params)

@@ -3,13 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_state
+from helpers import naive_asset_marginal, random_state
 from qmarko.bitstrings import index_to_bits
 from qmarko.bounds import (
     _moments_from_probabilities,
+    asset_marginal,
     return_observable,
     risk_observable,
     variance_bound,
+)
+from qmarko.encode import (
+    VarLabel,
+    build_cardinality_slack_qubo,
+    build_penalty_qubo,
+    build_slack_ancilla_qubo,
 )
 from qmarko.instance import PortfolioInstance, generate_instance
 from qmarko.qaoa import QaoaParams, _record
@@ -18,10 +25,14 @@ from qmarko.simulate import StateVector
 
 def _record_of(state, inst):
     """The record a run that ended in ``state`` writes: its asset marginal
-    and the variance bound on it, as every QAOA command builds them."""
+    and the variance bound on it, as every QAOA command builds them. The
+    assets are the low n qubits; any qubits above them are summed out."""
     params = QaoaParams(1, (0.0,), (0.0,))
+    labels = tuple(VarLabel.asset(i) for i in range(inst.n)) + tuple(
+        VarLabel.slack_cardinality(b) for b in range(state.num_qubits - inst.n)
+    )
     return _record(
-        inst, state, report_most_probable=False,
+        inst, asset_marginal(state.probabilities(), labels), report_most_probable=False,
         method="slack-qaoa", seed=0, mixer="standard", optimizer="cobyla",
         initial_params=params, final_params=params, final_beta_penalty=1.0,
         sampled_feasible_fraction=None, terminated_by="completed", trace=(),
@@ -185,3 +196,25 @@ def test_asset_marginal_sums_low_bits():
     probs = state.probabilities()
     for y in range(4):
         assert marginal[y] == pytest.approx(probs[y] + probs[y + 4], abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_asset_marginal_matches_the_loop_reference_on_every_layout(n):
+    inst = generate_instance(n, max(1, n // 2), seed=20 + n)
+    programs = {
+        "penalty": build_penalty_qubo(inst, 1.0),
+        "cardinality slack": build_cardinality_slack_qubo(inst, 1.0),
+        "pair-ordered slack": build_slack_ancilla_qubo(inst, 1.0),
+    }
+    for name, program in programs.items():
+        probabilities = np.abs(random_state(program.num_qubits, 30 + n)) ** 2
+        marginal = asset_marginal(probabilities, program.labels)
+        reference = naive_asset_marginal(probabilities, program.labels)
+        assert marginal.shape == (1 << n,), name
+        assert np.abs(marginal - reference).max() <= 1e-15, name
+    # Slacks above the assets are summed in one reduction, as a sum over
+    # the rows of the (slack, asset) table gives it, bit for bit.
+    program = programs["cardinality slack"]
+    probabilities = np.abs(random_state(program.num_qubits, 40 + n)) ** 2
+    rows = probabilities.reshape(-1, 1 << n).sum(axis=0)
+    assert np.array_equal(asset_marginal(probabilities, program.labels), rows)

@@ -22,6 +22,11 @@ def _dumps(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _record_text(doc) -> str:
+    """record.json's text: the writer's chunks, joined."""
+    return "".join(cli._record_chunks(doc))
+
+
 def test_records_and_histogram_files_of_every_method(tmp_path, capsys):
     out = tmp_path / "sweep"
     assert main(["sweep", "--n", "4", "--k", "2", "--methods", ",".join(METHODS),
@@ -31,7 +36,7 @@ def test_records_and_histogram_files_of_every_method(tmp_path, capsys):
     for method in METHODS:
         text = (out / f"{method}_seed1" / "record.json").read_text()
         doc = json.loads(text)
-        assert cli._record_text(doc) == _dumps(doc) == text, method
+        assert _record_text(doc) == _dumps(doc) == text, method
         # hist_<cell>.csv holds each probability's text as the record does.
         histogram = json.loads(text, parse_float=str)["histogram"]
         with (out / f"hist_{method}_seed1.csv").open() as fh:
@@ -65,7 +70,7 @@ def test_record_writer_matches_json_dumps_on_a_register_wide_penalty_record():
     record = run_fixed_penalty(generate_instance(8, 3, 2), "penalty-qaoa", p=1, budget=6, seed=2)
     doc = record_json(record)
     assert len(doc["histogram"]) == 1 << 8
-    assert cli._record_text(record.document()) == cli._record_text(doc) == _dumps(doc)
+    assert _record_text(record.document()) == _record_text(doc) == _dumps(doc)
 
 
 @pytest.mark.parametrize("histogram", [
@@ -88,15 +93,15 @@ def test_record_writer_matches_json_dumps_on_any_histogram(histogram):
     marginal = np.array([0.125, 0.375, 0.0, 0.5])
     doc = {"method": "x", "best_feasible": {"histogram": histogram}, "histogram": marginal,
            "trace": [histogram], "value": None}
-    assert cli._record_text(doc) == _dumps(_labelled(doc))
+    assert _record_text(doc) == _dumps(_labelled(doc))
 
 
 def test_record_writer_finds_only_the_top_level_histogram():
     doc = {"method": '\n  "histogram": {}', "nested": {"histogram": {}},
            "histogram": np.array([0.75, 0.25]), "tail": [{"histogram": {}}]}
-    assert cli._record_text(doc) == _dumps(_labelled(doc))
+    assert _record_text(doc) == _dumps(_labelled(doc))
     doc = {"histogram": np.array([0.0, 1.0])}
-    assert cli._record_text(doc) == _dumps(_labelled(doc))
+    assert _record_text(doc) == _dumps(_labelled(doc))
 
 
 @settings(max_examples=200, deadline=None)
@@ -110,7 +115,7 @@ def test_record_writer_gives_json_dumps_bytes_on_generated_histograms(histogram,
     # after the top-level marginal array: only that one is spliced.
     doc = {"seed": 1, "before": histogram, "histogram": np.full(size, 1.0 / size),
            "iterations": 0, "after": [histogram]}
-    assert cli._record_text(doc) == _dumps(_labelled(doc))
+    assert _record_text(doc) == _dumps(_labelled(doc))
 
 
 def test_solve_and_sweep_write_the_same_record(tmp_path, capsys):
@@ -170,6 +175,19 @@ def test_histogram_files_copy_the_record_text(tmp_path, capsys):
     capsys.readouterr()
 
 
+# The error's naming of a histogram that is not a JSON object.
+_NOT_AN_OBJECT = {
+    '{"histogram": [0.5, 0.5]}': "the histogram is an array",
+    '{"histogram": null}': "the histogram is null",
+    '{"histogram": []}': "the histogram is an array",
+    '{"histogram": ""}': "the histogram is a string",
+    '{"histogram": false}': "the histogram is a boolean",
+    '{"histogram": 0}': "the histogram is a number",
+    '{"histogram": NaN}': "the histogram is a number",
+    '[1, 2]': "holds an array",
+}
+
+
 @pytest.mark.parametrize("record_text", [
     '{"histogram": {"100": null}}',
     '{"histogram": {"100": [0.5]}}',
@@ -177,11 +195,21 @@ def test_histogram_files_copy_the_record_text(tmp_path, capsys):
     '{"histogram": [0.5, 0.5]}',
     '[1, 2]',
     '{"histogram": {"100": 0.5}',
+    # Falsy values are refused too; only a missing key gives a header-only file.
+    '{"histogram": null}',
+    '{"histogram": []}',
+    '{"histogram": ""}',
+    '{"histogram": false}',
+    '{"histogram": 0}',
+    '{"histogram": NaN}',
 ])
 def test_report_exits_2_on_a_malformed_record(tmp_path, capsys, record_text):
     record_path = _hand_written_run(tmp_path / "run", record_text)
     assert main(["report", "--run-dir", str(tmp_path / "run")]) == EXIT_INVALID
-    assert str(record_path) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(record_path) in err
+    if record_text in _NOT_AN_OBJECT:
+        assert f"{_NOT_AN_OBJECT[record_text]}, not a JSON object" in err
     assert not (tmp_path / "run" / "hist_oracle_seed1.csv").exists()
 
 
@@ -213,7 +241,7 @@ def _marginals(draw):
 @given(_marginals())
 def test_record_writer_formats_a_marginal_array_as_json_dumps_of_its_labels(marginal):
     doc = {"method": "x", "histogram": marginal, "trace": [{"a": 1.0}], "value": None}
-    assert cli._record_text(doc) == _dumps(_labelled(doc))
+    assert _record_text(doc) == _dumps(_labelled(doc))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -221,7 +249,7 @@ def test_record_writer_labels_a_non_finite_marginal_for_json_dumps(value):
     marginal = np.full(1 << 13, 1.0 / (1 << 13))
     marginal[4097] = value
     doc = {"seed": 1, "histogram": marginal, "iterations": 0}
-    assert cli._record_text(doc) == _dumps(_labelled(doc))
+    assert _record_text(doc) == _dumps(_labelled(doc))
 
 
 @pytest.mark.parametrize("run", [
@@ -233,7 +261,7 @@ def test_record_writer_labels_a_non_finite_marginal_for_json_dumps(value):
 def test_record_writer_gives_the_same_text_for_the_array_document(run):
     record = run(generate_instance(4, 2, 5))
     assert isinstance(record.document()["histogram"], np.ndarray)
-    assert cli._record_text(record.document()) == cli._record_text(record_json(record))
+    assert _record_text(record.document()) == _record_text(record_json(record))
 
 
 def test_report_writes_nothing_when_a_later_record_is_malformed(tmp_path, capsys):
@@ -257,3 +285,15 @@ def test_report_writes_nothing_when_a_later_record_is_malformed(tmp_path, capsys
     assert main(["report", "--run-dir", str(out)]) == EXIT_INVALID
     assert {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()} == before
     capsys.readouterr()
+
+
+def test_a_record_whose_chunks_fail_midway_leaves_no_file(tmp_path):
+    # record.json is written chunk by chunk under a temp name: a chunk that
+    # fails to build leaves neither the record nor the temp file.
+    def chunks():
+        yield '{\n  "method": "x",'
+        raise RuntimeError("chunk failed")
+
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        cli._write_atomic(tmp_path / "record.json", chunks())
+    assert list(tmp_path.iterdir()) == []

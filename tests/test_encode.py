@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    asset_bits,
     direct_cardinality_objective,
     direct_penalty_objective,
     direct_slack_objective,
@@ -64,21 +65,23 @@ def test_slack_ancilla_zero_alpha_pins_asset_off():
 
 
 def test_slack_ancilla_matches_direct_objective():
-    inst = generate_instance(3, 1, seed=8)
-    program = build_slack_ancilla_qubo(inst, 100.0)
-    for x in range(1 << 6):
-        bits = index_to_bits(x, 6)
-        assert qubo_energy(program, bits) == pytest.approx(
-            direct_slack_objective(inst, bits, 100.0), abs=1e-12
-        )
+    for n in range(1, 5):
+        inst = generate_instance(n, max(1, n // 2), seed=8)
+        program = build_slack_ancilla_qubo(inst, 100.0)
+        for x in range(1 << (2 * n)):
+            bits = index_to_bits(x, 2 * n)
+            assert qubo_energy(program, bits) == pytest.approx(
+                direct_slack_objective(inst, program.labels, bits, 100.0), abs=1e-12
+            ), (n, x)
 
 
 def test_slack_ancilla_labels():
     program = build_slack_ancilla_qubo(generate_instance(2, 1, seed=0), 10.0)
+    # Pair order: each asset's slack sits just above it.
     assert program.labels == (
         VarLabel.asset(0),
-        VarLabel.asset(1),
         VarLabel.slack_asset(0),
+        VarLabel.asset(1),
         VarLabel.slack_asset(1),
     )
 
@@ -108,9 +111,11 @@ def test_slack_ancilla_refuses_caps_it_cannot_close():
 def test_penalty_zero_set_is_exactly_the_slack_equality():
     inst = _bare_instance(2, 1, alpha=[1.0, 0.0])
     program = build_slack_ancilla_qubo(inst, 3.0)
+    labels = program.labels
     for x in range(1 << 4):
         bits = index_to_bits(x, 4)
-        w, s = bits[:2], bits[2:]
+        w = asset_bits(labels, bits)
+        s = [bits[labels.index(VarLabel.slack_asset(i))] for i in range(2)]
         on_manifold = all(w[i] + s[i] == inst.alpha[i] for i in range(2))
         energy = qubo_energy(program, bits)
         assert (energy == pytest.approx(0.0, abs=1e-14)) == on_manifold
@@ -122,9 +127,14 @@ def test_penalty_monotone_in_beta(seed, beta):
     inst = generate_instance(2, 1, seed=seed)
     low = build_slack_ancilla_qubo(inst, beta)
     high = build_slack_ancilla_qubo(inst, 2.0 * beta)
+    labels = low.labels
     for x in range(1 << 4):
         bits = index_to_bits(x, 4)
-        violation = any(bits[i] + bits[2 + i] != inst.alpha[i] for i in range(2))
+        violation = any(
+            bits[labels.index(VarLabel.asset(i))] + bits[labels.index(VarLabel.slack_asset(i))]
+            != inst.alpha[i]
+            for i in range(2)
+        )
         e_low, e_high = qubo_energy(low, bits), qubo_energy(high, bits)
         if violation:
             assert e_high > e_low
@@ -198,7 +208,7 @@ def test_cardinality_slack_zero_set_is_the_inequality(k, n):
     for x in range(1 << m):
         bits = index_to_bits(x, m)
         if qubo_energy(program, bits) == pytest.approx(0.0, abs=1e-12):
-            reachable_zero_assets.add(tuple(bits[:n]))
+            reachable_zero_assets.add(tuple(asset_bits(program.labels, bits)))
     expected = {
         tuple(index_to_bits(y, n))
         for y in range(1 << n)

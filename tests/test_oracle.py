@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from helpers import label_bits
+from helpers import asset_bits, label_bits
 from qmarko.bitstrings import index_to_bits
 from qmarko.encode import QuboProgram, VarLabel, build_slack_ancilla_qubo, qubo_energy
 from qmarko.instance import PortfolioInstance, classical_objective, generate_instance, is_feasible
@@ -100,10 +100,11 @@ def test_qubo_minimum_agrees_with_portfolio_oracle_at_large_beta():
         for _ in range(30):
             program = build_slack_ancilla_qubo(inst, beta)
             bits, _ = exhaustive_qubo_minimum(program)
-            if bits[: inst.n] == truth_bits:
+            assets = "".join(asset_bits(program.labels, bits))
+            if assets == truth_bits:
                 break
             beta *= 2.0
-        assert bits[: inst.n] == truth_bits, f"seed {seed}: no agreement up to beta={beta}"
+        assert assets == truth_bits, f"seed {seed}: no agreement up to beta={beta}"
 
 
 def test_qubo_minimum_permutation_invariance():
@@ -117,8 +118,8 @@ def test_qubo_minimum_permutation_invariance():
     permuted_program = build_slack_ancilla_qubo(permuted_inst, 32.0)
     bits, energy = exhaustive_qubo_minimum(program)
     pbits, penergy = exhaustive_qubo_minimum(permuted_program)
-    arr = label_bits(bits)
-    expected = np.concatenate([arr[:3][perm], arr[3:][perm]])
+    # Each asset's bit moves with its slack's: the program is in pair order.
+    expected = label_bits(bits).reshape(3, 2)[perm].reshape(-1)
     assert list(label_bits(pbits)) == list(expected)
     assert penergy == pytest.approx(energy, abs=1e-12)
 

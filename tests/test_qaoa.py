@@ -9,12 +9,15 @@ from dataclasses import replace
 from functools import partial
 
 from helpers import (
+    asset_bits,
     dense_reference_ansatz,
     final_register,
     label_bits,
     naive_ising_coefficients,
     record_json,
+    record_program,
 )
+from qmarko.bounds import asset_marginal
 from qmarko.bitstrings import index_to_bits
 from qmarko.encode import QuboProgram, VarLabel, build_penalty_qubo, build_slack_ancilla_qubo
 from qmarko.instance import PortfolioInstance, classical_objective, generate_instance, is_feasible
@@ -124,7 +127,14 @@ def test_minimize_with_budget_rejects_unknown_optimizer():
 
 def test_mixer_pairs_from_labels():
     program = build_slack_ancilla_qubo(generate_instance(3, 1, seed=0), 10.0)
-    assert mixer_pairs(program.labels) == [(0, 3), (1, 4), (2, 5)]
+    labels = program.labels
+    expected = [
+        (labels.index(VarLabel.asset(i)), labels.index(VarLabel.slack_asset(i))) for i in range(3)
+    ]
+    # The slack program's pairs are the adjacent ones the conditional mixer takes.
+    assert mixer_pairs(labels) == expected == [(0, 1), (2, 3), (4, 5)]
+    # A program without slack_asset labels has no pairs.
+    assert mixer_pairs(build_penalty_qubo(generate_instance(3, 1, seed=0), 10.0).labels) == []
 
 
 # --- ansatz -------------------------------------------------------------------
@@ -326,8 +336,31 @@ def test_schedule_final_params_reproduce_the_recorded_marginal():
         program = build_slack_ancilla_qubo(inst, record.final_beta_penalty)
         pairs = mixer_pairs(program.labels)
         state = _state(program, record.final_params, record.mixer, pairs)
-        marginal = state.probabilities().reshape(-1, 1 << inst.n).sum(axis=0)
+        marginal = asset_marginal(state.probabilities(), program.labels)
         assert np.array_equal(marginal, record.marginal), seed
+
+
+def test_marginal_sampled_feasible_fraction_is_seeded_and_unbiased():
+    # The check draws its shots from the asset marginal; per seed it is
+    # reproducible, and over 200 seeds its mean lies within 3 sigma of the
+    # exact feasible mass.
+    from qmarko.instance import feasible_table
+    from qmarko.qaoa import _sampled_feasible_fraction
+
+    inst = generate_instance(4, 2, seed=3)
+    program = build_slack_ancilla_qubo(inst, 100.0)
+    params = QaoaParams(2, (0.001, 0.002), (1.2, 0.4))
+    state = _state(program, params, "conditional", mixer_pairs(program.labels))
+    marginal = asset_marginal(state.probabilities(), program.labels)
+    feasible = feasible_table(inst)
+    mass = float(marginal[feasible].sum())
+    assert 0.05 < mass < 0.95
+    shots, seeds = 100, range(200)
+    fractions = [_sampled_feasible_fraction(feasible, marginal, shots, s) for s in seeds]
+    assert fractions == [_sampled_feasible_fraction(feasible, marginal, shots, s) for s in seeds]
+    assert len(set(fractions)) > 1
+    sigma = np.sqrt(mass * (1.0 - mass) / (shots * len(fractions)))
+    assert abs(np.mean(fractions) - mass) <= 3 * sigma
 
 
 def test_schedule_record_is_self_consistent():
@@ -499,9 +532,10 @@ def _assert_serialised_histogram_is_asset_marginal(record, inst):
     serialised = record_json(record)["histogram"]
     assert list(serialised) == [index_to_string(i, n) for i in range(1 << n)]
     register = final_register(record, inst)
+    labels = record_program(record, inst).labels
     summed = dict.fromkeys(serialised, 0.0)
     for key, probability in register.items():
-        summed[key[:n]] += probability
+        summed["".join(asset_bits(labels, key))] += probability
     for key, probability in serialised.items():
         assert abs(probability - summed[key]) <= 1e-14, key
     return serialised, register
@@ -527,11 +561,13 @@ def test_serialised_histogram_is_the_asset_marginal():
 # --- the ansatz's workspace ------------------------------------------------------
 
 def _ansatz_layouts(n):
-    """(program, mixer, pairs) for each way the ansatz lays out its state:
-    the standard mixer in place, the conditional mixer in the slack program's
-    pair frame, and the conditional mixer on pairs already adjacent."""
+    """(program, mixer, pairs) for each way the ansatz runs its layers on
+    the slack program: the standard mixer, the conditional mixer on the
+    program's pair frame (every asset paired with the slack above it, as
+    ``mixer_pairs`` finds them) and on fewer adjacent pairs, which leaves
+    the top qubits unpaired and the top block half full."""
     program = build_slack_ancilla_qubo(generate_instance(n, 2, seed=n), 100.0)
-    adjacent = [(2 * i, 2 * i + 1) for i in range(n)]
+    adjacent = [(2 * i, 2 * i + 1) for i in range(n - 1)]
     return {
         "standard": (program, "standard", None),
         "pair frame": (program, "conditional", mixer_pairs(program.labels)),
@@ -635,9 +671,8 @@ def test_ansatz_peak_memory_is_its_workspace_and_one_state(mixer):
     finally:
         tracemalloc.stop()
     nbytes = state.amplitudes.nbytes
-    # Two workspace buffers, the returned state and, in the pair frame, the
-    # permuted energies (half a state).
-    assert first <= 3.6 * nbytes, first / nbytes
+    # Two workspace buffers and the returned state; no copy of the table.
+    assert first <= 3.1 * nbytes, first / nbytes
     # Later evaluations reuse the workspace.
     assert later <= 1.1 * nbytes, later / nbytes
 

@@ -28,12 +28,9 @@ from qmarko.simulate import (
     apply_real_frame_mixer,
     energy_table,
     expectation,
-    from_frame,
     from_real_frame,
-    pair_frame,
     real_frame_phased_uniform,
     sample_counts,
-    to_frame,
     workspace,
 )
 
@@ -50,19 +47,21 @@ def _uniform(m):
     return StateVector(m, from_real_frame(start, spare))
 
 
+def _adjacent_pairs(count):
+    return [(2 * i, 2 * i + 1) for i in range(count)]
+
+
 def _mix(state, beta_angle, pairs=None):
-    """One mixer layer as the ansatz runs it, on a state in canonical phase
-    and order: S^dag, the pair frame for ``pairs`` (the conditional mixer),
-    the real-unit kernel, then S and canonical order again. In place."""
+    """One mixer layer as the ansatz runs it, on a state in canonical phase:
+    S^dag, the real-unit kernel (the conditional mixer for ``pairs``, which
+    are adjacent, as ``_ansatz`` takes them), then S again. In place."""
     size = state.amplitudes.size
-    m = state.num_qubits
-    # S's phases, i^popcount(x), are the same in every qubit order.
     s_phases = from_real_frame(np.ones(size, dtype=complex), np.empty(size, dtype=complex))
-    order = list(range(m)) if pairs is None else pair_frame(m, pairs)
-    framed = to_frame(state.amplitudes * s_phases.conj(), order)
     pair_count = None if pairs is None else len(pairs)
+    assert pairs is None or pairs == _adjacent_pairs(pair_count), pairs
+    framed = state.amplitudes * s_phases.conj()
     mixed = apply_real_frame_mixer(framed, np.empty_like(framed), beta_angle, pair_count)
-    state.amplitudes[:] = from_frame(mixed * s_phases, order)
+    state.amplitudes[:] = mixed * s_phases
     return state
 
 
@@ -200,14 +199,15 @@ def test_conditional_mixer_asset_off_leaves_ancilla_marginal(beta):
 
 
 def test_conditional_mixer_validates_pairs():
-    state = _uniform(2)
-    with pytest.raises(ValueError):
-        _mix(state, 0.1, [(0, 2)])
-    with pytest.raises(ValueError):
-        _mix(state, 0.1, [(0, 0)])
-    state4 = _uniform(4)
-    with pytest.raises(ValueError):
-        _mix(state4, 0.1, [(0, 1), (1, 2)])
+    # The ansatz takes only adjacent pairs, each asset below its slack, from
+    # qubit 0 up: a pair out of range, a qubit in two pairs, an ancilla
+    # below its asset and the assets-then-slacks layout are refused.
+    for m, pairs in [
+        (2, [(0, 2)]), (2, [(0, 0)]), (2, [(1, 0)]), (3, [(0, 1), (2, 3)]),
+        (4, [(0, 1), (1, 2)]), (4, [(2, 3)]), (6, [(0, 3), (1, 4), (2, 5)]),
+    ]:
+        with pytest.raises(ValueError, match="conditional mixer takes pairs"):
+            _ansatz(_random_table(m, 0), "conditional", pairs)
 
 
 def test_expectation_uniform_is_mean_energy():
@@ -237,14 +237,14 @@ def test_sample_basis_state_single_bin():
     state = _uniform(2)
     state.amplitudes[:] = 0
     state.amplitudes[1] = 1.0
-    counts = _drawn(sample_counts(state, 500, seed=0), 2)
+    counts = _drawn(sample_counts(state.probabilities(), 500, seed=0), 2)
     assert counts == {"100"[:2]: 500} or counts == {"10": 500}
 
 
 def test_sample_binomial_three_sigma():
     state = _uniform(1)
     shots = 10**5
-    counts = _drawn(sample_counts(state, shots, seed=123), 1)
+    counts = _drawn(sample_counts(state.probabilities(), shots, seed=123), 1)
     sigma = np.sqrt(shots * 0.25)
     for bit in ("0", "1"):
         assert abs(counts.get(bit, 0) - shots / 2) <= 3 * sigma
@@ -256,7 +256,7 @@ def test_sample_energy_mean_within_three_sigma_of_expectation():
     params = QaoaParams(2, (0.4, 0.9), (0.7, 0.3))
     state = _ansatz(table, "standard", None)(params)
     shots = 20000
-    counts = _drawn(sample_counts(state, shots, seed=77), 3)
+    counts = _drawn(sample_counts(state.probabilities(), shots, seed=77), 3)
     sampled_mean = sum(
         c * table.energies[string_to_index(b)] for b, c in counts.items()
     ) / shots
@@ -270,7 +270,7 @@ def test_sample_energy_mean_within_three_sigma_of_expectation():
 def test_sample_is_seeded_and_reproducible():
     state = StateVector(3, random_state(3, 5))
     def sample(seed):
-        return _drawn(sample_counts(state, 1000, seed=seed), 3)
+        return _drawn(sample_counts(state.probabilities(), 1000, seed=seed), 3)
 
     assert sample(9) == sample(9)
     assert sample(9) != sample(10)
@@ -281,7 +281,7 @@ def test_sampling_chisquare_consistency():
     for m in range(1, 5):
         state = StateVector(m, random_state(m, 40 + m))
         probs = state.probabilities()
-        counts = _drawn(sample_counts(state, shots, seed=m), m)
+        counts = _drawn(sample_counts(probs, shots, seed=m), m)
         observed = np.array(
             [counts.get(
                 "".join("1" if (x >> i) & 1 else "0" for i in range(m)), 0
@@ -379,25 +379,12 @@ def _scaled(program, weight):
                    linear=weight * program.linear, constant=weight * program.constant)
 
 
-def _conditional_layouts(m, rng):
-    """Pair lists covering the cases the block kernel permutes for."""
-    layouts = [[]]
-    if m >= 2:
-        # Ancilla below asset, non-adjacent, with unpaired qubits between.
-        layouts.append([(m - 1, 0)])
-        # Slack layout: an unpaired top qubit when m is odd, a half-filled
-        # block when m // 2 is odd.
-        layouts.append([(i, i + m // 2) for i in range(m // 2)])
-        for _ in range(3):
-            qubits = [int(q) for q in rng.permutation(m)]
-            count = int(rng.integers(1, m // 2 + 1))
-            layouts.append([(qubits[2 * i], qubits[2 * i + 1]) for i in range(count)])
-    return layouts
-
-
 @pytest.mark.parametrize("m", range(1, 10))
 def test_mixers_match_dense_reference_on_arbitrary_layouts(m):
-    # m runs past simulate.BLOCK_QUBITS and over values that are not multiples of it.
+    # m runs past simulate.BLOCK_QUBITS and over values that are not multiples
+    # of it. The conditional mixer runs on every layout it takes: 0 to m // 2
+    # adjacent pairs, leaving the qubits above unpaired, and a half-filled
+    # top block when the count is odd.
     rng = np.random.default_rng(500 + m)
     program = _random_program(m, rng)
     params = QaoaParams(2, tuple(rng.uniform(-np.pi, np.pi, 2)), tuple(rng.uniform(-np.pi, np.pi, 2)))
@@ -405,7 +392,7 @@ def test_mixers_match_dense_reference_on_arbitrary_layouts(m):
     state = _ansatz(table, "standard", None)(params)
     reference = dense_reference_ansatz(program, params, "standard")
     assert np.allclose(state.amplitudes, reference, rtol=0, atol=1e-10)
-    for pairs in _conditional_layouts(m, rng):
+    for pairs in map(_adjacent_pairs, range(m // 2 + 1)):
         state = _ansatz(table, "conditional", pairs)(params)
         reference = dense_reference_ansatz(program, params, "conditional", pairs)
         assert np.allclose(state.amplitudes, reference, rtol=0, atol=1e-10), pairs
@@ -494,36 +481,20 @@ def test_phase_separation_peak_memory_on_an_energy_table():
 
 
 @pytest.mark.parametrize("m", (10, 12, 14))
-def test_frame_ansatz_matches_layer_by_layer_composition(m, monkeypatch):
+def test_frame_ansatz_matches_layer_by_layer_composition(m):
     # Above the dense reference's sizes: the ansatz runs every layer in the
-    # pair frame, the gate-by-gate reference applies each gate in place.
-    import qmarko.simulate as simulate
-
+    # real frame, the gate-by-gate reference applies each gate in place.
     rng = np.random.default_rng(900 + m)
     table = energy_table(_random_program(m, rng))
     params = QaoaParams(3, tuple(rng.uniform(-1, 1, 3) / m), tuple(rng.uniform(-np.pi, np.pi, 3)))
-    qubits = [int(q) for q in rng.permutation(m)]
     half = m // 2
     layouts = {
-        "random pairs": [(qubits[2 * i], qubits[2 * i + 1]) for i in range(half)],
-        "unpaired qubits": [(qubits[2 * i], qubits[2 * i + 1]) for i in range(half - 2)],
-        "ancilla below asset": [(half + i, i) for i in range(half)],
-        "already adjacent": [(2 * i, 2 * i + 1) for i in range(half - 1)],
+        "every qubit paired": _adjacent_pairs(half),
+        "unpaired qubits": _adjacent_pairs(half - 2),
+        "odd pair count": _adjacent_pairs(half - 1 - half % 2),
     }
-    transposes = []
-    original_view = simulate._frame_view
-
-    def counted_view(*args, **kwargs):
-        transposes.append(args)
-        return original_view(*args, **kwargs)
-
-    monkeypatch.setattr(simulate, "_frame_view", counted_view)
     for name, pairs in layouts.items():
-        ansatz = _ansatz(table, "conditional", pairs)
-        transposes.clear()
-        state = ansatz(params)
-        # One transpose per state out of the frame; none when it is in place.
-        assert len(transposes) == (0 if name == "already adjacent" else 1), name
+        state = _ansatz(table, "conditional", pairs)(params)
         composed = gate_reference_evolution(table.energies, params, "conditional", pairs)
         assert np.abs(state.amplitudes - composed).max() <= 1e-12, name
 
@@ -535,9 +506,7 @@ def test_mixers_match_gate_reference_on_row_batches_and_column_chunks(m, pair_co
     # multiplies its panels in column chunks (simulate._PANEL_COLUMNS). An
     # odd pair count leaves the conditional mixer's top block half full.
     rng = np.random.default_rng(1100 + m)
-    qubits = [int(q) for q in rng.permutation(m)]
-    pairs = [(qubits[2 * i], qubits[2 * i + 1]) for i in range(pair_count)]
-    for layout in (None, pairs):
+    for layout in (None, _adjacent_pairs(pair_count)):
         amplitudes = random_state(m, 1200 + m)
         beta_angle = float(rng.uniform(-np.pi, np.pi))
         mixed = _mix(StateVector(m, amplitudes.copy()), beta_angle, layout)
@@ -572,3 +541,24 @@ def test_phase_separation_into_a_spare_buffer_matches_a_new_array():
     allocated = apply_phase_separation(StateVector(m, amplitudes.copy()), table, 0.7)
     assert np.array_equal(in_spare.amplitudes, allocated.amplitudes)
     assert np.array_equal(amplitudes * spare, in_spare.amplitudes)
+
+
+def test_a_mixer_layer_builds_its_block_gates_on_one_kronecker_chain(monkeypatch):
+    # At m = 7 the standard layer has a full 4-qubit block and a 3-qubit top
+    # block. R^(x4) = kron(R^(x3), R), so R^(x3) is a link of the full
+    # block's chain: 3 kron calls for the layer, not 3 + 2.
+    m = 7
+    amplitudes = random_state(m, 61)
+    beta_angle = 0.7
+    calls = []
+    kron = np.kron
+
+    def counted_kron(*args, **kwargs):
+        calls.append(args)
+        return kron(*args, **kwargs)
+
+    monkeypatch.setattr(np, "kron", counted_kron)
+    mixed = _mix(StateVector(m, amplitudes.copy()), beta_angle)
+    assert len(calls) == 3
+    reference = gate_reference_mixer(amplitudes, beta_angle)
+    assert np.abs(mixed.amplitudes - reference).max() <= 1e-12
