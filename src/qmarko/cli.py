@@ -33,7 +33,8 @@ record into `hist_<cell>.csv` unchanged, after `float()` has checked it,
 writing the file line by line. A record that is not a JSON object, or
 whose histogram is not an object of numbers (null, an array, a string, a
 number or a boolean among them), exits 2 with an error naming the record;
-a record with no histogram gives a header-only file. `report` leaves no
+a record with no histogram gives a header-only file, and a summary.csv
+that lacks a column of REPORT_COLUMNS exits 2. `report` leaves no
 file behind on an error: it renames its outputs into place only after the
 last record has converted.
 """
@@ -74,8 +75,10 @@ SUMMARY_COLUMNS = (
     "value",
     "iterations",
     "wall_ms",
-    "variance_bound_slack",
 )
+# The summary.csv columns `report` reads; other columns are ignored.
+REPORT_COLUMNS = ("method", "seed", "bitstring", "feasible", "value")
+
 
 def _seed(value) -> int:
     """A non-negative integer: the seed setting, QMARKO_SEED and each --seeds entry."""
@@ -384,8 +387,6 @@ def _run_cell(payload: tuple) -> dict:
         row["feasible"] = str(bool(doc.get("feasible")))
         row["value"] = "" if doc.get("value") is None else repr(doc["value"])
         row["iterations"] = str(doc.get("iterations", 0))
-        bound = doc.get("variance_bound")
-        row["variance_bound_slack"] = repr(bound["slack"]) if bound else ""
     except Exception as exc:  # cell failures are recorded, the sweep continues
         _write_atomic(run_dir / "error.txt", [f"{type(exc).__name__}: {exc}\n"])
         row["feasible"] = "False"
@@ -494,7 +495,11 @@ def cmd_report(args) -> int:
     if not summary_path.exists():
         raise ValueError(f"no summary.csv under {run_dir}; run `qmarko sweep` first")
     with summary_path.open() as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        missing = [column for column in REPORT_COLUMNS if column not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{summary_path} lacks the column(s) {', '.join(missing)}")
+        rows = list(reader)
 
     lines = [
         "| Method | Seed | Optimal Portfolio | Is Feasible? | Value |",

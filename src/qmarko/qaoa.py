@@ -14,9 +14,17 @@ its program builder and reporting rule), is one call of ``_search_angles``
 (tabulate the program, build its ansatz once, scale the angles,
 minimize the expectation); ``_ansatz`` is the one ansatz entry point; and
 every record is built by ``_record`` from the asset marginal of its final
-state (``bounds.asset_marginal``: picks, feasible mass, variance bound).
+state (``bounds.asset_marginal``: picks and feasible mass).
 The record keeps the asset marginal only, and its JSON ``histogram`` is
 that marginal: 2^n entries whatever the register size.
+
+No risk/return uncertainty limit. The paper posits a quantum limit on the
+joint precision of portfolio risk and return. Here the risk and return
+observables are both diagonal in the computational basis, so they commute
+and the Robertson bound |<[R, M]>|/2 is 0; Var(R) * Var(M) >= Cov(R, M)^2
+then holds for every distribution by Cauchy–Schwarz alone. Such a limit
+needs an observable that does not commute with them, which this model does
+not have, so records carry no bound on it.
 
 Frames. ``_ansatz`` evolves its state in the real frame (phase S =
 diag(1, i) taken off every qubit), where both mixers' units are real
@@ -197,7 +205,6 @@ class ExperimentRecord:
     sampled_feasible_fraction: float | None
     terminated_by: str
     trace: tuple[TraceRow, ...]
-    variance_bound: bounds.BoundReport
 
     @property
     def iterations_used(self) -> int:
@@ -226,7 +233,6 @@ class ExperimentRecord:
             "iterations": self.iterations_used,
             "terminated_by": self.terminated_by,
             "trace": [asdict(row) for row in self.trace],
-            "variance_bound": asdict(self.variance_bound),
         }
 
 
@@ -465,9 +471,8 @@ def _record(
     instance: PortfolioInstance, marginal: np.ndarray, report_most_probable: bool, **fields
 ) -> ExperimentRecord:
     """The record of a run whose final state has the asset marginal
-    ``marginal``: picks, exact feasible mass and variance bound are read
-    from it, the remaining ``ExperimentRecord`` fields come from the
-    caller."""
+    ``marginal``: picks and exact feasible mass are read from it, the
+    remaining ``ExperimentRecord`` fields come from the caller."""
     best_feasible, most_probable, feasible_mass = _picks(instance, marginal)
     return ExperimentRecord(
         marginal=marginal,
@@ -475,7 +480,6 @@ def _record(
         most_probable=most_probable,
         reported=most_probable if report_most_probable else best_feasible,
         feasible_fraction=feasible_mass,
-        variance_bound=bounds.variance_bound(marginal, instance),
         **fields,
     )
 

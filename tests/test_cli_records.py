@@ -66,6 +66,27 @@ def test_a_cell_holds_only_its_record_and_the_record_holds_the_trace(tmp_path, c
             assert {row["beta_penalty"] for row in trace} == {doc["final_beta_penalty"]}
 
 
+# record.json's top-level keys for a QAOA arm, in the order they are written.
+QAOA_RECORD_KEYS = [
+    "method", "seed", "mixer", "optimizer", "initial_params", "final_params",
+    "final_beta_penalty", "histogram", "best_feasible", "most_probable", "bitstring",
+    "feasible", "value", "feasible_fraction", "sampled_feasible_fraction", "iterations",
+    "terminated_by", "trace",
+]
+
+
+def test_the_record_and_summary_contract(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--n", "3", "--k", "1", "--methods", "slack-qaoa,penalty-qaoa",
+                 "--seeds", "1", *FAST, "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    for method in ("slack-qaoa", "penalty-qaoa"):
+        doc = json.loads((out / f"{method}_seed1" / "record.json").read_text())
+        assert list(doc) == QAOA_RECORD_KEYS, method
+    with (out / "summary.csv").open(newline="") as fh:
+        assert next(csv.reader(fh)) == list(SUMMARY_COLUMNS)
+
+
 def test_record_writer_matches_json_dumps_on_a_register_wide_penalty_record():
     record = run_fixed_penalty(generate_instance(8, 3, 2), "penalty-qaoa", p=1, budget=6, seed=2)
     doc = record_json(record)
@@ -285,6 +306,40 @@ def test_report_writes_nothing_when_a_later_record_is_malformed(tmp_path, capsys
     assert main(["report", "--run-dir", str(out)]) == EXIT_INVALID
     assert {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()} == before
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("summary_text, missing", [
+    ("method,seed\noracle,1\n", "bitstring, feasible, value"),
+    ("method,seed,bitstring,feasible,iterations\noracle,1,010,True,0\n", "value"),
+    ("", "method, seed, bitstring, feasible, value"),
+], ids=["method-and-seed", "no-value", "empty"])
+def test_report_exits_2_on_a_summary_that_lacks_a_column_it_reads(
+    tmp_path, capsys, summary_text, missing
+):
+    (tmp_path / "summary.csv").write_text(summary_text)
+    assert main(["report", "--run-dir", str(tmp_path)]) == EXIT_INVALID
+    assert f"lacks the column(s) {missing}" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["summary.csv"]
+
+
+def test_report_reads_a_summary_with_a_column_it_does_not_read(tmp_path, capsys):
+    # A summary.csv written by an older version may hold a column that
+    # report no longer reads (a dropped statistic); report ignores it.
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--n", "3", "--k", "1", "--methods", "oracle,penalty-qaoa",
+                 "--seeds", "1", *FAST, "--out", str(out)]) == EXIT_OK
+    assert main(["report", "--run-dir", str(out)]) == EXIT_OK
+    outputs = {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()}
+    with (out / "summary.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    with (out / "summary.csv").open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [*row, slack] for row, slack in zip(rows, ["dropped_statistic", "", "0.25"]))
+    assert main(["report", "--run-dir", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    for name, data in outputs.items():
+        if name != "summary.csv":
+            assert (out / name).read_bytes() == data, name
 
 
 def test_a_record_whose_chunks_fail_midway_leaves_no_file(tmp_path):
