@@ -117,7 +117,9 @@ SETTINGS = {
                           "optimizer iterations between penalty checks"),
     "shots": (as_integer, _SCHEDULE_DEFAULTS.feasibility_shots, "feasibility-check sample count"),
     "feasibility_target": (float, _SCHEDULE_DEFAULTS.feasibility_target,
-                           "sampled feasible fraction that ends the schedule"),
+                           "sampled feasible fraction that ends the schedule; 1.0 needs every "
+                           "draw feasible, and all 24 runs at (n, k) = (3, 1), (6, 2), seeds 1-12, "
+                           "p = 2 end at max-iter (fractions 0.53-0.997)"),
     "max_iter": (as_integer, _SCHEDULE_DEFAULTS.max_iterations, "objective-evaluation budget"),
     "mixer": (_choice(*MIXERS), None,
               f"slack-qaoa mixer, one of {', '.join(MIXERS)} (default conditional)"),

@@ -11,12 +11,13 @@ doublings.
 One run path. Every angle search, whether a segment of ``run_schedule``
 or a ``run_fixed_penalty`` run of an arm (a row of FIXED_PENALTY_ARMS:
 its program builder and reporting rule), is one call of ``_search_angles``
-(tabulate the program, build its ansatz once, scale the angles,
-minimize the expectation); ``_ansatz`` is the one ansatz entry point; and
-every record is built by ``_record`` from the asset marginal of its final
-state (``bounds.asset_marginal``: picks and feasible mass).
-The record keeps the asset marginal only, and its JSON ``histogram`` is
-that marginal: 2^n entries whatever the register size.
+(build the program's ansatz, minimize its expectation over scaled angles,
+return the angles and the asset marginal at the best); ``_ansatz``, built
+from the program alone, is the one ansatz entry point; and every record is
+built by ``_record`` from the asset marginal of its final state
+(``bounds.asset_marginal``: picks and feasible mass). The record keeps
+the asset marginal only, and its JSON ``histogram`` is that marginal: 2^n
+entries whatever the register size.
 
 No risk/return uncertainty limit. The paper posits a quantum limit on the
 joint precision of portfolio risk and return. Here the risk and return
@@ -63,13 +64,13 @@ from .encode import (
     ASSET,
     SLACK_ASSET,
     QuboProgram,
+    VarLabel,
     build_cardinality_slack_qubo,
     build_penalty_qubo,
     build_slack_ancilla_qubo,
 )
 from .instance import PortfolioInstance, classical_objective, feasible_table, objective_table
 from .simulate import (
-    EnergyTable,
     StateVector,
     apply_phase_separation,
     apply_real_frame_mixer,
@@ -123,7 +124,10 @@ class QaoaParams:
 
 @dataclass(frozen=True)
 class ScheduleConfig:
-    """Knobs of the penalty-doubling feasibility schedule."""
+    """Knobs of the penalty-doubling feasibility schedule. At the default
+    target 1.0 a check passes only if all ``feasibility_shots`` draws are
+    feasible: on ``generate_instance(3, 1)`` and ``(6, 2)``, seeds 1-12,
+    p = 2, all 24 runs end ``max_iterations``, sampled fractions 0.53-0.997."""
 
     beta_penalty_init: float = 100.0
     doubling_interval: int = 20
@@ -173,9 +177,9 @@ class ExperimentRecord:
 
     ``initial_params`` and ``final_params`` are physical angles for the
     program at ``final_beta_penalty`` (``initial_params`` at the first
-    penalty weight of a schedule), so ``_ansatz(table, record.mixer,
-    pairs)(record.final_params)`` on that program's table reproduces
-    the final state, and its asset marginal is ``marginal`` exactly.
+    penalty weight of a schedule), so ``_ansatz(program,
+    record.mixer)(record.final_params)`` on that program reproduces the
+    final state, and its asset marginal is ``marginal`` exactly.
     ``trace`` holds one row per optimizer evaluation, numbered from 1
     across penalty doublings; ``iterations_used`` is derived from it, and
     each row carries its evaluation's expectation.
@@ -304,28 +308,24 @@ def _minimize_exact_budget(fun, x0, optimizer: str, budget: int):
     return best_x, best_f, all_evals
 
 
-def mixer_pairs(labels) -> list[tuple[int, int]]:
-    """(asset qubit, slack qubit) pairs from a program's variable labels."""
-    assets = {lab.index: pos for pos, lab in enumerate(labels) if lab.kind == ASSET}
-    slacks = {lab.index: pos for pos, lab in enumerate(labels) if lab.kind == SLACK_ASSET}
-    return [(assets[i], slacks[i]) for i in sorted(assets) if i in slacks]
-
-
 class _ansatz:
-    """The depth-p ansatz on ``table``: p alternating layers of phase
+    """The depth-p ansatz on ``program``: p alternating layers of phase
     separation and mixing on the uniform state, as a function of its angles.
 
     ``ansatz(params)`` is the state, a new array in canonical phase;
     ``ansatz.probabilities(params)`` its probabilities and
-    ``ansatz.expectation(params)`` its expectation under ``table``.
+    ``ansatz.expectation(params)`` its expectation under the program.
 
-    Every layer runs in the real frame (see ``simulate``), where each mixer
-    unit is real. The conditional mixer takes the pairs ``mixer_pairs``
-    finds in the slack-ancilla program, (0, 1), (2, 3), ..., each asset
-    below its slack, and refuses any other layout with ValueError.
-    Probabilities are the same in both frames, so ``probabilities`` and
-    ``expectation`` read the state where it is; only a state returned by
-    ``ansatz(params)`` gets S.
+    The program is tabulated (``energy_table``) once, before the workspace
+    is allocated. Every layer runs in the real frame (see ``simulate``),
+    where each mixer unit is real. The conditional mixer reads its layout
+    from the program's labels: one pair per SLACK_ASSET label, asset i at
+    qubit 2i and its slack at 2i + 1, as the slack-ancilla program lays
+    them out; the qubits above the pairs are left alone, and a program
+    without slack labels gets no pairs. Any other layout is refused with
+    ValueError. Probabilities are the same in both frames, so
+    ``probabilities`` and ``expectation`` read the state where it is; only
+    a state returned by ``ansatz(params)`` gets S.
 
     The first layer's phase separation is folded into the start state
     (``simulate.real_frame_phased_uniform``), so layers 2..p alone run
@@ -341,19 +341,19 @@ class _ansatz:
     shares memory with the workspace.
     """
 
-    def __init__(self, table: EnergyTable, mixer: str, pairs):
+    def __init__(self, program: QuboProgram, mixer: str):
         if mixer not in ("standard", "conditional"):
             raise ValueError(f"unknown mixer: {mixer!r}")
         self._pair_count = None
         if mixer == "conditional":
-            pairs = [tuple(pair) for pair in pairs or ()]
-            adjacent = [(2 * k, 2 * k + 1) for k in range(len(pairs))]
-            if pairs != adjacent or 2 * len(pairs) > table.num_qubits:
-                raise ValueError(f"the conditional mixer takes pairs (0, 1), (2, 3), ... "
-                                 f"within {table.num_qubits} qubits, got {pairs}")
-            self._pair_count = len(pairs)
-        self._table = table
-        self._buffers = workspace(table.num_qubits)
+            count = sum(label.kind == SLACK_ASSET for label in program.labels)
+            layout = [VarLabel(kind, i) for i in range(count) for kind in (ASSET, SLACK_ASSET)]
+            if list(program.labels[: 2 * count]) != layout:
+                raise ValueError("the conditional mixer takes asset i at qubit 2i and its "
+                                 f"slack at 2i + 1, got labels {program.labels}")
+            self._pair_count = count
+        self._table = energy_table(program)
+        self._buffers = workspace(program.num_qubits)
         self._held: QaoaParams | None = None  # angles of the state in self._buffers[0]
 
     def _frame_state(self, params: QaoaParams) -> tuple[np.ndarray, np.ndarray]:
@@ -409,26 +409,27 @@ def _physical_params(theta, scale: float) -> QaoaParams:
     return QaoaParams.from_vector(np.concatenate((theta[:p] / scale, theta[p:])))
 
 
-def _search_angles(
-    program: QuboProgram, theta, minimize, mixer: str = "standard", pairs=None
-):
+def _search_angles(program: QuboProgram, theta, minimize, mixer: str = "standard"):
     """One angle search: minimize the ansatz expectation from scaled angles theta.
 
     ``minimize(objective, theta)`` returns (best theta, best value, evals),
-    as ``minimize_with_budget`` does. Returns (ansatz, scale, best theta,
-    evals): ``ansatz`` maps physical angles to the state (``_ansatz``) and
-    holds its workspace, and evals are in physical units and in evaluation
-    order.
+    as ``minimize_with_budget`` does. Returns (initial_params, final_params,
+    best theta, marginal, evals): the physical angles at theta and at the
+    best theta, the asset marginal of the state at the best theta
+    (``bounds.asset_marginal``), and evals in physical units and in
+    evaluation order. The ansatz (``_ansatz``), with its table and
+    workspace, lives only inside the call.
     """
-    table = energy_table(program)
     scale = _angle_scale(program)
-    ansatz = _ansatz(table, mixer, pairs)
+    ansatz = _ansatz(program, mixer)
 
     def objective(theta):
         return ansatz.expectation(_physical_params(theta, scale))
 
     best_theta, _, evals = minimize(objective, theta)
-    return ansatz, scale, best_theta, evals
+    final_params = _physical_params(best_theta, scale)
+    marginal = bounds.asset_marginal(ansatz.probabilities(final_params), program.labels)
+    return _physical_params(theta, scale), final_params, best_theta, marginal, evals
 
 
 def _draw_initial_angles(rng: np.random.Generator, p: int) -> np.ndarray:
@@ -513,18 +514,15 @@ def run_schedule(
     rows: list[TraceRow] = []
     while True:
         program = build_slack_ancilla_qubo(instance, beta_penalty)
-        pairs = mixer_pairs(program.labels) if mixer == "conditional" else None
         chunk = min(config.doubling_interval, config.max_iterations - len(rows))
         minimize = partial(_minimize_exact_budget, optimizer=optimizer, budget=chunk)
-        ansatz, scale, best_theta, evals = _search_angles(program, theta, minimize, mixer, pairs)
+        start, final_params, theta, marginal, evals = _search_angles(
+            program, theta, minimize, mixer
+        )
         if initial_params is None:
-            initial_params = _physical_params(theta, scale)
-        theta = best_theta
+            initial_params = start
         first = len(rows) + 1
         rows.extend(TraceRow(i, value, beta_penalty) for i, value in enumerate(evals, first))
-        final_params = _physical_params(theta, scale)
-        marginal = bounds.asset_marginal(ansatz.probabilities(final_params), program.labels)
-        del ansatz  # its workspace goes before the next segment builds one
         check_seed = int(master.integers(0, 2**63))
         sampled_fraction = _sampled_feasible_fraction(
             feasible, marginal, config.feasibility_shots, check_seed
@@ -572,13 +570,11 @@ def run_fixed_penalty(
     program = build(instance, a_card)
     theta0 = _draw_initial_angles(np.random.default_rng(seed), p)
     minimize = partial(minimize_with_budget, optimizer=optimizer, budget=budget)
-    ansatz, scale, theta, evals = _search_angles(program, theta0, minimize)
-    final_params = _physical_params(theta, scale)
-    marginal = bounds.asset_marginal(ansatz.probabilities(final_params), program.labels)
+    initial_params, final_params, _, marginal, evals = _search_angles(program, theta0, minimize)
     return _record(
         instance, marginal, report_most_probable,
         method=method, seed=seed, mixer="standard", optimizer=optimizer,
-        initial_params=_physical_params(theta0, scale), final_params=final_params,
+        initial_params=initial_params, final_params=final_params,
         final_beta_penalty=a_card, sampled_feasible_fraction=None,
         terminated_by="completed",
         trace=tuple(TraceRow(i, value, a_card) for i, value in enumerate(evals, 1)),

@@ -4,10 +4,14 @@ Everything here recomputes results through a different route than the
 package (explicit loops, dense matrices, one gate at a time) so the two
 sides of each equivalence check stay independent. ``final_register`` is
 the exception: it replays the package's own ansatz, as a record's
-contract says its final state is rebuilt.
+contract says its final state is rebuilt: ``_ansatz(program,
+record.mixer)`` on the record's program, which reads any conditional-mixer
+pairs from the program's labels itself.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -15,8 +19,7 @@ from qmarko import encode
 from qmarko.bitstrings import index_to_bits, index_to_string
 from qmarko.encode import ASSET, QuboProgram, VarLabel, cardinality_slack_weights
 from qmarko.instance import PortfolioInstance, classical_objective, is_feasible
-from qmarko.qaoa import _ansatz, labelled_histogram, mixer_pairs
-from qmarko.simulate import energy_table
+from qmarko.qaoa import _ansatz, labelled_histogram
 
 
 def naive_qubo_energy(program: QuboProgram, bits) -> float:
@@ -115,6 +118,25 @@ def naive_asset_marginal(probabilities, labels) -> np.ndarray:
         selection = asset_bits(labels, index_to_bits(x, m))
         marginal[sum(int(bit) << i for i, bit in enumerate(selection))] += probabilities[x]
     return marginal
+
+
+def slack_pairs(labels) -> list[tuple[int, int]]:
+    """(asset qubit, slack qubit) of every asset that has a slack, looked up
+    label by label: the pair list the dense references take."""
+    return [
+        (labels.index(VarLabel.asset(i)), labels.index(VarLabel.slack_asset(i)))
+        for i in range(len(labels))
+        if VarLabel.slack_asset(i) in labels
+    ]
+
+
+def with_pairs(program: QuboProgram, count: int) -> QuboProgram:
+    """``program`` relabelled with ``count`` adjacent (asset i, slack i)
+    pairs, asset i at qubit 2i and its slack at 2i + 1, and an unpaired
+    asset on every qubit above; its energies are unchanged."""
+    labels = [label for i in range(count) for label in (VarLabel.asset(i), VarLabel.slack_asset(i))]
+    labels += [VarLabel.asset(i) for i in range(count, program.num_qubits - count)]
+    return replace(program, labels=tuple(labels))
 
 
 def label_bits(label: str) -> np.ndarray:
@@ -287,12 +309,10 @@ def record_program(record, inst: PortfolioInstance) -> QuboProgram:
 
 def final_register(record, inst: PortfolioInstance) -> dict[str, float]:
     """The 2^m register probabilities of a QAOA record's final state, keyed
-    by m-bit label in the program's qubit order: ``_ansatz`` on the table of
-    ``record_program``, evaluated at ``final_params``."""
-    program = record_program(record, inst)
-    pairs = mixer_pairs(program.labels) if record.mixer == "conditional" else None
-    table = energy_table(program)
-    state = _ansatz(table, record.mixer, pairs)(record.final_params)
+    by m-bit label in the program's qubit order: ``_ansatz`` on
+    ``record_program`` with the record's mixer, evaluated at
+    ``final_params``."""
+    state = _ansatz(record_program(record, inst), record.mixer)(record.final_params)
     return labelled_histogram(state.probabilities())
 
 

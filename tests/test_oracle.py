@@ -162,6 +162,46 @@ def test_baseline_reports_value_consistent_with_objective():
     assert result.feasible == is_feasible(inst, label_bits(result.bitstring))
 
 
+def test_baseline_relaxes_the_slack_program(monkeypatch):
+    # The objective the baseline minimizes is the slack program's polynomial
+    # on the unit cube: v[:n] are the assets and v[n:] their slacks, placed
+    # at the qubits the program's labels give them. Points outside the cube
+    # are clipped.
+    import qmarko.oracle as oracle
+
+    captured = []
+
+    def capture(fun, x0, optimizer, budget, constraints=()):
+        captured.append(fun)
+        return np.asarray(x0), fun(x0), [fun(x0)]
+
+    monkeypatch.setattr(oracle, "minimize_with_budget", capture)
+    rng = np.random.default_rng(71)
+    for n in range(1, 6):
+        inst = generate_instance(n, max(1, n // 2), seed=70 + n)
+        for beta in (1.0, 100.0):
+            captured.clear()
+            classical_baseline(inst, beta_penalty=beta, budget=5, seed=n)
+            (relaxed,) = captured
+            program = build_slack_ancilla_qubo(inst, beta)
+            labels = program.labels
+            assets = [labels.index(VarLabel.asset(i)) for i in range(n)]
+            slacks = [labels.index(VarLabel.slack_asset(i)) for i in range(n)]
+
+            def energy(v):
+                x = np.empty(2 * n)
+                x[assets], x[slacks] = v[:n], v[n:]
+                return qubo_energy(program, x)
+
+            for v in rng.uniform(0.0, 1.0, size=(20, 2 * n)):
+                assert relaxed(v) == pytest.approx(energy(v), rel=1e-12, abs=0), (n, beta, v)
+            outside = rng.uniform(-1.0, 2.0, size=2 * n)
+            outside[0] = -0.5
+            clipped = np.clip(outside, 0.0, 1.0)
+            assert relaxed(outside) == relaxed(clipped)
+            assert relaxed(outside) == pytest.approx(energy(clipped), rel=1e-12, abs=0)
+
+
 def test_enumeration_guards():
     with pytest.raises(ValueError):
         exhaustive_portfolio_optimum(

@@ -16,6 +16,8 @@ from helpers import (
     naive_ising_coefficients,
     record_json,
     record_program,
+    slack_pairs,
+    with_pairs,
 )
 from qmarko.bounds import asset_marginal
 from qmarko.bitstrings import index_to_bits
@@ -31,15 +33,14 @@ from qmarko.qaoa import (
     _physical_params,
     _search_angles,
     minimize_with_budget,
-    mixer_pairs,
     run_fixed_penalty,
     run_schedule,
 )
 from qmarko.simulate import energy_table, expectation
 
 
-def _state(program, params, mixer="standard", pairs=None):
-    return _ansatz(energy_table(program), mixer, pairs)(params)
+def _state(program, params, mixer="standard"):
+    return _ansatz(program, mixer)(params)
 
 
 def _program(quadratic, linear, constant):
@@ -51,8 +52,8 @@ def _optimize_angles(program, p, budget, seed):
     """A fixed-penalty run's angle search: (best physical angles, evals)."""
     theta0 = _draw_initial_angles(np.random.default_rng(seed), p)
     minimize = partial(minimize_with_budget, optimizer="cobyla", budget=budget)
-    _, scale, theta, evals = _search_angles(program, theta0, minimize)
-    return _physical_params(theta, scale), evals
+    _, final_params, _, _, evals = _search_angles(program, theta0, minimize)
+    return final_params, evals
 
 
 # --- parameter containers ----------------------------------------------------
@@ -125,18 +126,6 @@ def test_minimize_with_budget_rejects_unknown_optimizer():
         minimize_with_budget(lambda x: 0.0, np.zeros(2), "cobyla", 0)
 
 
-def test_mixer_pairs_from_labels():
-    program = build_slack_ancilla_qubo(generate_instance(3, 1, seed=0), 10.0)
-    labels = program.labels
-    expected = [
-        (labels.index(VarLabel.asset(i)), labels.index(VarLabel.slack_asset(i))) for i in range(3)
-    ]
-    # The slack program's pairs are the adjacent ones the conditional mixer takes.
-    assert mixer_pairs(labels) == expected == [(0, 1), (2, 3), (4, 5)]
-    # A program without slack_asset labels has no pairs.
-    assert mixer_pairs(build_penalty_qubo(generate_instance(3, 1, seed=0), 10.0).labels) == []
-
-
 # --- ansatz -------------------------------------------------------------------
 
 def test_run_ansatz_zero_angles_is_uniform():
@@ -157,8 +146,8 @@ def test_run_ansatz_expectation_matches_dense_reference():
     params = QaoaParams(2, (0.31, 0.77), (0.52, 0.18))
     table = energy_table(program)
     for mixer in ("standard", "conditional"):
-        pairs = mixer_pairs(program.labels) if mixer == "conditional" else None
-        state = _state(program, params, mixer, pairs)
+        pairs = slack_pairs(program.labels) if mixer == "conditional" else None
+        state = _state(program, params, mixer)
         reference = dense_reference_ansatz(program, params, mixer, pairs)
         ref_expectation = float(
             np.real(np.conj(reference) @ (table.energies * reference))
@@ -327,17 +316,17 @@ def test_schedule_running_best_never_increases_within_fixed_beta():
 
 
 def test_schedule_final_params_reproduce_the_recorded_marginal():
-    # The record's contract: its final angles on the final penalty's
-    # Hamiltonian give back the state it was built from.
+    # The record's contract, for both mixers: its final angles on the final
+    # penalty's Hamiltonian give back the state it was built from.
     config = ScheduleConfig()
-    for seed in range(1, 13):
-        inst = generate_instance(3, 1, seed=seed)
-        record = run_schedule(inst, config, seed=seed)
-        program = build_slack_ancilla_qubo(inst, record.final_beta_penalty)
-        pairs = mixer_pairs(program.labels)
-        state = _state(program, record.final_params, record.mixer, pairs)
-        marginal = asset_marginal(state.probabilities(), program.labels)
-        assert np.array_equal(marginal, record.marginal), seed
+    for mixer in ("conditional", "standard"):
+        for seed in range(1, 13):
+            inst = generate_instance(3, 1, seed=seed)
+            record = run_schedule(inst, config, mixer=mixer, seed=seed)
+            program = build_slack_ancilla_qubo(inst, record.final_beta_penalty)
+            state = _ansatz(program, record.mixer)(record.final_params)
+            marginal = asset_marginal(state.probabilities(), program.labels)
+            assert np.array_equal(marginal, record.marginal), (mixer, seed)
 
 
 def test_marginal_sampled_feasible_fraction_is_seeded_and_unbiased():
@@ -350,7 +339,7 @@ def test_marginal_sampled_feasible_fraction_is_seeded_and_unbiased():
     inst = generate_instance(4, 2, seed=3)
     program = build_slack_ancilla_qubo(inst, 100.0)
     params = QaoaParams(2, (0.001, 0.002), (1.2, 0.4))
-    state = _state(program, params, "conditional", mixer_pairs(program.labels))
+    state = _state(program, params, "conditional")
     marginal = asset_marginal(state.probabilities(), program.labels)
     feasible = feasible_table(inst)
     mass = float(marginal[feasible].sum())
@@ -560,17 +549,16 @@ def test_serialised_histogram_is_the_asset_marginal():
 # --- the ansatz's workspace ------------------------------------------------------
 
 def _ansatz_layouts(n):
-    """(program, mixer, pairs) for each way the ansatz runs its layers on
-    the slack program: the standard mixer, the conditional mixer on the
-    program's pair frame (every asset paired with the slack above it, as
-    ``mixer_pairs`` finds them) and on fewer adjacent pairs, which leaves
-    the top qubits unpaired and the top block half full."""
+    """(program, mixer) for each way the ansatz runs its layers on the slack
+    program: the standard mixer, the conditional mixer on the program's pair
+    frame (every asset paired with the slack above it) and on the program
+    relabelled with one pair fewer, which leaves the top qubits unpaired and
+    the top block half full."""
     program = build_slack_ancilla_qubo(generate_instance(n, 2, seed=n), 100.0)
-    adjacent = [(2 * i, 2 * i + 1) for i in range(n - 1)]
     return {
-        "standard": (program, "standard", None),
-        "pair frame": (program, "conditional", mixer_pairs(program.labels)),
-        "adjacent pairs": (program, "conditional", adjacent),
+        "standard": (program, "standard"),
+        "pair frame": (program, "conditional"),
+        "adjacent pairs": (with_pairs(program, n - 1), "conditional"),
     }
 
 
@@ -580,10 +568,7 @@ _PARAMS_B = QaoaParams(2, (-0.02, 0.005), (1.1, 0.2))
 
 @pytest.mark.parametrize("layout", ("standard", "pair frame", "adjacent pairs"))
 def test_returned_state_is_unchanged_by_later_evaluations(layout):
-    from qmarko.qaoa import _ansatz
-
-    program, mixer, pairs = _ansatz_layouts(4)[layout]
-    ansatz = _ansatz(energy_table(program), mixer, pairs)
+    ansatz = _ansatz(*_ansatz_layouts(4)[layout])
     state = ansatz(_PARAMS_A)
     kept = state.amplitudes.copy()
     ansatz(_PARAMS_B)
@@ -593,10 +578,7 @@ def test_returned_state_is_unchanged_by_later_evaluations(layout):
 
 @pytest.mark.parametrize("layout", ("standard", "pair frame", "adjacent pairs"))
 def test_evaluations_do_not_depend_on_earlier_ones(layout):
-    from qmarko.qaoa import _ansatz
-
-    program, mixer, pairs = _ansatz_layouts(4)[layout]
-    ansatz = _ansatz(energy_table(program), mixer, pairs)
+    ansatz = _ansatz(*_ansatz_layouts(4)[layout])
     value, amplitudes = ansatz.expectation(_PARAMS_A), ansatz(_PARAMS_A).amplitudes
     ansatz.expectation(_PARAMS_B)
     ansatz(_PARAMS_B)
@@ -608,9 +590,8 @@ def test_evaluations_do_not_depend_on_earlier_ones(layout):
 def test_state_at_the_last_evaluated_angles_is_read_not_recomputed(layout, monkeypatch):
     import qmarko.qaoa as qaoa
 
-    program, mixer, pairs = _ansatz_layouts(4)[layout]
-    table = energy_table(program)
-    fresh = _ansatz(table, mixer, pairs)(_PARAMS_A).amplitudes
+    program, mixer = _ansatz_layouts(4)[layout]
+    fresh = _ansatz(program, mixer)(_PARAMS_A).amplitudes
     layers = []
     original_mixer = qaoa.apply_real_frame_mixer
 
@@ -619,7 +600,7 @@ def test_state_at_the_last_evaluated_angles_is_read_not_recomputed(layout, monke
         return original_mixer(*args, **kwargs)
 
     monkeypatch.setattr(qaoa, "apply_real_frame_mixer", counted_mixer)
-    ansatz = _ansatz(table, mixer, pairs)
+    ansatz = _ansatz(program, mixer)
     ansatz.expectation(_PARAMS_A)
     layers.clear()
     assert np.array_equal(ansatz(_PARAMS_A).amplitudes, fresh)
@@ -633,56 +614,68 @@ def test_state_at_the_last_evaluated_angles_is_read_not_recomputed(layout, monke
 
 @pytest.mark.parametrize("layout", ("standard", "pair frame", "adjacent pairs"))
 def test_search_objective_is_the_expectation_of_the_state(layout):
-    from qmarko.qaoa import _physical_params, _search_angles
-
-    program, mixer, pairs = _ansatz_layouts(4)[layout]
+    program, mixer = _ansatz_layouts(4)[layout]
     thetas = np.random.default_rng(41).uniform(0.0, np.pi, size=(5, 4))
 
     def minimize(objective, theta):
         values = [objective(t) for t in thetas]
-        return theta, min(values), values
+        return thetas[-1], min(values), values
 
-    ansatz, scale, _, values = _search_angles(program, thetas[0], minimize, mixer, pairs)
-    table = energy_table(program)
+    initial, final, best, marginal, values = _search_angles(program, thetas[0], minimize, mixer)
+    ansatz, scale, table = _ansatz(program, mixer), _angle_scale(program), energy_table(program)
     for theta, value in zip(thetas, values):
         direct = expectation(ansatz(_physical_params(theta, scale)), table)
         assert value == pytest.approx(direct, rel=1e-12, abs=0)
+    # The returned angles and marginal are those of the start and best points.
+    assert initial == _physical_params(thetas[0], scale)
+    assert np.array_equal(best, thetas[-1]) and final == _physical_params(thetas[-1], scale)
+    direct = asset_marginal(ansatz(final).probabilities(), program.labels)
+    assert np.allclose(marginal, direct, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("mixer", ("standard", "conditional"))
 def test_ansatz_peak_memory_is_its_workspace_and_one_state(mixer):
     import tracemalloc
 
-    from qmarko.qaoa import _ansatz
-
-    program, _, pairs = _ansatz_layouts(7)["pair frame" if mixer == "conditional" else mixer]
-    table = energy_table(program)  # m = 14
+    program, _ = _ansatz_layouts(7)["pair frame" if mixer == "conditional" else mixer]  # m = 14
+    nbytes = 16 << program.num_qubits  # one state
     tracemalloc.start()
     try:
-        ansatz = _ansatz(table, mixer, pairs)  # held: its workspace stays allocated
-        state = ansatz(_PARAMS_A)
-        first = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        held = tracemalloc.get_traced_memory()[0]
-        ansatz.expectation(_PARAMS_B)
-        ansatz(_PARAMS_B)
-        later = tracemalloc.get_traced_memory()[1] - held
+        ansatz = _ansatz(program, mixer)  # held: its table and workspace stay allocated
+        construction = tracemalloc.get_traced_memory()[1]
+        evaluations = []
+        for call in (partial(ansatz, _PARAMS_A), partial(ansatz.expectation, _PARAMS_B),
+                     partial(ansatz, _PARAMS_B)):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            result = call()  # held: a returned state stays allocated
+            evaluations.append(tracemalloc.get_traced_memory()[1] - held)
+            del result
     finally:
         tracemalloc.stop()
-    nbytes = state.amplitudes.nbytes
-    # Two workspace buffers and the returned state; no copy of the table.
-    assert first <= 3.1 * nbytes, first / nbytes
-    # Later evaluations reuse the workspace.
-    assert later <= 1.1 * nbytes, later / nbytes
+    # Two workspace buffers and the energy table (half a state); no copy of
+    # the table.
+    assert construction <= 2.6 * nbytes, construction / nbytes
+    # Each evaluation reuses the workspace: at most the state it returns.
+    assert max(evaluations) <= 1.1 * nbytes, [e / nbytes for e in evaluations]
 
 
 def test_ansatz_refuses_more_than_max_qubits_before_allocating():
-    from qmarko.qaoa import _ansatz
-    from qmarko.simulate import MAX_QUBITS, EnergyTable
+    import tracemalloc
 
-    # The energies and form are stand-ins: the qubit count is checked before
-    # the workspace, 2 x 2^25 amplitudes, would be allocated.
+    from qmarko.simulate import MAX_QUBITS
+
+    # A 25-qubit program is refused before its 2^25 energies or the
+    # workspace, 2 x 2^25 amplitudes, would be allocated.
     m = MAX_QUBITS + 1
-    table = EnergyTable(m, np.zeros(1), (np.zeros((m, m)), np.zeros(m), 0.0))
-    with pytest.raises(ValueError, match="outside"):
-        _ansatz(table, "standard", None)
+    labels = tuple(VarLabel.asset(i) for i in range(m))
+    program = QuboProgram(m, labels, np.zeros((m, m)), np.zeros(m), 0.0)
+    for mixer in ("standard", "conditional"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"refusing to tabulate {m} variables"):
+                _ansatz(program, mixer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (mixer, peak)

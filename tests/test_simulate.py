@@ -15,11 +15,13 @@ from helpers import (
     naive_qubo_energy,
     random_state,
     real_frame_pair_unit,
+    slack_pairs,
+    with_pairs,
 )
 from qmarko.bitstrings import basis_labels, index_to_bits, string_to_index
 from qmarko.encode import QuboProgram, VarLabel, build_penalty_qubo, build_slack_ancilla_qubo
 from qmarko.instance import generate_instance
-from qmarko.qaoa import QaoaParams, _angle_scale, _ansatz, mixer_pairs
+from qmarko.qaoa import QaoaParams, _angle_scale, _ansatz
 from qmarko.simulate import (
     EnergyTable,
     StateVector,
@@ -199,15 +201,22 @@ def test_conditional_mixer_asset_off_leaves_ancilla_marginal(beta):
 
 
 def test_conditional_mixer_validates_pairs():
-    # The ansatz takes only adjacent pairs, each asset below its slack, from
-    # qubit 0 up: a pair out of range, a qubit in two pairs, an ancilla
-    # below its asset and the assets-then-slacks layout are refused.
-    for m, pairs in [
-        (2, [(0, 2)]), (2, [(0, 0)]), (2, [(1, 0)]), (3, [(0, 1), (2, 3)]),
-        (4, [(0, 1), (1, 2)]), (4, [(2, 3)]), (6, [(0, 3), (1, 4), (2, 5)]),
+    # The ansatz reads its pairs from the labels and takes only asset i at
+    # qubit 2i with its slack at 2i + 1: a slack below its asset, a pair
+    # that does not start at qubit 0, assets then slacks, and a slack
+    # without its asset are refused.
+    asset, slack = VarLabel.asset, VarLabel.slack_asset
+    for labels in [
+        (slack(0), asset(0)),
+        (asset(0), asset(1), slack(1)),
+        (asset(1), slack(1), asset(0), slack(0)),
+        (asset(0), asset(1), asset(2), slack(0), slack(1), slack(2)),
+        (asset(0), slack(1)),
+        (asset(0), slack(0), slack(1)),
     ]:
-        with pytest.raises(ValueError, match="conditional mixer takes pairs"):
-            _ansatz(_random_table(m, 0), "conditional", pairs)
+        program = replace(_random_program(len(labels), np.random.default_rng(0)), labels=labels)
+        with pytest.raises(ValueError, match="conditional mixer takes asset i at qubit 2i"):
+            _ansatz(program, "conditional")
 
 
 def test_expectation_uniform_is_mean_energy():
@@ -252,9 +261,10 @@ def test_sample_binomial_three_sigma():
 
 def test_sample_energy_mean_within_three_sigma_of_expectation():
     inst = generate_instance(3, 1, seed=3)
-    table = energy_table(build_penalty_qubo(inst, 5.0))
+    program = build_penalty_qubo(inst, 5.0)
+    table = energy_table(program)
     params = QaoaParams(2, (0.4, 0.9), (0.7, 0.3))
-    state = _ansatz(table, "standard", None)(params)
+    state = _ansatz(program, "standard")(params)
     shots = 20000
     counts = _drawn(sample_counts(state.probabilities(), shots, seed=77), 3)
     sampled_mean = sum(
@@ -360,8 +370,8 @@ def test_run_ansatz_matches_dense_reference():
     program = build_slack_ancilla_qubo(inst, 100.0)
     params = QaoaParams(2, (0.8, 0.15), (0.45, 0.7))
     for mixer in ("standard", "conditional"):
-        pairs = mixer_pairs(program.labels) if mixer == "conditional" else None
-        state = _ansatz(energy_table(program), mixer, pairs)(params)
+        pairs = slack_pairs(program.labels) if mixer == "conditional" else None
+        state = _ansatz(program, mixer)(params)
         reference = dense_reference_ansatz(program, params, mixer, pairs)
         assert np.allclose(state.amplitudes, reference, atol=1e-10)
 
@@ -382,28 +392,29 @@ def _scaled(program, weight):
 @pytest.mark.parametrize("m", range(1, 10))
 def test_mixers_match_dense_reference_on_arbitrary_layouts(m):
     # m runs past simulate.BLOCK_QUBITS and over values that are not multiples
-    # of it. The conditional mixer runs on every layout it takes: 0 to m // 2
-    # adjacent pairs, leaving the qubits above unpaired, and a half-filled
-    # top block when the count is odd.
+    # of it. The conditional mixer runs on every layout it takes: the random
+    # program relabelled with 0 to m // 2 adjacent (asset, slack) pairs,
+    # leaving the qubits above unpaired, and a half-filled top block when the
+    # count is odd.
     rng = np.random.default_rng(500 + m)
     program = _random_program(m, rng)
     params = QaoaParams(2, tuple(rng.uniform(-np.pi, np.pi, 2)), tuple(rng.uniform(-np.pi, np.pi, 2)))
-    table = energy_table(program)
-    state = _ansatz(table, "standard", None)(params)
+    state = _ansatz(program, "standard")(params)
     reference = dense_reference_ansatz(program, params, "standard")
     assert np.allclose(state.amplitudes, reference, rtol=0, atol=1e-10)
-    for pairs in map(_adjacent_pairs, range(m // 2 + 1)):
-        state = _ansatz(table, "conditional", pairs)(params)
-        reference = dense_reference_ansatz(program, params, "conditional", pairs)
-        assert np.allclose(state.amplitudes, reference, rtol=0, atol=1e-10), pairs
+    for count in range(m // 2 + 1):
+        paired = with_pairs(program, count)
+        state = _ansatz(paired, "conditional")(params)
+        reference = dense_reference_ansatz(paired, params, "conditional", slack_pairs(paired.labels))
+        assert np.allclose(state.amplitudes, reference, rtol=0, atol=1e-10), count
 
 
 def test_conditional_without_pairs_matches_dense_reference():
     inst = generate_instance(3, 1, seed=17)
     params = QaoaParams(2, (0.4, 0.6), (0.3, 0.9))
-    table = energy_table(build_penalty_qubo(inst, 10.0))
-    state = _ansatz(table, "conditional", None)(params)
-    reference = dense_reference_evolution(table.energies, params, "conditional", [])
+    program = build_penalty_qubo(inst, 10.0)
+    state = _ansatz(program, "conditional")(params)
+    reference = dense_reference_evolution(energy_table(program).energies, params, "conditional", [])
     assert np.allclose(reference, state.amplitudes, atol=1e-9)
 
 
@@ -485,17 +496,19 @@ def test_frame_ansatz_matches_layer_by_layer_composition(m):
     # Above the dense reference's sizes: the ansatz runs every layer in the
     # real frame, the gate-by-gate reference applies each gate in place.
     rng = np.random.default_rng(900 + m)
-    table = energy_table(_random_program(m, rng))
+    program = _random_program(m, rng)
+    energies = energy_table(program).energies
     params = QaoaParams(3, tuple(rng.uniform(-1, 1, 3) / m), tuple(rng.uniform(-np.pi, np.pi, 3)))
     half = m // 2
     layouts = {
-        "every qubit paired": _adjacent_pairs(half),
-        "unpaired qubits": _adjacent_pairs(half - 2),
-        "odd pair count": _adjacent_pairs(half - 1 - half % 2),
+        "every qubit paired": half,
+        "unpaired qubits": half - 2,
+        "odd pair count": half - 1 - half % 2,
     }
-    for name, pairs in layouts.items():
-        state = _ansatz(table, "conditional", pairs)(params)
-        composed = gate_reference_evolution(table.energies, params, "conditional", pairs)
+    for name, count in layouts.items():
+        paired = with_pairs(program, count)
+        state = _ansatz(paired, "conditional")(params)
+        composed = gate_reference_evolution(energies, params, "conditional", slack_pairs(paired.labels))
         assert np.abs(state.amplitudes - composed).max() <= 1e-12, name
 
 
