@@ -29,14 +29,20 @@ container, and each chunk is written to the file as it is built; a
 marginal that is not all finite is labelled and goes through json.dumps,
 and so do the oracle's and the classical baseline's one-entry dict
 histograms. `report` copies each probability's decimal text from the
-record into `hist_<cell>.csv` unchanged, after `float()` has checked it,
-writing the file line by line. A record that is not a JSON object, or
-whose histogram is not an object of numbers (null, an array, a string, a
-number or a boolean among them), exits 2 with an error naming the record;
-a record with no histogram gives a header-only file, and a summary.csv
-that lacks a column of REPORT_COLUMNS exits 2. `report` leaves no
-file behind on an error: it renames its outputs into place only after the
-last record has converted.
+record into `hist_<cell>.csv` unchanged. A record whose histogram is laid
+out as the writer lays out a marginal's (its one top-level `histogram`
+member, at that indent, holding exactly the 2^n labels in index order, each
+with a JSON number) is converted in bulk: the rows are the member's text
+with its JSON punctuation replaced. Every other record is loaded whole,
+each value checked by `float()`, and written row by row, a key that
+holds a comma, a quote or a line break (\\r or \\n) quoted as CSV quotes it.
+Both paths write the same bytes for a record the bulk path takes. A record
+that is not a JSON object, or whose histogram is not an object of numbers
+(null, an array, a string, a number or a boolean among them), exits 2 with
+an error naming the record; a record with no histogram gives a header-only
+file, and a summary.csv that lacks a column of REPORT_COLUMNS exits 2.
+`report` leaves no file behind on an error: it renames its outputs into
+place only after the last record has converted.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import time
 from collections import deque
@@ -55,6 +62,7 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import instance as instance_mod
 from . import encode, oracle, qaoa
@@ -107,8 +115,10 @@ SETTINGS = {
     "seed": (_seed, None, "non-negative random seed (falls back to QMARKO_SEED, then 0)"),
     "lambda_weight": (float, 1.0, "return weight lambda of the generated instance"),
     "q_risk": (float, 0.5, "risk weight q of the generated instance"),
-    "p": (as_integer, 2, "ansatz depth; one slack-qaoa layer takes ~1 s at the 24-qubit limit "
-                          "(12 assets; extrapolated from 0.04 s at 20 qubits and 0.24 s at 22)"),
+    "p": (as_integer, 2, "ansatz depth; one slack-qaoa layer takes ~0.5 s at the 24-qubit limit "
+                          "(12 assets; extrapolated at 4x per two qubits from 0.11-0.13 s at 22 "
+                          "qubits, 13-19 ms at 20 and 4-5 ms at 18, each the median p = 2 minus "
+                          "p = 1 expectation time on one BLAS thread)"),
     "optimizer": (_choice(*qaoa.SCIPY_METHODS), "cobyla",
                   f"one of {', '.join(sorted(qaoa.SCIPY_METHODS))}"),
     "penalty": (float, None, "fixed penalty weight of the baselines (default per method)"),
@@ -153,11 +163,19 @@ def _write_atomic(path: Path, chunks) -> None:
     os.replace(tmp, path)
 
 
-# Histogram entries per template in _marginal_entries, and the text between
-# one entry's value and the next entry's label.
+# The layout of a QAOA record's histogram, written by _record_chunks and
+# converted in bulk by _bulk_histogram_csv: the member's opening (only a
+# top-level key follows a newline and exactly two spaces), each entry's
+# indent, the text between an entry's label and its value, the text between
+# one entry's value and the next entry's label, and the member's closing.
+# Histogram entries per template in _marginal_entries.
+_HISTOGRAM_OPEN = '\n  "histogram": {'
+_ENTRY_INDENT = "\n    "
+_KEY_END = '": '
+_NEXT_ENTRY = "," + _ENTRY_INDENT + '"'
+_HISTOGRAM_CLOSE = "\n  }"
+_ENTRY_END = (_KEY_END + "%r" + _NEXT_ENTRY).encode("ascii")
 _CHUNK = 1 << 12
-_NEXT_ENTRY = ',\n    "'
-_ENTRY_END = ('": %r' + _NEXT_ENTRY).encode("ascii")
 
 
 def _marginal_entries(marginal: np.ndarray):
@@ -196,11 +214,10 @@ def _record_chunks(doc: dict):
     if not np.isfinite(histogram).all():
         return [json.dumps({**doc, "histogram": qaoa.labelled_histogram(histogram)},
                            indent=2), "\n"]
-    # Only a top-level key follows a newline and exactly two spaces.
     head, _, tail = json.dumps({**doc, "histogram": {}}, indent=2).partition(
-        '\n  "histogram": {}')
-    return chain([head, '\n  "histogram": {\n    '], _marginal_entries(histogram),
-                 ["\n  }", tail, "\n"])
+        _HISTOGRAM_OPEN + "}")
+    return chain([head, _HISTOGRAM_OPEN + _ENTRY_INDENT], _marginal_entries(histogram),
+                 [_HISTOGRAM_CLOSE, tail, "\n"])
 
 
 def _resolve(args) -> dict:
@@ -454,29 +471,111 @@ def cmd_sweep(args) -> int:
 
 
 # How report names a JSON value that is not an object, by its type as
-# json.loads gives it.
-_JSON_KINDS = {list: "an array", str: "a string", int: "a number", float: "a number",
-               bool: "a boolean", type(None): "null"}
+# json.loads(text, parse_int=float) gives it.
+_JSON_KINDS = {list: "an array", str: "a string", float: "a number", bool: "a boolean",
+               type(None): "null"}
+_CSV_HEADER = "bitstring,probability\n"
+# A histogram's entries as _record_chunks writes them: a label of 0s and 1s,
+# _KEY_END and a JSON number token, with _NEXT_ENTRY between entries.
+# Possessive repetition (new in Python 3.11's re, hence requires-python)
+# keeps no backtracking state, so one match runs over 2^n entries in
+# constant memory (a greedy one holds ~1 KB per entry).
+_JSON_NUMBER = r"-?+(?:0|[1-9][0-9]*+)(?:\.[0-9]++)?+(?:[eE][-+]?+[0-9]++)?+"
+_ENTRY = f"[01]++{re.escape(_KEY_END)}{_JSON_NUMBER}"
+_ENTRIES = re.compile(f"(?:{_ENTRY}{re.escape(_NEXT_ENTRY)})*+{_ENTRY}")
 
 
-def _histogram_csv(record_path: Path):
-    """hist_<cell>.csv of one record, in the record's order, as lines built
-    when they are asked for; the record is checked whole first.
+def _bulk_histogram_csv(text: str) -> str | None:
+    """The rows of hist_<cell>.csv below its header, converted in bulk from
+    the record ``text``, or None unless its histogram is laid out as
+    _record_chunks writes a marginal's.
+
+    That layout is a top-level `histogram` member opened by _HISTOGRAM_OPEN
+    and closed by _HISTOGRAM_CLOSE whose entries match _ENTRIES, so every
+    value is a JSON number token, and whose labels are exactly the 2^n basis
+    labels in index order (`bitstrings.basis_label_block`), so none is
+    repeated or missing. The rest of the record, with the histogram swapped
+    for {}, must load as an object holding no other `histogram` key, nested
+    or not. The rows are then the entries' text with its JSON punctuation
+    replaced: the lines the general path (_histogram_lines) writes, byte for
+    byte, as each label is bare and each number token is copied."""
+    first_label = _HISTOGRAM_OPEN + _ENTRY_INDENT + '"'
+    opening = text.find(first_label)
+    if opening < 0:
+        return None
+    start = opening + len(first_label)
+    stop = text.find(_HISTOGRAM_CLOSE, start)
+    if stop < 0:
+        return None
+    histogram_keys = 0
+
+    def count_histogram_keys(pairs):
+        nonlocal histogram_keys
+        histogram_keys += sum(key == "histogram" for key, _ in pairs)
+        return dict(pairs)
+
+    try:
+        rest = json.loads(text[:opening] + _HISTOGRAM_OPEN + "}"
+                          + text[stop + len(_HISTOGRAM_CLOSE):],
+                          object_pairs_hook=count_histogram_keys,
+                          parse_float=str, parse_int=str)
+    except ValueError:
+        return None
+    # The swapped member is a "histogram" key; the only one, and at the top.
+    if not (isinstance(rest, dict) and "histogram" in rest and histogram_keys == 1
+            and _ENTRIES.fullmatch(text, start, stop)):
+        return None
+    rows = text[start:stop].replace(_NEXT_ENTRY, "\n").replace(_KEY_END, ",")
+    data = np.frombuffer(rows.encode("ascii"), dtype=np.uint8)
+    starts = np.concatenate(([0], np.flatnonzero(data == ord("\n")) + 1))
+    commas = np.flatnonzero(data == ord(","))
+    num_bits = starts.size.bit_length() - 1
+    # 2^n rows, each label n digits long, so each label's window below
+    # lies inside the rows.
+    if starts.size != 1 << num_bits or commas.size != starts.size \
+            or (commas - starts != num_bits).any():
+        return None
+    labels = sliding_window_view(data, num_bits)[starts].tobytes()
+    if labels != basis_label_block(np.arange(starts.size), num_bits, b""):
+        return None
+    return rows
+
+
+# The characters a CSV field must be quoted for (RFC 4180): the delimiter,
+# the quote and either half of a line break.
+_CSV_SPECIAL = ',"\r\n'
+
+
+def _csv_field(key: str) -> str:
+    """``key`` as a CSV field: quoted, its quotes doubled, if it holds a
+    character of _CSV_SPECIAL, else bare."""
+    if any(char in key for char in _CSV_SPECIAL):
+        return '"' + key.replace('"', '""') + '"'
+    return key
+
+
+def _histogram_lines(record_path: Path, text: str):
+    """hist_<cell>.csv below its header of any record ``text`` read from
+    ``record_path``, in the record's order, as lines built when they are
+    asked for; the record is checked whole first.
 
     Every JSON number is loaded as its text, checked with float() and copied,
     so no probability is parsed to a float and formatted again. A value that
     float() takes but that is not bare ASCII text (a boolean, NaN, text with
-    surrounding spaces) is written as repr(float(value)), which keeps the CSV
-    one row per line. A record without a histogram gives the header alone.
+    surrounding spaces) is written as repr(float(value)), so no value needs
+    quoting; a key is quoted by _csv_field, which leaves a bitstring bare. A
+    record without a histogram gives no lines.
     """
     try:
-        record = json.loads(record_path.read_text(), parse_float=str, parse_int=str)
+        record = json.loads(text, parse_float=str, parse_int=str)
     except ValueError as exc:
         raise ValueError(f"{record_path}: {exc}") from exc
     histogram = record.get("histogram", {}) if isinstance(record, dict) else None
     if not isinstance(histogram, dict):
-        # Numbers were loaded as text: load again to name what the value is.
-        plain = json.loads(record_path.read_text())
+        # Numbers were loaded as text: load the same text again to name what
+        # the value is. float() takes every number token; int() refuses one
+        # of over 4300 digits.
+        plain = json.loads(text, parse_int=float)
         what, value = ("the histogram is", plain["histogram"]) if isinstance(plain, dict) \
             else ("holds", plain)
         raise ValueError(f"{record_path}: {what} {_JSON_KINDS[type(value)]}, not a JSON object")
@@ -484,11 +583,35 @@ def _histogram_csv(record_path: Path):
         deque(map(float, histogram.values()), maxlen=0)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{record_path}: a histogram probability is not a number: {exc}") from exc
-    return chain(["bitstring,probability\n"], (
-        f"{bitstring},{text}\n" if type(text) is str and text.isascii() and text.strip() == text
-        else f"{bitstring},{float(text)!r}\n"
-        for bitstring, text in histogram.items()
-    ))
+    # One scan of all keys, so a record of bitstrings pays nothing per row.
+    keys = "".join(histogram)
+    if any(char in keys for char in _CSV_SPECIAL):
+        histogram = {_csv_field(key): value for key, value in histogram.items()}
+    return (
+        f"{key},{value}\n" if type(value) is str and value.isascii() and value.strip() == value
+        else f"{key},{float(value)!r}\n"
+        for key, value in histogram.items()
+    )
+
+
+def _write_histogram_csv(record_path: Path, fh) -> None:
+    """Write hist_<cell>.csv of one record to ``fh``: in bulk
+    (_bulk_histogram_csv) when the record holds its histogram as
+    _record_chunks lays out a marginal's, else line by line
+    (_histogram_lines). The record is read once, with its line ends as they
+    are."""
+    try:
+        with record_path.open(newline="") as record:
+            text = record.read()
+    except ValueError as exc:
+        raise ValueError(f"{record_path}: {exc}") from exc
+    body = _bulk_histogram_csv(text)
+    if body is not None:
+        fh.writelines([_CSV_HEADER, body, "\n"])
+        return
+    lines = _histogram_lines(record_path, text)
+    fh.write(_CSV_HEADER)
+    fh.writelines(lines)
 
 
 def cmd_report(args) -> int:
@@ -526,10 +649,9 @@ def cmd_report(args) -> int:
             record_path = run_dir / run_id / "record.json"
             if not record_path.exists():
                 continue
-            lines = _histogram_csv(record_path)
             outputs.append(run_dir / f"hist_{run_id}.csv")
             with _temp_path(outputs[-1]).open("w") as fh:
-                fh.writelines(lines)
+                _write_histogram_csv(record_path, fh)
     except BaseException:
         for path in outputs:
             _temp_path(path).unlink(missing_ok=True)
@@ -576,7 +698,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="emit the comparison table and each record's "
                                            "asset-marginal histogram (hist_<cell>.csv, "
-                                           "each probability's text copied from the record)",
+                                           "each probability's text copied from the record; "
+                                           "a histogram as solve and sweep write a marginal's "
+                                           "is converted in bulk, to the same bytes)",
                             allow_abbrev=False)
     report.add_argument("--run-dir", required=True, dest="run_dir")
     report.set_defaults(func=cmd_report)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +189,17 @@ def test_histogram_files_copy_the_record_text(tmp_path, capsys):
         "bitstring,probability\n0,1.0\n1,nan\n10,0.5\n11,1.0\n"
     )
 
+    # Keys holding the CSV's delimiter, its quote or either half of a line
+    # break are quoted, so the file reads back as the record's items.
+    run_dir = tmp_path / "quoted"
+    record_path = _hand_written_run(
+        run_dir, '{"histogram": {"a,b": 0.25, "c\\nd": 0.25, "e\\"f": 0.25, "g\\rh": 0.25}}')
+    assert main(["report", "--run-dir", str(run_dir)]) == EXIT_OK
+    histogram = json.loads(record_path.read_text(), parse_float=str)["histogram"]
+    with (run_dir / "hist_oracle_seed1.csv").open(newline="") as fh:
+        assert list(csv.reader(fh)) == [["bitstring", "probability"],
+                                        *map(list, histogram.items())]
+
     # A record without a histogram gives a header-only file, as before.
     run_dir = tmp_path / "none"
     _hand_written_run(run_dir, '{"method": "oracle"}')
@@ -262,7 +274,12 @@ def _marginals(draw):
 @given(_marginals())
 def test_record_writer_formats_a_marginal_array_as_json_dumps_of_its_labels(marginal):
     doc = {"method": "x", "histogram": marginal, "trace": [{"a": 1.0}], "value": None}
-    assert _record_text(doc) == _dumps(_labelled(doc))
+    text = _record_text(doc)
+    assert text == _dumps(_labelled(doc))
+    # report converts the written text in bulk, to the general path's bytes.
+    body = cli._bulk_histogram_csv(text)
+    assert body is not None
+    assert body + "\n" == "".join(cli._histogram_lines(Path("record.json"), text))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -283,6 +300,59 @@ def test_record_writer_gives_the_same_text_for_the_array_document(run):
     record = run(generate_instance(4, 2, 5))
     assert isinstance(record.document()["histogram"], np.ndarray)
     assert _record_text(record.document()) == _record_text(record_json(record))
+
+
+# A written 3-bit record; its labels in index order are 000, 100, 010, 110,
+# 001, 101, 011, 111.
+_WRITTEN = _record_text({"method": "x", "histogram": np.array([0.5, 0.25, 0.125, 0.0625,
+                                                             0.03125, 0.015625, 0.0078125,
+                                                             0.0078125]),
+                         "trace": [{"a": 1.0}], "value": None})
+_NESTED = '{"outer": {\n  "histogram": {\n    "0": 0.5,\n    "1": 0.5\n  }}%s}\n'
+
+
+@pytest.mark.parametrize("text", [
+    _WRITTEN.replace('"000"', '"tmp"').replace('"100"', '"000"').replace('"tmp"', '"100"'),
+    _WRITTEN.replace('"100"', '"000"'),
+    _WRITTEN.replace(',\n    "111": 0.0078125', ""),
+    '{\n  "histogram": {\n    "0": 0.5,\n    "1": 0.25,\n    "0": 0.25\n  }\n}\n',
+    _WRITTEN.replace('\n    "', '\n    "0'),
+    *(_WRITTEN.replace('"000": 0.5', '"000": ' + value)
+      for value in ("01", "1.", ".5", "+1", "NaN", '"0.5"')),
+    _NESTED % "",
+    _NESTED % ', "histogram": {}',
+    _NESTED % ', "hist\\u006fgram": {}',
+    _NESTED % ', "histogram": {"1": 1.0}',
+    _WRITTEN.replace("\n}\n", ',\n  "histogram": {}\n}\n'),
+    _WRITTEN.replace("{\n", '{\n  "histogram": {},\n', 1),
+    _WRITTEN.replace("\n", "\r\n"),
+    _WRITTEN.replace('"000": ', '"000" : '),
+    _WRITTEN.replace('"000": ', '"000":  '),
+], ids=["labels-out-of-order", "label-repeated", "label-missing", "label-repeated-past-2^n",
+        "labels-one-bit-longer",
+        "value-01", "value-1.", "value-.5", "value-+1", "value-NaN", "value-string",
+        "nested", "nested-and-empty", "nested-and-escaped-key", "nested-and-top-level",
+        "histogram-twice", "histogram-twice-first-empty", "crlf", "space-before-colon",
+        "two-spaces-after-colon"])
+def test_report_converts_a_near_miss_record_as_any_other(tmp_path, capsys, text):
+    # Each falls through to the general path, so report writes what it wrote
+    # before the bulk path: the top-level histogram's items, number texts
+    # copied and NaN as repr(float), or exits 2 on a text json refuses.
+    assert cli._bulk_histogram_csv(_WRITTEN) is not None
+    assert cli._bulk_histogram_csv(text) is None
+    _hand_written_run(tmp_path / "run", text)
+    try:
+        histogram = json.loads(text, parse_float=str, parse_int=str).get("histogram", {})
+    except ValueError:
+        assert main(["report", "--run-dir", str(tmp_path / "run")]) == EXIT_INVALID
+        assert not (tmp_path / "run" / "hist_oracle_seed1.csv").exists()
+        return
+    assert main(["report", "--run-dir", str(tmp_path / "run")]) == EXIT_OK
+    capsys.readouterr()
+    assert (tmp_path / "run" / "hist_oracle_seed1.csv").read_text() == "".join(
+        [cli._CSV_HEADER,
+         *(f"{key},{value if type(value) is str else repr(float(value))}\n"
+           for key, value in histogram.items())])
 
 
 def test_report_writes_nothing_when_a_later_record_is_malformed(tmp_path, capsys):
