@@ -28,15 +28,21 @@ asset-marginal array, one chunk of entries per template, with no 2^n-entry
 container, and each chunk is written to the file as it is built; a
 marginal that is not all finite is labelled and goes through json.dumps,
 and so do the oracle's and the classical baseline's one-entry dict
-histograms. `report` copies each probability's decimal text from the
-record into `hist_<cell>.csv` unchanged. A record whose histogram is laid
-out as the writer lays out a marginal's (its one top-level `histogram`
-member, at that indent, holding exactly the 2^n labels in index order, each
-with a JSON number) is converted in bulk: the rows are the member's text
-with its JSON punctuation replaced. Every other record is loaded whole,
-each value checked by `float()`, and written row by row, a key that
-holds a comma, a quote or a line break (\\r or \\n) quoted as CSV quotes it.
-Both paths write the same bytes for a record the bulk path takes. A record
+histograms. `report` reads each record once, as bytes, and copies each
+probability's decimal text from it into `hist_<cell>.csv` unchanged. A
+record whose histogram is laid out as the writer lays out a marginal's (its
+one top-level `histogram` member, at that indent, holding exactly the 2^n
+labels in index order, each with a JSON number) is converted in bulk, one
+~256 KiB slice of the member at a time: each slice's rows are its bytes
+with the JSON punctuation translated away, checked and written before the
+next slice is cut, so the conversion holds the record's bytes and one
+slice's rows (~1.1x the record at 2^18 entries). A slice that fails a check
+undoes the rows already written. Every other record is decoded whole as
+open() decodes text, loaded, each value checked by `float()`, and written
+row by row, a key that holds a comma, a quote or a line break (\\r or \\n)
+quoted as CSV quotes it. Both paths write the same bytes for a record the
+bulk path takes, and the rest of a bulk record is decoded as the general
+path decodes it, so a byte that does not decode exits 2 on either. A record
 that is not a JSON object, or whose histogram is not an object of numbers
 (null, an array, a string, a number or a boolean among them), exits 2 with
 an error naming the record; a record with no histogram gives a header-only
@@ -476,37 +482,66 @@ _JSON_KINDS = {list: "an array", str: "a string", float: "a number", bool: "a bo
                type(None): "null"}
 _CSV_HEADER = "bitstring,probability\n"
 # A histogram's entries as _record_chunks writes them: a label of 0s and 1s,
-# _KEY_END and a JSON number token, with _NEXT_ENTRY between entries.
-# Possessive repetition (new in Python 3.11's re, hence requires-python)
-# keeps no backtracking state, so one match runs over 2^n entries in
-# constant memory (a greedy one holds ~1 KB per entry).
+# _KEY_END and a JSON number token, with _NEXT_ENTRY between entries; matched
+# on the record's bytes. Possessive repetition (new in Python 3.11's re,
+# hence requires-python) keeps no backtracking state, so one match runs over
+# any number of entries in constant memory (a greedy one holds ~1 KB per
+# entry).
 _JSON_NUMBER = r"-?+(?:0|[1-9][0-9]*+)(?:\.[0-9]++)?+(?:[eE][-+]?+[0-9]++)?+"
 _ENTRY = f"[01]++{re.escape(_KEY_END)}{_JSON_NUMBER}"
-_ENTRIES = re.compile(f"(?:{_ENTRY}{re.escape(_NEXT_ENTRY)})*+{_ENTRY}")
+_ENTRIES = re.compile(f"(?:{_ENTRY}{re.escape(_NEXT_ENTRY)})*+{_ENTRY}".encode("ascii"))
+_FIRST_LABEL = (_HISTOGRAM_OPEN + _ENTRY_INDENT + '"').encode("ascii")
+_SEPARATOR = _NEXT_ENTRY.encode("ascii")
+# One bytes.translate turns matched entries into CSV rows: it deletes the
+# labels' quotes, the separators' commas and the indents' spaces, and maps
+# _KEY_END's colon to the delimiter, so each _NEXT_ENTRY leaves only its line
+# break. Labels are 0s and 1s and a JSON number token holds none of these
+# bytes, so nothing else changes.
+_ROW_TABLE = bytes.maketrans(b":", b",")
+_ROW_DELETE = b'", '
+# The record bytes report converts at a time: a slice ends just after the
+# first _NEXT_ENTRY at or past this many bytes from its start.
+_SLICE = 1 << 18
 
 
-def _bulk_histogram_csv(text: str) -> str | None:
-    """The rows of hist_<cell>.csv below its header, converted in bulk from
-    the record ``text``, or None unless its histogram is laid out as
-    _record_chunks writes a marginal's.
+def _decode(data: bytes) -> str:
+    """``data`` decoded as open(newline="") decodes a file: in the locale
+    encoding, strictly, line ends kept."""
+    return io.TextIOWrapper(io.BytesIO(data), newline="").read()
+
+
+def _bulk_histogram_csv(data: bytes, fh) -> bool:
+    """Write the rows of hist_<cell>.csv below its header, converted in bulk
+    from the record bytes ``data``, to the text file ``fh`` and return True;
+    or return False, with ``fh`` as it was, unless the record holds its
+    histogram as _record_chunks writes a marginal's.
 
     That layout is a top-level `histogram` member opened by _HISTOGRAM_OPEN
     and closed by _HISTOGRAM_CLOSE whose entries match _ENTRIES, so every
     value is a JSON number token, and whose labels are exactly the 2^n basis
     labels in index order (`bitstrings.basis_label_block`), so none is
-    repeated or missing. The rest of the record, with the histogram swapped
-    for {}, must load as an object holding no other `histogram` key, nested
-    or not. The rows are then the entries' text with its JSON punctuation
-    replaced: the lines the general path (_histogram_lines) writes, byte for
-    byte, as each label is bare and each number token is copied."""
-    first_label = _HISTOGRAM_OPEN + _ENTRY_INDENT + '"'
-    opening = text.find(first_label)
+    repeated or missing; n is the first label's length. The rest of the
+    record, with the histogram swapped for {}, must decode as open() decodes
+    it and load as an object holding no other `histogram` key, nested or not.
+
+    The member is converted one slice (_SLICE bytes, then up to the next
+    _NEXT_ENTRY) at a time: the slice's entries are matched in place, turned
+    into rows by one bytes.translate, their labels checked against the basis
+    labels of their index range, and the rows written. So beside ``data`` the
+    conversion holds one slice's rows and label blocks. The rows are the
+    lines the general path (_histogram_lines) writes, byte for byte, as each
+    label is bare and each number token is copied. A slice that fails a check
+    truncates ``fh`` back to where the conversion began."""
+    opening = data.find(_FIRST_LABEL)
     if opening < 0:
-        return None
-    start = opening + len(first_label)
-    stop = text.find(_HISTOGRAM_CLOSE, start)
+        return False
+    start = opening + len(_FIRST_LABEL)
+    stop = data.find(_HISTOGRAM_CLOSE.encode("ascii"), start)
     if stop < 0:
-        return None
+        return False
+    num_bits = data.find(b'"', start, stop) - start
+    if not 0 < num_bits <= 64:  # basis_label_block's limit
+        return False
     histogram_keys = 0
 
     def count_histogram_keys(pairs):
@@ -515,30 +550,44 @@ def _bulk_histogram_csv(text: str) -> str | None:
         return dict(pairs)
 
     try:
-        rest = json.loads(text[:opening] + _HISTOGRAM_OPEN + "}"
-                          + text[stop + len(_HISTOGRAM_CLOSE):],
+        rest = json.loads(_decode(data[:opening] + (_HISTOGRAM_OPEN + "}").encode("ascii")
+                                  + data[stop + len(_HISTOGRAM_CLOSE):]),
                           object_pairs_hook=count_histogram_keys,
                           parse_float=str, parse_int=str)
     except ValueError:
-        return None
+        return False
     # The swapped member is a "histogram" key; the only one, and at the top.
-    if not (isinstance(rest, dict) and "histogram" in rest and histogram_keys == 1
-            and _ENTRIES.fullmatch(text, start, stop)):
-        return None
-    rows = text[start:stop].replace(_NEXT_ENTRY, "\n").replace(_KEY_END, ",")
-    data = np.frombuffer(rows.encode("ascii"), dtype=np.uint8)
-    starts = np.concatenate(([0], np.flatnonzero(data == ord("\n")) + 1))
-    commas = np.flatnonzero(data == ord(","))
-    num_bits = starts.size.bit_length() - 1
-    # 2^n rows, each label n digits long, so each label's window below
-    # lies inside the rows.
-    if starts.size != 1 << num_bits or commas.size != starts.size \
-            or (commas - starts != num_bits).any():
-        return None
-    labels = sliding_window_view(data, num_bits)[starts].tobytes()
-    if labels != basis_label_block(np.arange(starts.size), num_bits, b""):
-        return None
-    return rows
+    if not (isinstance(rest, dict) and "histogram" in rest and histogram_keys == 1):
+        return False
+    mark = fh.tell()
+    written = 0
+    while True:
+        cut = data.find(_SEPARATOR, start + _SLICE, stop)
+        end = stop if cut < 0 else cut + len(_SEPARATOR)
+        if not _ENTRIES.fullmatch(data, start, stop if cut < 0 else cut):
+            break
+        text = data[start:end].translate(_ROW_TABLE, _ROW_DELETE)
+        rows = np.frombuffer(text, dtype=np.uint8)
+        commas = np.flatnonzero(rows == ord(","))
+        # Each row is its label, a comma and its number; one line break
+        # between rows, and one after the last unless this is the last slice.
+        starts = np.concatenate(([0], np.flatnonzero(rows == ord("\n"))[:commas.size - 1] + 1))
+        if (commas - starts != num_bits).any():
+            break
+        labels = sliding_window_view(rows, num_bits)[starts].tobytes()
+        if labels != basis_label_block(np.arange(written, written + commas.size), num_bits, b""):
+            break
+        fh.write(text.decode("ascii"))
+        written += commas.size
+        if cut < 0:
+            if written != 1 << num_bits:
+                break
+            fh.write("\n")
+            return True
+        start = end
+    fh.seek(mark)
+    fh.truncate()
+    return False
 
 
 # The characters a CSV field must be quoted for (RFC 4180): the delimiter,
@@ -595,23 +644,21 @@ def _histogram_lines(record_path: Path, text: str):
 
 
 def _write_histogram_csv(record_path: Path, fh) -> None:
-    """Write hist_<cell>.csv of one record to ``fh``: in bulk
-    (_bulk_histogram_csv) when the record holds its histogram as
-    _record_chunks lays out a marginal's, else line by line
-    (_histogram_lines). The record is read once, with its line ends as they
-    are."""
+    """Write hist_<cell>.csv of one record to the text file ``fh``: in bulk,
+    one slice at a time (_bulk_histogram_csv), when the record holds its
+    histogram as _record_chunks lays out a marginal's, else line by line
+    (_histogram_lines) from the record decoded whole as open(newline="")
+    decodes it. The record is read once, as bytes."""
+    data = record_path.read_bytes()
+    fh.write(_CSV_HEADER)
+    if _bulk_histogram_csv(data, fh):
+        return
     try:
-        with record_path.open(newline="") as record:
-            text = record.read()
+        text = _decode(data)
     except ValueError as exc:
         raise ValueError(f"{record_path}: {exc}") from exc
-    body = _bulk_histogram_csv(text)
-    if body is not None:
-        fh.writelines([_CSV_HEADER, body, "\n"])
-        return
-    lines = _histogram_lines(record_path, text)
-    fh.write(_CSV_HEADER)
-    fh.writelines(lines)
+    del data  # the general path holds the text and its parse only
+    fh.writelines(_histogram_lines(record_path, text))
 
 
 def cmd_report(args) -> int:
@@ -700,7 +747,9 @@ def build_parser() -> argparse.ArgumentParser:
                                            "asset-marginal histogram (hist_<cell>.csv, "
                                            "each probability's text copied from the record; "
                                            "a histogram as solve and sweep write a marginal's "
-                                           "is converted in bulk, to the same bytes)",
+                                           "is converted in bulk, ~256 KiB of the record at a "
+                                           "time, to the same bytes, holding about the "
+                                           "record's size in memory)",
                             allow_abbrev=False)
     report.add_argument("--run-dir", required=True, dest="run_dir")
     report.set_defaults(func=cmd_report)

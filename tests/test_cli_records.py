@@ -1,7 +1,10 @@
 """record.json's writer and the histogram files `qmarko report` copies from it."""
 
+import codecs
 import csv
+import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -258,7 +261,8 @@ def _labelled(doc: dict) -> dict:
 @st.composite
 def _marginals(draw):
     """Arrays of 2^1 ... 2^14 probabilities, below, at and above one writer
-    chunk, with 0.0, the smallest subnormal and 1.0 forced in."""
+    chunk, with 0.0, the smallest subnormal and 1.0 forced in. A 2^14-entry
+    record holds at least 27 bytes per entry, so it spans two report slices."""
     size = 1 << draw(st.integers(1, 14))
     marginal = draw(arrays(np.float64, size, elements=st.floats(0, 1), fill=st.floats(0, 1)))
     forced = [0.0, 5e-324, 1.0][:size]
@@ -277,9 +281,9 @@ def test_record_writer_formats_a_marginal_array_as_json_dumps_of_its_labels(marg
     text = _record_text(doc)
     assert text == _dumps(_labelled(doc))
     # report converts the written text in bulk, to the general path's bytes.
-    body = cli._bulk_histogram_csv(text)
-    assert body is not None
-    assert body + "\n" == "".join(cli._histogram_lines(Path("record.json"), text))
+    rows = io.StringIO()
+    assert cli._bulk_histogram_csv(text.encode("ascii"), rows)
+    assert rows.getvalue() == "".join(cli._histogram_lines(Path("record.json"), text))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -311,6 +315,34 @@ _WRITTEN = _record_text({"method": "x", "histogram": np.array([0.5, 0.25, 0.125,
 _NESTED = '{"outer": {\n  "histogram": {\n    "0": 0.5,\n    "1": 0.5\n  }}%s}\n'
 
 
+def _written_marginal_record(bits: int) -> str:
+    """A written record of a seeded 2^bits-entry marginal."""
+    marginal = np.random.default_rng(bits).random(1 << bits)
+    return _record_text({"method": "x", "histogram": marginal / marginal.sum(),
+                         "trace": [{"a": 1.0}], "value": None})
+
+
+def _last_slice_defects():
+    """A written 2^14-entry record with one defect in its last entry, past
+    its first report slice: the name of each defect and the record's text.
+    The bulk path writes the earlier slices before it meets the defect."""
+    text = _written_marginal_record(14)
+    head, separator, last = text.rpartition(cli._NEXT_ENTRY)
+    label, key_end, value_and_tail = last.partition(cli._KEY_END)
+    value, close, tail = value_and_tail.partition(cli._HISTOGRAM_CLOSE)
+    previous_label = head.rpartition(cli._NEXT_ENTRY)[2].partition(cli._KEY_END)[0]
+    assert len(head) - text.index(cli._HISTOGRAM_OPEN) > cli._SLICE
+    return {
+        "value-1.": head + separator + label + key_end + "1." + close + tail,
+        "label-repeated": head + separator + previous_label + key_end + value + close + tail,
+        "label-missing": head + close + tail,
+        "crlf-from-mid-file": head + (separator + last).replace("\n", "\r\n"),
+    }
+
+
+_LAST_SLICE_DEFECTS = _last_slice_defects()
+
+
 @pytest.mark.parametrize("text", [
     _WRITTEN.replace('"000"', '"tmp"').replace('"100"', '"000"').replace('"tmp"', '"100"'),
     _WRITTEN.replace('"100"', '"000"'),
@@ -328,18 +360,23 @@ _NESTED = '{"outer": {\n  "histogram": {\n    "0": 0.5,\n    "1": 0.5\n  }}%s}\n
     _WRITTEN.replace("\n", "\r\n"),
     _WRITTEN.replace('"000": ', '"000" : '),
     _WRITTEN.replace('"000": ', '"000":  '),
+    *_LAST_SLICE_DEFECTS.values(),
 ], ids=["labels-out-of-order", "label-repeated", "label-missing", "label-repeated-past-2^n",
         "labels-one-bit-longer",
         "value-01", "value-1.", "value-.5", "value-+1", "value-NaN", "value-string",
         "nested", "nested-and-empty", "nested-and-escaped-key", "nested-and-top-level",
         "histogram-twice", "histogram-twice-first-empty", "crlf", "space-before-colon",
-        "two-spaces-after-colon"])
+        "two-spaces-after-colon", *(f"last-slice-{name}" for name in _LAST_SLICE_DEFECTS)])
 def test_report_converts_a_near_miss_record_as_any_other(tmp_path, capsys, text):
     # Each falls through to the general path, so report writes what it wrote
     # before the bulk path: the top-level histogram's items, number texts
-    # copied and NaN as repr(float), or exits 2 on a text json refuses.
-    assert cli._bulk_histogram_csv(_WRITTEN) is not None
-    assert cli._bulk_histogram_csv(text) is None
+    # copied and NaN as repr(float), or exits 2 on a text json refuses. The
+    # bulk path leaves no rows behind, from earlier slices either.
+    assert cli._bulk_histogram_csv(_WRITTEN.encode(), io.StringIO())
+    rows = io.StringIO()
+    rows.write(cli._CSV_HEADER)
+    assert not cli._bulk_histogram_csv(text.encode(), rows)
+    assert rows.getvalue() == cli._CSV_HEADER
     _hand_written_run(tmp_path / "run", text)
     try:
         histogram = json.loads(text, parse_float=str, parse_int=str).get("histogram", {})
@@ -353,6 +390,36 @@ def test_report_converts_a_near_miss_record_as_any_other(tmp_path, capsys, text)
         [cli._CSV_HEADER,
          *(f"{key},{value if type(value) is str else repr(float(value))}\n"
            for key, value in histogram.items())])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: codecs.BOM_UTF8 + data,
+    lambda data: data.replace(b'"method": "x"', b'"method": "\xff"'),
+], ids=["utf-8-bom", "non-utf-8-byte"])
+def test_report_exits_2_on_a_written_record_open_does_not_read(tmp_path, capsys, edit):
+    # The record is decoded as open() decodes text (UTF-8 here, strictly),
+    # not as json.loads(bytes) would, which takes a BOM: both exit 2.
+    record_path = _hand_written_run(tmp_path / "run", "")
+    record_path.write_bytes(edit(_WRITTEN.encode("ascii")))
+    assert main(["report", "--run-dir", str(tmp_path / "run")]) == EXIT_INVALID
+    assert str(record_path) in capsys.readouterr().err
+    assert not (tmp_path / "run" / "hist_oracle_seed1.csv").exists()
+
+
+def test_report_converts_a_written_record_in_under_twice_its_size(tmp_path):
+    # Bulk conversion holds the record's bytes and one slice's rows, not
+    # whole-record copies of the text and its rows.
+    record_path = tmp_path / "record.json"
+    record_path.write_text(_written_marginal_record(16))
+    tracemalloc.start()
+    try:
+        with (tmp_path / "hist.csv").open("w") as fh:
+            cli._write_histogram_csv(record_path, fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * record_path.stat().st_size
+    assert len((tmp_path / "hist.csv").read_text().splitlines()) == 1 + (1 << 16)
 
 
 def test_report_writes_nothing_when_a_later_record_is_malformed(tmp_path, capsys):
