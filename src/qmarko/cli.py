@@ -17,9 +17,11 @@ grid, without slack-qaoa, and `--penalty` on a `solve` method, or a `sweep`
 grid, that takes no fixed weight (slack-qaoa and the oracle take none).
 `sweep --jobs` is capped by the number of cells. A command checks every
 input, and `sweep` every method's register size, before it writes any file.
-A run writes `record.json` only, or a failed sweep cell `error.txt`. A sweep
-cell first deletes the `record.json`, `error.txt` and (older versions')
-`trace.csv` left in its directory, so it holds only its own run's outcome.
+`solve` writes `record.json` only. A sweep cell writes its `record.json`
+and `<out>/hist_<cell>.csv`, or `error.txt` if it fails. A sweep cell first
+deletes the `record.json`, `error.txt`, `hist_<cell>.csv` and (older
+versions') `trace.csv` left from an earlier run, so it holds only its own
+run's outcome.
 
 Records: `solve` and `sweep` write `record.json` as exactly
 `json.dumps(doc, indent=2)` plus a newline, formatting each histogram
@@ -28,27 +30,19 @@ asset-marginal array, one chunk of entries per template, with no 2^n-entry
 container, and each chunk is written to the file as it is built; a
 marginal that is not all finite is labelled and goes through json.dumps,
 and so do the oracle's and the classical baseline's one-entry dict
-histograms. `report` reads each record once, as bytes, and copies each
-probability's decimal text from it into `hist_<cell>.csv` unchanged. A
-record whose histogram is laid out as the writer lays out a marginal's (its
-one top-level `histogram` member, at that indent, holding exactly the 2^n
-labels in index order, each with a JSON number) is converted in bulk, one
-~256 KiB slice of the member at a time: each slice's rows are its bytes
-with the JSON punctuation translated away, checked and written before the
-next slice is cut, so the conversion holds the record's bytes and one
-slice's rows (~1.1x the record at 2^18 entries). A slice that fails a check
-undoes the rows already written. Every other record is decoded whole as
-open() decodes text, loaded, each value checked by `float()`, and written
-row by row, a key that holds a comma, a quote or a line break (\\r or \\n)
-quoted as CSV quotes it. Both paths write the same bytes for a record the
-bulk path takes, and the rest of a bulk record is decoded as the general
-path decodes it, so a byte that does not decode exits 2 on either. A record
-that is not a JSON object, or whose histogram is not an object of numbers
-(null, an array, a string, a number or a boolean among them), exits 2 with
-an error naming the record; a record with no histogram gives a header-only
-file, and a summary.csv that lacks a column of REPORT_COLUMNS exits 2.
-`report` leaves no file behind on an error: it renames its outputs into
-place only after the last record has converted.
+histograms. A sweep cell writes `hist_<cell>.csv` in the same pass: a
+`bitstring,probability` header and one row per histogram entry, in the
+record's order, each probability as `repr` of its float (the record's text
+for a finite one; `nan`, `inf` or `-inf` where the record holds NaN,
+Infinity or -Infinity). A marginal chunk's rows are its record text with
+the JSON punctuation translated away. Both files are written under temp
+names and renamed into place after the last chunk, so a cell that fails
+midway leaves neither.
+
+`report` reads `summary.csv` only and writes `report.md` from it; a
+summary.csv that lacks a column of REPORT_COLUMNS exits 2 and writes
+nothing. It reads no record, so it writes no histogram for a sweep
+directory made by a version that left that to `report`.
 """
 
 from __future__ import annotations
@@ -59,16 +53,13 @@ import io
 import json
 import math
 import os
-import re
 import sys
 import time
-from collections import deque
+from contextlib import contextmanager
 from concurrent.futures import ProcessPoolExecutor
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import instance as instance_mod
 from . import encode, oracle, qaoa
@@ -151,30 +142,32 @@ COMMAND_SETTINGS = {
 }
 
 
-def _temp_path(path: Path) -> Path:
-    return path.with_name(path.name + f".tmp.{os.getpid()}")
-
-
-def _write_atomic(path: Path, chunks) -> None:
-    """Write the strings of ``chunks``, an iterable read one at a time, under
-    a temp name, then rename it to ``path``; a chunk that fails to build
-    leaves no file."""
-    tmp = _temp_path(path)
+@contextmanager
+def _atomic(path: Path):
+    """A text file open for writing under a temp name, renamed to ``path``
+    when the block ends; an error inside the block leaves no file."""
+    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
     try:
         with tmp.open("w") as fh:
-            fh.writelines(chunks)
+            yield fh
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
     os.replace(tmp, path)
 
 
-# The layout of a QAOA record's histogram, written by _record_chunks and
-# converted in bulk by _bulk_histogram_csv: the member's opening (only a
-# top-level key follows a newline and exactly two spaces), each entry's
-# indent, the text between an entry's label and its value, the text between
-# one entry's value and the next entry's label, and the member's closing.
-# Histogram entries per template in _marginal_entries.
+def _write_atomic(path: Path, chunks) -> None:
+    """Write the strings of ``chunks``, an iterable read one at a time, to
+    ``path`` through _atomic: a chunk that fails to build leaves no file."""
+    with _atomic(path) as fh:
+        fh.writelines(chunks)
+
+
+# The layout of a QAOA record's histogram, written by _record_chunks: the
+# member's opening (only a top-level key follows a newline and exactly two
+# spaces), each entry's indent, the text between an entry's label and its
+# value, the text between one entry's value and the next entry's label, and
+# the member's closing. Histogram entries per template in _marginal_entries.
 _HISTOGRAM_OPEN = '\n  "histogram": {'
 _ENTRY_INDENT = "\n    "
 _KEY_END = '": '
@@ -182,6 +175,12 @@ _NEXT_ENTRY = "," + _ENTRY_INDENT + '"'
 _HISTOGRAM_CLOSE = "\n  }"
 _ENTRY_END = (_KEY_END + "%r" + _NEXT_ENTRY).encode("ascii")
 _CHUNK = 1 << 12
+# One str.translate turns a chunk of _marginal_entries into CSV rows: it
+# deletes the labels' quotes, the separators' commas and the indents'
+# spaces, and maps _KEY_END's colon to the delimiter, so each _NEXT_ENTRY
+# leaves only its line break. Labels are 0s and 1s and %r of a finite float
+# holds none of these characters, so nothing else changes.
+_ROWS = str.maketrans(":", ",", '", ')
 
 
 def _marginal_entries(marginal: np.ndarray):
@@ -202,28 +201,45 @@ def _marginal_entries(marginal: np.ndarray):
 
 
 def _record_chunks(doc: dict):
-    """record.json's text in chunks that join to exactly
-    `json.dumps(doc, indent=2) + "\\n"`, where an array histogram
+    """record.json's text and hist_<cell>.csv's rows below its header, as
+    (text, rows) pairs built when they are asked for. The texts join to
+    exactly `json.dumps(doc, indent=2) + "\\n"`, where an array histogram
     (`ExperimentRecord.document`) stands for its labelled dict
-    (`qaoa.labelled_histogram`).
+    (`qaoa.labelled_histogram`); the rows to one `label,repr(p)` line per
+    entry of that dict, in its order.
 
     `indent` makes json fall back to its pure-Python encoder, which formats a
     2^n-entry histogram one entry at a time. Instead a finite array's
     document is dumped with an empty histogram and the entries are spliced
-    in chunk by chunk (`_marginal_entries`), so a writer holds one chunk at
-    a time. An array that is not all finite is labelled and goes through
-    json.dumps whole, as does any other histogram: the oracle's and the
-    classical baseline's are one entry."""
-    histogram = doc.get("histogram")
-    if not isinstance(histogram, np.ndarray):
-        return [json.dumps(doc, indent=2), "\n"]
-    if not np.isfinite(histogram).all():
-        return [json.dumps({**doc, "histogram": qaoa.labelled_histogram(histogram)},
-                           indent=2), "\n"]
-    head, _, tail = json.dumps({**doc, "histogram": {}}, indent=2).partition(
-        _HISTOGRAM_OPEN + "}")
-    return chain([head, _HISTOGRAM_OPEN + _ENTRY_INDENT], _marginal_entries(histogram),
-                 [_HISTOGRAM_CLOSE, tail, "\n"])
+    in chunk by chunk (`_marginal_entries`), each chunk's rows translated
+    from its text (_ROWS), so a writer holds one chunk at a time and formats
+    each probability once. An array that is not all finite is labelled and
+    goes through json.dumps whole, as does any other histogram: the
+    oracle's and the classical baseline's are one entry."""
+    histogram = doc["histogram"]
+    if isinstance(histogram, np.ndarray) and np.isfinite(histogram).all():
+        head, _, tail = json.dumps({**doc, "histogram": {}}, indent=2).partition(
+            _HISTOGRAM_OPEN + "}")
+        yield head + _HISTOGRAM_OPEN + _ENTRY_INDENT, ""
+        for chunk in _marginal_entries(histogram):
+            yield chunk, chunk.translate(_ROWS)
+        yield _HISTOGRAM_CLOSE + tail + "\n", "\n"
+        return
+    if isinstance(histogram, np.ndarray):
+        histogram = qaoa.labelled_histogram(histogram)
+    yield (json.dumps({**doc, "histogram": histogram}, indent=2) + "\n",
+           "".join(f"{key},{value!r}\n" for key, value in histogram.items()))
+
+
+def _write_record(record_path: Path, doc: dict, histogram_path: Path) -> None:
+    """Write record.json and hist_<cell>.csv of ``doc`` in one pass over
+    _record_chunks, each through _atomic; a chunk that fails to build leaves
+    neither file."""
+    with _atomic(histogram_path) as rows, _atomic(record_path) as record:
+        rows.write("bitstring,probability\n")
+        for text, row_text in _record_chunks(doc):
+            record.write(text)
+            rows.write(row_text)
 
 
 def _resolve(args) -> dict:
@@ -386,7 +402,7 @@ def cmd_solve(args) -> int:
     doc = _run_method(inst, method, cfg, schedule)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out_dir / "record.json", _record_chunks(doc))
+    _write_atomic(out_dir / "record.json", (text for text, _ in _record_chunks(doc)))
     _print_solve_row(doc)
     if not doc.get("feasible") or doc.get("bitstring") is None:
         return EXIT_NO_FEASIBLE
@@ -398,8 +414,10 @@ def _run_cell(payload: tuple) -> dict:
     method, seed, instance_text, cfg, schedule, run_dir_text = payload
     run_dir = Path(run_dir_text)
     run_dir.mkdir(parents=True, exist_ok=True)
-    for name in ("record.json", "trace.csv", "error.txt"):
-        (run_dir / name).unlink(missing_ok=True)
+    histogram_path = run_dir.parent / f"hist_{run_dir.name}.csv"
+    for path in (run_dir / "record.json", run_dir / "trace.csv", run_dir / "error.txt",
+                 histogram_path):
+        path.unlink(missing_ok=True)
     row = {key: "" for key in SUMMARY_COLUMNS}
     row["method"] = method
     row["seed"] = seed
@@ -407,7 +425,7 @@ def _run_cell(payload: tuple) -> dict:
     try:
         inst = instance_mod.from_json(instance_text)
         doc = _run_method(inst, method, {**cfg, "seed": seed}, schedule)
-        _write_atomic(run_dir / "record.json", _record_chunks(doc))
+        _write_record(run_dir / "record.json", doc, histogram_path)
         row["bitstring"] = doc.get("bitstring") or ""
         row["feasible"] = str(bool(doc.get("feasible")))
         row["value"] = "" if doc.get("value") is None else repr(doc["value"])
@@ -476,191 +494,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-# How report names a JSON value that is not an object, by its type as
-# json.loads(text, parse_int=float) gives it.
-_JSON_KINDS = {list: "an array", str: "a string", float: "a number", bool: "a boolean",
-               type(None): "null"}
-_CSV_HEADER = "bitstring,probability\n"
-# A histogram's entries as _record_chunks writes them: a label of 0s and 1s,
-# _KEY_END and a JSON number token, with _NEXT_ENTRY between entries; matched
-# on the record's bytes. Possessive repetition (new in Python 3.11's re,
-# hence requires-python) keeps no backtracking state, so one match runs over
-# any number of entries in constant memory (a greedy one holds ~1 KB per
-# entry).
-_JSON_NUMBER = r"-?+(?:0|[1-9][0-9]*+)(?:\.[0-9]++)?+(?:[eE][-+]?+[0-9]++)?+"
-_ENTRY = f"[01]++{re.escape(_KEY_END)}{_JSON_NUMBER}"
-_ENTRIES = re.compile(f"(?:{_ENTRY}{re.escape(_NEXT_ENTRY)})*+{_ENTRY}".encode("ascii"))
-_FIRST_LABEL = (_HISTOGRAM_OPEN + _ENTRY_INDENT + '"').encode("ascii")
-_SEPARATOR = _NEXT_ENTRY.encode("ascii")
-# One bytes.translate turns matched entries into CSV rows: it deletes the
-# labels' quotes, the separators' commas and the indents' spaces, and maps
-# _KEY_END's colon to the delimiter, so each _NEXT_ENTRY leaves only its line
-# break. Labels are 0s and 1s and a JSON number token holds none of these
-# bytes, so nothing else changes.
-_ROW_TABLE = bytes.maketrans(b":", b",")
-_ROW_DELETE = b'", '
-# The record bytes report converts at a time: a slice ends just after the
-# first _NEXT_ENTRY at or past this many bytes from its start.
-_SLICE = 1 << 18
-
-
-def _decode(data: bytes) -> str:
-    """``data`` decoded as open(newline="") decodes a file: in the locale
-    encoding, strictly, line ends kept."""
-    return io.TextIOWrapper(io.BytesIO(data), newline="").read()
-
-
-def _bulk_histogram_csv(data: bytes, fh) -> bool:
-    """Write the rows of hist_<cell>.csv below its header, converted in bulk
-    from the record bytes ``data``, to the text file ``fh`` and return True;
-    or return False, with ``fh`` as it was, unless the record holds its
-    histogram as _record_chunks writes a marginal's.
-
-    That layout is a top-level `histogram` member opened by _HISTOGRAM_OPEN
-    and closed by _HISTOGRAM_CLOSE whose entries match _ENTRIES, so every
-    value is a JSON number token, and whose labels are exactly the 2^n basis
-    labels in index order (`bitstrings.basis_label_block`), so none is
-    repeated or missing; n is the first label's length. The rest of the
-    record, with the histogram swapped for {}, must decode as open() decodes
-    it and load as an object holding no other `histogram` key, nested or not.
-
-    The member is converted one slice (_SLICE bytes, then up to the next
-    _NEXT_ENTRY) at a time: the slice's entries are matched in place, turned
-    into rows by one bytes.translate, their labels checked against the basis
-    labels of their index range, and the rows written. So beside ``data`` the
-    conversion holds one slice's rows and label blocks. The rows are the
-    lines the general path (_histogram_lines) writes, byte for byte, as each
-    label is bare and each number token is copied. A slice that fails a check
-    truncates ``fh`` back to where the conversion began."""
-    opening = data.find(_FIRST_LABEL)
-    if opening < 0:
-        return False
-    start = opening + len(_FIRST_LABEL)
-    stop = data.find(_HISTOGRAM_CLOSE.encode("ascii"), start)
-    if stop < 0:
-        return False
-    num_bits = data.find(b'"', start, stop) - start
-    if not 0 < num_bits <= 64:  # basis_label_block's limit
-        return False
-    histogram_keys = 0
-
-    def count_histogram_keys(pairs):
-        nonlocal histogram_keys
-        histogram_keys += sum(key == "histogram" for key, _ in pairs)
-        return dict(pairs)
-
-    try:
-        rest = json.loads(_decode(data[:opening] + (_HISTOGRAM_OPEN + "}").encode("ascii")
-                                  + data[stop + len(_HISTOGRAM_CLOSE):]),
-                          object_pairs_hook=count_histogram_keys,
-                          parse_float=str, parse_int=str)
-    except ValueError:
-        return False
-    # The swapped member is a "histogram" key; the only one, and at the top.
-    if not (isinstance(rest, dict) and "histogram" in rest and histogram_keys == 1):
-        return False
-    mark = fh.tell()
-    written = 0
-    while True:
-        cut = data.find(_SEPARATOR, start + _SLICE, stop)
-        end = stop if cut < 0 else cut + len(_SEPARATOR)
-        if not _ENTRIES.fullmatch(data, start, stop if cut < 0 else cut):
-            break
-        text = data[start:end].translate(_ROW_TABLE, _ROW_DELETE)
-        rows = np.frombuffer(text, dtype=np.uint8)
-        commas = np.flatnonzero(rows == ord(","))
-        # Each row is its label, a comma and its number; one line break
-        # between rows, and one after the last unless this is the last slice.
-        starts = np.concatenate(([0], np.flatnonzero(rows == ord("\n"))[:commas.size - 1] + 1))
-        if (commas - starts != num_bits).any():
-            break
-        labels = sliding_window_view(rows, num_bits)[starts].tobytes()
-        if labels != basis_label_block(np.arange(written, written + commas.size), num_bits, b""):
-            break
-        fh.write(text.decode("ascii"))
-        written += commas.size
-        if cut < 0:
-            if written != 1 << num_bits:
-                break
-            fh.write("\n")
-            return True
-        start = end
-    fh.seek(mark)
-    fh.truncate()
-    return False
-
-
-# The characters a CSV field must be quoted for (RFC 4180): the delimiter,
-# the quote and either half of a line break.
-_CSV_SPECIAL = ',"\r\n'
-
-
-def _csv_field(key: str) -> str:
-    """``key`` as a CSV field: quoted, its quotes doubled, if it holds a
-    character of _CSV_SPECIAL, else bare."""
-    if any(char in key for char in _CSV_SPECIAL):
-        return '"' + key.replace('"', '""') + '"'
-    return key
-
-
-def _histogram_lines(record_path: Path, text: str):
-    """hist_<cell>.csv below its header of any record ``text`` read from
-    ``record_path``, in the record's order, as lines built when they are
-    asked for; the record is checked whole first.
-
-    Every JSON number is loaded as its text, checked with float() and copied,
-    so no probability is parsed to a float and formatted again. A value that
-    float() takes but that is not bare ASCII text (a boolean, NaN, text with
-    surrounding spaces) is written as repr(float(value)), so no value needs
-    quoting; a key is quoted by _csv_field, which leaves a bitstring bare. A
-    record without a histogram gives no lines.
-    """
-    try:
-        record = json.loads(text, parse_float=str, parse_int=str)
-    except ValueError as exc:
-        raise ValueError(f"{record_path}: {exc}") from exc
-    histogram = record.get("histogram", {}) if isinstance(record, dict) else None
-    if not isinstance(histogram, dict):
-        # Numbers were loaded as text: load the same text again to name what
-        # the value is. float() takes every number token; int() refuses one
-        # of over 4300 digits.
-        plain = json.loads(text, parse_int=float)
-        what, value = ("the histogram is", plain["histogram"]) if isinstance(plain, dict) \
-            else ("holds", plain)
-        raise ValueError(f"{record_path}: {what} {_JSON_KINDS[type(value)]}, not a JSON object")
-    try:
-        deque(map(float, histogram.values()), maxlen=0)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{record_path}: a histogram probability is not a number: {exc}") from exc
-    # One scan of all keys, so a record of bitstrings pays nothing per row.
-    keys = "".join(histogram)
-    if any(char in keys for char in _CSV_SPECIAL):
-        histogram = {_csv_field(key): value for key, value in histogram.items()}
-    return (
-        f"{key},{value}\n" if type(value) is str and value.isascii() and value.strip() == value
-        else f"{key},{float(value)!r}\n"
-        for key, value in histogram.items()
-    )
-
-
-def _write_histogram_csv(record_path: Path, fh) -> None:
-    """Write hist_<cell>.csv of one record to the text file ``fh``: in bulk,
-    one slice at a time (_bulk_histogram_csv), when the record holds its
-    histogram as _record_chunks lays out a marginal's, else line by line
-    (_histogram_lines) from the record decoded whole as open(newline="")
-    decodes it. The record is read once, as bytes."""
-    data = record_path.read_bytes()
-    fh.write(_CSV_HEADER)
-    if _bulk_histogram_csv(data, fh):
-        return
-    try:
-        text = _decode(data)
-    except ValueError as exc:
-        raise ValueError(f"{record_path}: {exc}") from exc
-    del data  # the general path holds the text and its parse only
-    fh.writelines(_histogram_lines(record_path, text))
-
-
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
     summary_path = run_dir / "summary.csv"
@@ -685,28 +518,9 @@ def cmd_report(args) -> int:
             f"| {row['feasible']} | {value_text} |"
         )
     table = "\n".join(lines) + "\n"
-
-    # Every output is written under its temp name and renamed only once the
-    # last record has converted, so a malformed record leaves no file behind.
-    outputs = [run_dir / "report.md"]
-    try:
-        _temp_path(outputs[0]).write_text(table)
-        for row in rows:
-            run_id = f"{row['method']}_seed{row['seed']}"
-            record_path = run_dir / run_id / "record.json"
-            if not record_path.exists():
-                continue
-            outputs.append(run_dir / f"hist_{run_id}.csv")
-            with _temp_path(outputs[-1]).open("w") as fh:
-                _write_histogram_csv(record_path, fh)
-    except BaseException:
-        for path in outputs:
-            _temp_path(path).unlink(missing_ok=True)
-        raise
-    for path in dict.fromkeys(outputs):  # a summary row may repeat a cell
-        os.replace(_temp_path(path), path)
+    _write_atomic(run_dir / "report.md", [table])
     print(table, end="")
-    print(f"wrote report.md and {len(outputs) - 1} histogram files under {run_dir}")
+    print(f"wrote {run_dir / 'report.md'}")
     return EXIT_OK
 
 
@@ -743,13 +557,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seeds", required=True, help="comma-separated list of non-negative seeds")
     sweep.add_argument("--out", required=True, help="sweep output directory")
 
-    report = sub.add_parser("report", help="emit the comparison table and each record's "
-                                           "asset-marginal histogram (hist_<cell>.csv, "
-                                           "each probability's text copied from the record; "
-                                           "a histogram as solve and sweep write a marginal's "
-                                           "is converted in bulk, ~256 KiB of the record at a "
-                                           "time, to the same bytes, holding about the "
-                                           "record's size in memory)",
+    report = sub.add_parser("report", help="write report.md, the comparison table of a "
+                                           "sweep's summary.csv (the sweep itself writes "
+                                           "each cell's hist_<cell>.csv)",
                             allow_abbrev=False)
     report.add_argument("--run-dir", required=True, dest="run_dir")
     report.set_defaults(func=cmd_report)

@@ -236,25 +236,30 @@ def test_penalty_weights_that_overflow_exit_2_without_a_record(tmp_path, capsys,
 
 
 def test_a_rerun_sweep_cell_holds_only_its_own_outcome(tmp_path, capsys):
-    # A cell that fails after a success keeps no record of the earlier run,
-    # so report writes no histogram for it; a cell that succeeds after a
-    # failure keeps no error, nor the trace.csv an older version wrote.
+    # A cell that fails after a success keeps neither the record nor the
+    # histogram file of the earlier run, even once a report has run on it;
+    # a cell that succeeds after a failure keeps no error, nor the trace.csv
+    # an older version wrote.
     sweep = tmp_path / "sweep"
     cell = sweep / "penalty-qaoa_seed1"
+    histogram = sweep / "hist_penalty-qaoa_seed1.csv"
     run = ["sweep", "--n", "3", "--k", "1", "--methods", "penalty-qaoa", "--seeds", "1",
            "--max-iter", "10", "--out", str(sweep)]
     assert main(run) == EXIT_OK
     assert [path.name for path in cell.iterdir()] == ["record.json"]
+    assert main(["report", "--run-dir", str(sweep)]) == EXIT_OK
+    assert histogram.exists()
     assert main([*run, "--penalty", "1e308"]) == EXIT_OK
     assert (cell / "error.txt").read_text().startswith("ValueError: ")
     assert not (cell / "record.json").exists()
     assert [path.name for path in cell.iterdir()] == ["error.txt"]
     assert main(["report", "--run-dir", str(sweep)]) == EXIT_OK
-    assert not (sweep / "hist_penalty-qaoa_seed1.csv").exists()
+    assert not histogram.exists()
     (cell / "trace.csv").write_text("iteration,expectation,beta_penalty,feasible_fraction\n")
     assert main(run) == EXIT_OK
     assert not (cell / "error.txt").exists()
     assert [path.name for path in cell.iterdir()] == ["record.json"]
+    assert histogram.exists()
     capsys.readouterr()
 
 

@@ -1,9 +1,10 @@
-"""record.json's writer and the histogram files `qmarko report` copies from it."""
+"""record.json's writer, the hist_<cell>.csv it writes beside a sweep cell's
+record in the same pass, and summary.csv as `qmarko report` reads it."""
 
 import codecs
 import csv
-import io
 import json
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -28,14 +29,26 @@ def _dumps(doc) -> str:
 
 def _record_text(doc) -> str:
     """record.json's text: the writer's chunks, joined."""
-    return "".join(cli._record_chunks(doc))
+    return "".join(text for text, _ in cli._record_chunks(doc))
+
+
+def _written(doc) -> tuple[str, str]:
+    """The record.json and hist_<cell>.csv texts a sweep cell writes for `doc`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        record_path, histogram_path = Path(tmp) / "record.json", Path(tmp) / "hist_x.csv"
+        cli._write_record(record_path, doc, histogram_path)
+        return record_path.read_text(), histogram_path.read_text()
+
+
+def _csv(histogram: dict) -> str:
+    """hist_<cell>.csv of a labelled histogram: each probability as its repr."""
+    return "bitstring,probability\n" + "".join(f"{key},{p!r}\n" for key, p in histogram.items())
 
 
 def test_records_and_histogram_files_of_every_method(tmp_path, capsys):
     out = tmp_path / "sweep"
     assert main(["sweep", "--n", "4", "--k", "2", "--methods", ",".join(METHODS),
                  "--seeds", "1", *FAST, "--out", str(out)]) == EXIT_OK
-    assert main(["report", "--run-dir", str(out)]) == EXIT_OK
     capsys.readouterr()
     for method in METHODS:
         text = (out / f"{method}_seed1" / "record.json").read_text()
@@ -158,97 +171,6 @@ def test_solve_and_sweep_write_the_same_record(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _hand_written_run(run_dir, record_text: str):
-    """A run directory with one summary row whose record.json is `record_text`."""
-    record_dir = run_dir / "oracle_seed1"
-    record_dir.mkdir(parents=True)
-    (record_dir / "record.json").write_text(record_text)
-    with (run_dir / "summary.csv").open("w") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(SUMMARY_COLUMNS), lineterminator="\n")
-        writer.writeheader()
-        writer.writerow({**dict.fromkeys(SUMMARY_COLUMNS, ""), "method": "oracle", "seed": "1"})
-    return record_dir / "record.json"
-
-
-def test_histogram_files_copy_the_record_text(tmp_path, capsys):
-    # JSON numbers keep their text, whatever their form: 1e-5 is not
-    # rewritten as repr(1e-05). Numeric text and integers are accepted.
-    run_dir = tmp_path / "hand"
-    _hand_written_run(run_dir, '{"histogram": {"000": 1e-5, "001": 2.5E-1, "010": 0.12500, '
-                               '"011": 0, "100": "0.375", "101": -0.0, "110": 1.2e+2}}\n')
-    assert main(["report", "--run-dir", str(run_dir)]) == EXIT_OK
-    assert (run_dir / "hist_oracle_seed1.csv").read_text() == (
-        "bitstring,probability\n000,1e-5\n001,2.5E-1\n010,0.12500\n011,0\n100,0.375\n"
-        "101,-0.0\n110,1.2e+2\n"
-    )
-
-    # Values float() takes that are not bare number text are written as
-    # repr(float(value)), as before.
-    run_dir = tmp_path / "other"
-    _hand_written_run(run_dir, '{"histogram": {"0": true, "1": NaN, "10": " 0.5\\n", '
-                               '"11": "\\u0661"}}')
-    assert main(["report", "--run-dir", str(run_dir)]) == EXIT_OK
-    assert (run_dir / "hist_oracle_seed1.csv").read_text() == (
-        "bitstring,probability\n0,1.0\n1,nan\n10,0.5\n11,1.0\n"
-    )
-
-    # Keys holding the CSV's delimiter, its quote or either half of a line
-    # break are quoted, so the file reads back as the record's items.
-    run_dir = tmp_path / "quoted"
-    record_path = _hand_written_run(
-        run_dir, '{"histogram": {"a,b": 0.25, "c\\nd": 0.25, "e\\"f": 0.25, "g\\rh": 0.25}}')
-    assert main(["report", "--run-dir", str(run_dir)]) == EXIT_OK
-    histogram = json.loads(record_path.read_text(), parse_float=str)["histogram"]
-    with (run_dir / "hist_oracle_seed1.csv").open(newline="") as fh:
-        assert list(csv.reader(fh)) == [["bitstring", "probability"],
-                                        *map(list, histogram.items())]
-
-    # A record without a histogram gives a header-only file, as before.
-    run_dir = tmp_path / "none"
-    _hand_written_run(run_dir, '{"method": "oracle"}')
-    assert main(["report", "--run-dir", str(run_dir)]) == EXIT_OK
-    assert (run_dir / "hist_oracle_seed1.csv").read_text() == "bitstring,probability\n"
-    capsys.readouterr()
-
-
-# The error's naming of a histogram that is not a JSON object.
-_NOT_AN_OBJECT = {
-    '{"histogram": [0.5, 0.5]}': "the histogram is an array",
-    '{"histogram": null}': "the histogram is null",
-    '{"histogram": []}': "the histogram is an array",
-    '{"histogram": ""}': "the histogram is a string",
-    '{"histogram": false}': "the histogram is a boolean",
-    '{"histogram": 0}': "the histogram is a number",
-    '{"histogram": NaN}': "the histogram is a number",
-    '[1, 2]': "holds an array",
-}
-
-
-@pytest.mark.parametrize("record_text", [
-    '{"histogram": {"100": null}}',
-    '{"histogram": {"100": [0.5]}}',
-    '{"histogram": {"100": "half"}}',
-    '{"histogram": [0.5, 0.5]}',
-    '[1, 2]',
-    '{"histogram": {"100": 0.5}',
-    # Falsy values are refused too; only a missing key gives a header-only file.
-    '{"histogram": null}',
-    '{"histogram": []}',
-    '{"histogram": ""}',
-    '{"histogram": false}',
-    '{"histogram": 0}',
-    '{"histogram": NaN}',
-])
-def test_report_exits_2_on_a_malformed_record(tmp_path, capsys, record_text):
-    record_path = _hand_written_run(tmp_path / "run", record_text)
-    assert main(["report", "--run-dir", str(tmp_path / "run")]) == EXIT_INVALID
-    err = capsys.readouterr().err
-    assert str(record_path) in err
-    if record_text in _NOT_AN_OBJECT:
-        assert f"{_NOT_AN_OBJECT[record_text]}, not a JSON object" in err
-    assert not (tmp_path / "run" / "hist_oracle_seed1.csv").exists()
-
-
 def _labelled(doc: dict) -> dict:
     """`doc` with its marginal array keyed by n-bit labels, qubit 0 first,
     labelled here without the package's labeller."""
@@ -261,8 +183,7 @@ def _labelled(doc: dict) -> dict:
 @st.composite
 def _marginals(draw):
     """Arrays of 2^1 ... 2^14 probabilities, below, at and above one writer
-    chunk, with 0.0, the smallest subnormal and 1.0 forced in. A 2^14-entry
-    record holds at least 27 bytes per entry, so it spans two report slices."""
+    chunk, with 0.0, the smallest subnormal and 1.0 forced in."""
     size = 1 << draw(st.integers(1, 14))
     marginal = draw(arrays(np.float64, size, elements=st.floats(0, 1), fill=st.floats(0, 1)))
     forced = [0.0, 5e-324, 1.0][:size]
@@ -278,12 +199,8 @@ def _marginals(draw):
 @given(_marginals())
 def test_record_writer_formats_a_marginal_array_as_json_dumps_of_its_labels(marginal):
     doc = {"method": "x", "histogram": marginal, "trace": [{"a": 1.0}], "value": None}
-    text = _record_text(doc)
-    assert text == _dumps(_labelled(doc))
-    # report converts the written text in bulk, to the general path's bytes.
-    rows = io.StringIO()
-    assert cli._bulk_histogram_csv(text.encode("ascii"), rows)
-    assert rows.getvalue() == "".join(cli._histogram_lines(Path("record.json"), text))
+    labelled = _labelled(doc)
+    assert _written(doc) == (_dumps(labelled), _csv(labelled["histogram"]))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -291,7 +208,9 @@ def test_record_writer_labels_a_non_finite_marginal_for_json_dumps(value):
     marginal = np.full(1 << 13, 1.0 / (1 << 13))
     marginal[4097] = value
     doc = {"seed": 1, "histogram": marginal, "iterations": 0}
-    assert _record_text(doc) == _dumps(_labelled(doc))
+    labelled = _labelled(doc)
+    # The record holds NaN, Infinity or -Infinity, the CSV nan, inf or -inf.
+    assert _written(doc) == (_dumps(labelled), _csv(labelled["histogram"]))
 
 
 @pytest.mark.parametrize("run", [
@@ -306,143 +225,103 @@ def test_record_writer_gives_the_same_text_for_the_array_document(run):
     assert _record_text(record.document()) == _record_text(record_json(record))
 
 
-# A written 3-bit record; its labels in index order are 000, 100, 010, 110,
-# 001, 101, 011, 111.
-_WRITTEN = _record_text({"method": "x", "histogram": np.array([0.5, 0.25, 0.125, 0.0625,
-                                                             0.03125, 0.015625, 0.0078125,
-                                                             0.0078125]),
-                         "trace": [{"a": 1.0}], "value": None})
-_NESTED = '{"outer": {\n  "histogram": {\n    "0": 0.5,\n    "1": 0.5\n  }}%s}\n'
+def test_histogram_files_copy_the_record_text():
+    # hist_<cell>.csv holds each probability's text as the record holds it:
+    # exponent forms, the smallest subnormal, -0.0 and a whole 1.0 are copied,
+    # not rewritten, from a marginal array and from the oracle's and the
+    # classical baseline's one-entry dicts alike.
+    for histogram in (np.array([1e-05, 5e-324, -0.0, 1.0, 0.125, 1e16, 2.5e-1, 1.2e+2]),
+                      {"0101": 1.0}, {"110": 1e-05}):
+        record, rows = _written({"method": "x", "histogram": histogram, "value": None})
+        items = json.loads(record, parse_float=str)["histogram"].items()
+        assert list(csv.reader(rows.splitlines())) == [["bitstring", "probability"],
+                                                       *map(list, items)]
 
-
-def _written_marginal_record(bits: int) -> str:
-    """A written record of a seeded 2^bits-entry marginal."""
-    marginal = np.random.default_rng(bits).random(1 << bits)
-    return _record_text({"method": "x", "histogram": marginal / marginal.sum(),
-                         "trace": [{"a": 1.0}], "value": None})
-
-
-def _last_slice_defects():
-    """A written 2^14-entry record with one defect in its last entry, past
-    its first report slice: the name of each defect and the record's text.
-    The bulk path writes the earlier slices before it meets the defect."""
-    text = _written_marginal_record(14)
-    head, separator, last = text.rpartition(cli._NEXT_ENTRY)
-    label, key_end, value_and_tail = last.partition(cli._KEY_END)
-    value, close, tail = value_and_tail.partition(cli._HISTOGRAM_CLOSE)
-    previous_label = head.rpartition(cli._NEXT_ENTRY)[2].partition(cli._KEY_END)[0]
-    assert len(head) - text.index(cli._HISTOGRAM_OPEN) > cli._SLICE
-    return {
-        "value-1.": head + separator + label + key_end + "1." + close + tail,
-        "label-repeated": head + separator + previous_label + key_end + value + close + tail,
-        "label-missing": head + close + tail,
-        "crlf-from-mid-file": head + (separator + last).replace("\n", "\r\n"),
-    }
-
-
-_LAST_SLICE_DEFECTS = _last_slice_defects()
-
-
-@pytest.mark.parametrize("text", [
-    _WRITTEN.replace('"000"', '"tmp"').replace('"100"', '"000"').replace('"tmp"', '"100"'),
-    _WRITTEN.replace('"100"', '"000"'),
-    _WRITTEN.replace(',\n    "111": 0.0078125', ""),
-    '{\n  "histogram": {\n    "0": 0.5,\n    "1": 0.25,\n    "0": 0.25\n  }\n}\n',
-    _WRITTEN.replace('\n    "', '\n    "0'),
-    *(_WRITTEN.replace('"000": 0.5', '"000": ' + value)
-      for value in ("01", "1.", ".5", "+1", "NaN", '"0.5"')),
-    _NESTED % "",
-    _NESTED % ', "histogram": {}',
-    _NESTED % ', "hist\\u006fgram": {}',
-    _NESTED % ', "histogram": {"1": 1.0}',
-    _WRITTEN.replace("\n}\n", ',\n  "histogram": {}\n}\n'),
-    _WRITTEN.replace("{\n", '{\n  "histogram": {},\n', 1),
-    _WRITTEN.replace("\n", "\r\n"),
-    _WRITTEN.replace('"000": ', '"000" : '),
-    _WRITTEN.replace('"000": ', '"000":  '),
-    *_LAST_SLICE_DEFECTS.values(),
-], ids=["labels-out-of-order", "label-repeated", "label-missing", "label-repeated-past-2^n",
-        "labels-one-bit-longer",
-        "value-01", "value-1.", "value-.5", "value-+1", "value-NaN", "value-string",
-        "nested", "nested-and-empty", "nested-and-escaped-key", "nested-and-top-level",
-        "histogram-twice", "histogram-twice-first-empty", "crlf", "space-before-colon",
-        "two-spaces-after-colon", *(f"last-slice-{name}" for name in _LAST_SLICE_DEFECTS)])
-def test_report_converts_a_near_miss_record_as_any_other(tmp_path, capsys, text):
-    # Each falls through to the general path, so report writes what it wrote
-    # before the bulk path: the top-level histogram's items, number texts
-    # copied and NaN as repr(float), or exits 2 on a text json refuses. The
-    # bulk path leaves no rows behind, from earlier slices either.
-    assert cli._bulk_histogram_csv(_WRITTEN.encode(), io.StringIO())
-    rows = io.StringIO()
-    rows.write(cli._CSV_HEADER)
-    assert not cli._bulk_histogram_csv(text.encode(), rows)
-    assert rows.getvalue() == cli._CSV_HEADER
-    _hand_written_run(tmp_path / "run", text)
-    try:
-        histogram = json.loads(text, parse_float=str, parse_int=str).get("histogram", {})
-    except ValueError:
-        assert main(["report", "--run-dir", str(tmp_path / "run")]) == EXIT_INVALID
-        assert not (tmp_path / "run" / "hist_oracle_seed1.csv").exists()
-        return
-    assert main(["report", "--run-dir", str(tmp_path / "run")]) == EXIT_OK
-    capsys.readouterr()
-    assert (tmp_path / "run" / "hist_oracle_seed1.csv").read_text() == "".join(
-        [cli._CSV_HEADER,
-         *(f"{key},{value if type(value) is str else repr(float(value))}\n"
-           for key, value in histogram.items())])
-
-
-@pytest.mark.parametrize("edit", [
-    lambda data: codecs.BOM_UTF8 + data,
-    lambda data: data.replace(b'"method": "x"', b'"method": "\xff"'),
-], ids=["utf-8-bom", "non-utf-8-byte"])
-def test_report_exits_2_on_a_written_record_open_does_not_read(tmp_path, capsys, edit):
-    # The record is decoded as open() decodes text (UTF-8 here, strictly),
-    # not as json.loads(bytes) would, which takes a BOM: both exit 2.
-    record_path = _hand_written_run(tmp_path / "run", "")
-    record_path.write_bytes(edit(_WRITTEN.encode("ascii")))
-    assert main(["report", "--run-dir", str(tmp_path / "run")]) == EXIT_INVALID
-    assert str(record_path) in capsys.readouterr().err
-    assert not (tmp_path / "run" / "hist_oracle_seed1.csv").exists()
+    # A probability JSON spells NaN, Infinity or -Infinity is written as
+    # repr(float(value)): nan, inf or -inf.
+    record, rows = _written({"histogram": np.array([np.nan, np.inf, -np.inf, 0.5])})
+    items = json.loads(record, parse_constant=str)["histogram"].items()
+    assert rows == "bitstring,probability\n" + "".join(
+        f"{key},{float(value)!r}\n" for key, value in items)
+    assert "NaN" in record and "nan" in rows
 
 
 def test_report_converts_a_written_record_in_under_twice_its_size(tmp_path):
-    # Bulk conversion holds the record's bytes and one slice's rows, not
-    # whole-record copies of the text and its rows.
-    record_path = tmp_path / "record.json"
-    record_path.write_text(_written_marginal_record(16))
+    # The histogram file is converted from the record's text chunk by chunk
+    # as the record is written: writing both holds one chunk's text and rows,
+    # not whole-record copies of the text, its rows or a labelled dict.
+    marginal = np.random.default_rng(16).random(1 << 16)
+    doc = {"method": "x", "histogram": marginal / marginal.sum(), "trace": [{"a": 1.0}],
+           "value": None}
+    record_path, histogram_path = tmp_path / "record.json", tmp_path / "hist.csv"
     tracemalloc.start()
     try:
-        with (tmp_path / "hist.csv").open("w") as fh:
-            cli._write_histogram_csv(record_path, fh)
+        cli._write_record(record_path, doc, histogram_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 * record_path.stat().st_size
-    assert len((tmp_path / "hist.csv").read_text().splitlines()) == 1 + (1 << 16)
+    assert len(histogram_path.read_text().splitlines()) == 1 + (1 << 16)
+
+
+def _set_last_value(summary_path: Path, value: str) -> None:
+    """Rewrite summary.csv with its last row's value column set to `value`."""
+    with summary_path.open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        fieldnames, rows = reader.fieldnames, list(reader)
+    rows[-1]["value"] = value
+    with summary_path.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def test_report_writes_nothing_when_a_later_record_is_malformed(tmp_path, capsys):
+    # report reads every record (row) of summary.csv before it writes: a
+    # later one whose value is not a number exits 2 and leaves no report.md
+    # and no temp file, and an earlier report as it was.
     out = tmp_path / "sweep"
     assert main(["sweep", "--n", "3", "--k", "1", "--methods", "oracle,penalty-qaoa",
                  "--seeds", "1", *FAST, "--out", str(out)]) == EXIT_OK
-    second = out / "penalty-qaoa_seed1" / "record.json"
-    good_record = second.read_text()
-    second.write_text('{"histogram": {"100": null}}')
+    summary_path = out / "summary.csv"
+    good_summary = summary_path.read_text()
+    _set_last_value(summary_path, "half")
     assert main(["report", "--run-dir", str(out)]) == EXIT_INVALID
-    assert str(second) in capsys.readouterr().err
+    assert "'half'" in capsys.readouterr().err
     assert not [path.name for path in out.iterdir()
-                if path.name == "report.md" or path.name.startswith("hist_") or ".tmp." in path.name]
+                if path.name == "report.md" or ".tmp." in path.name]
 
     # An earlier report is left as it was.
-    second.write_text(good_record)
+    summary_path.write_text(good_summary)
     assert main(["report", "--run-dir", str(out)]) == EXIT_OK
     before = {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()}
-    assert {"report.md", "hist_oracle_seed1.csv", "hist_penalty-qaoa_seed1.csv"} <= set(before)
-    second.write_text('{"histogram": {"100": null}}')
+    assert "report.md" in before
+    _set_last_value(summary_path, "half")
+    before["summary.csv"] = summary_path.read_bytes()
     assert main(["report", "--run-dir", str(out)]) == EXIT_INVALID
     assert {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()} == before
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: codecs.BOM_UTF8 + data,
+    lambda data: data.replace(b"oracle", b"\xffracle"),
+], ids=["utf-8-bom", "non-utf-8-byte"])
+def test_report_exits_2_on_a_written_record_open_does_not_read(tmp_path, capsys, edit):
+    # report reads the summary.csv the sweep wrote as open() decodes text
+    # (UTF-8 here, strictly): a leading BOM becomes part of the first column's
+    # name, so the method column is missing, and a byte that is not UTF-8
+    # does not decode. Both exit 2 and write no report.md.
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--n", "3", "--k", "1", "--methods", "oracle", "--seeds", "1",
+                 "--out", str(out)]) == EXIT_OK
+    summary_path = out / "summary.csv"
+    summary_path.write_bytes(edit(summary_path.read_bytes()))
+    capsys.readouterr()
+    assert main(["report", "--run-dir", str(out)]) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not [path.name for path in out.iterdir()
+                if path.name == "report.md" or ".tmp." in path.name]
 
 
 @pytest.mark.parametrize("summary_text, missing", [
@@ -479,7 +358,7 @@ def test_report_reads_a_summary_with_a_column_it_does_not_read(tmp_path, capsys)
             assert (out / name).read_bytes() == data, name
 
 
-def test_a_record_whose_chunks_fail_midway_leaves_no_file(tmp_path):
+def test_a_record_whose_chunks_fail_midway_leaves_no_file(tmp_path, monkeypatch):
     # record.json is written chunk by chunk under a temp name: a chunk that
     # fails to build leaves neither the record nor the temp file.
     def chunks():
@@ -488,4 +367,19 @@ def test_a_record_whose_chunks_fail_midway_leaves_no_file(tmp_path):
 
     with pytest.raises(RuntimeError, match="chunk failed"):
         cli._write_atomic(tmp_path / "record.json", chunks())
+    assert list(tmp_path.iterdir()) == []
+
+    # A sweep cell's record and histogram CSV are written in one pass: a
+    # marginal chunk that fails after the first ones were written to both
+    # leaves neither file nor either temp file.
+    written_entries = cli._marginal_entries
+
+    def entries(marginal):
+        yield from [*written_entries(marginal)][:2]
+        raise RuntimeError("chunk failed")
+
+    monkeypatch.setattr(cli, "_marginal_entries", entries)
+    doc = {"method": "x", "histogram": np.full(1 << 13, 1.0 / (1 << 13)), "value": None}
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        cli._write_record(tmp_path / "record.json", doc, tmp_path / "hist_x.csv")
     assert list(tmp_path.iterdir()) == []
