@@ -6,8 +6,7 @@ A basis-state index encodes qubit 0 in its least-significant bit. The
 string form prints qubit 0 first (leftmost), so asset 0 is the first
 character: index 1 on three qubits renders as ``"100"``. Only
 ``basis_label_block`` turns basis-state indices into these labels, as one
-ASCII block; ``basis_labels`` splits it into strings and
-``index_to_string`` is their one-index case.
+ASCII block; ``index_to_string`` is its one-index case.
 
 One prefix recursion serves sums and phases: combined by addition it
 gives the form's values (``quadratic_form_table``), combined by
@@ -38,13 +37,8 @@ def basis_label_block(indices, num_bits: int, end: bytes) -> bytes:
     return rows.tobytes()
 
 
-def basis_labels(indices, num_bits: int) -> list[str]:
-    """Labels of many basis-state indices: their block, decoded once and split once."""
-    return basis_label_block(indices, num_bits, b"\n").decode("ascii").splitlines()
-
-
 def index_to_string(index: int, num_bits: int) -> str:
-    return basis_labels([index], num_bits)[0]
+    return basis_label_block([index], num_bits, b"").decode("ascii")
 
 
 def string_to_index(bits: str) -> int:

@@ -15,8 +15,10 @@ file serves all three; a key that names no setting exits 2. A setting a
 method would ignore exits 2: `--mixer` on a `solve` method, or a `sweep`
 grid, without slack-qaoa, and `--penalty` on a `solve` method, or a `sweep`
 grid, that takes no fixed weight (slack-qaoa and the oracle take none).
-`sweep --jobs` is capped by the number of cells. A command checks every
-input, and `sweep` every method's register size, before it writes any file.
+`sweep --jobs` is capped by the number of cells. `sweep --n` or `--k` beside
+`--instance` exits 2, since the file sets both (a config file's n and k are
+ignored there). A command checks every input, and `sweep` every method's
+register size, before it writes any file.
 `solve` writes `record.json` only. A sweep cell writes its `record.json`
 and `<out>/hist_<cell>.csv`, or `error.txt` if it fails. A sweep cell first
 deletes the `record.json`, `error.txt`, `hist_<cell>.csv` and (older
@@ -27,17 +29,19 @@ Records: `solve` and `sweep` write `record.json` as exactly
 `json.dumps(doc, indent=2)` plus a newline, formatting each histogram
 probability once. A QAOA record's histogram is formatted straight from its
 asset-marginal array, one chunk of entries per template, with no 2^n-entry
-container, and each chunk is written to the file as it is built; a
-marginal that is not all finite is labelled and goes through json.dumps,
-and so do the oracle's and the classical baseline's one-entry dict
-histograms. A sweep cell writes `hist_<cell>.csv` in the same pass: a
-`bitstring,probability` header and one row per histogram entry, in the
-record's order, each probability as `repr` of its float (the record's text
-for a finite one; `nan`, `inf` or `-inf` where the record holds NaN,
-Infinity or -Infinity). A marginal chunk's rows are its record text with
-the JSON punctuation translated away. Both files are written under temp
-names and renamed into place after the last chunk, so a cell that fails
-midway leaves neither.
+container, and each chunk is written to the file as it is built. A
+marginal that is not all finite is refused before its record is written
+(JSON has no NaN or Infinity): `solve` exits 2 with no `record.json`, and a
+sweep cell writes only its `error.txt`. The oracle's and the classical
+baseline's one-entry dict histograms go through json.dumps whole. A sweep
+cell writes `hist_<cell>.csv` in the same pass: a `bitstring,probability`
+header and one row per histogram entry, in the record's order, each
+probability as `repr` of its float (the record's text for a finite one;
+`nan`, `inf` or `-inf` where a dict histogram's record holds NaN, Infinity
+or -Infinity). A marginal chunk's rows are its record text with the JSON
+punctuation translated away. Both files are written under temp names and
+renamed into place after the last chunk, so a cell that fails midway
+leaves neither.
 
 `report` reads `summary.csv` only and writes `report.md` from it; a
 summary.csv that lacks a column of REPORT_COLUMNS exits 2 and writes
@@ -204,31 +208,32 @@ def _record_chunks(doc: dict):
     """record.json's text and hist_<cell>.csv's rows below its header, as
     (text, rows) pairs built when they are asked for. The texts join to
     exactly `json.dumps(doc, indent=2) + "\\n"`, where an array histogram
-    (`ExperimentRecord.document`) stands for its labelled dict
-    (`qaoa.labelled_histogram`); the rows to one `label,repr(p)` line per
-    entry of that dict, in its order.
+    (`ExperimentRecord.document`) stands for the dict of its probabilities
+    keyed by their n-bit labels in basis-index order; the rows to one
+    `label,repr(p)` line per entry of that dict, in its order.
 
     `indent` makes json fall back to its pure-Python encoder, which formats a
     2^n-entry histogram one entry at a time. Instead a finite array's
     document is dumped with an empty histogram and the entries are spliced
     in chunk by chunk (`_marginal_entries`), each chunk's rows translated
     from its text (_ROWS), so a writer holds one chunk at a time and formats
-    each probability once. An array that is not all finite is labelled and
-    goes through json.dumps whole, as does any other histogram: the
-    oracle's and the classical baseline's are one entry."""
+    each probability once. An array that is not all finite raises ValueError
+    before the first chunk. Any other histogram goes through json.dumps
+    whole: the oracle's and the classical baseline's are one entry."""
     histogram = doc["histogram"]
-    if isinstance(histogram, np.ndarray) and np.isfinite(histogram).all():
-        head, _, tail = json.dumps({**doc, "histogram": {}}, indent=2).partition(
-            _HISTOGRAM_OPEN + "}")
-        yield head + _HISTOGRAM_OPEN + _ENTRY_INDENT, ""
-        for chunk in _marginal_entries(histogram):
-            yield chunk, chunk.translate(_ROWS)
-        yield _HISTOGRAM_CLOSE + tail + "\n", "\n"
+    if not isinstance(histogram, np.ndarray):
+        yield (json.dumps(doc, indent=2) + "\n",
+               "".join(f"{key},{value!r}\n" for key, value in histogram.items()))
         return
-    if isinstance(histogram, np.ndarray):
-        histogram = qaoa.labelled_histogram(histogram)
-    yield (json.dumps({**doc, "histogram": histogram}, indent=2) + "\n",
-           "".join(f"{key},{value!r}\n" for key, value in histogram.items()))
+    if not np.isfinite(histogram).all():
+        raise ValueError("refusing to write a record whose marginal is not all finite "
+                         "(JSON has no NaN or Infinity)")
+    head, _, tail = json.dumps({**doc, "histogram": {}}, indent=2).partition(
+        _HISTOGRAM_OPEN + "}")
+    yield head + _HISTOGRAM_OPEN + _ENTRY_INDENT, ""
+    for chunk in _marginal_entries(histogram):
+        yield chunk, chunk.translate(_ROWS)
+    yield _HISTOGRAM_CLOSE + tail + "\n", "\n"
 
 
 def _write_record(record_path: Path, doc: dict, histogram_path: Path) -> None:
@@ -454,6 +459,8 @@ def cmd_sweep(args) -> int:
     schedule = _schedule(cfg)
     if cfg["jobs"] < 1:
         raise ValueError(f"--jobs must be >= 1, got {cfg['jobs']}")
+    if args.instance and (args.n is not None or args.k is not None):
+        raise ValueError("--n and --k size generated instances; an --instance file has its own")
     if args.instance:
         inst = instance_mod.load_instance(args.instance)
         text = instance_mod.to_json(inst) + "\n"
@@ -552,7 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = settings_parser("sweep", cmd_sweep, "run a methods x seeds grid")
     sweep.add_argument("--instance",
-                       help="fixed instance file (otherwise one is generated per seed)")
+                       help="fixed instance file (otherwise one is generated per seed from "
+                            "--n and --k)")
     sweep.add_argument("--methods", required=True, help="comma-separated method list")
     sweep.add_argument("--seeds", required=True, help="comma-separated list of non-negative seeds")
     sweep.add_argument("--out", required=True, help="sweep output directory")

@@ -1,16 +1,14 @@
 """Penalized QUBO builders.
 
-Three constraint encodings are provided:
-
-* ``build_slack_ancilla_qubo`` closes each per-asset cap ``w_i <= alpha_i``
-  with a dedicated binary slack bit and a squared-equality penalty
-  ``beta * (w_i - alpha_i + s_i)^2``; each slack bit sits just above its
-  asset bit.
-* ``build_penalty_qubo`` adds the direct quadratic cardinality penalty
-  ``a * (sum w_i - k)^2`` with no extra variables.
-* ``build_cardinality_slack_qubo`` internalizes ``sum w_i <= k`` through a
-  binary-encoded integer slack, ``a * (sum w_i + s - k)^2``; its slack bits
-  follow the n asset bits.
+An encoding is its variable labels plus its penalty rows ``(coeffs,
+offset)``, each standing for ``weight * (coeffs.x + offset)^2``;
+``_program`` checks the weight, writes the objective onto the asset labels
+and sums the rows. ``build_slack_ancilla_qubo`` has one row
+``w_i + s_i - alpha_i`` per asset, closing the cap ``w_i <= alpha_i`` with a
+binary slack bit just above its asset bit; ``build_penalty_qubo`` has the
+direct cardinality row ``sum w_i - k`` on the asset bits alone;
+``build_cardinality_slack_qubo`` has the row ``sum w_i + s - k``, with the
+binary-encoded integer slack s on the bits after the n asset bits.
 
 A program is the QAOA cost Hamiltonian itself: the diagonal operator with
 eigenvalue x'Qx + b'x + c on basis state x. Its Ising form, through
@@ -87,23 +85,25 @@ class QuboProgram:
         object.__setattr__(self, "labels", tuple(self.labels))
 
 
-def _base_objective(instance: PortfolioInstance, labels):
-    """Quadratic/linear arrays over ``labels`` holding q*w'Sw - lambda*mu'w on
-    the asset bits, asset i being the i-th asset label."""
+def _program(instance: PortfolioInstance, labels, penalties, weight: float) -> QuboProgram:
+    """The program over ``labels``: q*w'Sw - lambda*mu'w on the asset bits
+    (asset i being the i-th asset label) plus weight * (coeffs.x + offset)^2
+    for each ``(coeffs, offset)`` row of ``penalties``, summed in order."""
+    if not 0 < weight < math.inf:
+        raise ValueError(f"penalty weight must be positive and finite, got {weight}")
+    m = len(labels)
     assets = [pos for pos, label in enumerate(labels) if label.kind == ASSET]
-    quadratic = np.zeros((len(labels), len(labels)))
-    linear = np.zeros(len(labels))
+    quadratic = np.zeros((m, m))
+    linear = np.zeros(m)
     quadratic[np.ix_(assets, assets)] = instance.q_risk * instance.sigma
     linear[assets] = -instance.lambda_weight * instance.mu
-    return quadratic, linear
-
-
-def _add_squared_penalty(quadratic, linear, coeffs, offset: float, weight: float) -> float:
-    """Accumulate weight * (coeffs.x + offset)^2; returns the constant term."""
+    constant = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # QuboProgram refuses an overflow
-        quadratic += weight * np.outer(coeffs, coeffs)
-        linear += 2.0 * weight * offset * coeffs
-    return weight * offset * offset
+        for coeffs, offset in penalties:
+            quadratic += weight * np.outer(coeffs, coeffs)
+            linear += 2.0 * weight * offset * coeffs
+            constant += weight * offset * offset
+    return QuboProgram(m, labels, quadratic, linear, constant)
 
 
 def check_slack_caps(instance: PortfolioInstance) -> None:
@@ -133,34 +133,21 @@ def build_slack_ancilla_qubo(instance: PortfolioInstance, beta_penalty: float) -
     to close w_i <= alpha_i for binary alpha, and the caps are checked to be
     such a mask (``check_slack_caps``).
     """
-    if not 0 < beta_penalty < math.inf:
-        raise ValueError(f"penalty weight must be positive and finite, got {beta_penalty}")
-    check_slack_caps(instance)
     n = instance.n
-    m = 2 * n
-    labels = tuple(
-        label for i in range(n) for label in (VarLabel.asset(i), VarLabel.slack_asset(i))
-    )
-    quadratic, linear = _base_objective(instance, labels)
-    constant = 0.0
-    for i in range(n):
-        coeffs = np.zeros(m)
-        coeffs[2 * i : 2 * i + 2] = 1.0
-        constant += _add_squared_penalty(
-            quadratic, linear, coeffs, -float(instance.alpha[i]), beta_penalty
-        )
-    return QuboProgram(m, labels, quadratic, linear, constant)
+    labels = tuple(x for i in range(n) for x in (VarLabel.asset(i), VarLabel.slack_asset(i)))
+
+    def rows():  # read by _program after its weight check, so a bad weight is named first
+        check_slack_caps(instance)
+        pairs = np.eye(n).repeat(2, axis=1)  # row i: ones at bits 2i and 2i + 1
+        yield from ((pairs[i], -float(instance.alpha[i])) for i in range(n))
+
+    return _program(instance, labels, rows(), beta_penalty)
 
 
 def build_penalty_qubo(instance: PortfolioInstance, a_card: float) -> QuboProgram:
     """Direct-penalty program over the n asset bits: a * (sum w_i - k)^2."""
-    if not 0 < a_card < math.inf:
-        raise ValueError(f"penalty weight must be positive and finite, got {a_card}")
-    n = instance.n
-    labels = tuple(VarLabel.asset(i) for i in range(n))
-    quadratic, linear = _base_objective(instance, labels)
-    constant = _add_squared_penalty(quadratic, linear, np.ones(n), -float(instance.k), a_card)
-    return QuboProgram(n, labels, quadratic, linear, constant)
+    labels = tuple(VarLabel.asset(i) for i in range(instance.n))
+    return _program(instance, labels, [(np.ones(instance.n), -float(instance.k))], a_card)
 
 
 def cardinality_slack_weights(k: int) -> list[float]:
@@ -175,18 +162,13 @@ def build_cardinality_slack_qubo(instance: PortfolioInstance, a_card: float) -> 
     """Cardinality-slack program: n asset bits plus ceil(log2(k+1)) slack
     bits whose weighted sum s ranges over [0, k]; adds a * (sum w_i + s - k)^2.
     """
-    if not 0 < a_card < math.inf:
-        raise ValueError(f"penalty weight must be positive and finite, got {a_card}")
     n, k = instance.n, instance.k
     weights = cardinality_slack_weights(k)
-    m = n + len(weights)
     labels = tuple(VarLabel.asset(i) for i in range(n)) + tuple(
         VarLabel.slack_cardinality(b) for b in range(len(weights))
     )
-    quadratic, linear = _base_objective(instance, labels)
     coeffs = np.concatenate([np.ones(n), np.array(weights)])
-    constant = _add_squared_penalty(quadratic, linear, coeffs, -float(k), a_card)
-    return QuboProgram(m, labels, quadratic, linear, constant)
+    return _program(instance, labels, [(coeffs, -float(k))], a_card)
 
 
 def qubo_energy(program: QuboProgram, x) -> float:

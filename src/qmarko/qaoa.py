@@ -59,7 +59,7 @@ import numpy as np
 from scipy import optimize as sciopt
 
 from . import bounds
-from .bitstrings import basis_labels, index_to_bits, index_to_string
+from .bitstrings import index_to_bits, index_to_string
 from .encode import (
     ASSET,
     SLACK_ASSET,
@@ -162,13 +162,6 @@ class PortfolioPick:
     value: float
     feasible: bool
     probability: float | None = None
-
-
-def labelled_histogram(probabilities: np.ndarray) -> dict[str, float]:
-    """Probabilities of a 2^b distribution keyed by their b-bit basis labels,
-    in basis-index order."""
-    size = probabilities.size
-    return dict(zip(basis_labels(np.arange(size), size.bit_length() - 1), probabilities.tolist()))
 
 
 @dataclass(frozen=True, eq=False)

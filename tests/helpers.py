@@ -19,7 +19,7 @@ from qmarko import encode
 from qmarko.bitstrings import index_to_bits, index_to_string
 from qmarko.encode import ASSET, QuboProgram, VarLabel, cardinality_slack_weights
 from qmarko.instance import PortfolioInstance, classical_objective, is_feasible
-from qmarko.qaoa import _ansatz, labelled_histogram
+from qmarko.qaoa import _ansatz
 
 
 def naive_qubo_energy(program: QuboProgram, bits) -> float:
@@ -301,6 +301,14 @@ _PROGRAMS = {
 }
 
 
+def _labelled(probabilities: np.ndarray) -> dict[str, float]:
+    """Probabilities of a 2^b distribution keyed by their b-bit basis labels,
+    qubit 0 first, in basis-index order; each label is built bit by bit."""
+    bits = probabilities.size.bit_length() - 1
+    return {"".join("1" if (index >> bit) & 1 else "0" for bit in range(bits)): p
+            for index, p in enumerate(probabilities.tolist())}
+
+
 def record_program(record, inst: PortfolioInstance) -> QuboProgram:
     """The program a QAOA record's final state was evolved on: the record's
     method's builder at ``final_beta_penalty``."""
@@ -313,10 +321,10 @@ def final_register(record, inst: PortfolioInstance) -> dict[str, float]:
     ``record_program`` with the record's mixer, evaluated at
     ``final_params``."""
     state = _ansatz(record_program(record, inst), record.mixer)(record.final_params)
-    return labelled_histogram(state.probabilities())
+    return _labelled(state.probabilities())
 
 
 def record_json(record) -> dict:
     """record.json's document as JSON values: ``record.document()`` with the
     asset marginal keyed by n-bit labels, in basis-index order."""
-    return {**record.document(), "histogram": labelled_histogram(record.marginal)}
+    return {**record.document(), "histogram": _labelled(record.marginal)}

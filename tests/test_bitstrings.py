@@ -4,7 +4,7 @@ import pytest
 from helpers import naive_qubo_energy
 from qmarko.bitstrings import (
     MAX_QUBITS,
-    basis_labels,
+    basis_label_block,
     index_to_bits,
     index_to_string,
     quadratic_form_phases,
@@ -87,13 +87,15 @@ def _loop_label(index: int, num_bits: int) -> str:
 def test_basis_labels_match_per_bit_loop_on_every_index(m):
     indices = np.arange(1 << m)
     expected = [_loop_label(int(i), m) for i in indices]
-    assert basis_labels(indices, m) == expected
+    assert basis_label_block(indices, m, b",\n") == "".join(
+        label + ",\n" for label in expected).encode("ascii")
     assert [index_to_string(int(i), m) for i in indices] == expected
 
 
 def test_basis_labels_at_24_bits():
     indices = [0, 1, 1 << 23, (1 << 24) - 1]
     expected = [_loop_label(i, 24) for i in indices]
-    assert basis_labels(np.array(indices), 24) == expected
+    assert basis_label_block(np.array(indices), 24, b"\n") == "".join(
+        label + "\n" for label in expected).encode("ascii")
     assert [index_to_string(i, 24) for i in indices] == expected
     assert expected[1] == "1" + "0" * 23

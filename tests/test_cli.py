@@ -290,11 +290,16 @@ def test_inputs_are_checked_before_any_file_is_written(tmp_path, capsys):
 
     wide = str(tmp_path / "wide.json")  # 13 assets: 26 slack-qaoa qubits, over MAX_QUBITS
     assert main(["generate", "--n", "13", "--k", "2", "--seed", "1", "--out", wide]) == EXIT_OK
+    small = str(tmp_path / "small.json")
+    assert main(["generate", "--n", "3", "--k", "1", "--seed", "1", "--out", small]) == EXIT_OK
     sweep = ["sweep", "--methods", "oracle", "--seeds", "1"]
     runs = [
         [*sweep, "--n", "0", "--k", "1"],
         [*sweep, "--n", "3", "--k", "4"],
         [*sweep, "--instance", str(tmp_path / "missing.json")],
+        # The file sets n and k: a flag that would size another is refused.
+        [*sweep, "--instance", small, "--n", "7", "--k", "2"],
+        [*sweep, "--instance", small, "--k", "1"],
         ["solve", "--instance", wide, "--method", "slack-qaoa"],
     ]
     for i, argv in enumerate(runs):
@@ -530,6 +535,9 @@ def test_config_key_that_names_no_setting_exits_2(tmp_path, capsys):
         == EXIT_OK
     assert main([*sweep, "--config", str(shared), "--out", str(tmp_path / "shared_sweep")]) \
         == EXIT_OK
+    # A sweep on an instance file takes its size from the file, not the config.
+    assert main(["sweep", "--instance", instance, "--methods", "oracle", "--seeds", "1",
+                 "--config", str(shared), "--out", str(tmp_path / "shared_file")]) == EXIT_OK
     capsys.readouterr()
 
 

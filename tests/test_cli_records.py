@@ -204,13 +204,40 @@ def test_record_writer_formats_a_marginal_array_as_json_dumps_of_its_labels(marg
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-def test_record_writer_labels_a_non_finite_marginal_for_json_dumps(value):
+def test_record_writer_refuses_a_non_finite_marginal(tmp_path, value):
+    # JSON has no NaN or Infinity: the writer refuses before its first chunk,
+    # and leaves no record, no histogram file and no temp file.
     marginal = np.full(1 << 13, 1.0 / (1 << 13))
     marginal[4097] = value
     doc = {"seed": 1, "histogram": marginal, "iterations": 0}
-    labelled = _labelled(doc)
-    # The record holds NaN, Infinity or -Infinity, the CSV nan, inf or -inf.
-    assert _written(doc) == (_dumps(labelled), _csv(labelled["histogram"]))
+    with pytest.raises(ValueError, match="not all finite"):
+        next(cli._record_chunks(doc))
+    with pytest.raises(ValueError, match="not all finite"):
+        cli._write_record(tmp_path / "record.json", doc, tmp_path / "hist_x.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_no_command_writes_a_record_of_a_non_finite_marginal(tmp_path, capsys, monkeypatch):
+    # solve exits 2 with no record.json; a sweep cell writes only error.txt.
+    def non_finite(inst, method, cfg, schedule, penalty):
+        return {"method": method, "seed": cfg["seed"], "histogram": np.array([0.5, np.nan])}
+
+    monkeypatch.setitem(METHODS, "oracle", (non_finite, None))
+    instance = str(tmp_path / "instance.json")
+    assert main(["generate", "--n", "1", "--k", "1", "--out", instance]) == EXIT_OK
+    solve = tmp_path / "solve"
+    assert main(["solve", "--instance", instance, "--method", "oracle",
+                 "--out", str(solve)]) == EXIT_INVALID
+    assert "not all finite" in capsys.readouterr().err
+    assert list(solve.iterdir()) == []
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--instance", instance, "--methods", "oracle", "--seeds", "1",
+                 "--out", str(out)]) == EXIT_OK
+    assert sorted(path.name for path in out.iterdir()) == [
+        "instance.json", "oracle_seed1", "summary.csv"]
+    assert [path.name for path in (out / "oracle_seed1").iterdir()] == ["error.txt"]
+    assert "not all finite" in (out / "oracle_seed1" / "error.txt").read_text()
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("run", [
@@ -237,13 +264,16 @@ def test_histogram_files_copy_the_record_text():
         assert list(csv.reader(rows.splitlines())) == [["bitstring", "probability"],
                                                        *map(list, items)]
 
-    # A probability JSON spells NaN, Infinity or -Infinity is written as
-    # repr(float(value)): nan, inf or -inf.
-    record, rows = _written({"histogram": np.array([np.nan, np.inf, -np.inf, 0.5])})
+    # A dict histogram's probability JSON spells NaN, Infinity or -Infinity
+    # is written as repr(float(value)): nan, inf or -inf. A marginal array
+    # holding one is refused.
+    record, rows = _written({"histogram": {"00": np.nan, "10": np.inf, "01": -np.inf, "11": 0.5}})
     items = json.loads(record, parse_constant=str)["histogram"].items()
     assert rows == "bitstring,probability\n" + "".join(
         f"{key},{float(value)!r}\n" for key, value in items)
     assert "NaN" in record and "nan" in rows
+    with pytest.raises(ValueError, match="not all finite"):
+        _written({"histogram": np.array([np.nan, np.inf, -np.inf, 0.5])})
 
 
 def test_report_converts_a_written_record_in_under_twice_its_size(tmp_path):

@@ -87,10 +87,16 @@ def test_slack_ancilla_labels():
 
 
 def test_slack_ancilla_rejects_nonpositive_beta():
+    # Every builder refuses a weight that is not positive and finite, with
+    # the one message; the slack builder names a bad weight before bad caps.
     inst = generate_instance(2, 1, seed=0)
-    for beta in (0.0, -5.0):
-        with pytest.raises(ValueError):
-            build_slack_ancilla_qubo(inst, beta)
+    for build in (build_slack_ancilla_qubo, build_penalty_qubo, build_cardinality_slack_qubo):
+        for beta in (0.0, -5.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="penalty weight must be positive and finite"):
+                build(inst, beta)
+    fractional = replace(inst, alpha=np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="penalty weight must be positive and finite"):
+        build_slack_ancilla_qubo(fractional, 0.0)
 
 
 def test_slack_ancilla_refuses_caps_it_cannot_close():

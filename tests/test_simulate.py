@@ -18,7 +18,7 @@ from helpers import (
     slack_pairs,
     with_pairs,
 )
-from qmarko.bitstrings import basis_labels, index_to_bits, string_to_index
+from qmarko.bitstrings import index_to_bits, index_to_string, string_to_index
 from qmarko.encode import QuboProgram, VarLabel, build_penalty_qubo, build_slack_ancilla_qubo
 from qmarko.instance import generate_instance
 from qmarko.qaoa import QaoaParams, _angle_scale, _ansatz
@@ -70,7 +70,7 @@ def _mix(state, beta_angle, pairs=None):
 def _drawn(counts, num_qubits):
     """Sampled counts keyed by basis label, drawn states only."""
     drawn = np.flatnonzero(counts)
-    return dict(zip(basis_labels(drawn, num_qubits), counts[drawn].tolist()))
+    return {index_to_string(int(index), num_qubits): int(counts[index]) for index in drawn}
 
 
 def test_uniform_superposition_values():
