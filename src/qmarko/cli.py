@@ -17,8 +17,9 @@ grid, without slack-qaoa, and `--penalty` on a `solve` method, or a `sweep`
 grid, that takes no fixed weight (slack-qaoa and the oracle take none).
 `sweep --jobs` is capped by the number of cells. `sweep --n` or `--k` beside
 `--instance` exits 2, since the file sets both (a config file's n and k are
-ignored there). A command checks every input, and `sweep` every method's
-register size, before it writes any file.
+ignored there, and `--print-config` leaves them out). A command checks
+every input, and `sweep` every method's register size, before it writes
+any file.
 `solve` writes `record.json` only. A sweep cell writes its `record.json`
 and `<out>/hist_<cell>.csv`, or `error.txt` if it fails. A sweep cell first
 deletes the `record.json`, `error.txt`, `hist_<cell>.csv` and (older
@@ -29,19 +30,20 @@ Records: `solve` and `sweep` write `record.json` as exactly
 `json.dumps(doc, indent=2)` plus a newline, formatting each histogram
 probability once. A QAOA record's histogram is formatted straight from its
 asset-marginal array, one chunk of entries per template, with no 2^n-entry
-container, and each chunk is written to the file as it is built. A
-marginal that is not all finite is refused before its record is written
-(JSON has no NaN or Infinity): `solve` exits 2 with no `record.json`, and a
-sweep cell writes only its `error.txt`. The oracle's and the classical
-baseline's one-entry dict histograms go through json.dumps whole. A sweep
-cell writes `hist_<cell>.csv` in the same pass: a `bitstring,probability`
-header and one row per histogram entry, in the record's order, each
-probability as `repr` of its float (the record's text for a finite one;
-`nan`, `inf` or `-inf` where a dict histogram's record holds NaN, Infinity
-or -Infinity). A marginal chunk's rows are its record text with the JSON
-punctuation translated away. Both files are written under temp names and
-renamed into place after the last chunk, so a cell that fails midway
-leaves neither.
+container, and each chunk is written to the file as it is built. A chunk's
+probabilities are written as orjson text mapped to exactly `repr`'s, the
+text json writes for a finite float. A marginal that is not all finite is
+refused before its record is written (JSON has no NaN or Infinity): `solve`
+exits 2 with no `record.json`, and a sweep cell writes only its
+`error.txt`. The oracle's and the classical baseline's one-entry dict
+histograms go through json.dumps whole. A sweep cell writes
+`hist_<cell>.csv` in the same pass: a `bitstring,probability` header and
+one row per histogram entry, in the record's order, each probability as
+`repr` of its float (the record's text for a finite one; `nan`, `inf` or
+`-inf` where a dict histogram's record holds NaN, Infinity or -Infinity). A
+marginal chunk's rows are its record text with the JSON punctuation
+translated away. Both files are written under temp names and renamed into
+place after the last chunk, so a cell that fails midway leaves neither.
 
 `report` reads `summary.csv` only and writes `report.md` from it; a
 summary.csv that lacks a column of REPORT_COLUMNS exits 2 and writes
@@ -64,6 +66,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import instance as instance_mod
 from . import encode, oracle, qaoa
@@ -177,14 +180,38 @@ _ENTRY_INDENT = "\n    "
 _KEY_END = '": '
 _NEXT_ENTRY = "," + _ENTRY_INDENT + '"'
 _HISTOGRAM_CLOSE = "\n  }"
-_ENTRY_END = (_KEY_END + "%r" + _NEXT_ENTRY).encode("ascii")
+_ENTRY_END = (_KEY_END + "%b" + _NEXT_ENTRY).encode("ascii")
 _CHUNK = 1 << 12
 # One str.translate turns a chunk of _marginal_entries into CSV rows: it
 # deletes the labels' quotes, the separators' commas and the indents'
 # spaces, and maps _KEY_END's colon to the delimiter, so each _NEXT_ENTRY
-# leaves only its line break. Labels are 0s and 1s and %r of a finite float
-# holds none of these characters, so nothing else changes.
+# leaves only its line break. Labels are 0s and 1s and the repr text of a
+# finite float (_float_reprs) holds none of these characters, so nothing
+# else changes.
 _ROWS = str.maketrans(":", ",", '", ')
+# orjson writes exponents -6 to -9 with one digit, repr with two.
+_SHORT_EXPONENTS = [(b"e-%d," % digit, b"e-0%d," % digit) for digit in range(6, 10)]
+
+
+def _float_reprs(values: np.ndarray) -> list[bytes]:
+    """`[repr(v).encode() for v in values.tolist()]` for a finite, contiguous
+    1-D float64 array, formatted by one orjson call.
+
+    orjson's Ryu formatter writes the same shortest round-trip digits as
+    repr; only the layout differs. Each text is followed by a comma, so a
+    one-digit negative exponent is padded by four replaces over the block.
+    orjson writes 1e-5 <= |v| < 1e-4 in decimal where repr takes an
+    exponent, and |v| >= 1e16 with no "+" after the "e": those entries are
+    formatted by repr itself."""
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] + b","
+    for short, padded in _SHORT_EXPONENTS:
+        text = text.replace(short, padded)
+    texts = text.split(b",")[:-1]
+    magnitudes = np.abs(values)
+    relaid = (magnitudes >= 1e16) | ((magnitudes >= 1e-5) & (magnitudes < 1e-4))
+    for index in np.flatnonzero(relaid):
+        texts[index] = repr(float(values[index])).encode("ascii")
+    return texts
 
 
 def _marginal_entries(marginal: np.ndarray):
@@ -192,15 +219,16 @@ def _marginal_entries(marginal: np.ndarray):
     writes them, in chunks, each built when it is asked for.
 
     Each chunk is one template: its labels' ASCII block from `bitstrings`,
-    each label followed by `": %r,` and the next entry's indent and quote,
-    filled with the chunk's probabilities (%r is the repr json uses for a
-    finite float). No 2^n-entry container is built."""
+    each label followed by `": %b,` and the next entry's indent and quote,
+    filled with the chunk's probabilities as orjson text mapped to repr's
+    (_float_reprs), the text json writes for a finite float. No 2^n-entry
+    container is built."""
     num_bits = marginal.size.bit_length() - 1
     yield '"'
     for start in range(0, marginal.size, _CHUNK):
         stop = min(start + _CHUNK, marginal.size)
         labels = basis_label_block(np.arange(start, stop), num_bits, _ENTRY_END)
-        chunk = labels.decode("ascii") % tuple(marginal[start:stop].tolist())
+        chunk = (labels % tuple(_float_reprs(marginal[start:stop]))).decode("ascii")
         yield chunk.removesuffix(_NEXT_ENTRY) if stop == marginal.size else chunk
 
 
@@ -215,9 +243,10 @@ def _record_chunks(doc: dict):
     `indent` makes json fall back to its pure-Python encoder, which formats a
     2^n-entry histogram one entry at a time. Instead a finite array's
     document is dumped with an empty histogram and the entries are spliced
-    in chunk by chunk (`_marginal_entries`), each chunk's rows translated
-    from its text (_ROWS), so a writer holds one chunk at a time and formats
-    each probability once. An array that is not all finite raises ValueError
+    in chunk by chunk (`_marginal_entries`, each chunk's probabilities as
+    orjson text mapped to repr's), each chunk's rows translated from its
+    text (_ROWS), so a writer holds one chunk at a time and formats each
+    probability once. An array that is not all finite raises ValueError
     before the first chunk. Any other histogram goes through json.dumps
     whole: the oracle's and the classical baseline's are one entry."""
     histogram = doc["histogram"]
@@ -260,8 +289,12 @@ def _resolve(args) -> dict:
         unknown = sorted(set(file_cfg) - set(SETTINGS))
         if unknown:
             raise ValueError(f"--config: {args.config} names no setting: {', '.join(unknown)}")
+    keys = COMMAND_SETTINGS[args.command]
+    if getattr(args, "instance", None):
+        # An instance file sets n and k, so a config file's are not read.
+        keys = [key for key in keys if key not in ("n", "k")]
     resolved = {}
-    for key in COMMAND_SETTINGS[args.command]:
+    for key in keys:
         convert, default, _ = SETTINGS[key]
         value = getattr(args, key)
         if value is None:

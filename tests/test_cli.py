@@ -411,6 +411,24 @@ def test_sweep_has_no_seed_setting(tmp_path, capsys):
     assert json.loads((out / "oracle_seed1" / "record.json").read_text())["seed"] == 1
 
 
+def test_sweep_on_an_instance_file_prints_no_size_setting(tmp_path, capsys):
+    # The file sets n and k; the defaults (n = 3, k = 1) or a config file's
+    # would name sizes the sweep does not run.
+    instance = str(tmp_path / "instance.json")
+    assert main(["generate", "--n", "5", "--k", "2", "--seed", "1", "--out", instance]) == EXIT_OK
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 3, "k": 1}))
+    for extra in ([], ["--config", str(config)]):
+        out = tmp_path / f"out{len(extra)}"
+        capsys.readouterr()
+        assert main(["sweep", "--instance", instance, "--seeds", "1", "--methods", "oracle",
+                     "--print-config", *extra, "--out", str(out)]) == EXIT_OK
+        printed, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
+        assert "n" not in printed and "k" not in printed, extra
+        bitstring = json.loads((out / "oracle_seed1" / "record.json").read_text())["bitstring"]
+        assert len(bitstring) == 5 and bitstring.count("1") <= 2, extra
+
+
 def test_feasibility_target_is_a_flag(tmp_path, capsys):
     instance = str(tmp_path / "instance.json")
     assert main(["generate", "--n", "3", "--k", "1", "--seed", "3", "--out", instance]) == EXIT_OK

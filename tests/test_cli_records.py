@@ -203,6 +203,33 @@ def test_record_writer_formats_a_marginal_array_as_json_dumps_of_its_labels(marg
     assert _written(doc) == (_dumps(labelled), _csv(labelled["histogram"]))
 
 
+def _reprs(values: np.ndarray) -> list[bytes]:
+    return [repr(value).encode() for value in values.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.integers(1, 300),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_float_texts_are_repr_of_any_finite_double(values):
+    # Every exponent, both signs and subnormals: orjson's text mapped to
+    # repr's is repr's, whichever layout orjson picks.
+    assert cli._float_reprs(values) == _reprs(values)
+
+
+def test_float_texts_are_repr_at_the_layout_boundaries():
+    # Where orjson's layout turns from decimal to exponent (1e-5) and
+    # repr's does (1e-4), where repr's exponent gains a "+" (1e16), the
+    # one-digit exponents orjson writes without repr's leading zero, the
+    # smallest subnormal, both zeros and the largest double.
+    boundaries = [1e-5, -1e-5, np.nextafter(1e-4, 0), 1e-4, 9.99e-6, 1e-6, -2.5e-7, 1e-8,
+                  1e-9, 1e-10, 1e-100, 5e-324, 0.0, -0.0, np.nextafter(1e16, 0), 1e16,
+                  -1e16, 1e22, np.finfo(np.float64).max, 0.5, 1.0]
+    values = np.array(boundaries)
+    assert cli._float_reprs(values) == _reprs(values)
+    for value in values:
+        assert cli._float_reprs(np.array([value])) == _reprs(np.array([value])), value
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_record_writer_refuses_a_non_finite_marginal(tmp_path, value):
     # JSON has no NaN or Infinity: the writer refuses before its first chunk,
@@ -276,7 +303,7 @@ def test_histogram_files_copy_the_record_text():
         _written({"histogram": np.array([np.nan, np.inf, -np.inf, 0.5])})
 
 
-def test_report_converts_a_written_record_in_under_twice_its_size(tmp_path):
+def test_record_writer_peaks_under_twice_the_record_it_writes(tmp_path):
     # The histogram file is converted from the record's text chunk by chunk
     # as the record is written: writing both holds one chunk's text and rows,
     # not whole-record copies of the text, its rows or a labelled dict.
