@@ -32,18 +32,21 @@ probability once. A QAOA record's histogram is formatted straight from its
 asset-marginal array, one chunk of entries per template, with no 2^n-entry
 container, and each chunk is written to the file as it is built. A chunk's
 probabilities are written as orjson text mapped to exactly `repr`'s, the
-text json writes for a finite float. A marginal that is not all finite is
-refused before its record is written (JSON has no NaN or Infinity): `solve`
-exits 2 with no `record.json`, and a sweep cell writes only its
-`error.txt`. The oracle's and the classical baseline's one-entry dict
-histograms go through json.dumps whole. A sweep cell writes
-`hist_<cell>.csv` in the same pass: a `bitstring,probability` header and
-one row per histogram entry, in the record's order, each probability as
-`repr` of its float (the record's text for a finite one; `nan`, `inf` or
-`-inf` where a dict histogram's record holds NaN, Infinity or -Infinity). A
-marginal chunk's rows are its record text with the JSON punctuation
-translated away. Both files are written under temp names and renamed into
-place after the last chunk, so a cell that fails midway leaves neither.
+text json writes for a finite float, its one-digit exponents padded by one
+numpy insert. A chunk stays bytes from orjson to the file: it is never
+decoded, and every file is written in binary, with no text layer (texts are
+UTF-8). A marginal that is not all finite is refused before its record is
+written (JSON has no NaN or Infinity): `solve` exits 2 with no
+`record.json`, and a sweep cell writes only its `error.txt`. The oracle's
+and the classical baseline's one-entry dict histograms go through
+json.dumps whole. A sweep cell writes `hist_<cell>.csv` in the same pass: a
+`bitstring,probability` header and one row per histogram entry, in the
+record's order, each probability as `repr` of its float (the record's text
+for a finite one; `nan`, `inf` or `-inf` where a dict histogram's record
+holds NaN, Infinity or -Infinity). A marginal chunk's rows are its record
+bytes with the JSON punctuation translated away (one `bytes.translate`).
+Both files are written under temp names and renamed into place after the
+last chunk, so a cell that fails midway leaves neither.
 
 `report` reads `summary.csv` only and writes `report.md` from it; a
 summary.csv that lacks a column of REPORT_COLUMNS exits 2 and writes
@@ -151,11 +154,11 @@ COMMAND_SETTINGS = {
 
 @contextmanager
 def _atomic(path: Path):
-    """A text file open for writing under a temp name, renamed to ``path``
+    """A binary file open for writing under a temp name, renamed to ``path``
     when the block ends; an error inside the block leaves no file."""
     tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
     try:
-        with tmp.open("w") as fh:
+        with tmp.open("wb") as fh:
             yield fh
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -164,7 +167,7 @@ def _atomic(path: Path):
 
 
 def _write_atomic(path: Path, chunks) -> None:
-    """Write the strings of ``chunks``, an iterable read one at a time, to
+    """Write the bytes of ``chunks``, an iterable read one at a time, to
     ``path`` through _atomic: a chunk that fails to build leaves no file."""
     with _atomic(path) as fh:
         fh.writelines(chunks)
@@ -175,22 +178,20 @@ def _write_atomic(path: Path, chunks) -> None:
 # spaces), each entry's indent, the text between an entry's label and its
 # value, the text between one entry's value and the next entry's label, and
 # the member's closing. Histogram entries per template in _marginal_entries.
-_HISTOGRAM_OPEN = '\n  "histogram": {'
-_ENTRY_INDENT = "\n    "
-_KEY_END = '": '
-_NEXT_ENTRY = "," + _ENTRY_INDENT + '"'
-_HISTOGRAM_CLOSE = "\n  }"
-_ENTRY_END = (_KEY_END + "%b" + _NEXT_ENTRY).encode("ascii")
+_HISTOGRAM_OPEN = b'\n  "histogram": {'
+_ENTRY_INDENT = b"\n    "
+_KEY_END = b'": '
+_NEXT_ENTRY = b"," + _ENTRY_INDENT + b'"'
+_HISTOGRAM_CLOSE = b"\n  }"
+_ENTRY_END = _KEY_END + b"%b" + _NEXT_ENTRY
 _CHUNK = 1 << 12
-# One str.translate turns a chunk of _marginal_entries into CSV rows: it
+# One bytes.translate turns a chunk of _marginal_entries into CSV rows: it
 # deletes the labels' quotes, the separators' commas and the indents'
 # spaces, and maps _KEY_END's colon to the delimiter, so each _NEXT_ENTRY
 # leaves only its line break. Labels are 0s and 1s and the repr text of a
 # finite float (_float_reprs) holds none of these characters, so nothing
 # else changes.
-_ROWS = str.maketrans(":", ",", '", ')
-# orjson writes exponents -6 to -9 with one digit, repr with two.
-_SHORT_EXPONENTS = [(b"e-%d," % digit, b"e-0%d," % digit) for digit in range(6, 10)]
+_ROWS = (bytes.maketrans(b":", b","), b'", ')
 
 
 def _float_reprs(values: np.ndarray) -> list[bytes]:
@@ -198,15 +199,19 @@ def _float_reprs(values: np.ndarray) -> list[bytes]:
     1-D float64 array, formatted by one orjson call.
 
     orjson's Ryu formatter writes the same shortest round-trip digits as
-    repr; only the layout differs. Each text is followed by a comma, so a
-    one-digit negative exponent is padded by four replaces over the block.
-    orjson writes 1e-5 <= |v| < 1e-4 in decimal where repr takes an
-    exponent, and |v| >= 1e16 with no "+" after the "e": those entries are
-    formatted by repr itself."""
-    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] + b","
-    for short, padded in _SHORT_EXPONENTS:
-        text = text.replace(short, padded)
-    texts = text.split(b",")[:-1]
+    repr; only the layout differs. orjson writes exponents -6 to -9 with one
+    digit, repr with two: each text is followed by a comma, so such an
+    exponent ends in "e-D,", and one numpy comparison over the block's bytes
+    finds those digits, which one np.insert pads with a "0". orjson writes
+    1e-5 <= |v| < 1e-4 in decimal where repr takes an exponent, and
+    |v| >= 1e16 with no "+" after the "e": those entries are formatted by
+    repr itself."""
+    text = np.frombuffer(orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] + b",",
+                         dtype=np.uint8)
+    # "e-D," is the only 4-byte run from an "e" to a comma with a "-" second.
+    short = np.flatnonzero((text[:-3] == ord("e")) & (text[1:-2] == ord("-"))
+                           & (text[3:] == ord(",")))
+    texts = np.insert(text, short + 2, ord("0")).tobytes().split(b",")[:-1]
     magnitudes = np.abs(values)
     relaid = (magnitudes >= 1e16) | ((magnitudes >= 1e-5) & (magnitudes < 1e-4))
     for index in np.flatnonzero(relaid):
@@ -216,53 +221,57 @@ def _float_reprs(values: np.ndarray) -> list[bytes]:
 
 def _marginal_entries(marginal: np.ndarray):
     """The entries of a finite marginal's histogram as json.dumps(indent=2)
-    writes them, in chunks, each built when it is asked for.
+    writes them, as ASCII bytes in chunks, each built when it is asked for.
 
     Each chunk is one template: its labels' ASCII block from `bitstrings`,
     each label followed by `": %b,` and the next entry's indent and quote,
     filled with the chunk's probabilities as orjson text mapped to repr's
-    (_float_reprs), the text json writes for a finite float. No 2^n-entry
-    container is built."""
+    (_float_reprs, which pads short exponents with one np.insert), the text
+    json writes for a finite float. No 2^n-entry container is built."""
     num_bits = marginal.size.bit_length() - 1
-    yield '"'
+    yield b'"'
     for start in range(0, marginal.size, _CHUNK):
         stop = min(start + _CHUNK, marginal.size)
         labels = basis_label_block(np.arange(start, stop), num_bits, _ENTRY_END)
-        chunk = (labels % tuple(_float_reprs(marginal[start:stop]))).decode("ascii")
+        chunk = labels % tuple(_float_reprs(marginal[start:stop]))
         yield chunk.removesuffix(_NEXT_ENTRY) if stop == marginal.size else chunk
 
 
 def _record_chunks(doc: dict):
-    """record.json's text and hist_<cell>.csv's rows below its header, as
-    (text, rows) pairs built when they are asked for. The texts join to
-    exactly `json.dumps(doc, indent=2) + "\\n"`, where an array histogram
-    (`ExperimentRecord.document`) stands for the dict of its probabilities
-    keyed by their n-bit labels in basis-index order; the rows to one
-    `label,repr(p)` line per entry of that dict, in its order.
+    """record.json's bytes and hist_<cell>.csv's rows below its header, as
+    (text, rows) pairs of bytes built when they are asked for. The texts
+    join to exactly `json.dumps(doc, indent=2) + "\\n"` in ASCII, where an
+    array histogram (`ExperimentRecord.document`) stands for the dict of its
+    probabilities keyed by their n-bit labels in basis-index order; the rows
+    to one `label,repr(p)` line per entry of that dict, in its order, in
+    UTF-8.
 
     `indent` makes json fall back to its pure-Python encoder, which formats a
     2^n-entry histogram one entry at a time. Instead a finite array's
     document is dumped with an empty histogram and the entries are spliced
     in chunk by chunk (`_marginal_entries`, each chunk's probabilities as
-    orjson text mapped to repr's), each chunk's rows translated from its
-    text (_ROWS), so a writer holds one chunk at a time and formats each
-    probability once. An array that is not all finite raises ValueError
-    before the first chunk. Any other histogram goes through json.dumps
-    whole: the oracle's and the classical baseline's are one entry."""
+    orjson bytes mapped to repr's), each chunk's rows translated from its
+    bytes (_ROWS), so a writer holds one chunk at a time, formats each
+    probability once and never decodes it. An array that is not all finite
+    raises ValueError before the first chunk. Any other histogram goes
+    through json.dumps whole: the oracle's and the classical baseline's are
+    one entry. Its rows write a label that UTF-8 cannot hold (a lone
+    surrogate) as its backslash escape, the text json writes for it."""
     histogram = doc["histogram"]
     if not isinstance(histogram, np.ndarray):
-        yield (json.dumps(doc, indent=2) + "\n",
-               "".join(f"{key},{value!r}\n" for key, value in histogram.items()))
+        yield ((json.dumps(doc, indent=2) + "\n").encode("ascii"),
+               "".join(f"{key},{value!r}\n" for key, value in histogram.items()).encode(
+                   "utf-8", "backslashreplace"))
         return
     if not np.isfinite(histogram).all():
         raise ValueError("refusing to write a record whose marginal is not all finite "
                          "(JSON has no NaN or Infinity)")
-    head, _, tail = json.dumps({**doc, "histogram": {}}, indent=2).partition(
-        _HISTOGRAM_OPEN + "}")
-    yield head + _HISTOGRAM_OPEN + _ENTRY_INDENT, ""
+    head, _, tail = json.dumps({**doc, "histogram": {}}, indent=2).encode("ascii").partition(
+        _HISTOGRAM_OPEN + b"}")
+    yield head + _HISTOGRAM_OPEN + _ENTRY_INDENT, b""
     for chunk in _marginal_entries(histogram):
-        yield chunk, chunk.translate(_ROWS)
-    yield _HISTOGRAM_CLOSE + tail + "\n", "\n"
+        yield chunk, chunk.translate(*_ROWS)
+    yield _HISTOGRAM_CLOSE + tail + b"\n", b"\n"
 
 
 def _write_record(record_path: Path, doc: dict, histogram_path: Path) -> None:
@@ -270,7 +279,7 @@ def _write_record(record_path: Path, doc: dict, histogram_path: Path) -> None:
     _record_chunks, each through _atomic; a chunk that fails to build leaves
     neither file."""
     with _atomic(histogram_path) as rows, _atomic(record_path) as record:
-        rows.write("bitstring,probability\n")
+        rows.write(b"bitstring,probability\n")
         for text, row_text in _record_chunks(doc):
             record.write(text)
             rows.write(row_text)
@@ -424,7 +433,7 @@ def cmd_generate(args) -> int:
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out, [instance_mod.to_json(inst), "\n"])
+    _write_atomic(out, [(instance_mod.to_json(inst) + "\n").encode()])
     active = int(inst.alpha.sum())
     print(f"wrote {out}: n={inst.n} k={inst.k} seed={inst.seed} active_thresholds={active}")
     return EXIT_OK
@@ -469,7 +478,7 @@ def _run_cell(payload: tuple) -> dict:
         row["value"] = "" if doc.get("value") is None else repr(doc["value"])
         row["iterations"] = str(doc.get("iterations", 0))
     except Exception as exc:  # cell failures are recorded, the sweep continues
-        _write_atomic(run_dir / "error.txt", [f"{type(exc).__name__}: {exc}\n"])
+        _write_atomic(run_dir / "error.txt", [f"{type(exc).__name__}: {exc}\n".encode()])
         row["feasible"] = "False"
     row["wall_ms"] = f"{(time.perf_counter() - started) * 1000.0:.3f}"
     return row
@@ -510,7 +519,7 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in instance_files.items():
-        _write_atomic(out_dir / name, [text])
+        _write_atomic(out_dir / name, [text.encode()])
 
     payloads = [
         (method, seed, instance_texts[seed], cfg, schedule, str(out_dir / f"{method}_seed{seed}"))
@@ -529,7 +538,7 @@ def cmd_sweep(args) -> int:
     writer.writeheader()
     for row in rows:
         writer.writerow(row)
-    _write_atomic(out_dir / "summary.csv", [buf.getvalue()])
+    _write_atomic(out_dir / "summary.csv", [buf.getvalue().encode()])
     print(f"wrote {out_dir / 'summary.csv'} ({len(rows)} runs)")
     return EXIT_OK
 
@@ -558,7 +567,7 @@ def cmd_report(args) -> int:
             f"| {row['feasible']} | {value_text} |"
         )
     table = "\n".join(lines) + "\n"
-    _write_atomic(run_dir / "report.md", [table])
+    _write_atomic(run_dir / "report.md", [table.encode()])
     print(table, end="")
     print(f"wrote {run_dir / 'report.md'}")
     return EXIT_OK

@@ -307,7 +307,8 @@ class _ansatz:
 
     ``ansatz(params)`` is the state, a new array in canonical phase;
     ``ansatz.probabilities(params)`` its probabilities and
-    ``ansatz.expectation(params)`` its expectation under the program.
+    ``ansatz.expectation(params)`` its expectation under the program, both
+    built in the workspace (below).
 
     The program is tabulated (``energy_table``) once, before the workspace
     is allocated. Every layer runs in the real frame (see ``simulate``),
@@ -325,13 +326,18 @@ class _ansatz:
     ``apply_phase_separation``.
 
     One ``simulate.workspace`` of two 2^m buffers serves every evaluation:
-    the state lives in one, and the other takes each layer's phases and
-    each mixer block's output. The state in the frame outlives the call
-    that built it: the ansatz remembers its angles, and an evaluation at
-    equal angles (typically ``ansatz(best)`` after a search whose last
-    evaluation was its best) reads it instead of recomputing it. Only a
-    later evaluation at other angles overwrites it. A returned array never
-    shares memory with the workspace.
+    the state lives in one, and the other takes each layer's phases, each
+    mixer block's output and, last, the state's probabilities, in its first
+    2^m float64s, so an expectation allocates no 2^m array. The state in
+    the frame outlives the call that built it: the ansatz remembers its
+    angles, and an evaluation at equal angles reads it instead of
+    recomputing it; only a later evaluation at other angles overwrites it.
+    Likewise ``probabilities`` right after ``expectation`` at equal angles
+    reads the probabilities the expectation left in the spare buffer. The
+    array ``probabilities`` returns is that buffer, valid until the next
+    call; a search keeps its best evaluation's probabilities by copying
+    them out (``_search_angles``). A returned state never shares memory
+    with the workspace.
     """
 
     def __init__(self, program: QuboProgram, mixer: str):
@@ -348,12 +354,13 @@ class _ansatz:
         self._table = energy_table(program)
         self._buffers = workspace(program.num_qubits)
         self._held: QaoaParams | None = None  # angles of the state in self._buffers[0]
+        self._squared: QaoaParams | None = None  # angles of the probabilities in the spare
 
     def _frame_state(self, params: QaoaParams) -> tuple[np.ndarray, np.ndarray]:
         """(buffer holding the state in the frame, the other buffer)."""
         if params == self._held:
             return self._buffers
-        self._held = None
+        self._held = self._squared = None
         table = self._table
         state, spare = self._buffers
         real_frame_phased_uniform(state, table, params.gammas[0])
@@ -368,15 +375,23 @@ class _ansatz:
         return state, spare
 
     def expectation(self, params: QaoaParams) -> float:
-        state, _ = self._frame_state(params)
-        return expectation(StateVector(self._table.num_qubits, state), self._table)
+        state, spare = self._frame_state(params)
+        value = expectation(StateVector(self._table.num_qubits, state), self._table,
+                            out=spare.view(np.float64)[: state.size])
+        self._squared = params
+        return value
 
     def probabilities(self, params: QaoaParams) -> np.ndarray:
-        state, _ = self._frame_state(params)
-        return StateVector(self._table.num_qubits, state).probabilities()
+        state, spare = self._frame_state(params)
+        probabilities = spare.view(np.float64)[: state.size]
+        if params != self._squared:
+            StateVector(self._table.num_qubits, state).probabilities(out=probabilities)
+            self._squared = params
+        return probabilities
 
     def __call__(self, params: QaoaParams) -> StateVector:
         state, spare = self._frame_state(params)
+        self._squared = None  # from_real_frame builds its phases in the spare
         return StateVector(self._table.num_qubits, from_real_frame(state, spare))
 
 
@@ -412,16 +427,33 @@ def _search_angles(program: QuboProgram, theta, minimize, mixer: str = "standard
     (``bounds.asset_marginal``), and evals in physical units and in
     evaluation order. The ansatz (``_ansatz``), with its table and
     workspace, lives only inside the call.
+
+    The final marginal is read from the search's best evaluation, not
+    simulated again: on each new strict minimum (the rule by which
+    ``minimize_with_budget`` keeps its best) the objective copies that
+    evaluation's probabilities out of the workspace into one kept 2^m
+    array. Only if ``minimize`` returns other angles is the state at them
+    simulated once more.
     """
     scale = _angle_scale(program)
     ansatz = _ansatz(program, mixer)
+    kept = np.empty(1 << program.num_qubits)  # the probabilities at kept_params
+    kept_params, lowest = None, math.inf
 
     def objective(theta):
-        return ansatz.expectation(_physical_params(theta, scale))
+        nonlocal kept_params, lowest
+        params = _physical_params(theta, scale)
+        value = ansatz.expectation(params)
+        if value < lowest:
+            kept_params, lowest = params, value
+            np.copyto(kept, ansatz.probabilities(params))
+        return value
 
     best_theta, _, evals = minimize(objective, theta)
     final_params = _physical_params(best_theta, scale)
-    marginal = bounds.asset_marginal(ansatz.probabilities(final_params), program.labels)
+    if final_params != kept_params:
+        np.copyto(kept, ansatz.probabilities(final_params))
+    marginal = bounds.asset_marginal(kept, program.labels)
     return _physical_params(theta, scale), final_params, best_theta, marginal, evals
 
 

@@ -57,8 +57,11 @@ class StateVector:
     num_qubits: int
     amplitudes: np.ndarray
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+    def probabilities(self, out: np.ndarray | None = None) -> np.ndarray:
+        """|amp_x|^2, written into ``out`` (a 2^m float64 buffer) when
+        given, else into a new array."""
+        probabilities = np.abs(self.amplitudes, out=out)
+        return np.square(probabilities, out=probabilities)
 
 
 @dataclass(frozen=True)
@@ -278,13 +281,17 @@ def _pair_unit(beta_angle: float) -> np.ndarray:
     ])
 
 
-def expectation(state: StateVector, table: EnergyTable) -> float:
-    """Exact <H> = sum_x |amp_x|^2 E(x) for a diagonal Hamiltonian."""
+def expectation(
+    state: StateVector, table: EnergyTable, out: np.ndarray | None = None
+) -> float:
+    """Exact <H> = sum_x |amp_x|^2 E(x) for a diagonal Hamiltonian. The
+    probabilities are built in ``out`` (a 2^m float64 buffer) when given,
+    else in a new array."""
     if table.num_qubits != state.num_qubits:
         raise ValueError(
             f"table has {table.num_qubits} qubits, state has {state.num_qubits}"
         )
-    return float(np.dot(state.probabilities(), table.energies))
+    return float(np.dot(state.probabilities(out), table.energies))
 
 
 def sample_counts(probabilities: np.ndarray, shots: int, seed: int) -> np.ndarray:

@@ -4,11 +4,13 @@ record in the same pass, and summary.csv as `qmarko report` reads it."""
 import codecs
 import csv
 import json
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
@@ -28,8 +30,8 @@ def _dumps(doc) -> str:
 
 
 def _record_text(doc) -> str:
-    """record.json's text: the writer's chunks, joined."""
-    return "".join(text for text, _ in cli._record_chunks(doc))
+    """record.json's text: the writer's chunks, joined, which are ASCII bytes."""
+    return b"".join(text for text, _ in cli._record_chunks(doc)).decode("ascii")
 
 
 def _written(doc) -> tuple[str, str]:
@@ -214,6 +216,26 @@ def test_float_texts_are_repr_of_any_finite_double(values):
     # Every exponent, both signs and subnormals: orjson's text mapped to
     # repr's is repr's, whichever layout orjson picks.
     assert cli._float_reprs(values) == _reprs(values)
+
+
+@pytest.mark.parametrize("values, pads", [
+    # A records-n18 chunk: every probability in [8.6e-7, 4.7e-6].
+    (np.random.default_rng(18).uniform(8.6e-7, 4.7e-6, 1 << 12), 1 << 12),
+    # The last entry's pad rests on the comma appended after the block.
+    (np.array([0.5, 0.25, 3e-7]), 1),
+    (np.array([-1.5e-7]), 1),
+    # Exponents -10 and -100 next to -6: only -6 and -9 are padded.
+    (np.array([1e-6, 1e-10, 2.5e-6, 1e-100, 3e-9, 7e-10]), 3),
+    (np.array([0.5, 0.125, 1e-3, 1e-100, 1e-10, 5e-324, 1e16]), 0),
+], ids=["every-entry", "last-entry", "negative", "two-digit-neighbours", "no-pad"])
+def test_float_texts_pad_exactly_the_one_digit_exponents(values, pads):
+    # orjson writes exponents -6 to -9 with one digit: each of those, and
+    # no other, gains repr's leading zero.
+    block = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] + b","
+    assert len(re.findall(rb"e-[0-9],", block)) == pads
+    texts = cli._float_reprs(values)
+    assert texts == _reprs(values)
+    assert sum(b"e-0" in text for text in texts) == pads
 
 
 def test_float_texts_are_repr_at_the_layout_boundaries():
@@ -419,7 +441,7 @@ def test_a_record_whose_chunks_fail_midway_leaves_no_file(tmp_path, monkeypatch)
     # record.json is written chunk by chunk under a temp name: a chunk that
     # fails to build leaves neither the record nor the temp file.
     def chunks():
-        yield '{\n  "method": "x",'
+        yield b'{\n  "method": "x",'
         raise RuntimeError("chunk failed")
 
     with pytest.raises(RuntimeError, match="chunk failed"):

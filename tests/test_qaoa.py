@@ -25,6 +25,7 @@ from qmarko.encode import QuboProgram, VarLabel, build_penalty_qubo, build_slack
 from qmarko.instance import PortfolioInstance, classical_objective, generate_instance, is_feasible
 from qmarko.oracle import exhaustive_portfolio_optimum, exhaustive_qubo_minimum
 from qmarko.qaoa import (
+    FIXED_PENALTY_ARMS,
     QaoaParams,
     ScheduleConfig,
     _angle_scale,
@@ -586,12 +587,10 @@ def test_evaluations_do_not_depend_on_earlier_ones(layout):
     assert np.array_equal(ansatz(_PARAMS_A).amplitudes, amplitudes)
 
 
-@pytest.mark.parametrize("layout", ("standard", "pair frame", "adjacent pairs"))
-def test_state_at_the_last_evaluated_angles_is_read_not_recomputed(layout, monkeypatch):
+def _counted_mixer_layers(monkeypatch) -> list:
+    """The mixer layers the ansatz runs from now on, one entry per layer."""
     import qmarko.qaoa as qaoa
 
-    program, mixer = _ansatz_layouts(4)[layout]
-    fresh = _ansatz(program, mixer)(_PARAMS_A).amplitudes
     layers = []
     original_mixer = qaoa.apply_real_frame_mixer
 
@@ -600,6 +599,14 @@ def test_state_at_the_last_evaluated_angles_is_read_not_recomputed(layout, monke
         return original_mixer(*args, **kwargs)
 
     monkeypatch.setattr(qaoa, "apply_real_frame_mixer", counted_mixer)
+    return layers
+
+
+@pytest.mark.parametrize("layout", ("standard", "pair frame", "adjacent pairs"))
+def test_state_at_the_last_evaluated_angles_is_read_not_recomputed(layout, monkeypatch):
+    program, mixer = _ansatz_layouts(4)[layout]
+    fresh = _ansatz(program, mixer)(_PARAMS_A).amplitudes
+    layers = _counted_mixer_layers(monkeypatch)
     ansatz = _ansatz(program, mixer)
     ansatz.expectation(_PARAMS_A)
     layers.clear()
@@ -631,6 +638,78 @@ def test_search_objective_is_the_expectation_of_the_state(layout):
     assert np.array_equal(best, thetas[-1]) and final == _physical_params(thetas[-1], scale)
     direct = asset_marginal(ansatz(final).probabilities(), program.labels)
     assert np.allclose(marginal, direct, rtol=0, atol=1e-15)
+
+
+def _best_is_not_last(rows) -> bool:
+    values = [row.expectation for row in rows]
+    return int(np.argmin(values)) != len(values) - 1
+
+
+@pytest.mark.parametrize("method", ("penalty-qaoa", "cardinality-slack-qaoa"))
+def test_a_fixed_penalty_search_simulates_each_evaluated_state_once(method, monkeypatch):
+    # Its final marginal is its best evaluation's, kept, not simulated again,
+    # though the best evaluation is not the last (m = 6 and 8).
+    inst = generate_instance(6, 2, seed=2)
+    layers = _counted_mixer_layers(monkeypatch)
+    record = run_fixed_penalty(inst, method, p=2, budget=12, seed=2)
+    assert _best_is_not_last(record.trace)
+    assert len(layers) == record.final_params.p * record.iterations_used
+    program = FIXED_PENALTY_ARMS[method][0](inst, record.final_beta_penalty)
+    direct = _ansatz(program, "standard").probabilities(record.final_params)
+    assert np.array_equal(record.marginal, asset_marginal(direct, program.labels))
+
+
+@pytest.mark.parametrize("mixer", ("conditional", "standard"))
+def test_a_schedule_simulates_each_evaluated_state_once(mixer, monkeypatch):
+    # Two segments, each with its best evaluation before its last: p layers
+    # per evaluation, none to rebuild either segment's best state.
+    inst = generate_instance(3, 1, seed=2)
+    config = ScheduleConfig(doubling_interval=8, max_iterations=16, feasibility_shots=64)
+    layers = _counted_mixer_layers(monkeypatch)
+    record = run_schedule(inst, config, mixer=mixer, seed=2)
+    segments = [[row for row in record.trace if row.beta_penalty == beta]
+                for beta in (100.0, 200.0)]
+    assert [len(rows) for rows in segments] == [8, 8]
+    assert all(_best_is_not_last(rows) for rows in segments)
+    assert len(layers) == record.final_params.p * record.iterations_used
+    program = build_slack_ancilla_qubo(inst, record.final_beta_penalty)
+    direct = _ansatz(program, mixer).probabilities(record.final_params)
+    assert np.array_equal(record.marginal, asset_marginal(direct, program.labels))
+
+
+@pytest.mark.parametrize("mixer", ("standard", "conditional"))
+def test_search_peak_memory_is_its_workspace_table_and_kept_probabilities(mixer):
+    import tracemalloc
+
+    program, _ = _ansatz_layouts(7)["pair frame" if mixer == "conditional" else mixer]  # m = 14
+    nbytes = 16 << program.num_qubits  # one state
+    thetas = np.random.default_rng(43).uniform(0.0, np.pi, size=(6, 4))
+    growths = []
+
+    def minimize(objective, theta):
+        values = []
+        for point in thetas:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            values.append(objective(point))
+            growths.append(tracemalloc.get_traced_memory()[1] - held)
+        best = int(np.argmin(values))
+        return thetas[best], values[best], values
+
+    tracemalloc.start()
+    try:
+        _search_angles(program, thetas[0], minimize, mixer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # No evaluation allocates a 2^m array (2^m float64s are 1/2): each
+    # builds its probabilities in the workspace and copies a new best into
+    # the kept array; what remains is the gates' and the angles' few KiB.
+    assert max(growths) <= 0.1 * nbytes, [growth / nbytes for growth in growths]
+    # Two workspace buffers (2), the energy table (1/2) and the kept
+    # probabilities (1/2), plus summing the slacks out of them for the
+    # marginal: 2^13 then 2^12 float64s (3/8), and a few KiB.
+    assert peak <= 3.5 * nbytes, peak / nbytes
 
 
 @pytest.mark.parametrize("mixer", ("standard", "conditional"))
