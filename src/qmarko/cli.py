@@ -39,14 +39,16 @@ UTF-8). A marginal that is not all finite is refused before its record is
 written (JSON has no NaN or Infinity): `solve` exits 2 with no
 `record.json`, and a sweep cell writes only its `error.txt`. The oracle's
 and the classical baseline's one-entry dict histograms go through
-json.dumps whole. A sweep cell writes `hist_<cell>.csv` in the same pass: a
-`bitstring,probability` header and one row per histogram entry, in the
-record's order, each probability as `repr` of its float (the record's text
-for a finite one; `nan`, `inf` or `-inf` where a dict histogram's record
-holds NaN, Infinity or -Infinity). A marginal chunk's rows are its record
-bytes with the JSON punctuation translated away (one `bytes.translate`).
-Both files are written under temp names and renamed into place after the
-last chunk, so a cell that fails midway leaves neither.
+json.dumps whole. A sweep cell writes `record.json` and then
+`hist_<cell>.csv`, each through `_atomic` (a temp name renamed into place
+once whole), so a record that fails midway (a non-finite marginal among
+others) leaves neither. The CSV is a `bitstring,probability` header and one
+`label,repr(p)` row per reportable entry, its probability's record text: a
+marginal's entries above `qaoa.REPORTING_THRESHOLD` in basis-index order,
+or, if none is, its most probable (lowest index on ties); a dict
+histogram's every entry, in order (`nan`, `inf` or `-inf` where its record
+holds NaN, Infinity or -Infinity). The full marginal is in `record.json`
+only.
 
 `report` reads `summary.csv` only and writes `report.md` from it; a
 summary.csv that lacks a column of REPORT_COLUMNS exits 2 and writes
@@ -185,13 +187,7 @@ _NEXT_ENTRY = b"," + _ENTRY_INDENT + b'"'
 _HISTOGRAM_CLOSE = b"\n  }"
 _ENTRY_END = _KEY_END + b"%b" + _NEXT_ENTRY
 _CHUNK = 1 << 12
-# One bytes.translate turns a chunk of _marginal_entries into CSV rows: it
-# deletes the labels' quotes, the separators' commas and the indents'
-# spaces, and maps _KEY_END's colon to the delimiter, so each _NEXT_ENTRY
-# leaves only its line break. Labels are 0s and 1s and the repr text of a
-# finite float (_float_reprs) holds none of these characters, so nothing
-# else changes.
-_ROWS = (bytes.maketrans(b":", b","), b'", ')
+_CSV_HEADER = b"bitstring,probability\n"
 
 
 def _float_reprs(values: np.ndarray) -> list[bytes]:
@@ -238,51 +234,47 @@ def _marginal_entries(marginal: np.ndarray):
 
 
 def _record_chunks(doc: dict):
-    """record.json's bytes and hist_<cell>.csv's rows below its header, as
-    (text, rows) pairs of bytes built when they are asked for. The texts
+    """record.json's bytes, in chunks built when they are asked for, which
     join to exactly `json.dumps(doc, indent=2) + "\\n"` in ASCII, where an
     array histogram (`ExperimentRecord.document`) stands for the dict of its
-    probabilities keyed by their n-bit labels in basis-index order; the rows
-    to one `label,repr(p)` line per entry of that dict, in its order, in
-    UTF-8.
+    probabilities keyed by their n-bit labels in basis-index order.
 
     `indent` makes json fall back to its pure-Python encoder, which formats a
     2^n-entry histogram one entry at a time. Instead a finite array's
     document is dumped with an empty histogram and the entries are spliced
     in chunk by chunk (`_marginal_entries`, each chunk's probabilities as
-    orjson bytes mapped to repr's), each chunk's rows translated from its
-    bytes (_ROWS), so a writer holds one chunk at a time, formats each
-    probability once and never decodes it. An array that is not all finite
-    raises ValueError before the first chunk. Any other histogram goes
-    through json.dumps whole: the oracle's and the classical baseline's are
-    one entry. Its rows write a label that UTF-8 cannot hold (a lone
-    surrogate) as its backslash escape, the text json writes for it."""
+    orjson bytes mapped to repr's), so a writer holds one chunk at a time,
+    formats each probability once and never decodes it. An array that is not
+    all finite raises ValueError before the first chunk. Any other histogram
+    goes through json.dumps whole: the oracle's and the classical baseline's
+    are one entry."""
     histogram = doc["histogram"]
     if not isinstance(histogram, np.ndarray):
-        yield ((json.dumps(doc, indent=2) + "\n").encode("ascii"),
-               "".join(f"{key},{value!r}\n" for key, value in histogram.items()).encode(
-                   "utf-8", "backslashreplace"))
+        yield (json.dumps(doc, indent=2) + "\n").encode("ascii")
         return
     if not np.isfinite(histogram).all():
         raise ValueError("refusing to write a record whose marginal is not all finite "
                          "(JSON has no NaN or Infinity)")
     head, _, tail = json.dumps({**doc, "histogram": {}}, indent=2).encode("ascii").partition(
         _HISTOGRAM_OPEN + b"}")
-    yield head + _HISTOGRAM_OPEN + _ENTRY_INDENT, b""
-    for chunk in _marginal_entries(histogram):
-        yield chunk, chunk.translate(*_ROWS)
-    yield _HISTOGRAM_CLOSE + tail + b"\n", b"\n"
+    yield head + _HISTOGRAM_OPEN + _ENTRY_INDENT
+    yield from _marginal_entries(histogram)
+    yield _HISTOGRAM_CLOSE + tail + b"\n"
 
 
-def _write_record(record_path: Path, doc: dict, histogram_path: Path) -> None:
-    """Write record.json and hist_<cell>.csv of ``doc`` in one pass over
-    _record_chunks, each through _atomic; a chunk that fails to build leaves
-    neither file."""
-    with _atomic(histogram_path) as rows, _atomic(record_path) as record:
-        rows.write(b"bitstring,probability\n")
-        for text, row_text in _record_chunks(doc):
-            record.write(text)
-            rows.write(row_text)
+def _histogram_csv(histogram) -> bytes:
+    """hist_<cell>.csv of a record's histogram (module docstring), in UTF-8;
+    of a marginal only its rows' entries are formatted. A dict label that
+    UTF-8 cannot hold (a lone surrogate) is written as its backslash escape,
+    the text json writes for it."""
+    if not isinstance(histogram, np.ndarray):
+        rows = "".join(f"{key},{value!r}\n" for key, value in histogram.items())
+        return _CSV_HEADER + rows.encode("utf-8", "backslashreplace")
+    indices = np.flatnonzero(qaoa.reportable(histogram))
+    if not indices.size:
+        indices = np.argmax(histogram, keepdims=True)
+    labels = basis_label_block(indices, histogram.size.bit_length() - 1, b",%b\n")
+    return _CSV_HEADER + labels % tuple(_float_reprs(histogram[indices]))
 
 
 def _resolve(args) -> dict:
@@ -449,7 +441,7 @@ def cmd_solve(args) -> int:
     doc = _run_method(inst, method, cfg, schedule)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out_dir / "record.json", (text for text, _ in _record_chunks(doc)))
+    _write_atomic(out_dir / "record.json", _record_chunks(doc))
     _print_solve_row(doc)
     if not doc.get("feasible") or doc.get("bitstring") is None:
         return EXIT_NO_FEASIBLE
@@ -472,7 +464,8 @@ def _run_cell(payload: tuple) -> dict:
     try:
         inst = instance_mod.from_json(instance_text)
         doc = _run_method(inst, method, {**cfg, "seed": seed}, schedule)
-        _write_record(run_dir / "record.json", doc, histogram_path)
+        _write_atomic(run_dir / "record.json", _record_chunks(doc))
+        _write_atomic(histogram_path, [_histogram_csv(doc["histogram"])])
         row["bitstring"] = doc.get("bitstring") or ""
         row["feasible"] = str(bool(doc.get("feasible")))
         row["value"] = "" if doc.get("value") is None else repr(doc["value"])

@@ -84,9 +84,15 @@ from .simulate import (
 
 SCIPY_METHODS = {"cobyla": "COBYLA", "nelder-mead": "Nelder-Mead"}
 
-# Asset configurations below this exact probability are ignored when
-# picking the best feasible portfolio out of a final state.
+# Asset configurations at or below this exact probability are not
+# reportable: best_feasible is picked among the rest, and a sweep cell's
+# hist_<cell>.csv lists only the rest (its most probable entry if none).
 REPORTING_THRESHOLD = 1e-3
+
+
+def reportable(marginal: np.ndarray) -> np.ndarray:
+    """The mask of the entries of ``marginal`` above REPORTING_THRESHOLD."""
+    return marginal > REPORTING_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -487,9 +493,9 @@ def _picks(instance: PortfolioInstance, marginal: np.ndarray):
             probability=float(marginal[index]),
         )
 
-    reportable = feasible & (marginal > REPORTING_THRESHOLD)
-    values = np.where(reportable, objective_table(instance), math.inf)
-    best = pick(int(np.argmin(values))) if reportable.any() else None
+    candidates = feasible & reportable(marginal)
+    values = np.where(candidates, objective_table(instance), math.inf)
+    best = pick(int(np.argmin(values))) if candidates.any() else None
     return best, pick(int(np.argmax(marginal))), float(marginal[feasible].sum())
 
 

@@ -35,6 +35,7 @@ def test_sweep_and_report_cover_every_cell(tmp_path, capsys):
         run_id = f"{method}_seed{seed}"
         assert not (out / run_id / "error.txt").exists()
         histogram = json.loads((out / run_id / "record.json").read_text())["histogram"]
+        assert math.isclose(sum(histogram.values()), 1.0, abs_tol=1e-9)
         with (out / f"hist_{run_id}.csv").open() as fh:
             lines = list(csv.reader(fh))
         assert lines[0] == ["bitstring", "probability"]
@@ -42,8 +43,11 @@ def test_sweep_and_report_cover_every_cell(tmp_path, capsys):
             [bits, repr(float(histogram[bits]))]
             for bits in sorted(histogram, key=string_to_index)
         ]
+        if method.endswith("-qaoa"):
+            # A marginal's rows: its entries above 1e-3, else its most probable.
+            most_probable = max(expected, key=lambda row: float(row[1]))
+            expected = [row for row in expected if float(row[1]) > 1e-3] or [most_probable]
         assert lines[1:] == expected
-        assert math.isclose(sum(float(p) for _, p in lines[1:]), 1.0, abs_tol=1e-9)
 
 
 def test_solve_rejects_mixer_for_methods_without_one(tmp_path, capsys):
@@ -615,7 +619,9 @@ def test_records_and_histogram_files_hold_the_asset_marginal(tmp_path, capsys):
         for keys in (list(histogram), [bits for bits, _ in rows]):
             assert all(len(bits) == n and set(bits) <= {"0", "1"} for bits in keys), method
         if method.endswith("-qaoa"):
-            assert len(histogram) == len(rows) == 1 << n, method
+            assert len(histogram) == 1 << n, method
+            # Its histogram file lists entries of that marginal.
+            assert rows and {bits for bits, _ in rows} <= set(histogram), method
 
     # The slack cell's whole record is smaller than the 2^(2n)-entry register
     # histogram of the same run would be on its own.

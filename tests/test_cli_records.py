@@ -1,5 +1,9 @@
-"""record.json's writer, the hist_<cell>.csv it writes beside a sweep cell's
-record in the same pass, and summary.csv as `qmarko report` reads it."""
+"""record.json's writer; the hist_<cell>.csv a sweep cell writes after its
+record, each file through `_atomic`, so a record that fails midway (a
+non-finite marginal among others) leaves neither; its rows (a marginal's
+entries above qaoa.REPORTING_THRESHOLD in basis-index order, else its most
+probable entry; a dict histogram's every entry), each its record text; and
+summary.csv as `qmarko report` reads it."""
 
 import codecs
 import csv
@@ -8,6 +12,7 @@ import re
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import orjson
@@ -19,7 +24,7 @@ from hypothesis.extra.numpy import arrays
 from helpers import record_json
 from qmarko import cli
 from qmarko.cli import EXIT_INVALID, EXIT_NO_FEASIBLE, EXIT_OK, METHODS, SUMMARY_COLUMNS, main
-from qmarko.instance import generate_instance
+from qmarko.instance import generate_instance, to_json
 from qmarko.qaoa import ScheduleConfig, run_fixed_penalty, run_schedule
 
 FAST = ["--max-iter", "12", "--doubling-interval", "6", "--shots", "64"]
@@ -31,20 +36,41 @@ def _dumps(doc) -> str:
 
 def _record_text(doc) -> str:
     """record.json's text: the writer's chunks, joined, which are ASCII bytes."""
-    return b"".join(text for text, _ in cli._record_chunks(doc)).decode("ascii")
+    return b"".join(cli._record_chunks(doc)).decode("ascii")
+
+
+_INSTANCE = to_json(generate_instance(1, 1, 0))
+
+
+def _run_cell(doc, sweep: Path) -> Path:
+    """Run the sweep cell `sweep`/x, whose method returns `doc`; its directory."""
+    with mock.patch.dict(METHODS, oracle=(lambda *_: doc, None)):
+        cli._run_cell(("oracle", 1, _INSTANCE, {"penalty": None}, None, str(sweep / "x")))
+    return sweep / "x"
 
 
 def _written(doc) -> tuple[str, str]:
-    """The record.json and hist_<cell>.csv texts a sweep cell writes for `doc`."""
+    """The record.json and hist_<cell>.csv texts a sweep cell writes for `doc`;
+    a cell that fails raises the text of its error.txt."""
     with tempfile.TemporaryDirectory() as tmp:
-        record_path, histogram_path = Path(tmp) / "record.json", Path(tmp) / "hist_x.csv"
-        cli._write_record(record_path, doc, histogram_path)
-        return record_path.read_text(), histogram_path.read_text()
+        cell = _run_cell(doc, Path(tmp))
+        if (cell / "error.txt").exists():
+            raise RuntimeError((cell / "error.txt").read_text())
+        return (cell / "record.json").read_text(), (Path(tmp) / "hist_x.csv").read_text()
 
 
 def _csv(histogram: dict) -> str:
     """hist_<cell>.csv of a labelled histogram: each probability as its repr."""
     return "bitstring,probability\n" + "".join(f"{key},{p!r}\n" for key, p in histogram.items())
+
+
+def _reportable(histogram: dict) -> dict:
+    """The entries of a labelled marginal (values floats or their texts) that
+    hist_<cell>.csv lists: those above 1e-3 in order, else the first most
+    probable one."""
+    above = {key: p for key, p in histogram.items() if float(p) > 1e-3}
+    top = max(histogram, key=lambda key: float(histogram[key]))
+    return above or {top: histogram[top]}
 
 
 def test_records_and_histogram_files_of_every_method(tmp_path, capsys):
@@ -56,8 +82,11 @@ def test_records_and_histogram_files_of_every_method(tmp_path, capsys):
         text = (out / f"{method}_seed1" / "record.json").read_text()
         doc = json.loads(text)
         assert _record_text(doc) == _dumps(doc) == text, method
-        # hist_<cell>.csv holds each probability's text as the record does.
+        # hist_<cell>.csv holds its entries' texts as the record does: a
+        # marginal's reportable entries, a dict histogram whole.
         histogram = json.loads(text, parse_float=str)["histogram"]
+        if method.endswith("-qaoa"):
+            histogram = _reportable(histogram)
         with (out / f"hist_{method}_seed1.csv").open() as fh:
             rows = list(csv.reader(fh))
         assert rows == [["bitstring", "probability"], *map(list, histogram.items())], method
@@ -202,7 +231,7 @@ def _marginals(draw):
 def test_record_writer_formats_a_marginal_array_as_json_dumps_of_its_labels(marginal):
     doc = {"method": "x", "histogram": marginal, "trace": [{"a": 1.0}], "value": None}
     labelled = _labelled(doc)
-    assert _written(doc) == (_dumps(labelled), _csv(labelled["histogram"]))
+    assert _written(doc) == (_dumps(labelled), _csv(_reportable(labelled["histogram"])))
 
 
 def _reprs(values: np.ndarray) -> list[bytes]:
@@ -254,16 +283,20 @@ def test_float_texts_are_repr_at_the_layout_boundaries():
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_record_writer_refuses_a_non_finite_marginal(tmp_path, value):
-    # JSON has no NaN or Infinity: the writer refuses before its first chunk,
-    # and leaves no record, no histogram file and no temp file.
+    # JSON has no NaN or Infinity: the writer refuses before its first chunk
+    # and leaves no record and no temp file; a sweep cell then writes no
+    # histogram file either, only its error.txt.
     marginal = np.full(1 << 13, 1.0 / (1 << 13))
     marginal[4097] = value
     doc = {"seed": 1, "histogram": marginal, "iterations": 0}
     with pytest.raises(ValueError, match="not all finite"):
         next(cli._record_chunks(doc))
     with pytest.raises(ValueError, match="not all finite"):
-        cli._write_record(tmp_path / "record.json", doc, tmp_path / "hist_x.csv")
+        cli._write_atomic(tmp_path / "record.json", cli._record_chunks(doc))
     assert list(tmp_path.iterdir()) == []
+    cell = _run_cell(doc, tmp_path)
+    assert [path.name for path in tmp_path.iterdir()] == ["x"]
+    assert [path.name for path in cell.iterdir()] == ["error.txt"]
 
 
 def test_no_command_writes_a_record_of_a_non_finite_marginal(tmp_path, capsys, monkeypatch):
@@ -303,15 +336,21 @@ def test_record_writer_gives_the_same_text_for_the_array_document(run):
 
 def test_histogram_files_copy_the_record_text():
     # hist_<cell>.csv holds each probability's text as the record holds it:
-    # exponent forms, the smallest subnormal, -0.0 and a whole 1.0 are copied,
-    # not rewritten, from a marginal array and from the oracle's and the
-    # classical baseline's one-entry dicts alike.
-    for histogram in (np.array([1e-05, 5e-324, -0.0, 1.0, 0.125, 1e16, 2.5e-1, 1.2e+2]),
-                      {"0101": 1.0}, {"110": 1e-05}):
+    # a whole 1.0, 1e+16 and 120.0 among a marginal's reportable entries, a
+    # padded exponent as the most probable of a marginal with none above
+    # the threshold, and the oracle's and the classical baseline's
+    # one-entry dicts whole.
+    for histogram, expected in (
+        (np.array([1e-05, 5e-324, -0.0, 1.0, 0.125, 1e16, 2.5e-1, 1.2e+2]),
+         [["110", "1.0"], ["001", "0.125"], ["101", "1e+16"], ["011", "0.25"], ["111", "120.0"]]),
+        (np.array([5e-324, 2.5e-07, -0.0, 1e-09]), [["10", "2.5e-07"]]),
+        ({"0101": 1.0}, [["0101", "1.0"]]),
+        ({"110": 1e-05}, [["110", "1e-05"]]),
+    ):
         record, rows = _written({"method": "x", "histogram": histogram, "value": None})
-        items = json.loads(record, parse_float=str)["histogram"].items()
-        assert list(csv.reader(rows.splitlines())) == [["bitstring", "probability"],
-                                                       *map(list, items)]
+        entries = json.loads(record, parse_float=str)["histogram"]
+        assert list(csv.reader(rows.splitlines())) == [["bitstring", "probability"], *expected]
+        assert all(entries[key] == text for key, text in expected)
 
     # A dict histogram's probability JSON spells NaN, Infinity or -Infinity
     # is written as repr(float(value)): nan, inf or -inf. A marginal array
@@ -321,26 +360,89 @@ def test_histogram_files_copy_the_record_text():
     assert rows == "bitstring,probability\n" + "".join(
         f"{key},{float(value)!r}\n" for key, value in items)
     assert "NaN" in record and "nan" in rows
-    with pytest.raises(ValueError, match="not all finite"):
+    with pytest.raises(RuntimeError, match="not all finite"):
         _written({"histogram": np.array([np.nan, np.inf, -np.inf, 0.5])})
 
 
-def test_record_writer_peaks_under_twice_the_record_it_writes(tmp_path):
-    # The histogram file is converted from the record's text chunk by chunk
-    # as the record is written: writing both holds one chunk's text and rows,
-    # not whole-record copies of the text, its rows or a labelled dict.
+def _rows(histogram: np.ndarray) -> list[list[str]]:
+    """hist_<cell>.csv's rows below its header, as a sweep cell writes them."""
+    return list(csv.reader(_written({"method": "x", "histogram": histogram})[1].splitlines()))[1:]
+
+
+@pytest.mark.parametrize("marginal, rows", [
+    # None above the threshold: the most probable entry, the lower index of
+    # two that tie.
+    (np.array([1e-4, 5e-4, 2e-4, 5e-4]), [["10", "0.0005"]]),
+    (np.full(1 << 10, 1.0 / (1 << 10)), [["0" * 10, "0.0009765625"]]),
+    # An entry exactly at the threshold is left out; when every entry is at
+    # it, none is above, so the first is listed.
+    (np.array([1e-3, 0.25, np.nextafter(1e-3, 1), 1e-3]),
+     [["10", "0.25"], ["01", "0.0010000000000000002"]]),
+    (np.array([1e-3, 1e-3]), [["0", "0.001"]]),
+    # Entries above it are listed in basis-index order, not by probability.
+    (np.array([1e-4, 0.2, 1e-4, 1e-4, 0.5, 1e-4, 0.3, 1e-4]),
+     [["100", "0.2"], ["001", "0.5"], ["011", "0.3"]]),
+], ids=["none-above-tie", "none-above-uniform", "exactly-at", "all-at", "index-order"])
+def test_histogram_file_lists_the_reportable_entries(marginal, rows):
+    assert _rows(marginal) == rows
+
+
+@pytest.mark.parametrize("run", [
+    lambda: run_schedule(generate_instance(4, 2, 5), ScheduleConfig(
+        doubling_interval=6, feasibility_shots=64, max_iterations=12), seed=2),
+    lambda: run_schedule(generate_instance(5, 2, 1), ScheduleConfig(
+        doubling_interval=6, feasibility_shots=64, max_iterations=12), mixer="standard", seed=1),
+    lambda: run_fixed_penalty(generate_instance(4, 2, 5), "penalty-qaoa", p=1, budget=6, seed=2),
+    lambda: run_fixed_penalty(generate_instance(5, 2, 3), "cardinality-slack-qaoa", p=1,
+                              budget=6, seed=3),
+    # No entry of this marginal is above the threshold: best_feasible is unset.
+    lambda: run_fixed_penalty(generate_instance(12, 3, 1), "penalty-qaoa", p=1, budget=2, seed=1),
+], ids=["slack-qaoa", "slack-qaoa-standard", "penalty-qaoa", "cardinality-slack-qaoa",
+        "penalty-qaoa-n12"])
+def test_histogram_file_lists_the_records_picks(run):
+    # best_feasible, when set, is above the threshold, and most_probable is
+    # the marginal's first maximum: each is a row of the cell's histogram
+    # file.
+    doc = run().document()
+    labels = {label for label, _ in _rows(doc["histogram"])}
+    picks = {pick["bitstring"] for pick in (doc["best_feasible"], doc["most_probable"]) if pick}
+    assert picks <= labels, (labels, picks)
+
+
+@pytest.mark.parametrize("reportable", [0, 5])
+def test_histogram_file_of_a_wide_marginal_allocates_under_a_quarter_of_it(reportable):
+    # Only the listed entries are labelled and formatted: building the CSV
+    # of a 2^16-entry marginal holds its one-byte mask, not a 2^16-entry
+    # container of labels, texts or float64s.
     marginal = np.random.default_rng(16).random(1 << 16)
-    doc = {"method": "x", "histogram": marginal / marginal.sum(), "trace": [{"a": 1.0}],
-           "value": None}
-    record_path, histogram_path = tmp_path / "record.json", tmp_path / "hist.csv"
+    marginal /= marginal.sum()
+    marginal[:reportable] = 0.01
     tracemalloc.start()
     try:
-        cli._write_record(record_path, doc, histogram_path)
+        rows = cli._histogram_csv(marginal)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * record_path.stat().st_size
-    assert len(histogram_path.read_text().splitlines()) == 1 + (1 << 16)
+    assert peak < marginal.nbytes / 4
+    assert rows.count(b"\n") == 1 + max(reportable, 1)
+
+
+def test_record_writer_peaks_under_twice_the_record_it_writes(tmp_path):
+    # A sweep cell writes its record chunk by chunk and then its few CSV
+    # rows: it holds one chunk's text, not a whole-record copy of the text,
+    # of its rows or of a labelled dict.
+    marginal = np.random.default_rng(16).random(1 << 16)
+    doc = {"method": "x", "histogram": marginal / marginal.sum(), "trace": [{"a": 1.0}],
+           "value": None}
+    tracemalloc.start()
+    try:
+        cell = _run_cell(doc, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (cell / "record.json").stat().st_size
+    # No entry is above the threshold: the CSV holds the most probable one.
+    assert len((tmp_path / "hist_x.csv").read_text().splitlines()) == 1 + 1
 
 
 def _set_last_value(summary_path: Path, value: str) -> None:
@@ -448,9 +550,9 @@ def test_a_record_whose_chunks_fail_midway_leaves_no_file(tmp_path, monkeypatch)
         cli._write_atomic(tmp_path / "record.json", chunks())
     assert list(tmp_path.iterdir()) == []
 
-    # A sweep cell's record and histogram CSV are written in one pass: a
-    # marginal chunk that fails after the first ones were written to both
-    # leaves neither file nor either temp file.
+    # A sweep cell writes its histogram CSV after its record: a marginal
+    # chunk that fails after the first ones were written leaves neither
+    # file nor a temp file, only the cell's error.txt.
     written_entries = cli._marginal_entries
 
     def entries(marginal):
@@ -459,6 +561,7 @@ def test_a_record_whose_chunks_fail_midway_leaves_no_file(tmp_path, monkeypatch)
 
     monkeypatch.setattr(cli, "_marginal_entries", entries)
     doc = {"method": "x", "histogram": np.full(1 << 13, 1.0 / (1 << 13)), "value": None}
-    with pytest.raises(RuntimeError, match="chunk failed"):
-        cli._write_record(tmp_path / "record.json", doc, tmp_path / "hist_x.csv")
-    assert list(tmp_path.iterdir()) == []
+    cell = _run_cell(doc, tmp_path / "sweep")
+    assert [path.name for path in (tmp_path / "sweep").iterdir()] == ["x"]
+    assert [path.name for path in cell.iterdir()] == ["error.txt"]
+    assert "chunk failed" in (cell / "error.txt").read_text()
