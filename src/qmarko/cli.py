@@ -54,6 +54,13 @@ only.
 summary.csv that lacks a column of REPORT_COLUMNS exits 2 and writes
 nothing. It reads no record, so it writes no histogram for a sweep
 directory made by a version that left that to `report`.
+
+Parsing: COMMANDS lists each command's handler, help and own flags. Each
+`main` call builds its parser with every command's subparser and help, but
+the flags of the command it runs only (`build_parser(command)`); argv whose
+first entry names no command gets every command's flags. The flags of a
+command that does not run are never read, so usage, help and error texts
+are the same as with every flag built.
 """
 
 from __future__ import annotations
@@ -566,53 +573,67 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name: (handler, help, own flags as {flag: add_argument keywords}). generate,
+# solve and sweep also take --config, --print-config and one flag per entry of
+# their COMMAND_SETTINGS, added before their own flags.
+COMMANDS = {
+    "generate": (cmd_generate, "write a random instance file", {
+        "--out": {"required": True, "help": "output instance.json path"},
+    }),
+    "solve": (cmd_solve, "run one method on one instance", {
+        "--instance": {"required": True, "help": "instance.json path"},
+        "--method": {"required": True, "help": f"one of {', '.join(METHODS)}"},
+        "--out": {"required": True, "help": "output run directory"},
+    }),
+    "sweep": (cmd_sweep, "run a methods x seeds grid", {
+        "--instance": {"help": "fixed instance file (otherwise one is generated per seed from "
+                               "--n and --k)"},
+        "--methods": {"required": True, "help": "comma-separated method list"},
+        "--seeds": {"required": True, "help": "comma-separated list of non-negative seeds"},
+        "--out": {"required": True, "help": "sweep output directory"},
+    }),
+    "report": (cmd_report, "write report.md, the comparison table of a sweep's summary.csv "
+                           "(the sweep itself writes each cell's hist_<cell>.csv)", {
+        "--run-dir": {"required": True},
+    }),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The qmarko parser: every command's subparser with its help, and the
+    flags of ``command`` only (of every command when it is None). Each
+    add_argument builds an argparse help formatter, so leaving the other
+    commands' flags out saves most of the build; parsing ``command`` never
+    reads them."""
     parser = argparse.ArgumentParser(
         prog="qmarko",
         description="Slack-ancilla QAOA laboratory for constrained portfolio selection",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def settings_parser(command, func, help):
+    for name, (func, help, flags) in COMMANDS.items():
         # No prefix abbreviations: `sweep --seed` must not pass as `--seeds`.
-        sp = sub.add_parser(command, help=help, allow_abbrev=False)
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
         sp.set_defaults(func=func)
-        sp.add_argument("--config", help="JSON config file; flags take precedence")
-        sp.add_argument("--print-config", action="store_true",
-                        help="dump the resolved configuration before running")
-        for key in COMMAND_SETTINGS[command]:
-            sp.add_argument("--" + key.replace("_", "-"), help=SETTINGS[key][2])
-        return sp
-
-    gen = settings_parser("generate", cmd_generate, "write a random instance file")
-    gen.add_argument("--out", required=True, help="output instance.json path")
-
-    solve = settings_parser("solve", cmd_solve, "run one method on one instance")
-    solve.add_argument("--instance", required=True, help="instance.json path")
-    solve.add_argument("--method", required=True, help=f"one of {', '.join(METHODS)}")
-    solve.add_argument("--out", required=True, help="output run directory")
-
-    sweep = settings_parser("sweep", cmd_sweep, "run a methods x seeds grid")
-    sweep.add_argument("--instance",
-                       help="fixed instance file (otherwise one is generated per seed from "
-                            "--n and --k)")
-    sweep.add_argument("--methods", required=True, help="comma-separated method list")
-    sweep.add_argument("--seeds", required=True, help="comma-separated list of non-negative seeds")
-    sweep.add_argument("--out", required=True, help="sweep output directory")
-
-    report = sub.add_parser("report", help="write report.md, the comparison table of a "
-                                           "sweep's summary.csv (the sweep itself writes "
-                                           "each cell's hist_<cell>.csv)",
-                            allow_abbrev=False)
-    report.add_argument("--run-dir", required=True, dest="run_dir")
-    report.set_defaults(func=cmd_report)
-
+        if command not in (None, name):
+            continue
+        if name in COMMAND_SETTINGS:
+            sp.add_argument("--config", help="JSON config file; flags take precedence")
+            sp.add_argument("--print-config", action="store_true",
+                            help="dump the resolved configuration before running")
+            for key in COMMAND_SETTINGS[name]:
+                sp.add_argument("--" + key.replace("_", "-"), help=SETTINGS[key][2])
+        for flag, options in flags.items():
+            sp.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; returns its exit code. Each call builds its parser
+    with the flags of the command ``argv[0]`` names only, or of every
+    command when it names none (``-h``, ``--``, a typo, no arguments); its
+    usage, help and error texts are the same either way."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

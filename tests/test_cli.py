@@ -1,9 +1,11 @@
+import argparse
 import csv
 import json
 import math
 
 import pytest
 
+from qmarko import cli
 from qmarko.bitstrings import string_to_index
 from qmarko.cli import EXIT_OK, METHODS, main
 
@@ -380,20 +382,75 @@ def test_help_lists_one_flag_per_declared_setting(capsys):
     qaoa_flags = ["--p", "--optimizer", "--penalty", "--beta-init", "--doubling-interval",
                   "--shots", "--feasibility-target", "--max-iter", "--mixer"]
     declared = {
-        "generate": ["--n", "--k", "--seed", "--lambda-weight", "--q-risk"],
-        "solve": ["--seed", *qaoa_flags],
-        "sweep": ["--n", "--k", *qaoa_flags, "--jobs"],
+        ("generate", "--help"): ["--n", "--k", "--seed", "--lambda-weight", "--q-risk"],
+        ("solve", "--help"): ["--seed", *qaoa_flags],
+        ("sweep", "--help"): ["--n", "--k", *qaoa_flags, "--jobs"],
+        ("report", "--help"): ["--run-dir"],
+        ("--help",): ["generate", "solve", "sweep", "report"],
     }
-    for command, flags in declared.items():
+    for argv, flags in declared.items():
         with pytest.raises(SystemExit) as exit_info:
-            main([command, "--help"])
+            main(list(argv))
         assert exit_info.value.code == 0
         text = capsys.readouterr().out
         for flag in flags:
-            assert _flag_in(flag, text), (command, flag)
-        if command == "sweep":
+            assert _flag_in(flag, text), (argv, flag)
+        if argv[0] == "sweep":
             assert not _flag_in("--seed", text)
             assert _flag_in("--seeds", text)
+
+
+def _outcome(capsys, argv) -> tuple:
+    """main(argv)'s exit code (or SystemExit code), stdout and stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["generate", "--help"], ["solve", "--help"], ["sweep", "--help"],
+    ["report", "--help"], [], ["reprot", "--run-dir", "x"], ["report", "--bogus"],
+    ["sweep", "--seed", "1", "--methods", "oracle", "--seeds", "1", "--out", "x"],
+    ["solve", "--instance", "x.json", "--method", "oracle"], ["--"],
+    ["--", "report", "--run-dir", "x"],
+])
+def test_main_parses_as_the_full_parser_does(argv, capsys, monkeypatch):
+    own = _outcome(capsys, argv)
+    full_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_build())
+    assert own == _outcome(capsys, argv)
+    assert own[0] == ("SystemExit", 0 if "--help" in argv else 2)
+
+
+def _flags_by_command(parser: argparse.ArgumentParser) -> dict:
+    (commands,) = [action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    return {name: {flag for action in sp._actions for flag in action.option_strings}
+            for name, sp in commands.choices.items()}
+
+
+def test_a_parser_holds_only_the_flags_of_its_command(monkeypatch):
+    full = _flags_by_command(cli.build_parser())
+    assert list(full) == ["generate", "solve", "sweep", "report"]
+    assert full["report"] == {"-h", "--help", "--run-dir"}
+    for command in ("generate", "solve", "sweep"):
+        assert {"--config", "--print-config", "--out"} <= full[command], command
+    for command in full:
+        assert _flags_by_command(cli.build_parser(command)) == {
+            name: flags if name == command else {"-h", "--help"} for name, flags in full.items()
+        }, command
+    # main builds the parser of the command argv[0] names, else the full one.
+    built_for = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: built_for.append(command) or build(command))
+    for argv in (["report", "--help"], ["--help"], ["reprot"], ["--", "report"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert built_for == ["report", None, None, None]
 
 
 def test_sweep_has_no_seed_setting(tmp_path, capsys):
