@@ -56,11 +56,13 @@ nothing. It reads no record, so it writes no histogram for a sweep
 directory made by a version that left that to `report`.
 
 Parsing: COMMANDS lists each command's handler, help and own flags. Each
-`main` call builds its parser with every command's subparser and help, but
-the flags of the command it runs only (`build_parser(command)`); argv whose
-first entry names no command gets every command's flags. The flags of a
-command that does not run are never read, so usage, help and error texts
-are the same as with every flag built.
+`main` call builds its parser with the subparser of the command it runs
+only (`build_parser(command)`); argv whose first entry names no command
+gets every command's subparser. The one subparser's usage names every
+command (its subparsers action takes the full choice list as metavar), and
+the other subparsers are never read when a command is named, so usage,
+help and error texts are the same as with every subparser built. The
+process pool is imported only when a sweep runs more than one worker.
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -528,6 +529,9 @@ def cmd_sweep(args) -> int:
     ]
     workers = min(cfg["jobs"], len(payloads))
     if workers > 1:
+        # Imported here: it loads multiprocessing, which a serial sweep never uses.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_cell, payloads))
     else:
@@ -600,22 +604,27 @@ COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The qmarko parser: every command's subparser with its help, and the
-    flags of ``command`` only (of every command when it is None). Each
-    add_argument builds an argparse help formatter, so leaving the other
-    commands' flags out saves most of the build; parsing ``command`` never
-    reads them."""
+    """The qmarko parser with the subparser of ``command`` only, or of every
+    command when it is None. Building a subparser costs more than parsing
+    with it, and parsing ``command`` never reads the others. The usage line
+    still lists every command: a named command's subparsers action takes as
+    metavar the text argparse builds from the full choice list. The full
+    parser keeps argparse's own, so its "invalid choice" and "required"
+    errors name the ``command`` argument as before."""
     parser = argparse.ArgumentParser(
         prog="qmarko",
         description="Slack-ancilla QAOA laboratory for constrained portfolio selection",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help, flags) in COMMANDS.items():
+    if command is None:
+        names, usage = COMMANDS, {}
+    else:
+        names, usage = (command,), {"metavar": "{" + ",".join(COMMANDS) + "}"}
+    sub = parser.add_subparsers(dest="command", required=True, **usage)
+    for name in names:
+        func, help, flags = COMMANDS[name]
         # No prefix abbreviations: `sweep --seed` must not pass as `--seeds`.
         sp = sub.add_parser(name, help=help, allow_abbrev=False)
         sp.set_defaults(func=func)
-        if command not in (None, name):
-            continue
         if name in COMMAND_SETTINGS:
             sp.add_argument("--config", help="JSON config file; flags take precedence")
             sp.add_argument("--print-config", action="store_true",
@@ -629,9 +638,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; returns its exit code. Each call builds its parser
-    with the flags of the command ``argv[0]`` names only, or of every
-    command when it names none (``-h``, ``--``, a typo, no arguments); its
-    usage, help and error texts are the same either way."""
+    with the subparser of the command ``argv[0]`` names only, or with every
+    subparser when it names none (``-h``, ``--``, a typo, no arguments);
+    its usage, help and error texts are the same either way."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:

@@ -1,7 +1,12 @@
 import argparse
+import concurrent.futures
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -416,6 +421,10 @@ def _outcome(capsys, argv) -> tuple:
     ["sweep", "--seed", "1", "--methods", "oracle", "--seeds", "1", "--out", "x"],
     ["solve", "--instance", "x.json", "--method", "oracle"], ["--"],
     ["--", "report", "--run-dir", "x"],
+    # A named command that ends in an error or in the top-level usage: with
+    # one subparser built, that usage still lists every command.
+    ["report", "--run-dir", "x", "extra"], ["report"], ["sweep", "--jobs"],
+    ["generate", "--out", "x", "--n", "3", "extra"],
 ])
 def test_main_parses_as_the_full_parser_does(argv, capsys, monkeypatch):
     own = _outcome(capsys, argv)
@@ -439,9 +448,7 @@ def test_a_parser_holds_only_the_flags_of_its_command(monkeypatch):
     for command in ("generate", "solve", "sweep"):
         assert {"--config", "--print-config", "--out"} <= full[command], command
     for command in full:
-        assert _flags_by_command(cli.build_parser(command)) == {
-            name: flags if name == command else {"-h", "--help"} for name, flags in full.items()
-        }, command
+        assert _flags_by_command(cli.build_parser(command)) == {command: full[command]}, command
     # main builds the parser of the command argv[0] names, else the full one.
     built_for = []
     build = cli.build_parser
@@ -555,8 +562,6 @@ def test_negative_seeds_exit_2_without_writing(tmp_path, capsys, monkeypatch):
 
 
 def test_jobs_are_capped_by_the_number_of_cells(tmp_path, capsys, monkeypatch):
-    from qmarko import cli
-
     pools = []
 
     class RecordingPool:
@@ -574,7 +579,7 @@ def test_jobs_are_capped_by_the_number_of_cells(tmp_path, capsys, monkeypatch):
         def map(self, fn, iterable):
             return map(fn, iterable)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     sweep = ["sweep", "--n", "3", "--k", "1", "--methods", "oracle", "--jobs", "500"]
     assert main([*sweep, "--seeds", "1,2", "--out", str(tmp_path / "two")]) == EXIT_OK
     assert pools == [2]
@@ -583,6 +588,17 @@ def test_jobs_are_capped_by_the_number_of_cells(tmp_path, capsys, monkeypatch):
     with (tmp_path / "two" / "summary.csv").open() as fh:
         assert [row["seed"] for row in csv.DictReader(fh)] == ["1", "2"]
     capsys.readouterr()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # Only a sweep with more than one worker imports ProcessPoolExecutor,
+    # and with it multiprocessing; a fresh interpreter shows what the
+    # import alone loads.
+    src = str(Path(cli.__file__).parents[1])
+    probe = "import sys, qmarko.cli; print('multiprocessing' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout == "False\n"
 
 
 def test_config_key_that_names_no_setting_exits_2(tmp_path, capsys):
