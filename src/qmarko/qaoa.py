@@ -17,7 +17,10 @@ from the program alone, is the one ansatz entry point; and every record is
 built by ``_record`` from the asset marginal of its final state
 (``bounds.asset_marginal``: picks and feasible mass). The record keeps
 the asset marginal only, and its JSON ``histogram`` is that marginal: 2^n
-entries whatever the register size.
+entries whatever the register size. A search holds two 2^m state buffers
+and the 2^m energy table, and keeps its best evaluation's 2^n marginal,
+which the ansatz reduces in the free upper half of its spare buffer: no
+2^m array of probabilities outlives an evaluation.
 
 No risk/return uncertainty limit. The paper posits a quantum limit on the
 joint precision of portfolio risk and return. Here the risk and return
@@ -185,12 +188,14 @@ class ExperimentRecord:
 
     Of the final state the record keeps the 2^n asset ``marginal``
     (``bounds.asset_marginal`` over the program's labels), in basis-index
-    order; the 2^m register distribution is rebuilt, when wanted, by the
-    ansatz call above, in the program's qubit order (the slack-ancilla
-    program's asset i at qubit 2i, its slack at 2i + 1). ``document`` is
-    ``record.json``'s document with the marginal, as an array, under the
-    key ``histogram``; ``qmarko`` writes it with n-bit labels in
-    basis-index order. Records compare by identity, since they hold arrays.
+    order: the array its search kept, the only copy of the state's
+    probabilities that outlives the search. The 2^m register distribution
+    is rebuilt, when wanted, by the ansatz call above, in the program's
+    qubit order (the slack-ancilla program's asset i at qubit 2i, its
+    slack at 2i + 1). ``document`` is ``record.json``'s document with the
+    marginal, as an array, under the key ``histogram``; ``qmarko`` writes
+    it with n-bit labels in basis-index order. Records compare by
+    identity, since they hold arrays.
     """
 
     method: str
@@ -312,8 +317,10 @@ class _ansatz:
     separation and mixing on the uniform state, as a function of its angles.
 
     ``ansatz(params)`` is the state, a new array in canonical phase;
-    ``ansatz.probabilities(params)`` its probabilities and
-    ``ansatz.expectation(params)`` its expectation under the program, both
+    ``ansatz.probabilities(params)`` its probabilities,
+    ``ansatz.marginal(params)`` their asset marginal
+    (``bounds.asset_marginal`` over the program's labels) and
+    ``ansatz.expectation(params)`` its expectation under the program, all
     built in the workspace (below).
 
     The program is tabulated (``energy_table``) once, before the workspace
@@ -333,17 +340,20 @@ class _ansatz:
 
     One ``simulate.workspace`` of two 2^m buffers serves every evaluation:
     the state lives in one, and the other takes each layer's phases, each
-    mixer block's output and, last, the state's probabilities, in its first
-    2^m float64s, so an expectation allocates no 2^m array. The state in
-    the frame outlives the call that built it: the ansatz remembers its
-    angles, and an evaluation at equal angles reads it instead of
-    recomputing it; only a later evaluation at other angles overwrites it.
-    Likewise ``probabilities`` right after ``expectation`` at equal angles
-    reads the probabilities the expectation left in the spare buffer. The
-    array ``probabilities`` returns is that buffer, valid until the next
-    call; a search keeps its best evaluation's probabilities by copying
-    them out (``_search_angles``). A returned state never shares memory
-    with the workspace.
+    mixer block's output and, last, the state's probabilities, in the first
+    2^m of its 2^(m+1) float64s, so an expectation allocates no 2^m array.
+    ``marginal`` sums the non-asset qubits out of those probabilities into
+    the free upper 2^m float64s; a program of assets only sums nothing, and
+    its marginal is the probabilities themselves. The state in the frame
+    outlives the call that built it: the ansatz remembers its angles, and
+    an evaluation at equal angles reads it instead of recomputing it; only
+    a later evaluation at other angles overwrites it.
+    Likewise ``probabilities`` or ``marginal`` right after ``expectation``
+    at equal angles reads the probabilities the expectation left in the
+    spare buffer. The arrays ``probabilities`` and ``marginal`` return are
+    views of that buffer, valid until the next call; a search keeps its
+    best evaluation's marginal by copying it out (``_search_angles``). A
+    returned state never shares memory with the workspace.
     """
 
     def __init__(self, program: QuboProgram, mixer: str):
@@ -357,6 +367,7 @@ class _ansatz:
                 raise ValueError("the conditional mixer takes asset i at qubit 2i and its "
                                  f"slack at 2i + 1, got labels {program.labels}")
             self._pair_count = count
+        self._labels = program.labels
         self._table = energy_table(program)
         self._buffers = workspace(program.num_qubits)
         self._held: QaoaParams | None = None  # angles of the state in self._buffers[0]
@@ -394,6 +405,11 @@ class _ansatz:
             StateVector(self._table.num_qubits, state).probabilities(out=probabilities)
             self._squared = params
         return probabilities
+
+    def marginal(self, params: QaoaParams) -> np.ndarray:
+        probabilities = self.probabilities(params)
+        scratch = self._buffers[1].view(np.float64)[probabilities.size:]
+        return bounds.asset_marginal(probabilities, self._labels, scratch)
 
     def __call__(self, params: QaoaParams) -> StateVector:
         state, spare = self._frame_state(params)
@@ -437,13 +453,15 @@ def _search_angles(program: QuboProgram, theta, minimize, mixer: str = "standard
     The final marginal is read from the search's best evaluation, not
     simulated again: on each new strict minimum (the rule by which
     ``minimize_with_budget`` keeps its best) the objective copies that
-    evaluation's probabilities out of the workspace into one kept 2^m
-    array. Only if ``minimize`` returns other angles is the state at them
-    simulated once more.
+    evaluation's asset marginal (``_ansatz.marginal``, reduced inside the
+    workspace) into one kept array of 2^n float64s, n the program's asset
+    qubits, and returns that array. Only if ``minimize`` returns other
+    angles is the state at them simulated once more.
     """
     scale = _angle_scale(program)
     ansatz = _ansatz(program, mixer)
-    kept = np.empty(1 << program.num_qubits)  # the probabilities at kept_params
+    assets = sum(label.kind == ASSET for label in program.labels)
+    kept = np.empty(1 << assets)  # the asset marginal at kept_params
     kept_params, lowest = None, math.inf
 
     def objective(theta):
@@ -452,15 +470,14 @@ def _search_angles(program: QuboProgram, theta, minimize, mixer: str = "standard
         value = ansatz.expectation(params)
         if value < lowest:
             kept_params, lowest = params, value
-            np.copyto(kept, ansatz.probabilities(params))
+            np.copyto(kept, ansatz.marginal(params))
         return value
 
     best_theta, _, evals = minimize(objective, theta)
     final_params = _physical_params(best_theta, scale)
     if final_params != kept_params:
-        np.copyto(kept, ansatz.probabilities(final_params))
-    marginal = bounds.asset_marginal(kept, program.labels)
-    return _physical_params(theta, scale), final_params, best_theta, marginal, evals
+        np.copyto(kept, ansatz.marginal(final_params))
+    return _physical_params(theta, scale), final_params, best_theta, kept, evals
 
 
 def _draw_initial_angles(rng: np.random.Generator, p: int) -> np.ndarray:

@@ -93,8 +93,11 @@ def energy_table(program: QuboProgram) -> EnergyTable:
 
 def workspace(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     """Two 2^m complex buffers for an ansatz to hold its state in one and
-    its phases or the next block's output in the other. The qubit count is
-    checked against MAX_QUBITS first."""
+    its phases, the next block's output or, last, the state's
+    probabilities in the other: those fill the first 2^m of its 2^(m+1)
+    float64s, and their asset marginal is reduced in the rest
+    (``qaoa._ansatz.marginal``). The qubit count is checked against
+    MAX_QUBITS first."""
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise ValueError(f"qubit count {num_qubits} outside [1, {MAX_QUBITS}]")
     # Two arrays, not the rows of one: a single 2 x 2^m allocation raised

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import naive_asset_marginal, random_state
+from helpers import naive_asset_marginal, random_state, with_pairs
 from qmarko.bounds import asset_marginal
 from qmarko.encode import (
     VarLabel,
@@ -38,23 +38,62 @@ def test_asset_marginal_sums_low_bits():
         assert marginal[y] == pytest.approx(probs[y] + probs[y + 4], abs=1e-14)
 
 
+def _layouts(inst) -> dict:
+    """Every label layout a program gives ``asset_marginal``: assets only,
+    slacks above the assets, the slack-ancilla pairs, and those pairs with
+    the top asset left unpaired."""
+    pairs = build_slack_ancilla_qubo(inst, 1.0)
+    return {
+        "penalty": build_penalty_qubo(inst, 1.0),
+        "cardinality slack": build_cardinality_slack_qubo(inst, 1.0),
+        "pair-ordered slack": pairs,
+        "one pair fewer": with_pairs(pairs, inst.n - 1),
+    }
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_asset_marginal_matches_the_loop_reference_on_every_layout(n):
     inst = generate_instance(n, max(1, n // 2), seed=20 + n)
-    programs = {
-        "penalty": build_penalty_qubo(inst, 1.0),
-        "cardinality slack": build_cardinality_slack_qubo(inst, 1.0),
-        "pair-ordered slack": build_slack_ancilla_qubo(inst, 1.0),
-    }
+    programs = _layouts(inst)
     for name, program in programs.items():
         probabilities = np.abs(random_state(program.num_qubits, 30 + n)) ** 2
         marginal = asset_marginal(probabilities, program.labels)
         reference = naive_asset_marginal(probabilities, program.labels)
-        assert marginal.shape == (1 << n,), name
+        assert marginal.shape == reference.shape, name
         assert np.abs(marginal - reference).max() <= 1e-15, name
+        # With a scratch array each reduction writes into it: the same sums,
+        # bit for bit.
+        scratch = np.full(1 << program.num_qubits, np.nan)
+        in_scratch = asset_marginal(probabilities, program.labels, scratch)
+        assert np.array_equal(in_scratch, marginal), name
     # Slacks above the assets are summed in one reduction, as a sum over
     # the rows of the (slack, asset) table gives it, bit for bit.
     program = programs["cardinality slack"]
     probabilities = np.abs(random_state(program.num_qubits, 40 + n)) ** 2
     rows = probabilities.reshape(-1, 1 << n).sum(axis=0)
     assert np.array_equal(asset_marginal(probabilities, program.labels), rows)
+
+
+@pytest.mark.parametrize("layout", ["penalty", "cardinality slack", "pair-ordered slack",
+                                    "one pair fewer"])
+def test_asset_marginal_reduces_in_its_scratch_without_allocating(layout):
+    import tracemalloc
+
+    program = _layouts(generate_instance(8, 3, seed=28))[layout]  # m = 8 to 16
+    m = program.num_qubits
+    probabilities = np.abs(random_state(m, 48)) ** 2
+    scratch = np.empty(1 << m)
+    tracemalloc.start()
+    try:
+        marginal = asset_marginal(probabilities, program.labels, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The allocating path allocates every reduction's output: 2^(m-1) and
+    # more float64s when a slack is on the top qubit.
+    assert peak < 8 << (m - 2), (peak, m)
+    assert np.array_equal(marginal, asset_marginal(probabilities, program.labels))
+    # The marginal is the scratch's last reduction, or the probabilities
+    # themselves when no qubit is summed out.
+    held = probabilities if layout == "penalty" else scratch
+    assert np.shares_memory(marginal, held)

@@ -712,6 +712,47 @@ def test_search_peak_memory_is_its_workspace_table_and_kept_probabilities(mixer)
     assert peak <= 3.5 * nbytes, peak / nbytes
 
 
+def _search_peak(program, mixer) -> float:
+    """The traced peak of one search on ``program`` over six fixed angle
+    vectors, in states (2^m complex128s)."""
+    import tracemalloc
+
+    thetas = np.random.default_rng(43).uniform(0.0, np.pi, size=(6, 4))
+
+    def minimize(objective, theta):
+        values = [objective(point) for point in thetas]
+        best = int(np.argmin(values))
+        return thetas[best], values[best], values
+
+    tracemalloc.start()
+    try:
+        _search_angles(program, thetas[0], minimize, mixer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (16 << program.num_qubits)
+
+
+@pytest.mark.parametrize("layout", ("standard", "pair frame", "adjacent pairs"))
+def test_a_slack_search_keeps_its_marginal_not_its_probabilities(layout):
+    program, mixer = _ansatz_layouts(7)[layout]  # m = 14, 7 or 8 assets
+    # Two workspace buffers (2), the energy table (1/2), the kept marginal
+    # (2^7 or 2^8 float64s) and a few KiB: the slacks are summed out in the
+    # spare buffer's free half, so neither the probabilities (1/2) nor the
+    # halvings' outputs (3/8) are ever allocated.
+    peak = _search_peak(program, mixer)
+    assert peak <= 2.75, peak
+
+
+def test_a_penalty_search_fills_its_kept_probabilities_in_place():
+    program = build_penalty_qubo(generate_instance(14, 2, seed=14), 100.0)  # m = n = 14
+    # Two workspace buffers, the energy table and the kept marginal, which
+    # is the 2^m probabilities (1/2 each), and a few KiB: a new best is
+    # copied into the one kept array, not into a new one.
+    peak = _search_peak(program, "standard")
+    assert peak <= 3.2, peak
+
+
 @pytest.mark.parametrize("mixer", ("standard", "conditional"))
 def test_ansatz_peak_memory_is_its_workspace_and_one_state(mixer):
     import tracemalloc
