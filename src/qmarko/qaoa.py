@@ -13,7 +13,9 @@ or a ``run_fixed_penalty`` run of an arm (a row of FIXED_PENALTY_ARMS:
 its program builder and reporting rule), is one call of ``_search_angles``
 (build the program's ansatz, minimize its expectation over scaled angles,
 return the angles and the asset marginal at the best); ``_ansatz``, built
-from the program alone, is the one ansatz entry point; and every record is
+from the program alone, is the one ansatz entry point, whose ``evaluate``
+hands the search each evaluation's expectation and probabilities together
+and which holds nothing keyed on angles; and every record is
 built by ``_record`` from the asset marginal of its final state
 (``bounds.asset_marginal``: picks and feasible mass). The record keeps
 the asset marginal only, and its JSON ``histogram`` is that marginal: 2^n
@@ -317,11 +319,12 @@ class _ansatz:
     separation and mixing on the uniform state, as a function of its angles.
 
     ``ansatz(params)`` is the state, a new array in canonical phase;
-    ``ansatz.probabilities(params)`` its probabilities,
-    ``ansatz.marginal(params)`` their asset marginal
-    (``bounds.asset_marginal`` over the program's labels) and
-    ``ansatz.expectation(params)`` its expectation under the program, all
-    built in the workspace (below).
+    ``ansatz.evaluate(params)`` is (its expectation under the program, its
+    probabilities), and ``ansatz.marginal(probabilities)`` the asset
+    marginal of those probabilities (``bounds.asset_marginal`` over the
+    program's labels), both built in the workspace (below). Every call
+    runs its layers: the ansatz holds no state between calls but its
+    table and workspace.
 
     The program is tabulated (``energy_table``) once, before the workspace
     is allocated. Every layer runs in the real frame (see ``simulate``),
@@ -330,9 +333,9 @@ class _ansatz:
     qubit 2i and its slack at 2i + 1, as the slack-ancilla program lays
     them out; the qubits above the pairs are left alone, and a program
     without slack labels gets no pairs. Any other layout is refused with
-    ValueError. Probabilities are the same in both frames, so
-    ``probabilities`` and ``expectation`` read the state where it is; only
-    a state returned by ``ansatz(params)`` gets S.
+    ValueError. Probabilities are the same in both frames, so ``evaluate``
+    reads the state where it is; only a state returned by
+    ``ansatz(params)`` gets S.
 
     The first layer's phase separation is folded into the start state
     (``simulate.real_frame_phased_uniform``), so layers 2..p alone run
@@ -341,19 +344,14 @@ class _ansatz:
     One ``simulate.workspace`` of two 2^m buffers serves every evaluation:
     the state lives in one, and the other takes each layer's phases, each
     mixer block's output and, last, the state's probabilities, in the first
-    2^m of its 2^(m+1) float64s, so an expectation allocates no 2^m array.
+    2^m of its 2^(m+1) float64s, so an evaluation allocates no 2^m array.
     ``marginal`` sums the non-asset qubits out of those probabilities into
     the free upper 2^m float64s; a program of assets only sums nothing, and
-    its marginal is the probabilities themselves. The state in the frame
-    outlives the call that built it: the ansatz remembers its angles, and
-    an evaluation at equal angles reads it instead of recomputing it; only
-    a later evaluation at other angles overwrites it.
-    Likewise ``probabilities`` or ``marginal`` right after ``expectation``
-    at equal angles reads the probabilities the expectation left in the
-    spare buffer. The arrays ``probabilities`` and ``marginal`` return are
-    views of that buffer, valid until the next call; a search keeps its
-    best evaluation's marginal by copying it out (``_search_angles``). A
-    returned state never shares memory with the workspace.
+    its marginal is the probabilities themselves. The probabilities
+    ``evaluate`` returns and the marginal are views of the spare buffer,
+    valid until the next call; a search keeps its best evaluation's
+    marginal by copying it out (``_search_angles``). A returned state
+    never shares memory with the workspace.
     """
 
     def __init__(self, program: QuboProgram, mixer: str):
@@ -370,14 +368,9 @@ class _ansatz:
         self._labels = program.labels
         self._table = energy_table(program)
         self._buffers = workspace(program.num_qubits)
-        self._held: QaoaParams | None = None  # angles of the state in self._buffers[0]
-        self._squared: QaoaParams | None = None  # angles of the probabilities in the spare
 
     def _frame_state(self, params: QaoaParams) -> tuple[np.ndarray, np.ndarray]:
         """(buffer holding the state in the frame, the other buffer)."""
-        if params == self._held:
-            return self._buffers
-        self._held = self._squared = None
         table = self._table
         state, spare = self._buffers
         real_frame_phased_uniform(state, table, params.gammas[0])
@@ -388,32 +381,22 @@ class _ansatz:
                 )
             if apply_real_frame_mixer(state, spare, beta_mix, self._pair_count) is spare:
                 state, spare = spare, state
-        self._buffers, self._held = (state, spare), params
+        self._buffers = state, spare
         return state, spare
 
-    def expectation(self, params: QaoaParams) -> float:
-        state, spare = self._frame_state(params)
-        value = expectation(StateVector(self._table.num_qubits, state), self._table,
-                            out=spare.view(np.float64)[: state.size])
-        self._squared = params
-        return value
-
-    def probabilities(self, params: QaoaParams) -> np.ndarray:
+    def evaluate(self, params: QaoaParams) -> tuple[float, np.ndarray]:
         state, spare = self._frame_state(params)
         probabilities = spare.view(np.float64)[: state.size]
-        if params != self._squared:
-            StateVector(self._table.num_qubits, state).probabilities(out=probabilities)
-            self._squared = params
-        return probabilities
+        value = expectation(StateVector(self._table.num_qubits, state), self._table,
+                            out=probabilities)
+        return value, probabilities
 
-    def marginal(self, params: QaoaParams) -> np.ndarray:
-        probabilities = self.probabilities(params)
+    def marginal(self, probabilities: np.ndarray) -> np.ndarray:
         scratch = self._buffers[1].view(np.float64)[probabilities.size:]
         return bounds.asset_marginal(probabilities, self._labels, scratch)
 
     def __call__(self, params: QaoaParams) -> StateVector:
         state, spare = self._frame_state(params)
-        self._squared = None  # from_real_frame builds its phases in the spare
         return StateVector(self._table.num_qubits, from_real_frame(state, spare))
 
 
@@ -451,12 +434,14 @@ def _search_angles(program: QuboProgram, theta, minimize, mixer: str = "standard
     workspace, lives only inside the call.
 
     The final marginal is read from the search's best evaluation, not
-    simulated again: on each new strict minimum (the rule by which
-    ``minimize_with_budget`` keeps its best) the objective copies that
-    evaluation's asset marginal (``_ansatz.marginal``, reduced inside the
-    workspace) into one kept array of 2^n float64s, n the program's asset
-    qubits, and returns that array. Only if ``minimize`` returns other
-    angles is the state at them simulated once more.
+    simulated again: the objective takes each evaluation's expectation and
+    probabilities from one ``_ansatz.evaluate``, and on each new strict
+    minimum (the rule by which ``minimize_with_budget`` keeps its best)
+    copies the asset marginal of those probabilities
+    (``_ansatz.marginal``, reduced inside the workspace) into one kept
+    array of 2^n float64s, n the program's asset qubits, and returns that
+    array. Only if ``minimize`` returns other angles is the state at them
+    evaluated once more.
     """
     scale = _angle_scale(program)
     ansatz = _ansatz(program, mixer)
@@ -467,16 +452,16 @@ def _search_angles(program: QuboProgram, theta, minimize, mixer: str = "standard
     def objective(theta):
         nonlocal kept_params, lowest
         params = _physical_params(theta, scale)
-        value = ansatz.expectation(params)
+        value, probabilities = ansatz.evaluate(params)
         if value < lowest:
             kept_params, lowest = params, value
-            np.copyto(kept, ansatz.marginal(params))
+            np.copyto(kept, ansatz.marginal(probabilities))
         return value
 
     best_theta, _, evals = minimize(objective, theta)
     final_params = _physical_params(best_theta, scale)
     if final_params != kept_params:
-        np.copyto(kept, ansatz.marginal(final_params))
+        np.copyto(kept, ansatz.marginal(ansatz.evaluate(final_params)[1]))
     return _physical_params(theta, scale), final_params, best_theta, kept, evals
 
 

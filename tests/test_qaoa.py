@@ -573,18 +573,25 @@ def test_returned_state_is_unchanged_by_later_evaluations(layout):
     state = ansatz(_PARAMS_A)
     kept = state.amplitudes.copy()
     ansatz(_PARAMS_B)
-    ansatz.expectation(_PARAMS_B)
+    ansatz.evaluate(_PARAMS_B)
     assert np.array_equal(state.amplitudes, kept)
 
 
 @pytest.mark.parametrize("layout", ("standard", "pair frame", "adjacent pairs"))
 def test_evaluations_do_not_depend_on_earlier_ones(layout):
-    ansatz = _ansatz(*_ansatz_layouts(4)[layout])
-    value, amplitudes = ansatz.expectation(_PARAMS_A), ansatz(_PARAMS_A).amplitudes
-    ansatz.expectation(_PARAMS_B)
+    program, mixer = _ansatz_layouts(4)[layout]
+    ansatz = _ansatz(program, mixer)
+    value, amplitudes = ansatz.evaluate(_PARAMS_A)[0], ansatz(_PARAMS_A).amplitudes
+    ansatz.evaluate(_PARAMS_B)
     ansatz(_PARAMS_B)
-    assert ansatz.expectation(_PARAMS_A) == value
+    again, probabilities = ansatz.evaluate(_PARAMS_A)
+    assert again == value
+    # The probabilities evaluate hands out are the state's, and their
+    # marginal, reduced in the workspace, is the allocating reduction's.
+    kept = probabilities.copy()
+    assert np.array_equal(ansatz.marginal(probabilities), asset_marginal(kept, program.labels))
     assert np.array_equal(ansatz(_PARAMS_A).amplitudes, amplitudes)
+    assert np.array_equal(kept, ansatz(_PARAMS_A).probabilities())
 
 
 def _counted_mixer_layers(monkeypatch) -> list:
@@ -600,23 +607,6 @@ def _counted_mixer_layers(monkeypatch) -> list:
 
     monkeypatch.setattr(qaoa, "apply_real_frame_mixer", counted_mixer)
     return layers
-
-
-@pytest.mark.parametrize("layout", ("standard", "pair frame", "adjacent pairs"))
-def test_state_at_the_last_evaluated_angles_is_read_not_recomputed(layout, monkeypatch):
-    program, mixer = _ansatz_layouts(4)[layout]
-    fresh = _ansatz(program, mixer)(_PARAMS_A).amplitudes
-    layers = _counted_mixer_layers(monkeypatch)
-    ansatz = _ansatz(program, mixer)
-    ansatz.expectation(_PARAMS_A)
-    layers.clear()
-    assert np.array_equal(ansatz(_PARAMS_A).amplitudes, fresh)
-    assert np.array_equal(ansatz(_PARAMS_A).amplitudes, fresh)
-    assert layers == []
-    ansatz.expectation(_PARAMS_B)
-    assert np.array_equal(ansatz(_PARAMS_A).amplitudes, fresh)
-    # p mixer layers at _PARAMS_B, then p to rebuild the state at _PARAMS_A.
-    assert len(layers) == 2 * _PARAMS_A.p
 
 
 @pytest.mark.parametrize("layout", ("standard", "pair frame", "adjacent pairs"))
@@ -655,7 +645,7 @@ def test_a_fixed_penalty_search_simulates_each_evaluated_state_once(method, monk
     assert _best_is_not_last(record.trace)
     assert len(layers) == record.final_params.p * record.iterations_used
     program = FIXED_PENALTY_ARMS[method][0](inst, record.final_beta_penalty)
-    direct = _ansatz(program, "standard").probabilities(record.final_params)
+    direct = _ansatz(program, "standard").evaluate(record.final_params)[1]
     assert np.array_equal(record.marginal, asset_marginal(direct, program.labels))
 
 
@@ -673,7 +663,7 @@ def test_a_schedule_simulates_each_evaluated_state_once(mixer, monkeypatch):
     assert all(_best_is_not_last(rows) for rows in segments)
     assert len(layers) == record.final_params.p * record.iterations_used
     program = build_slack_ancilla_qubo(inst, record.final_beta_penalty)
-    direct = _ansatz(program, mixer).probabilities(record.final_params)
+    direct = _ansatz(program, mixer).evaluate(record.final_params)[1]
     assert np.array_equal(record.marginal, asset_marginal(direct, program.labels))
 
 
@@ -703,13 +693,13 @@ def test_search_peak_memory_is_its_workspace_table_and_kept_probabilities(mixer)
     finally:
         tracemalloc.stop()
     # No evaluation allocates a 2^m array (2^m float64s are 1/2): each
-    # builds its probabilities in the workspace and copies a new best into
-    # the kept array; what remains is the gates' and the angles' few KiB.
+    # builds its probabilities in the spare buffer and reduces a new best's
+    # marginal in the spare's free half before copying it into the kept
+    # array; what remains is the gates' and the angles' few KiB.
     assert max(growths) <= 0.1 * nbytes, [growth / nbytes for growth in growths]
-    # Two workspace buffers (2), the energy table (1/2) and the kept
-    # probabilities (1/2), plus summing the slacks out of them for the
-    # marginal: 2^13 then 2^12 float64s (3/8), and a few KiB.
-    assert peak <= 3.5 * nbytes, peak / nbytes
+    # Two workspace buffers (2), the energy table (1/2), the kept 2^7
+    # asset marginal and a few KiB.
+    assert peak <= 2.75 * nbytes, peak / nbytes
 
 
 def _search_peak(program, mixer) -> float:
@@ -764,7 +754,7 @@ def test_ansatz_peak_memory_is_its_workspace_and_one_state(mixer):
         ansatz = _ansatz(program, mixer)  # held: its table and workspace stay allocated
         construction = tracemalloc.get_traced_memory()[1]
         evaluations = []
-        for call in (partial(ansatz, _PARAMS_A), partial(ansatz.expectation, _PARAMS_B),
+        for call in (partial(ansatz, _PARAMS_A), partial(ansatz.evaluate, _PARAMS_B),
                      partial(ansatz, _PARAMS_B)):
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
