@@ -5,7 +5,7 @@ non-asset qubit, leaving the 2^n distribution over asset selections that
 feasibility checks and records read. Given a scratch array it allocates
 no array of its own: each reduction writes into the scratch, so an ansatz
 reduces its probabilities in the free half of its spare buffer
-(``qaoa._ansatz.marginal``).
+(``simulate.Ansatz.marginal``).
 """
 
 from __future__ import annotations

@@ -8,9 +8,13 @@ declared once in SETTINGS (type, default, help), and each command lists its
 settings once in COMMAND_SETTINGS. Every setting is a flag named after its
 key (`max_iter` is `--max-iter`); flags are not abbreviated. A value is the
 flag, else the config-file entry, else the default (QMARKO_SEED, then 0, for
-an unset seed), converted to its type. A value that does not convert (null,
-a list, text, or a fraction or boolean for an integer) exits 2, and so does
-a negative seed. A config file may hold other commands' settings, so one
+an unset seed), converted to its type. A value that does not convert (a
+list, text, or a fraction or boolean for an integer) exits 2, and so does
+a negative seed. A null config-file entry exits 2 for a setting with a
+default, but leaves `seed`, `penalty` and `mixer`, whose defaults are unset,
+unset: so a `--print-config` dump, which prints `"penalty": null` and
+`"mixer": null` when they are unset, reads back in through `--config` as
+the same settings. A config file may hold other commands' settings, so one
 file serves all three; a key that names no setting exits 2. A setting a
 method would ignore exits 2: `--mixer` on a `solve` method, or a `sweep`
 grid, without slack-qaoa, and `--penalty` on a `solve` method, or a `sweep`

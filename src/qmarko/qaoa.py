@@ -1,5 +1,5 @@
-"""Variational loop: depth-p ansatz, derivative-free angle search, and the
-penalty-doubling feasibility schedule.
+"""Variational loop: derivative-free angle search over the simulator's
+depth-p ansatz, and the penalty-doubling feasibility schedule.
 
 ``run_schedule`` is the headline routine: it alternates short bursts of
 angle optimization on the slack-ancilla Hamiltonian with sampled
@@ -12,17 +12,19 @@ One run path. Every angle search, whether a segment of ``run_schedule``
 or a ``run_fixed_penalty`` run of an arm (a row of FIXED_PENALTY_ARMS:
 its program builder and reporting rule), is one call of ``_search_angles``
 (build the program's ansatz, minimize its expectation over scaled angles,
-return the angles and the asset marginal at the best); ``_ansatz``, built
-from the program alone, is the one ansatz entry point, whose ``evaluate``
-hands the search each evaluation's expectation and probabilities together
-and which holds nothing keyed on angles; and every record is
-built by ``_record`` from the asset marginal of its final state
+return the angles and the asset marginal at the best); ``simulate.Ansatz``,
+built from the program alone, is the one ansatz entry point, whose
+``evaluate`` hands the search each evaluation's expectation and
+probabilities together and which holds nothing keyed on angles; and every
+record is built by ``_record`` from the asset marginal of its final state
 (``bounds.asset_marginal``: picks and feasible mass). The record keeps
 the asset marginal only, and its JSON ``histogram`` is that marginal: 2^n
 entries whatever the register size. A search holds two 2^m state buffers
 and the 2^m energy table, and keeps its best evaluation's 2^n marginal,
 which the ansatz reduces in the free upper half of its spare buffer: no
-2^m array of probabilities outlives an evaluation.
+2^m array of probabilities outlives an evaluation. The frame the ansatz
+runs in changes no probability (``simulate``), so each feasibility check
+samples 2^n selections from the asset marginal, not the 2^m register.
 
 No risk/return uncertainty limit. The paper posits a quantum limit on the
 joint precision of portfolio risk and return. Here the risk and return
@@ -31,16 +33,6 @@ and the Robertson bound |<[R, M]>|/2 is 0; Var(R) * Var(M) >= Cov(R, M)^2
 then holds for every distribution by Cauchy–Schwarz alone. Such a limit
 needs an observable that does not commute with them, which this model does
 not have, so records carry no bound on it.
-
-Frames. ``_ansatz`` evolves its state in the real frame (phase S =
-diag(1, i) taken off every qubit), where both mixers' units are real
-matrices, which halves the arithmetic of their block gates. The
-slack-ancilla program keeps each asset next to its slack, so the
-conditional mixer's layer needs no reordering. The frame changes no
-probability, so the search's objective, each feasibility check and each
-record read the state where it is: the check samples 2^n selections from
-its asset marginal, not the 2^m register. Only a state returned by
-``ansatz(params)`` is put back into canonical phase.
 
 Angle units. Every optimizer searches scaled coordinates theta in which the
 phase angle is ``gamma = theta_gamma / s``, with ``s = sum|h| + sum|J|`` the
@@ -51,7 +43,7 @@ a scaled phase angle means the same fraction of the spectrum whatever the
 penalty weight, so the landscape keeps its period in theta as the penalty
 grows, and the warm start carries theta, not gamma, across a doubling.
 Mixer angles are never scaled. Everything outside the search is physical:
-``QaoaParams`` in records and in ``_ansatz``, traces and expectations.
+``QaoaParams`` in records and in ``Ansatz``, traces and expectations.
 """
 
 from __future__ import annotations
@@ -63,29 +55,16 @@ from functools import partial
 import numpy as np
 from scipy import optimize as sciopt
 
-from . import bounds
 from .bitstrings import index_to_bits, index_to_string
 from .encode import (
     ASSET,
-    SLACK_ASSET,
     QuboProgram,
-    VarLabel,
     build_cardinality_slack_qubo,
     build_penalty_qubo,
     build_slack_ancilla_qubo,
 )
 from .instance import PortfolioInstance, classical_objective, feasible_table, objective_table
-from .simulate import (
-    StateVector,
-    apply_phase_separation,
-    apply_real_frame_mixer,
-    energy_table,
-    expectation,
-    from_real_frame,
-    real_frame_phased_uniform,
-    sample_counts,
-    workspace,
-)
+from .simulate import Ansatz, sample_counts
 
 SCIPY_METHODS = {"cobyla": "COBYLA", "nelder-mead": "Nelder-Mead"}
 
@@ -181,7 +160,7 @@ class ExperimentRecord:
 
     ``initial_params`` and ``final_params`` are physical angles for the
     program at ``final_beta_penalty`` (``initial_params`` at the first
-    penalty weight of a schedule), so ``_ansatz(program,
+    penalty weight of a schedule), so ``simulate.Ansatz(program,
     record.mixer)(record.final_params)`` on that program reproduces the
     final state, and its asset marginal is ``marginal`` exactly.
     ``trace`` holds one row per optimizer evaluation, numbered from 1
@@ -314,92 +293,6 @@ def _minimize_exact_budget(fun, x0, optimizer: str, budget: int):
     return best_x, best_f, all_evals
 
 
-class _ansatz:
-    """The depth-p ansatz on ``program``: p alternating layers of phase
-    separation and mixing on the uniform state, as a function of its angles.
-
-    ``ansatz(params)`` is the state, a new array in canonical phase;
-    ``ansatz.evaluate(params)`` is (its expectation under the program, its
-    probabilities), and ``ansatz.marginal(probabilities)`` the asset
-    marginal of those probabilities (``bounds.asset_marginal`` over the
-    program's labels), both built in the workspace (below). Every call
-    runs its layers: the ansatz holds no state between calls but its
-    table and workspace.
-
-    The program is tabulated (``energy_table``) once, before the workspace
-    is allocated. Every layer runs in the real frame (see ``simulate``),
-    where each mixer unit is real. The conditional mixer reads its layout
-    from the program's labels: one pair per SLACK_ASSET label, asset i at
-    qubit 2i and its slack at 2i + 1, as the slack-ancilla program lays
-    them out; the qubits above the pairs are left alone, and a program
-    without slack labels gets no pairs. Any other layout is refused with
-    ValueError. Probabilities are the same in both frames, so ``evaluate``
-    reads the state where it is; only a state returned by
-    ``ansatz(params)`` gets S.
-
-    The first layer's phase separation is folded into the start state
-    (``simulate.real_frame_phased_uniform``), so layers 2..p alone run
-    ``apply_phase_separation``.
-
-    One ``simulate.workspace`` of two 2^m buffers serves every evaluation:
-    the state lives in one, and the other takes each layer's phases, each
-    mixer block's output and, last, the state's probabilities, in the first
-    2^m of its 2^(m+1) float64s, so an evaluation allocates no 2^m array.
-    ``marginal`` sums the non-asset qubits out of those probabilities into
-    the free upper 2^m float64s; a program of assets only sums nothing, and
-    its marginal is the probabilities themselves. The probabilities
-    ``evaluate`` returns and the marginal are views of the spare buffer,
-    valid until the next call; a search keeps its best evaluation's
-    marginal by copying it out (``_search_angles``). A returned state
-    never shares memory with the workspace.
-    """
-
-    def __init__(self, program: QuboProgram, mixer: str):
-        if mixer not in ("standard", "conditional"):
-            raise ValueError(f"unknown mixer: {mixer!r}")
-        self._pair_count = None
-        if mixer == "conditional":
-            count = sum(label.kind == SLACK_ASSET for label in program.labels)
-            layout = [VarLabel(kind, i) for i in range(count) for kind in (ASSET, SLACK_ASSET)]
-            if list(program.labels[: 2 * count]) != layout:
-                raise ValueError("the conditional mixer takes asset i at qubit 2i and its "
-                                 f"slack at 2i + 1, got labels {program.labels}")
-            self._pair_count = count
-        self._labels = program.labels
-        self._table = energy_table(program)
-        self._buffers = workspace(program.num_qubits)
-
-    def _frame_state(self, params: QaoaParams) -> tuple[np.ndarray, np.ndarray]:
-        """(buffer holding the state in the frame, the other buffer)."""
-        table = self._table
-        state, spare = self._buffers
-        real_frame_phased_uniform(state, table, params.gammas[0])
-        for layer, beta_mix in enumerate(params.beta_mixes):
-            if layer > 0:
-                apply_phase_separation(
-                    StateVector(table.num_qubits, state), table, params.gammas[layer], spare
-                )
-            if apply_real_frame_mixer(state, spare, beta_mix, self._pair_count) is spare:
-                state, spare = spare, state
-        self._buffers = state, spare
-        return state, spare
-
-    def evaluate(self, params: QaoaParams) -> tuple[float, np.ndarray]:
-        state, spare = self._frame_state(params)
-        probabilities = spare.view(np.float64)[: state.size]
-        value = expectation(StateVector(self._table.num_qubits, state), self._table,
-                            out=probabilities)
-        return value, probabilities
-
-    def marginal(self, probabilities: np.ndarray) -> np.ndarray:
-        scratch = self._buffers[1].view(np.float64)[probabilities.size:]
-        return bounds.asset_marginal(probabilities, self._labels, scratch)
-
-    def __call__(self, params: QaoaParams) -> StateVector:
-        state, spare = self._frame_state(params)
-        return StateVector(self._table.num_qubits, from_real_frame(state, spare))
-
-
 def _angle_scale(program: QuboProgram) -> float:
     """Coefficient norm sum|h| + sum|J| of the program's Ising form (offset
     excluded), or 1.0 when it is 0.
@@ -430,21 +323,21 @@ def _search_angles(program: QuboProgram, theta, minimize, mixer: str = "standard
     best theta, marginal, evals): the physical angles at theta and at the
     best theta, the asset marginal of the state at the best theta
     (``bounds.asset_marginal``), and evals in physical units and in
-    evaluation order. The ansatz (``_ansatz``), with its table and
+    evaluation order. The ansatz (``simulate.Ansatz``), with its table and
     workspace, lives only inside the call.
 
     The final marginal is read from the search's best evaluation, not
     simulated again: the objective takes each evaluation's expectation and
-    probabilities from one ``_ansatz.evaluate``, and on each new strict
+    probabilities from one ``Ansatz.evaluate``, and on each new strict
     minimum (the rule by which ``minimize_with_budget`` keeps its best)
     copies the asset marginal of those probabilities
-    (``_ansatz.marginal``, reduced inside the workspace) into one kept
+    (``Ansatz.marginal``, reduced inside the workspace) into one kept
     array of 2^n float64s, n the program's asset qubits, and returns that
     array. Only if ``minimize`` returns other angles is the state at them
     evaluated once more.
     """
     scale = _angle_scale(program)
-    ansatz = _ansatz(program, mixer)
+    ansatz = Ansatz(program, mixer)
     assets = sum(label.kind == ASSET for label in program.labels)
     kept = np.empty(1 << assets)  # the asset marginal at kept_params
     kept_params, lowest = None, math.inf

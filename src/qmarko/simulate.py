@@ -1,16 +1,19 @@
-"""Dense statevector simulation for diagonal Hamiltonians.
+"""Dense statevector simulation of the QAOA ansatz on a diagonal program.
+
+``Ansatz`` is the one ansatz entry point: built from a program and a mixer
+name, it runs the p layers of phase separation and mixing for any angles,
+in one workspace, with the kernels below.
 
 The phase-separation step multiplies amplitudes by exp(-i*gamma*E(x))
 over the whole register rather than applying gates one by one. The
-phases come from the table's bit form by multiplicative doubling
-(``bitstrings.quadratic_form_phases``), one complex exponential per
-coefficient rather than per amplitude. Both mixers are tensor powers
-of one small real unitary (see the real frame below) and run on one
+phases come from the program's bit form (Q, b, c) by multiplicative
+doubling (``bitstrings.quadratic_form_phases``), one complex exponential
+per coefficient rather than per amplitude; the energy table
+(``energy_table``) serves the expectation only. Both mixers are tensor
+powers of one small real unitary (see the real frame below) and run on one
 kernel that applies them as dense block gates of BLOCK_QUBITS qubits, one
 pass over the state per block, each a real matmul on the float64 view of
 the amplitudes shaped so that it runs near the speed of a copy.
-``qaoa._ansatz`` is the one caller that composes these kernels into an
-ansatz.
 
 Amplitude index convention: qubit 0 is the least significant bit (see
 ``bitstrings``). The conditional mixer's tensor power needs each (asset,
@@ -25,9 +28,10 @@ of a pair makes the conditional mixer's 4x4 unit real too. S is diagonal,
 so it commutes with phase separation: an ansatz started from S^dag|+>^m
 runs every mixer layer with a real unit (``apply_real_frame_mixer``) and
 applies S once, to a state that leaves it (``from_real_frame``).
-Probabilities and expectations are the same in both frames. A real unit
-acts on the float64 view of the complex amplitudes, half the multiply-adds
-of a complex one.
+Probabilities and expectations are the same in both frames, so an
+evaluation, and every asset marginal read from it, reads the state where
+it is. A real unit acts on the float64 view of the complex amplitudes,
+half the multiply-adds of a complex one.
 
 The start state is folded into the first layer: S^dag|+>^m is
 (-i)^popcount(x) / sqrt(2^m), a product over bits like the phases, so
@@ -47,7 +51,8 @@ import numpy as np
 
 # MAX_QUBITS lives next to the tabulator and is re-exported from here.
 from .bitstrings import MAX_QUBITS, quadratic_form_phases, quadratic_form_table
-from .encode import QuboProgram
+from .bounds import asset_marginal
+from .encode import ASSET, SLACK_ASSET, QuboProgram, VarLabel
 
 
 @dataclass
@@ -64,31 +69,16 @@ class StateVector:
         return np.square(probabilities, out=probabilities)
 
 
-@dataclass(frozen=True)
-class EnergyTable:
-    """Per-basis-state energies of a diagonal Hamiltonian.
-
-    ``form`` is the program's bit form (Q, b, c), as stored, with E(x) =
-    x'Qx + b'x + c; phase separation builds its phases from it by
-    multiplicative doubling.
-    """
-
-    num_qubits: int
-    energies: np.ndarray
-    form: tuple[np.ndarray, np.ndarray, float]
-
-
-def energy_table(program: QuboProgram) -> EnergyTable:
-    """Tabulate the program's energy x'Qx + b'x + c for every basis state,
+def energy_table(program: QuboProgram) -> np.ndarray:
+    """The program's energy x'Qx + b'x + c for every basis state, tabulated
     with ``quadratic_form_table`` in O(2^m) time and extra memory. Raises
     ValueError if an energy overflows.
     """
-    form = (program.quadratic, program.linear, program.constant)
     with np.errstate(over="ignore", invalid="ignore"):
-        energies = quadratic_form_table(*form)
+        energies = quadratic_form_table(program.quadratic, program.linear, program.constant)
     if not np.isfinite([energies.min(), energies.max()]).all():  # NaN propagates to both
         raise ValueError("energies must be finite (penalty weight too large?)")
-    return EnergyTable(program.num_qubits, energies, form)
+    return energies
 
 
 def workspace(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -96,8 +86,8 @@ def workspace(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     its phases, the next block's output or, last, the state's
     probabilities in the other: those fill the first 2^m of its 2^(m+1)
     float64s, and their asset marginal is reduced in the rest
-    (``qaoa._ansatz.marginal``). The qubit count is checked against
-    MAX_QUBITS first."""
+    (``Ansatz.marginal``). The qubit count is checked against MAX_QUBITS
+    first."""
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise ValueError(f"qubit count {num_qubits} outside [1, {MAX_QUBITS}]")
     # Two arrays, not the rows of one: a single 2 x 2^m allocation raised
@@ -106,17 +96,18 @@ def workspace(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.empty(1 << num_qubits, dtype=np.complex128) for _ in range(2))
 
 
-def real_frame_phased_uniform(out: np.ndarray, table: EnergyTable, gamma: float) -> np.ndarray:
+def real_frame_phased_uniform(out: np.ndarray, program: QuboProgram, gamma: float) -> np.ndarray:
     """The ansatz's state after its first phase separation, in the real
     frame, written into ``out``: exp(-i*gamma*E(x)) times S^dag on every
     qubit of the uniform superposition, (-i)^popcount(x) / sqrt(2^m). One
     pass of ``quadratic_form_phases`` builds it, with -i folded into each
     bit's term and 1/sqrt(2^m) into the constant; gamma = 0 gives the
     real-frame uniform state itself."""
-    if out.size != 1 << table.num_qubits:
-        raise ValueError(f"table has {table.num_qubits} qubits, buffer has {out.size} amplitudes")
+    if out.size != 1 << program.num_qubits:
+        raise ValueError(f"program has {program.num_qubits} qubits, buffer has {out.size} amplitudes")
     return quadratic_form_phases(
-        *table.form, gamma, out=out, unit=-1j, scale=1.0 / np.sqrt(out.size)
+        program.quadratic, program.linear, program.constant, gamma,
+        out=out, unit=-1j, scale=1.0 / np.sqrt(out.size),
     )
 
 
@@ -131,18 +122,21 @@ def from_real_frame(amplitudes: np.ndarray, spare: np.ndarray) -> np.ndarray:
 
 
 def apply_phase_separation(
-    state: StateVector, table: EnergyTable, gamma: float, spare: np.ndarray | None = None
+    state: StateVector, program: QuboProgram, gamma: float, spare: np.ndarray | None = None
 ) -> StateVector:
-    """Multiply each amplitude by exp(-i*gamma*E(x)); exact diagonal evolution.
+    """Multiply each amplitude by exp(-i*gamma*E(x)), E the program's
+    energy; exact diagonal evolution.
 
     The phases are built in ``spare`` (a 2^m complex buffer) when given,
     else in a new array.
     """
-    if table.num_qubits != state.num_qubits:
+    if program.num_qubits != state.num_qubits:
         raise ValueError(
-            f"table has {table.num_qubits} qubits, state has {state.num_qubits}"
+            f"program has {program.num_qubits} qubits, state has {state.num_qubits}"
         )
-    state.amplitudes *= quadratic_form_phases(*table.form, gamma, out=spare)
+    state.amplitudes *= quadratic_form_phases(
+        program.quadratic, program.linear, program.constant, gamma, out=spare
+    )
     return state
 
 
@@ -284,17 +278,96 @@ def _pair_unit(beta_angle: float) -> np.ndarray:
     ])
 
 
-def expectation(
-    state: StateVector, table: EnergyTable, out: np.ndarray | None = None
-) -> float:
-    """Exact <H> = sum_x |amp_x|^2 E(x) for a diagonal Hamiltonian. The
-    probabilities are built in ``out`` (a 2^m float64 buffer) when given,
-    else in a new array."""
-    if table.num_qubits != state.num_qubits:
-        raise ValueError(
-            f"table has {table.num_qubits} qubits, state has {state.num_qubits}"
-        )
-    return float(np.dot(state.probabilities(out), table.energies))
+def expectation(state: StateVector, energies: np.ndarray, out: np.ndarray | None = None) -> float:
+    """Exact <H> = sum_x |amp_x|^2 E(x) for a diagonal Hamiltonian with the
+    2^m energies ``energies`` (``energy_table``). The probabilities are
+    built in ``out`` (a 2^m float64 buffer) when given, else in a new
+    array."""
+    return float(np.dot(state.probabilities(out), energies))
+
+
+class Ansatz:
+    """The depth-p ansatz on ``program``: p alternating layers of phase
+    separation and mixing on the uniform state, as a function of its
+    physical angles (``gammas`` and ``beta_mixes``, as ``qaoa.QaoaParams``
+    holds them).
+
+    ``ansatz(params)`` is the state, a new StateVector in canonical phase;
+    ``ansatz.evaluate(params)`` is (its expectation under the program, its
+    probabilities), and ``ansatz.marginal(probabilities)`` the asset
+    marginal of those probabilities (``bounds.asset_marginal`` over the
+    program's labels), both built in the workspace (below). Every call
+    runs its layers: the ansatz holds no state between calls but its
+    table and workspace.
+
+    The program is tabulated (``energy_table``) once, before the workspace
+    is allocated. Every layer runs in the real frame (module docstring),
+    and the first layer's phase separation is folded into the start state
+    (``real_frame_phased_uniform``), so layers 2..p alone run
+    ``apply_phase_separation``. The conditional mixer reads its layout
+    from the program's labels: one pair per SLACK_ASSET label, asset i at
+    qubit 2i and its slack at 2i + 1, as the slack-ancilla program lays
+    them out; the qubits above the pairs are left alone, and a program
+    without slack labels gets no pairs. Any other layout is refused with
+    ValueError. Only a state returned by ``ansatz(params)`` gets S.
+
+    One ``workspace`` of two 2^m buffers serves every evaluation: the
+    state lives in one, and the other takes each layer's phases, each
+    mixer block's output and, last, the state's probabilities, in the first
+    2^m of its 2^(m+1) float64s, so an evaluation allocates no 2^m array.
+    ``marginal`` sums the non-asset qubits out of those probabilities into
+    the free upper 2^m float64s; a program of assets only sums nothing, and
+    its marginal is the probabilities themselves. The probabilities
+    ``evaluate`` returns and the marginal are views of the spare buffer,
+    valid until the next call; a search keeps its best evaluation's
+    marginal by copying it out (``qaoa._search_angles``). A returned state
+    never shares memory with the workspace.
+    """
+
+    def __init__(self, program: QuboProgram, mixer: str):
+        if mixer not in ("standard", "conditional"):
+            raise ValueError(f"unknown mixer: {mixer!r}")
+        self._pair_count = None
+        if mixer == "conditional":
+            count = sum(label.kind == SLACK_ASSET for label in program.labels)
+            layout = [VarLabel(kind, i) for i in range(count) for kind in (ASSET, SLACK_ASSET)]
+            if list(program.labels[: 2 * count]) != layout:
+                raise ValueError("the conditional mixer takes asset i at qubit 2i and its "
+                                 f"slack at 2i + 1, got labels {program.labels}")
+            self._pair_count = count
+        self._program = program
+        self._energies = energy_table(program)
+        self._buffers = workspace(program.num_qubits)
+
+    def _frame_state(self, params) -> tuple[np.ndarray, np.ndarray]:
+        """(buffer holding the state in the frame, the other buffer)."""
+        program = self._program
+        state, spare = self._buffers
+        real_frame_phased_uniform(state, program, params.gammas[0])
+        for layer, beta_mix in enumerate(params.beta_mixes):
+            if layer > 0:
+                apply_phase_separation(
+                    StateVector(program.num_qubits, state), program, params.gammas[layer], spare
+                )
+            if apply_real_frame_mixer(state, spare, beta_mix, self._pair_count) is spare:
+                state, spare = spare, state
+        self._buffers = state, spare
+        return state, spare
+
+    def evaluate(self, params) -> tuple[float, np.ndarray]:
+        state, spare = self._frame_state(params)
+        probabilities = spare.view(np.float64)[: state.size]
+        value = expectation(StateVector(self._program.num_qubits, state), self._energies,
+                            out=probabilities)
+        return value, probabilities
+
+    def marginal(self, probabilities: np.ndarray) -> np.ndarray:
+        scratch = self._buffers[1].view(np.float64)[probabilities.size:]
+        return asset_marginal(probabilities, self._program.labels, scratch)
+
+    def __call__(self, params) -> StateVector:
+        state, spare = self._frame_state(params)
+        return StateVector(self._program.num_qubits, from_real_frame(state, spare))
 
 
 def sample_counts(probabilities: np.ndarray, shots: int, seed: int) -> np.ndarray:

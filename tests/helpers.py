@@ -4,7 +4,7 @@ Everything here recomputes results through a different route than the
 package (explicit loops, dense matrices, one gate at a time) so the two
 sides of each equivalence check stay independent. ``final_register`` is
 the exception: it replays the package's own ansatz, as a record's
-contract says its final state is rebuilt: ``_ansatz(program,
+contract says its final state is rebuilt: ``simulate.Ansatz(program,
 record.mixer)`` on the record's program, which reads any conditional-mixer
 pairs from the program's labels itself.
 """
@@ -19,7 +19,7 @@ from qmarko import encode
 from qmarko.bitstrings import index_to_bits, index_to_string
 from qmarko.encode import ASSET, QuboProgram, VarLabel, cardinality_slack_weights
 from qmarko.instance import PortfolioInstance, classical_objective, is_feasible
-from qmarko.qaoa import _ansatz
+from qmarko.simulate import Ansatz
 
 
 def naive_qubo_energy(program: QuboProgram, bits) -> float:
@@ -317,10 +317,10 @@ def record_program(record, inst: PortfolioInstance) -> QuboProgram:
 
 def final_register(record, inst: PortfolioInstance) -> dict[str, float]:
     """The 2^m register probabilities of a QAOA record's final state, keyed
-    by m-bit label in the program's qubit order: ``_ansatz`` on
+    by m-bit label in the program's qubit order: ``Ansatz`` on
     ``record_program`` with the record's mixer, evaluated at
     ``final_params``."""
-    state = _ansatz(record_program(record, inst), record.mixer)(record.final_params)
+    state = Ansatz(record_program(record, inst), record.mixer)(record.final_params)
     return _labelled(state.probabilities())
 
 

@@ -274,6 +274,34 @@ def test_a_rerun_sweep_cell_holds_only_its_own_outcome(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_print_config_dump_reads_back_as_the_same_settings(tmp_path, capsys):
+    # seed, penalty and mixer have no default: a dump prints them as null
+    # when they are unset, and a config file's null leaves them unset.
+    instance = str(tmp_path / "instance.json")
+    assert main(["generate", "--n", "3", "--k", "1", "--seed", "3", "--out", instance]) == EXIT_OK
+    runs = {
+        "generate": (["generate"], ["--n", "4", "--k", "2", "--seed", "5", "--q-risk", "5"]),
+        "solve": (["solve", "--instance", instance, "--method", "oracle"],
+                  ["--seed", "2", "--p", "3", "--shots", "64"]),
+        "sweep": (["sweep", "--methods", "oracle", "--seeds", "1"],
+                  ["--n", "3", "--k", "1", "--max-iter", "9", "--jobs", "2"]),
+    }
+    for command, (argv, flags) in runs.items():
+        capsys.readouterr()
+        out = tmp_path / f"{command}-flags"
+        assert main([*argv, *flags, "--print-config", "--out", str(out)]) == EXIT_OK, command
+        dump, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
+        if command != "generate":
+            assert dump["penalty"] is None and dump["mixer"] is None, command
+        config = tmp_path / f"{command}.json"
+        config.write_text(json.dumps(dump))
+        out = tmp_path / f"{command}-config"
+        assert main([*argv, "--config", str(config), "--print-config",
+                     "--out", str(out)]) == EXIT_OK, command
+        again, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
+        assert again == dump, command
+
+
 def test_null_and_list_settings_exit_2_without_writing(tmp_path, capsys):
     from qmarko.cli import EXIT_INVALID
 

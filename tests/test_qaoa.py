@@ -29,7 +29,6 @@ from qmarko.qaoa import (
     QaoaParams,
     ScheduleConfig,
     _angle_scale,
-    _ansatz,
     _draw_initial_angles,
     _physical_params,
     _search_angles,
@@ -37,11 +36,11 @@ from qmarko.qaoa import (
     run_fixed_penalty,
     run_schedule,
 )
-from qmarko.simulate import energy_table, expectation
+from qmarko.simulate import Ansatz, energy_table, expectation
 
 
 def _state(program, params, mixer="standard"):
-    return _ansatz(program, mixer)(params)
+    return Ansatz(program, mixer)(params)
 
 
 def _program(quadratic, linear, constant):
@@ -145,15 +144,15 @@ def test_run_ansatz_expectation_matches_dense_reference():
     inst = generate_instance(3, 1, seed=2)
     program = build_slack_ancilla_qubo(inst, 100.0)
     params = QaoaParams(2, (0.31, 0.77), (0.52, 0.18))
-    table = energy_table(program)
+    energies = energy_table(program)
     for mixer in ("standard", "conditional"):
         pairs = slack_pairs(program.labels) if mixer == "conditional" else None
         state = _state(program, params, mixer)
         reference = dense_reference_ansatz(program, params, mixer, pairs)
         ref_expectation = float(
-            np.real(np.conj(reference) @ (table.energies * reference))
+            np.real(np.conj(reference) @ (energies * reference))
         )
-        assert expectation(state, table) == pytest.approx(ref_expectation, abs=1e-10)
+        assert expectation(state, energies) == pytest.approx(ref_expectation, abs=1e-10)
 
 
 # --- angle optimization ---------------------------------------------------------
@@ -244,7 +243,7 @@ def test_angle_scale_is_the_ising_norm_and_the_table_reads_only_q_plus_q_transpo
         couplings, fields, _ = naive_ising_coefficients(program)
         norm = float(np.abs(fields).sum()) + sum(abs(c) for c in couplings.values())
         assert _angle_scale(program) == pytest.approx(norm, rel=1e-12, abs=0), name
-        tables.append(energy_table(program).energies)
+        tables.append(energy_table(program))
     assert all(np.array_equal(tables[0], table) for table in tables[1:])
 
 
@@ -325,7 +324,7 @@ def test_schedule_final_params_reproduce_the_recorded_marginal():
             inst = generate_instance(3, 1, seed=seed)
             record = run_schedule(inst, config, mixer=mixer, seed=seed)
             program = build_slack_ancilla_qubo(inst, record.final_beta_penalty)
-            state = _ansatz(program, record.mixer)(record.final_params)
+            state = Ansatz(program, record.mixer)(record.final_params)
             marginal = asset_marginal(state.probabilities(), program.labels)
             assert np.array_equal(marginal, record.marginal), (mixer, seed)
 
@@ -569,7 +568,7 @@ _PARAMS_B = QaoaParams(2, (-0.02, 0.005), (1.1, 0.2))
 
 @pytest.mark.parametrize("layout", ("standard", "pair frame", "adjacent pairs"))
 def test_returned_state_is_unchanged_by_later_evaluations(layout):
-    ansatz = _ansatz(*_ansatz_layouts(4)[layout])
+    ansatz = Ansatz(*_ansatz_layouts(4)[layout])
     state = ansatz(_PARAMS_A)
     kept = state.amplitudes.copy()
     ansatz(_PARAMS_B)
@@ -580,7 +579,7 @@ def test_returned_state_is_unchanged_by_later_evaluations(layout):
 @pytest.mark.parametrize("layout", ("standard", "pair frame", "adjacent pairs"))
 def test_evaluations_do_not_depend_on_earlier_ones(layout):
     program, mixer = _ansatz_layouts(4)[layout]
-    ansatz = _ansatz(program, mixer)
+    ansatz = Ansatz(program, mixer)
     value, amplitudes = ansatz.evaluate(_PARAMS_A)[0], ansatz(_PARAMS_A).amplitudes
     ansatz.evaluate(_PARAMS_B)
     ansatz(_PARAMS_B)
@@ -596,16 +595,16 @@ def test_evaluations_do_not_depend_on_earlier_ones(layout):
 
 def _counted_mixer_layers(monkeypatch) -> list:
     """The mixer layers the ansatz runs from now on, one entry per layer."""
-    import qmarko.qaoa as qaoa
+    import qmarko.simulate as simulate
 
     layers = []
-    original_mixer = qaoa.apply_real_frame_mixer
+    original_mixer = simulate.apply_real_frame_mixer
 
     def counted_mixer(*args, **kwargs):
         layers.append(args)
         return original_mixer(*args, **kwargs)
 
-    monkeypatch.setattr(qaoa, "apply_real_frame_mixer", counted_mixer)
+    monkeypatch.setattr(simulate, "apply_real_frame_mixer", counted_mixer)
     return layers
 
 
@@ -619,9 +618,9 @@ def test_search_objective_is_the_expectation_of_the_state(layout):
         return thetas[-1], min(values), values
 
     initial, final, best, marginal, values = _search_angles(program, thetas[0], minimize, mixer)
-    ansatz, scale, table = _ansatz(program, mixer), _angle_scale(program), energy_table(program)
+    ansatz, scale, energies = Ansatz(program, mixer), _angle_scale(program), energy_table(program)
     for theta, value in zip(thetas, values):
-        direct = expectation(ansatz(_physical_params(theta, scale)), table)
+        direct = expectation(ansatz(_physical_params(theta, scale)), energies)
         assert value == pytest.approx(direct, rel=1e-12, abs=0)
     # The returned angles and marginal are those of the start and best points.
     assert initial == _physical_params(thetas[0], scale)
@@ -645,7 +644,7 @@ def test_a_fixed_penalty_search_simulates_each_evaluated_state_once(method, monk
     assert _best_is_not_last(record.trace)
     assert len(layers) == record.final_params.p * record.iterations_used
     program = FIXED_PENALTY_ARMS[method][0](inst, record.final_beta_penalty)
-    direct = _ansatz(program, "standard").evaluate(record.final_params)[1]
+    direct = Ansatz(program, "standard").evaluate(record.final_params)[1]
     assert np.array_equal(record.marginal, asset_marginal(direct, program.labels))
 
 
@@ -663,22 +662,24 @@ def test_a_schedule_simulates_each_evaluated_state_once(mixer, monkeypatch):
     assert all(_best_is_not_last(rows) for rows in segments)
     assert len(layers) == record.final_params.p * record.iterations_used
     program = build_slack_ancilla_qubo(inst, record.final_beta_penalty)
-    direct = _ansatz(program, mixer).evaluate(record.final_params)[1]
+    direct = Ansatz(program, mixer).evaluate(record.final_params)[1]
     assert np.array_equal(record.marginal, asset_marginal(direct, program.labels))
 
 
-@pytest.mark.parametrize("mixer", ("standard", "conditional"))
-def test_search_peak_memory_is_its_workspace_table_and_kept_probabilities(mixer):
+def _search_peak(program, mixer) -> tuple[float, float]:
+    """The traced peak of one search on ``program`` over six fixed angle
+    vectors, and the most any one evaluation grew the traced memory, both
+    in states (2^m complex128s). The peak is the largest of the peaks
+    before, between and after the evaluations."""
     import tracemalloc
 
-    program, _ = _ansatz_layouts(7)["pair frame" if mixer == "conditional" else mixer]  # m = 14
-    nbytes = 16 << program.num_qubits  # one state
     thetas = np.random.default_rng(43).uniform(0.0, np.pi, size=(6, 4))
-    growths = []
+    peaks, growths = [], []
 
     def minimize(objective, theta):
         values = []
         for point in thetas:
+            peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
             values.append(objective(point))
@@ -689,48 +690,26 @@ def test_search_peak_memory_is_its_workspace_table_and_kept_probabilities(mixer)
     tracemalloc.start()
     try:
         _search_angles(program, thetas[0], minimize, mixer)
-        peak = tracemalloc.get_traced_memory()[1]
+        peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    # No evaluation allocates a 2^m array (2^m float64s are 1/2): each
-    # builds its probabilities in the spare buffer and reduces a new best's
-    # marginal in the spare's free half before copying it into the kept
-    # array; what remains is the gates' and the angles' few KiB.
-    assert max(growths) <= 0.1 * nbytes, [growth / nbytes for growth in growths]
-    # Two workspace buffers (2), the energy table (1/2), the kept 2^7
-    # asset marginal and a few KiB.
-    assert peak <= 2.75 * nbytes, peak / nbytes
-
-
-def _search_peak(program, mixer) -> float:
-    """The traced peak of one search on ``program`` over six fixed angle
-    vectors, in states (2^m complex128s)."""
-    import tracemalloc
-
-    thetas = np.random.default_rng(43).uniform(0.0, np.pi, size=(6, 4))
-
-    def minimize(objective, theta):
-        values = [objective(point) for point in thetas]
-        best = int(np.argmin(values))
-        return thetas[best], values[best], values
-
-    tracemalloc.start()
-    try:
-        _search_angles(program, thetas[0], minimize, mixer)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak / (16 << program.num_qubits)
+    state = 16 << program.num_qubits
+    return max(peaks) / state, max(growths) / state
 
 
 @pytest.mark.parametrize("layout", ("standard", "pair frame", "adjacent pairs"))
 def test_a_slack_search_keeps_its_marginal_not_its_probabilities(layout):
     program, mixer = _ansatz_layouts(7)[layout]  # m = 14, 7 or 8 assets
+    peak, growth = _search_peak(program, mixer)
+    # No evaluation allocates a 2^m array (2^m float64s are 1/2): each
+    # builds its probabilities in the spare buffer and reduces a new best's
+    # marginal in the spare's free half before copying it into the kept
+    # array; what remains is the gates' and the angles' few KiB.
+    assert growth <= 0.1, growth
     # Two workspace buffers (2), the energy table (1/2), the kept marginal
     # (2^7 or 2^8 float64s) and a few KiB: the slacks are summed out in the
     # spare buffer's free half, so neither the probabilities (1/2) nor the
     # halvings' outputs (3/8) are ever allocated.
-    peak = _search_peak(program, mixer)
     assert peak <= 2.75, peak
 
 
@@ -739,7 +718,7 @@ def test_a_penalty_search_fills_its_kept_probabilities_in_place():
     # Two workspace buffers, the energy table and the kept marginal, which
     # is the 2^m probabilities (1/2 each), and a few KiB: a new best is
     # copied into the one kept array, not into a new one.
-    peak = _search_peak(program, "standard")
+    peak, _ = _search_peak(program, "standard")
     assert peak <= 3.2, peak
 
 
@@ -751,7 +730,7 @@ def test_ansatz_peak_memory_is_its_workspace_and_one_state(mixer):
     nbytes = 16 << program.num_qubits  # one state
     tracemalloc.start()
     try:
-        ansatz = _ansatz(program, mixer)  # held: its table and workspace stay allocated
+        ansatz = Ansatz(program, mixer)  # held: its table and workspace stay allocated
         construction = tracemalloc.get_traced_memory()[1]
         evaluations = []
         for call in (partial(ansatz, _PARAMS_A), partial(ansatz.evaluate, _PARAMS_B),
@@ -784,7 +763,7 @@ def test_ansatz_refuses_more_than_max_qubits_before_allocating():
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=f"refusing to tabulate {m} variables"):
-                _ansatz(program, mixer)
+                Ansatz(program, mixer)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

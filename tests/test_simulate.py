@@ -21,9 +21,9 @@ from helpers import (
 from qmarko.bitstrings import index_to_bits, index_to_string, string_to_index
 from qmarko.encode import QuboProgram, VarLabel, build_penalty_qubo, build_slack_ancilla_qubo
 from qmarko.instance import generate_instance
-from qmarko.qaoa import QaoaParams, _angle_scale, _ansatz
+from qmarko.qaoa import QaoaParams, _angle_scale
 from qmarko.simulate import (
-    EnergyTable,
+    Ansatz,
     StateVector,
     _pair_unit,
     apply_phase_separation,
@@ -37,15 +37,15 @@ from qmarko.simulate import (
 )
 
 
-def _random_table(m, seed):
-    return energy_table(_random_program(m, np.random.default_rng(seed)))
+def _seeded_program(m, seed):
+    return _random_program(m, np.random.default_rng(seed))
 
 
 def _uniform(m):
     """The ansatz's initial state |+>^m: its phased start at gamma = 0, taken
     out of the real frame."""
     state, spare = workspace(m)
-    start = real_frame_phased_uniform(state, _random_table(m, 0), 0.0)
+    start = real_frame_phased_uniform(state, _seeded_program(m, 0), 0.0)
     return StateVector(m, from_real_frame(start, spare))
 
 
@@ -56,7 +56,7 @@ def _adjacent_pairs(count):
 def _mix(state, beta_angle, pairs=None):
     """One mixer layer as the ansatz runs it, on a state in canonical phase:
     S^dag, the real-unit kernel (the conditional mixer for ``pairs``, which
-    are adjacent, as ``_ansatz`` takes them), then S again. In place."""
+    are adjacent, as ``Ansatz`` takes them), then S again. In place."""
     size = state.amplitudes.size
     s_phases = from_real_frame(np.ones(size, dtype=complex), np.empty(size, dtype=complex))
     pair_count = None if pairs is None else len(pairs)
@@ -90,9 +90,9 @@ def test_uniform_superposition_guards():
 
 def test_energy_table_matches_naive_evaluation():
     program = build_slack_ancilla_qubo(generate_instance(2, 1, seed=6), 30.0)
-    table = energy_table(program)
+    energies = energy_table(program)
     for x in range(1 << 4):
-        assert table.energies[x] == pytest.approx(
+        assert energies[x] == pytest.approx(
             naive_qubo_energy(program, index_to_bits(x, 4)), abs=1e-12
         )
 
@@ -117,15 +117,16 @@ def test_energy_table_refuses_a_pair_sum_that_overflows():
 def test_phase_separation_identity_at_zero():
     state = _uniform(3)
     before = state.amplitudes.copy()
-    apply_phase_separation(state, _random_table(3, 0), 0.0)
+    apply_phase_separation(state, _seeded_program(3, 0), 0.0)
     assert np.array_equal(state.amplitudes, before)
 
 
 def test_phase_separation_constant_energy_is_global_phase():
     state = StateVector(2, random_state(2, 1))
     probs_before = state.probabilities()
-    table = EnergyTable(2, np.full(4, 1.7), (np.zeros((2, 2)), np.zeros(2), 1.7))
-    apply_phase_separation(state, table, 0.9)
+    labels = (VarLabel.asset(0), VarLabel.asset(1))
+    program = QuboProgram(2, labels, np.zeros((2, 2)), np.zeros(2), 1.7)
+    apply_phase_separation(state, program, 0.9)
     assert np.allclose(state.probabilities(), probs_before, atol=1e-12)
     # amplitudes carry exactly the expected global phase
     assert np.allclose(state.amplitudes, np.exp(-1j * 0.9 * 1.7) * random_state(2, 1), atol=1e-12)
@@ -133,9 +134,9 @@ def test_phase_separation_constant_energy_is_global_phase():
 
 def test_phase_separation_matches_matrix_exponential():
     e1 = 0.731
-    table = EnergyTable(1, np.array([0.0, e1]), (np.zeros((1, 1)), np.array([e1]), 0.0))
+    program = QuboProgram(1, (VarLabel.asset(0),), np.zeros((1, 1)), np.array([e1]), 0.0)
     state = _uniform(1)
-    apply_phase_separation(state, table, 0.4)
+    apply_phase_separation(state, program, 0.4)
     diag_h = np.diag([0.0, e1])
     expected = expm(-1j * 0.4 * diag_h) @ np.full(2, 1 / np.sqrt(2), dtype=complex)
     assert np.allclose(state.amplitudes, expected, atol=1e-12)
@@ -143,7 +144,7 @@ def test_phase_separation_matches_matrix_exponential():
 
 def test_phase_separation_dimension_mismatch():
     with pytest.raises(ValueError):
-        apply_phase_separation(_uniform(2), _random_table(3, 0), 0.1)
+        apply_phase_separation(_uniform(2), _seeded_program(3, 0), 0.1)
 
 
 def test_mixer_identity_at_zero():
@@ -216,30 +217,30 @@ def test_conditional_mixer_validates_pairs():
     ]:
         program = replace(_random_program(len(labels), np.random.default_rng(0)), labels=labels)
         with pytest.raises(ValueError, match="conditional mixer takes asset i at qubit 2i"):
-            _ansatz(program, "conditional")
+            Ansatz(program, "conditional")
 
 
 def test_expectation_uniform_is_mean_energy():
-    table = _random_table(3, 7)
+    energies = energy_table(_seeded_program(3, 7))
     state = _uniform(3)
-    assert expectation(state, table) == pytest.approx(table.energies.mean(), abs=1e-12)
+    assert expectation(state, energies) == pytest.approx(energies.mean(), abs=1e-12)
 
 
 def test_expectation_on_basis_state():
-    table = _random_table(2, 8)
+    energies = energy_table(_seeded_program(2, 8))
     state = _uniform(2)
     state.amplitudes[:] = 0
     state.amplitudes[2] = 1.0
-    assert expectation(state, table) == pytest.approx(table.energies[2], abs=1e-13)
+    assert expectation(state, energies) == pytest.approx(energies[2], abs=1e-13)
 
 
 def test_expectation_matches_naive_sum():
-    table = _random_table(3, 9)
+    energies = energy_table(_seeded_program(3, 9))
     state = StateVector(3, random_state(3, 10))
     naive = sum(
-        abs(state.amplitudes[x]) ** 2 * table.energies[x] for x in range(8)
+        abs(state.amplitudes[x]) ** 2 * energies[x] for x in range(8)
     )
-    assert expectation(state, table) == pytest.approx(naive, abs=1e-12)
+    assert expectation(state, energies) == pytest.approx(naive, abs=1e-12)
 
 
 def test_sample_basis_state_single_bin():
@@ -262,17 +263,17 @@ def test_sample_binomial_three_sigma():
 def test_sample_energy_mean_within_three_sigma_of_expectation():
     inst = generate_instance(3, 1, seed=3)
     program = build_penalty_qubo(inst, 5.0)
-    table = energy_table(program)
+    energies = energy_table(program)
     params = QaoaParams(2, (0.4, 0.9), (0.7, 0.3))
-    state = _ansatz(program, "standard")(params)
+    state = Ansatz(program, "standard")(params)
     shots = 20000
     counts = _drawn(sample_counts(state.probabilities(), shots, seed=77), 3)
     sampled_mean = sum(
-        c * table.energies[string_to_index(b)] for b, c in counts.items()
+        c * energies[string_to_index(b)] for b, c in counts.items()
     ) / shots
-    exact = expectation(state, table)
+    exact = expectation(state, energies)
     probs = state.probabilities()
-    energy_var = float(probs @ table.energies**2) - exact**2
+    energy_var = float(probs @ energies**2) - exact**2
     sigma_mean = np.sqrt(energy_var / shots)
     assert abs(sampled_mean - exact) <= 3 * sigma_mean
 
@@ -307,15 +308,16 @@ def test_unitarity_over_random_sequences(seed):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 9))
     state = StateVector(m, random_state(m, seed))
-    table = _random_table(m, seed + 1)
+    program = _seeded_program(m, seed + 1)
+    energies = energy_table(program)
     pairs = [(0, 1)] if m >= 2 else None
     reference = state.amplitudes.copy()
     for _ in range(100):
         op = rng.integers(0, 3 if pairs else 2)
         angle = float(rng.normal())
         if op == 0:
-            apply_phase_separation(state, table, angle)
-            reference = reference * np.exp(-1j * angle * table.energies)
+            apply_phase_separation(state, program, angle)
+            reference = reference * np.exp(-1j * angle * energies)
         elif op == 1:
             _mix(state, angle)
             reference = gate_reference_mixer(reference, angle)
@@ -329,12 +331,12 @@ def test_unitarity_over_random_sequences(seed):
 @given(seed=st.integers(0, 10**6), g1=st.floats(-3, 3), g2=st.floats(-3, 3))
 @settings(max_examples=40, deadline=None)
 def test_diagonal_commutation(seed, g1, g2):
-    table = _random_table(3, seed)
+    program = _seeded_program(3, seed)
     split = StateVector(3, random_state(3, seed))
-    apply_phase_separation(split, table, g1)
-    apply_phase_separation(split, table, g2)
+    apply_phase_separation(split, program, g1)
+    apply_phase_separation(split, program, g2)
     joint = StateVector(3, random_state(3, seed))
-    apply_phase_separation(joint, table, g1 + g2)
+    apply_phase_separation(joint, program, g1 + g2)
     assert np.allclose(split.amplitudes, joint.amplitudes, atol=1e-12)
 
 
@@ -371,7 +373,7 @@ def test_run_ansatz_matches_dense_reference():
     params = QaoaParams(2, (0.8, 0.15), (0.45, 0.7))
     for mixer in ("standard", "conditional"):
         pairs = slack_pairs(program.labels) if mixer == "conditional" else None
-        state = _ansatz(program, mixer)(params)
+        state = Ansatz(program, mixer)(params)
         reference = dense_reference_ansatz(program, params, mixer, pairs)
         assert np.allclose(state.amplitudes, reference, atol=1e-10)
 
@@ -399,12 +401,12 @@ def test_mixers_match_dense_reference_on_arbitrary_layouts(m):
     rng = np.random.default_rng(500 + m)
     program = _random_program(m, rng)
     params = QaoaParams(2, tuple(rng.uniform(-np.pi, np.pi, 2)), tuple(rng.uniform(-np.pi, np.pi, 2)))
-    state = _ansatz(program, "standard")(params)
+    state = Ansatz(program, "standard")(params)
     reference = dense_reference_ansatz(program, params, "standard")
     assert np.allclose(state.amplitudes, reference, rtol=0, atol=1e-10)
     for count in range(m // 2 + 1):
         paired = with_pairs(program, count)
-        state = _ansatz(paired, "conditional")(params)
+        state = Ansatz(paired, "conditional")(params)
         reference = dense_reference_ansatz(paired, params, "conditional", slack_pairs(paired.labels))
         assert np.allclose(state.amplitudes, reference, rtol=0, atol=1e-10), count
 
@@ -413,8 +415,8 @@ def test_conditional_without_pairs_matches_dense_reference():
     inst = generate_instance(3, 1, seed=17)
     params = QaoaParams(2, (0.4, 0.6), (0.3, 0.9))
     program = build_penalty_qubo(inst, 10.0)
-    state = _ansatz(program, "conditional")(params)
-    reference = dense_reference_evolution(energy_table(program).energies, params, "conditional", [])
+    state = Ansatz(program, "conditional")(params)
+    reference = dense_reference_evolution(energy_table(program), params, "conditional", [])
     assert np.allclose(reference, state.amplitudes, atol=1e-9)
 
 
@@ -424,11 +426,11 @@ def test_energy_table_peak_memory_is_a_small_multiple_of_the_table():
     program = _random_program(16, np.random.default_rng(16), density=1.0)
     tracemalloc.start()
     try:
-        table = energy_table(program)
+        energies = energy_table(program)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * table.energies.nbytes
+    assert peak <= 3 * energies.nbytes
 
 
 @pytest.mark.parametrize("m", range(1, 10))
@@ -446,7 +448,7 @@ def test_phase_separation_on_energy_table_matches_naive_energy_phases(m):
             gamma = theta / norm
             amplitudes = random_state(m, 800 + m)
             state = apply_phase_separation(
-                StateVector(m, amplitudes.copy()), energy_table(program), gamma
+                StateVector(m, amplitudes.copy()), program, gamma
             )
             expected = amplitudes * np.exp(-1j * gamma * energies)
             assert np.abs(state.amplitudes - expected).max() <= 1e-12, (weight, gamma)
@@ -460,14 +462,13 @@ def test_phased_uniform_is_phase_separation_of_the_real_frame_uniform_state(m):
     rng = np.random.default_rng(1000 + m)
     for weight in (1.0, 1e5):
         program = _scaled(_random_program(m, rng), weight)
-        table = energy_table(program)
         norm = _angle_scale(program)
         for gamma in (0.0, float(rng.uniform(-np.pi, np.pi)) / norm):
-            fused = real_frame_phased_uniform(np.full(1 << m, np.nan, dtype=complex), table, gamma)
-            layered = apply_phase_separation(StateVector(m, uniform.copy()), table, gamma)
+            fused = real_frame_phased_uniform(np.full(1 << m, np.nan, dtype=complex), program, gamma)
+            layered = apply_phase_separation(StateVector(m, uniform.copy()), program, gamma)
             assert np.abs(fused - layered.amplitudes).max() <= 1e-15, (weight, gamma)
     with pytest.raises(ValueError, match="qubits"):
-        real_frame_phased_uniform(np.empty(2 << m, dtype=complex), table, 0.1)
+        real_frame_phased_uniform(np.empty(2 << m, dtype=complex), program, 0.1)
 
 
 @given(beta_angle=st.floats(-10, 10) | st.sampled_from([0.0, np.pi / 2, np.pi, -np.pi / 4]))
@@ -480,11 +481,11 @@ def test_phase_separation_peak_memory_on_an_energy_table():
     import tracemalloc
 
     m = 16
-    table = energy_table(_random_program(m, np.random.default_rng(17), density=1.0))
+    program = _random_program(m, np.random.default_rng(17), density=1.0)
     state = _uniform(m)
     tracemalloc.start()
     try:
-        apply_phase_separation(state, table, 0.3)
+        apply_phase_separation(state, program, 0.3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -497,7 +498,7 @@ def test_frame_ansatz_matches_layer_by_layer_composition(m):
     # real frame, the gate-by-gate reference applies each gate in place.
     rng = np.random.default_rng(900 + m)
     program = _random_program(m, rng)
-    energies = energy_table(program).energies
+    energies = energy_table(program)
     params = QaoaParams(3, tuple(rng.uniform(-1, 1, 3) / m), tuple(rng.uniform(-np.pi, np.pi, 3)))
     half = m // 2
     layouts = {
@@ -507,7 +508,7 @@ def test_frame_ansatz_matches_layer_by_layer_composition(m):
     }
     for name, count in layouts.items():
         paired = with_pairs(program, count)
-        state = _ansatz(paired, "conditional")(params)
+        state = Ansatz(paired, "conditional")(params)
         composed = gate_reference_evolution(energies, params, "conditional", slack_pairs(paired.labels))
         assert np.abs(state.amplitudes - composed).max() <= 1e-12, name
 
@@ -547,11 +548,11 @@ def test_mixer_layers_allocate_no_state_sized_temporary():
 def test_phase_separation_into_a_spare_buffer_matches_a_new_array():
     rng = np.random.default_rng(31)
     m = 6
-    table = energy_table(_random_program(m, rng))
+    program = _random_program(m, rng)
     amplitudes = random_state(m, 32)
     spare = np.full(1 << m, np.nan, dtype=complex)
-    in_spare = apply_phase_separation(StateVector(m, amplitudes.copy()), table, 0.7, spare)
-    allocated = apply_phase_separation(StateVector(m, amplitudes.copy()), table, 0.7)
+    in_spare = apply_phase_separation(StateVector(m, amplitudes.copy()), program, 0.7, spare)
+    allocated = apply_phase_separation(StateVector(m, amplitudes.copy()), program, 0.7)
     assert np.array_equal(in_spare.amplitudes, allocated.amplitudes)
     assert np.array_equal(amplitudes * spare, in_spare.amplitudes)
 
