@@ -713,6 +713,17 @@ def test_a_slack_search_keeps_its_marginal_not_its_probabilities(layout):
     assert peak <= 2.75, peak
 
 
+@pytest.mark.parametrize("mixer", ("standard", "conditional"))
+def test_search_peak_memory_is_its_workspace_table_and_kept_probabilities(mixer):
+    program, _ = _ansatz_layouts(7)["pair frame" if mixer == "conditional" else mixer]  # m = 14
+    peak, growth = _search_peak(program, mixer)
+    # No evaluation allocates a 2^m array; the peak is the two workspace
+    # buffers (2), the energy table (1/2), the kept 2^7 asset marginal and
+    # a few KiB.
+    assert growth <= 0.1, growth
+    assert peak <= 2.75, peak
+
+
 def test_a_penalty_search_fills_its_kept_probabilities_in_place():
     program = build_penalty_qubo(generate_instance(14, 2, seed=14), 100.0)  # m = n = 14
     # Two workspace buffers, the energy table and the kept marginal, which
