@@ -326,12 +326,7 @@ def _resolve(args) -> dict:
 
 
 def _schedule(cfg: dict) -> qaoa.ScheduleConfig:
-    """Check the solve settings and build the slack-qaoa schedule from them;
-    commands call it before writing any file, so a bad setting exits 2."""
-    if cfg["p"] < 1:
-        raise ValueError(f"--p must be >= 1, got {cfg['p']}")
-    if cfg["penalty"] is not None and not 0 < cfg["penalty"] < math.inf:
-        raise ValueError(f"--penalty must be positive and finite, got {cfg['penalty']}")
+    """The slack-qaoa schedule of the settings; a bad one raises ValueError."""
     return qaoa.ScheduleConfig(
         beta_penalty_init=cfg["beta_init"],
         doubling_interval=cfg["doubling_interval"],
@@ -341,13 +336,13 @@ def _schedule(cfg: dict) -> qaoa.ScheduleConfig:
     )
 
 
-def _oracle(inst, method, cfg, schedule, penalty) -> dict:
+def _oracle(inst, method, cfg, penalty) -> dict:
     bitstring, value = oracle.exhaustive_portfolio_optimum(inst)
     return {"method": method, "seed": cfg["seed"], "bitstring": bitstring, "feasible": True,
             "value": value, "iterations": 0, "histogram": {bitstring: 1.0}}
 
 
-def _classical_baseline(inst, method, cfg, schedule, penalty) -> dict:
+def _classical_baseline(inst, method, cfg, penalty) -> dict:
     result = oracle.classical_baseline(
         inst, beta_penalty=penalty, budget=cfg["max_iter"], seed=cfg["seed"],
         optimizer=cfg["optimizer"],
@@ -358,45 +353,48 @@ def _classical_baseline(inst, method, cfg, schedule, penalty) -> dict:
             "objective_trace": list(result.trace)}
 
 
-def _slack_qaoa(inst, method, cfg, schedule, penalty) -> dict:
+def _slack_qaoa(inst, method, cfg, penalty) -> dict:
     return qaoa.run_schedule(
-        inst, schedule, p=cfg["p"], mixer=cfg["mixer"] or "conditional",
+        inst, _schedule(cfg), p=cfg["p"], mixer=cfg["mixer"] or "conditional",
         seed=cfg["seed"], optimizer=cfg["optimizer"],
     ).document()
 
 
-def _fixed_penalty_qaoa(inst, method, cfg, schedule, penalty) -> dict:
+def _fixed_penalty_qaoa(inst, method, cfg, penalty) -> dict:
     return qaoa.run_fixed_penalty(inst, method, a_card=penalty, p=cfg["p"],
                                   budget=cfg["max_iter"], seed=cfg["seed"],
                                   optimizer=cfg["optimizer"]).document()
 
 
 # name: (runner, default penalty weight); every runner is (instance, method,
-# settings, schedule, weight) -> record document. Fixed-penalty QAOA arms run at
-# 1e3, the classical baseline at the slack schedule's first weight; others take none.
+# settings, weight) -> record document. Each fixed-penalty QAOA arm's row is
+# read from its qaoa.FIXED_PENALTY_ARMS row, weight included; the classical
+# baseline runs at the slack schedule's first weight; the others take none.
 METHODS = {
     "slack-qaoa": (_slack_qaoa, None),
-    "penalty-qaoa": (_fixed_penalty_qaoa, 1000.0),
-    "cardinality-slack-qaoa": (_fixed_penalty_qaoa, 1000.0),
+    **{arm: (_fixed_penalty_qaoa, weight)
+       for arm, (*_, weight) in qaoa.FIXED_PENALTY_ARMS.items()},
     "oracle": (_oracle, None),
     "classical-baseline": (_classical_baseline, 100.0),
 }
 
 
-def _check_penalty_applies(cfg: dict, methods) -> None:
-    """A set penalty weight needs at least one method that takes one: the
-    slack schedule and the oracle would drop it without a word."""
-    if cfg["penalty"] is None or any(METHODS[method][1] is not None for method in methods):
-        return
-    weighted = ", ".join(method for method, (_, weight) in METHODS.items() if weight is not None)
-    raise ValueError(f"--penalty applies to {weighted} only, not {', '.join(methods)}")
-
-
-def _check_mixer_applies(cfg: dict, methods) -> None:
-    """A set mixer needs slack-qaoa among the methods: the fixed-penalty
-    baselines run the standard mixer whatever is set."""
-    if cfg["mixer"] is not None and "slack-qaoa" not in methods:
-        raise ValueError(f"--mixer applies to slack-qaoa only, not {', '.join(methods)}")
+def _check_methods(cfg: dict, methods) -> None:
+    """Refuse the settings before any file is written: a set mixer or
+    penalty weight that no method in ``methods`` reads (the others would
+    drop it without a word: the fixed-penalty arms run the standard mixer,
+    and the slack schedule and the oracle take no weight), then a bad
+    depth, penalty weight or schedule setting."""
+    weighted = [method for method, (_, weight) in METHODS.items() if weight is not None]
+    for key, takers in (("mixer", ["slack-qaoa"]), ("penalty", weighted)):
+        if cfg[key] is not None and not set(takers) & set(methods):
+            raise ValueError(f"--{key} applies to {', '.join(takers)} only, "
+                             f"not {', '.join(methods)}")
+    if cfg["p"] < 1:
+        raise ValueError(f"--p must be >= 1, got {cfg['p']}")
+    if cfg["penalty"] is not None and not 0 < cfg["penalty"] < math.inf:
+        raise ValueError(f"--penalty must be positive and finite, got {cfg['penalty']}")
+    _schedule(cfg)
 
 
 def _check_registers(inst: instance_mod.PortfolioInstance, methods) -> None:
@@ -404,7 +402,7 @@ def _check_registers(inst: instance_mod.PortfolioInstance, methods) -> None:
     MAX_QUBITS. A program's size does not depend on its weight, so each is
     built at weight 1, in O(m^2); the slack build also checks the caps."""
     builders = {"slack-qaoa": encode.build_slack_ancilla_qubo,
-                **{arm: build for arm, (build, _) in qaoa.FIXED_PENALTY_ARMS.items()}}
+                **{arm: build for arm, (build, *_) in qaoa.FIXED_PENALTY_ARMS.items()}}
     qubits = {"oracle": inst.n}
     for method in methods:
         if method in builders:
@@ -414,12 +412,10 @@ def _check_registers(inst: instance_mod.PortfolioInstance, methods) -> None:
                              f"(limit {MAX_QUBITS})")
 
 
-def _run_method(
-    inst: instance_mod.PortfolioInstance, method: str, cfg: dict, schedule: qaoa.ScheduleConfig
-) -> dict:
+def _run_method(inst: instance_mod.PortfolioInstance, method: str, cfg: dict) -> dict:
     """Execute one method; returns its record document."""
     run, weight = METHODS[method]
-    return run(inst, method, cfg, schedule, weight if cfg["penalty"] is None else cfg["penalty"])
+    return run(inst, method, cfg, weight if cfg["penalty"] is None else cfg["penalty"])
 
 
 def _print_solve_row(doc: dict) -> None:
@@ -446,11 +442,9 @@ def cmd_generate(args) -> int:
 def cmd_solve(args) -> int:
     cfg = _resolve(args)
     method = _choice(*METHODS)(args.method)
-    _check_mixer_applies(cfg, [method])
-    _check_penalty_applies(cfg, [method])
-    schedule = _schedule(cfg)
+    _check_methods(cfg, [method])
     inst = instance_mod.load_instance(args.instance)
-    doc = _run_method(inst, method, cfg, schedule)
+    doc = _run_method(inst, method, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_atomic(out_dir / "record.json", _record_chunks(doc))
@@ -462,7 +456,7 @@ def cmd_solve(args) -> int:
 
 def _run_cell(payload: tuple) -> dict:
     """One sweep cell; returns its summary row. Runs in worker processes."""
-    method, seed, instance_text, cfg, schedule, run_dir_text = payload
+    method, seed, instance_text, cfg, run_dir_text = payload
     run_dir = Path(run_dir_text)
     run_dir.mkdir(parents=True, exist_ok=True)
     histogram_path = run_dir.parent / f"hist_{run_dir.name}.csv"
@@ -475,7 +469,7 @@ def _run_cell(payload: tuple) -> dict:
     started = time.perf_counter()
     try:
         inst = instance_mod.from_json(instance_text)
-        doc = _run_method(inst, method, {**cfg, "seed": seed}, schedule)
+        doc = _run_method(inst, method, {**cfg, "seed": seed})
         _write_atomic(run_dir / "record.json", _record_chunks(doc))
         _write_atomic(histogram_path, [_histogram_csv(doc["histogram"])])
         row["bitstring"] = doc.get("bitstring") or ""
@@ -501,9 +495,7 @@ def cmd_sweep(args) -> int:
     cfg = _resolve(args)
     methods = _grid(args.methods, "--methods", _choice(*METHODS))
     seeds = _grid(args.seeds, "--seeds", _seed)
-    _check_mixer_applies(cfg, methods)
-    _check_penalty_applies(cfg, methods)
-    schedule = _schedule(cfg)
+    _check_methods(cfg, methods)
     if cfg["jobs"] < 1:
         raise ValueError(f"--jobs must be >= 1, got {cfg['jobs']}")
     if args.instance and (args.n is not None or args.k is not None):
@@ -527,7 +519,7 @@ def cmd_sweep(args) -> int:
         _write_atomic(out_dir / name, [text.encode()])
 
     payloads = [
-        (method, seed, instance_texts[seed], cfg, schedule, str(out_dir / f"{method}_seed{seed}"))
+        (method, seed, instance_texts[seed], cfg, str(out_dir / f"{method}_seed{seed}"))
         for method in methods
         for seed in seeds
     ]

@@ -75,11 +75,8 @@ def classical_baseline(
         v = np.clip(v, 0.0, 1.0)
         w, s = v[:n], v[n:]
         slack_residual = w - instance.alpha + s
-        value = (
-            instance.q_risk * float(w @ instance.sigma @ w)
-            - instance.lambda_weight * float(instance.mu @ w)
-            + beta_penalty * float(slack_residual @ slack_residual)
-        )
+        value = (classical_objective(instance, w)
+                 + beta_penalty * float(slack_residual @ slack_residual))
         if not math.isfinite(value):
             raise ValueError(f"the relaxed objective overflows at penalty weight {beta_penalty!r}")
         return value

@@ -8,23 +8,24 @@ until the sampled portfolios are feasible at the target rate or the
 iteration cap is hit. Angle optimization is warm-started across penalty
 doublings.
 
-One run path. Every angle search, whether a segment of ``run_schedule``
-or a ``run_fixed_penalty`` run of an arm (a row of FIXED_PENALTY_ARMS:
-its program builder and reporting rule), is one call of ``_search_angles``
-(build the program's ansatz, minimize its expectation over scaled angles,
-return the angles and the asset marginal at the best); ``simulate.Ansatz``,
-built from the program alone, is the one ansatz entry point, whose
-``evaluate`` hands the search each evaluation's expectation and
-probabilities together and which holds nothing keyed on angles; and every
-record is built by ``_record`` from the asset marginal of its final state
-(``bounds.asset_marginal``: picks and feasible mass). The record keeps
-the asset marginal only, and its JSON ``histogram`` is that marginal: 2^n
-entries whatever the register size. A search holds two 2^m state buffers
-and the 2^m energy table, and keeps its best evaluation's 2^n marginal,
-which the ansatz reduces in the free upper half of its spare buffer: no
-2^m array of probabilities outlives an evaluation. The frame the ansatz
-runs in changes no probability (``simulate``), so each feasibility check
-samples 2^n selections from the asset marginal, not the 2^m register.
+One run path. Every angle search, whether a segment of ``run_schedule`` or
+a ``run_fixed_penalty`` run of an arm (a row of FIXED_PENALTY_ARMS: its
+program builder, reporting rule and default weight), is one call of
+``_search_angles`` (build the program's ansatz, minimize its expectation
+over scaled angles, return the angles and the asset marginal at the best);
+``simulate.Ansatz``, built from the program alone, is the one ansatz entry
+point, whose ``evaluate`` hands the search each evaluation's expectation
+and probabilities together and which holds nothing keyed on angles; and
+every record is built by ``_record`` from the asset marginal of its final
+state (``bounds.asset_marginal``: picks and feasible mass). The record
+keeps the asset marginal only, and its JSON ``histogram`` is that
+marginal: 2^n entries whatever the register size. A search holds two 2^m
+state buffers and the 2^m energy table, and keeps its best evaluation's
+2^n marginal, which the ansatz reduces in the free upper half of its spare
+buffer: no 2^m array of probabilities outlives an evaluation. The frame
+the ansatz runs in changes no probability (``simulate``), so each
+feasibility check samples 2^n selections from the asset marginal, not the
+2^m register.
 
 No risk/return uncertainty limit. The paper posits a quantum limit on the
 joint precision of portfolio risk and return. Here the risk and return
@@ -471,28 +472,33 @@ def run_schedule(
     )
 
 
-# method: (program builder, report_most_probable); see run_fixed_penalty.
+# method: (program builder, report_most_probable, default weight); see
+# run_fixed_penalty. A new fixed-penalty arm is one row here: `qmarko` builds
+# its method rows from this table.
 FIXED_PENALTY_ARMS = {
-    "penalty-qaoa": (build_penalty_qubo, True),
-    "cardinality-slack-qaoa": (build_cardinality_slack_qubo, False),
+    "penalty-qaoa": (build_penalty_qubo, True, 1000.0),
+    "cardinality-slack-qaoa": (build_cardinality_slack_qubo, False, 1000.0),
 }
 
 
 def run_fixed_penalty(
-    instance: PortfolioInstance, method: str, a_card: float = 1000.0, p: int = 2,
+    instance: PortfolioInstance, method: str, a_card: float | None = None, p: int = 2,
     budget: int = 200, seed: int = 0, optimizer: str = "cobyla",
 ) -> ExperimentRecord:
     """Fixed-penalty QAOA arm ``method`` (a FIXED_PENALTY_ARMS key): one
     standard-mixer angle search of ``budget`` evaluations on its program at
-    weight a_card. penalty-qaoa, over the asset bits only, reports the most
-    probable portfolio with its feasibility flag, reproducing the failure
-    mode where that portfolio violates the constraints; cardinality-slack-qaoa,
-    on the binary-slack cardinality encoding, reports the best feasible
-    portfolio above the probability threshold."""
+    weight a_card, by default its row's weight. penalty-qaoa, over the asset
+    bits only, reports the most probable portfolio with its feasibility
+    flag, reproducing the failure mode where that portfolio violates the
+    constraints; cardinality-slack-qaoa, on the binary-slack cardinality
+    encoding, reports the best feasible portfolio above the probability
+    threshold."""
     if method not in FIXED_PENALTY_ARMS:
         raise ValueError(f"unknown fixed-penalty arm: {method!r}; "
                          f"choose from {', '.join(FIXED_PENALTY_ARMS)}")
-    build, report_most_probable = FIXED_PENALTY_ARMS[method]
+    build, report_most_probable, default_weight = FIXED_PENALTY_ARMS[method]
+    if a_card is None:
+        a_card = default_weight
     program = build(instance, a_card)
     theta0 = _draw_initial_angles(np.random.default_rng(seed), p)
     minimize = partial(minimize_with_budget, optimizer=optimizer, budget=budget)

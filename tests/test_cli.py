@@ -12,7 +12,7 @@ import pytest
 
 from qmarko import cli
 from qmarko.bitstrings import string_to_index
-from qmarko.cli import EXIT_OK, METHODS, main
+from qmarko.cli import EXIT_NO_FEASIBLE, EXIT_OK, METHODS, main
 
 SEEDS = (1, 2)
 
@@ -111,6 +111,54 @@ def test_penalty_needs_a_method_that_takes_a_weight(tmp_path, capsys):
     record = json.loads((sweep / "penalty-qaoa_seed1" / "record.json").read_text())
     assert record["final_beta_penalty"] == 50.0
     capsys.readouterr()
+
+
+def test_solve_without_a_penalty_runs_each_method_at_its_default_weight(tmp_path, capsys):
+    # The fixed-penalty QAOA arms at 1e3, the classical baseline at the slack
+    # schedule's first weight.
+    instance = str(tmp_path / "instance.json")
+    assert main(["generate", "--n", "3", "--k", "1", "--seed", "1", "--out", instance]) == EXIT_OK
+    for method, key, weight in (("penalty-qaoa", "final_beta_penalty", 1000.0),
+                                ("cardinality-slack-qaoa", "final_beta_penalty", 1000.0),
+                                ("classical-baseline", "penalty", 100.0)):
+        out = tmp_path / method
+        assert main(["solve", "--instance", instance, "--method", method, "--max-iter", "6",
+                     "--out", str(out)]) in (EXIT_OK, EXIT_NO_FEASIBLE), method
+        assert json.loads((out / "record.json").read_text())[key] == weight, method
+    capsys.readouterr()
+
+
+def test_a_nelder_mead_sweep_spends_its_budget_and_reruns_to_the_same_bytes(tmp_path, capsys):
+    # slack-qaoa spends exactly --max-iter evaluations unless it met the
+    # feasibility target, the fixed-weight arms at most that many; a second
+    # sweep writes the same files, all but summary.csv's wall_ms column.
+    methods = ["slack-qaoa", "penalty-qaoa", "cardinality-slack-qaoa", "classical-baseline"]
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        assert main(["sweep", "--n", "4", "--k", "2", "--methods", ",".join(methods),
+                     "--seeds", "1", "--optimizer", "nelder-mead", "--max-iter", "12",
+                     "--doubling-interval", "6", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    for method in methods:
+        doc = json.loads((outs[0] / f"{method}_seed1" / "record.json").read_text())
+        if method.endswith("-qaoa"):
+            assert doc["optimizer"] == "nelder-mead", method
+        if method == "slack-qaoa" and doc["terminated_by"] != "feasibility_target":
+            assert doc["iterations"] == 12
+        else:
+            assert 0 < doc["iterations"] <= 12, method
+    files = [sorted(path.relative_to(out) for path in out.rglob("*") if path.is_file())
+             for out in outs]
+    assert files[0] == files[1]
+    for name in files[0]:
+        if name.name != "summary.csv":
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def without_wall_ms(out):
+        with (out / "summary.csv").open() as fh:
+            return [{**row, "wall_ms": None} for row in csv.DictReader(fh)]
+
+    assert without_wall_ms(outs[0]) == without_wall_ms(outs[1])
 
 
 def test_sweep_mixer_needs_slack_qaoa_in_the_grid(tmp_path, capsys):

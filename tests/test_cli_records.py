@@ -45,7 +45,7 @@ _INSTANCE = to_json(generate_instance(1, 1, 0))
 def _run_cell(doc, sweep: Path) -> Path:
     """Run the sweep cell `sweep`/x, whose method returns `doc`; its directory."""
     with mock.patch.dict(METHODS, oracle=(lambda *_: doc, None)):
-        cli._run_cell(("oracle", 1, _INSTANCE, {"penalty": None}, None, str(sweep / "x")))
+        cli._run_cell(("oracle", 1, _INSTANCE, {"penalty": None}, str(sweep / "x")))
     return sweep / "x"
 
 
@@ -301,7 +301,7 @@ def test_record_writer_refuses_a_non_finite_marginal(tmp_path, value):
 
 def test_no_command_writes_a_record_of_a_non_finite_marginal(tmp_path, capsys, monkeypatch):
     # solve exits 2 with no record.json; a sweep cell writes only error.txt.
-    def non_finite(inst, method, cfg, schedule, penalty):
+    def non_finite(inst, method, cfg, penalty):
         return {"method": method, "seed": cfg["seed"], "histogram": np.array([0.5, np.nan])}
 
     monkeypatch.setitem(METHODS, "oracle", (non_finite, None))

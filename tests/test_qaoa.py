@@ -429,6 +429,15 @@ def test_fixed_penalty_runner_refuses_an_unknown_arm():
         run_fixed_penalty(inst, "slack-qaoa")
 
 
+@pytest.mark.parametrize("method", FIXED_PENALTY_ARMS)
+def test_a_fixed_penalty_arm_runs_at_its_row_weight_by_default(method):
+    inst = generate_instance(3, 1, seed=4)
+    default = run_fixed_penalty(inst, method, p=1, budget=6, seed=4)
+    assert default.final_beta_penalty == FIXED_PENALTY_ARMS[method][-1] == 1000.0
+    assert record_json(default) == record_json(
+        run_fixed_penalty(inst, method, 1000.0, p=1, budget=6, seed=4))
+
+
 def test_cardinality_slack_runner_reports_best_feasible():
     inst = generate_instance(3, 1, seed=14)
     record = run_fixed_penalty(inst, "cardinality-slack-qaoa", a_card=1000.0, p=2, budget=200,
