@@ -44,12 +44,12 @@ written (JSON has no NaN or Infinity): `solve` exits 2 with no
 `record.json`, and a sweep cell writes only its `error.txt`. The oracle's
 and the classical baseline's one-entry dict histograms go through
 json.dumps whole. A sweep cell writes `record.json` and then
-`hist_<cell>.csv`, each through `_atomic` (a temp name renamed into place
-once whole), so a record that fails midway (a non-finite marginal among
-others) leaves neither. The CSV is a `bitstring,probability` header and one
-`label,repr(p)` row per reportable entry, its probability's record text: a
-marginal's entries above `qaoa.REPORTING_THRESHOLD` in basis-index order,
-or, if none is, its most probable (lowest index on ties); a dict
+`hist_<cell>.csv`, each through `_write_atomic` (a temp name renamed into
+place once whole), so a record that fails midway (a non-finite marginal
+among others) leaves neither. The CSV is a `bitstring,probability` header
+and one `label,repr(p)` row per reportable entry, its probability's record
+text: a marginal's entries above `qaoa.REPORTING_THRESHOLD` in basis-index
+order, or, if none is, its most probable (lowest index on ties); a dict
 histogram's every entry, in order (`nan`, `inf` or `-inf` where its record
 holds NaN, Infinity or -Infinity). The full marginal is in `record.json`
 only.
@@ -79,7 +79,6 @@ import math
 import os
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -166,25 +165,18 @@ COMMAND_SETTINGS = {
 }
 
 
-@contextmanager
-def _atomic(path: Path):
-    """A binary file open for writing under a temp name, renamed to ``path``
-    when the block ends; an error inside the block leaves no file."""
+def _write_atomic(path: Path, chunks) -> None:
+    """Write the bytes of ``chunks``, an iterable read one at a time, to
+    ``path``: they go to a binary file under a temp name, renamed to
+    ``path`` once whole, so a chunk that fails to build leaves no file."""
     tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
     try:
         with tmp.open("wb") as fh:
-            yield fh
+            fh.writelines(chunks)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
     os.replace(tmp, path)
-
-
-def _write_atomic(path: Path, chunks) -> None:
-    """Write the bytes of ``chunks``, an iterable read one at a time, to
-    ``path`` through _atomic: a chunk that fails to build leaves no file."""
-    with _atomic(path) as fh:
-        fh.writelines(chunks)
 
 
 # The layout of a QAOA record's histogram, written by _record_chunks: the
@@ -375,7 +367,7 @@ METHODS = {
     **{arm: (_fixed_penalty_qaoa, weight)
        for arm, (*_, weight) in qaoa.FIXED_PENALTY_ARMS.items()},
     "oracle": (_oracle, None),
-    "classical-baseline": (_classical_baseline, 100.0),
+    "classical-baseline": (_classical_baseline, _SCHEDULE_DEFAULTS.beta_penalty_init),
 }
 
 

@@ -134,13 +134,21 @@ def feasible_table(instance: PortfolioInstance) -> np.ndarray:
     """``is_feasible`` of every selection, indexed like ``objective_table``.
 
     Caps are >= 0, so a selection breaks a cap exactly when it selects an
-    asset whose cap is below 1: feasible means none of those and at most
-    k selected in all.
+    asset whose cap is below 1. Each selected asset counts 1, plus n + 1 if
+    its cap is below 1, so a selection is feasible exactly when its count
+    (an integer <= n(n + 2), summed exactly) is at most k.
     """
-    no_quadratic = np.zeros((instance.n, instance.n))
-    capped = quadratic_form_table(no_quadratic, instance.alpha < 1.0, 0.0)
-    selected = quadratic_form_table(no_quadratic, np.ones(instance.n), 0.0)
-    return (capped == 0.0) & (selected <= instance.k)
+    n = instance.n
+    counts = quadratic_form_table(np.zeros((n, n)), 1.0 + (n + 1) * (instance.alpha < 1.0), 0.0)
+    return counts <= instance.k
+
+
+def best_selection(instance: PortfolioInstance, allowed: np.ndarray) -> int | None:
+    """The lowest-objective index of the 2^n mask ``allowed`` (lowest index
+    on ties), or None when the mask is empty."""
+    if not allowed.any():
+        return None
+    return int(np.argmin(np.where(allowed, objective_table(instance), np.inf)))
 
 
 def to_json(instance: PortfolioInstance) -> str:

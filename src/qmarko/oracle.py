@@ -15,9 +15,9 @@ import numpy as np
 from .bitstrings import index_to_bits, index_to_string, quadratic_form_table
 from .encode import QuboProgram, qubo_energy
 from .instance import (
-    PortfolioInstance, classical_objective, feasible_table, is_feasible, objective_table,
+    PortfolioInstance, best_selection, classical_objective, feasible_table, is_feasible,
 )
-from .qaoa import minimize_with_budget
+from .qaoa import ScheduleConfig, minimize_with_budget
 
 
 def exhaustive_portfolio_optimum(instance: PortfolioInstance) -> tuple[str, float]:
@@ -27,8 +27,7 @@ def exhaustive_portfolio_optimum(instance: PortfolioInstance) -> tuple[str, floa
     Ties break toward the lowest bitstring index.
     """
     n = instance.n
-    values = np.where(feasible_table(instance), objective_table(instance), math.inf)
-    best = int(np.argmin(values))
+    best = best_selection(instance, feasible_table(instance))
     return index_to_string(best, n), classical_objective(instance, index_to_bits(best, n))
 
 
@@ -53,13 +52,14 @@ class BaselineResult:
 
 def classical_baseline(
     instance: PortfolioInstance,
-    beta_penalty: float = 100.0,
+    beta_penalty: float = ScheduleConfig.beta_penalty_init,
     budget: int = 200,
     seed: int = 0,
     optimizer: str = "cobyla",
 ) -> BaselineResult:
     """Derivative-free search on the continuous relaxation of the
-    penalized slack objective over [0,1]^(2n), rounded at 0.5.
+    penalized slack objective over [0,1]^(2n), rounded at 0.5. The penalty
+    weight defaults to the slack schedule's first weight.
 
     Uses the same optimizer machinery as the variational runs. The unit
     box is passed as native inequality constraints where the method

@@ -64,7 +64,7 @@ from .encode import (
     build_penalty_qubo,
     build_slack_ancilla_qubo,
 )
-from .instance import PortfolioInstance, classical_objective, feasible_table, objective_table
+from .instance import PortfolioInstance, best_selection, classical_objective, feasible_table
 from .simulate import Ansatz, sample_counts
 
 SCIPY_METHODS = {"cobyla": "COBYLA", "nelder-mead": "Nelder-Mead"}
@@ -372,14 +372,14 @@ def _sampled_feasible_fraction(
     return int(sample_counts(marginal, shots, seed)[feasible].sum()) / shots
 
 
-def _picks(instance: PortfolioInstance, marginal: np.ndarray):
-    """(best_feasible, most_probable, exact feasible mass) from the asset marginal.
+def _picks(instance: PortfolioInstance, feasible: np.ndarray, marginal: np.ndarray):
+    """(best_feasible, most_probable, exact feasible mass) from the asset
+    marginal, with ``feasible`` the instance's ``feasible_table``.
 
     best_feasible is the lowest-objective feasible selection whose marginal
     exceeds REPORTING_THRESHOLD (lowest index on ties), or None.
     """
     n = instance.n
-    feasible = feasible_table(instance)
 
     def pick(index: int) -> PortfolioPick:
         return PortfolioPick(
@@ -389,19 +389,19 @@ def _picks(instance: PortfolioInstance, marginal: np.ndarray):
             probability=float(marginal[index]),
         )
 
-    candidates = feasible & reportable(marginal)
-    values = np.where(candidates, objective_table(instance), math.inf)
-    best = pick(int(np.argmin(values))) if candidates.any() else None
-    return best, pick(int(np.argmax(marginal))), float(marginal[feasible].sum())
+    best = best_selection(instance, feasible & reportable(marginal))
+    best_feasible = None if best is None else pick(best)
+    return best_feasible, pick(int(np.argmax(marginal))), float(marginal[feasible].sum())
 
 
 def _record(
-    instance: PortfolioInstance, marginal: np.ndarray, report_most_probable: bool, **fields
+    instance: PortfolioInstance, feasible: np.ndarray, marginal: np.ndarray,
+    report_most_probable: bool, **fields
 ) -> ExperimentRecord:
     """The record of a run whose final state has the asset marginal
-    ``marginal``: picks and exact feasible mass are read from it, the
-    remaining ``ExperimentRecord`` fields come from the caller."""
-    best_feasible, most_probable, feasible_mass = _picks(instance, marginal)
+    ``marginal``: picks and exact feasible mass are read from it and from
+    ``feasible`` (see ``_picks``), the other fields come from the caller."""
+    best_feasible, most_probable, feasible_mass = _picks(instance, feasible, marginal)
     return ExperimentRecord(
         marginal=marginal,
         best_feasible=best_feasible,
@@ -464,7 +464,7 @@ def run_schedule(
         beta_penalty *= 2.0
 
     return _record(
-        instance, marginal, report_most_probable=False,
+        instance, feasible, marginal, report_most_probable=False,
         method="slack-qaoa", seed=seed, mixer=mixer, optimizer=optimizer,
         initial_params=initial_params, final_params=final_params,
         final_beta_penalty=beta_penalty, sampled_feasible_fraction=sampled_fraction,
@@ -504,7 +504,7 @@ def run_fixed_penalty(
     minimize = partial(minimize_with_budget, optimizer=optimizer, budget=budget)
     initial_params, final_params, _, marginal, evals = _search_angles(program, theta0, minimize)
     return _record(
-        instance, marginal, report_most_probable,
+        instance, feasible_table(instance), marginal, report_most_probable,
         method=method, seed=seed, mixer="standard", optimizer=optimizer,
         initial_params=initial_params, final_params=final_params,
         final_beta_penalty=a_card, sampled_feasible_fraction=None,

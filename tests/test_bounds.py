@@ -9,7 +9,7 @@ from qmarko.encode import (
     build_penalty_qubo,
     build_slack_ancilla_qubo,
 )
-from qmarko.instance import generate_instance
+from qmarko.instance import feasible_table, generate_instance
 from qmarko.qaoa import QaoaParams, _record
 from qmarko.simulate import StateVector
 
@@ -23,7 +23,8 @@ def _record_of(state, inst):
         VarLabel.slack_cardinality(b) for b in range(state.num_qubits - inst.n)
     )
     return _record(
-        inst, asset_marginal(state.probabilities(), labels), report_most_probable=False,
+        inst, feasible_table(inst), asset_marginal(state.probabilities(), labels),
+        report_most_probable=False,
         method="slack-qaoa", seed=0, mixer="standard", optimizer="cobyla",
         initial_params=params, final_params=params, final_beta_penalty=1.0,
         sampled_feasible_fraction=None, terminated_by="completed", trace=(),

@@ -128,6 +128,26 @@ def test_solve_without_a_penalty_runs_each_method_at_its_default_weight(tmp_path
     capsys.readouterr()
 
 
+def test_a_classical_baseline_record_without_a_penalty_has_the_schedules_first_weight(
+        tmp_path, capsys):
+    # The CLI row and oracle.classical_baseline's default both read the
+    # schedule's first weight: the record says so, and a direct call at the
+    # default weight finds the record's portfolio along the same trace.
+    from qmarko.instance import load_instance
+    from qmarko.oracle import classical_baseline
+    from qmarko.qaoa import ScheduleConfig
+
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--n", "3", "--k", "1", "--methods", "classical-baseline",
+                 "--seeds", "1", "--max-iter", "6", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    record = json.loads((out / "classical-baseline_seed1" / "record.json").read_text())
+    assert record["penalty"] == ScheduleConfig().beta_penalty_init
+    result = classical_baseline(load_instance(out / "instance_seed1.json"), budget=6, seed=1)
+    assert (result.bitstring, result.value, list(result.trace)) == (
+        record["bitstring"], record["value"], record["objective_trace"])
+
+
 def test_a_nelder_mead_sweep_spends_its_budget_and_reruns_to_the_same_bytes(tmp_path, capsys):
     # slack-qaoa spends exactly --max-iter evaluations unless it met the
     # feasibility target, the fixed-weight arms at most that many; a second

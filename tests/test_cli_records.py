@@ -1,5 +1,5 @@
 """record.json's writer; the hist_<cell>.csv a sweep cell writes after its
-record, each file through `_atomic`, so a record that fails midway (a
+record, each file through `_write_atomic`, so a record that fails midway (a
 non-finite marginal among others) leaves neither; its rows (a marginal's
 entries above qaoa.REPORTING_THRESHOLD in basis-index order, else its most
 probable entry; a dict histogram's every entry), each its record text; and

@@ -6,14 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmarko.bitstrings import index_to_bits
 from qmarko.instance import (
     MU_HIGH,
     MU_LOW,
     PortfolioInstance,
+    best_selection,
     classical_objective,
+    feasible_table,
     from_json,
     generate_instance,
     is_feasible,
+    objective_table,
     to_json,
 )
 
@@ -144,6 +148,51 @@ def test_feasibility_examples():
     assert is_feasible(inst, [0, 0, 0])
     with pytest.raises(ValueError):
         is_feasible(inst, [1, 0])
+
+
+def _capped_instances(mu=None, sigma=None):
+    """Per n <= 8 and every k, instances with caps drawn from {0, 0.5, 1, 2}
+    (three draws each), returns and covariance generated unless given."""
+    rng = np.random.default_rng(39)
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            base = generate_instance(n, k, seed=n * 10 + k)
+            for _ in range(3):
+                alpha = rng.choice([0.0, 0.5, 1.0, 2.0], size=n)
+                yield PortfolioInstance(
+                    n, k, base.mu if mu is None else np.full(n, mu),
+                    base.sigma if sigma is None else np.full((n, n), sigma), alpha,
+                )
+
+
+def test_feasible_table_is_is_feasible_on_every_selection():
+    for inst in _capped_instances():
+        table = feasible_table(inst)
+        expected = [is_feasible(inst, index_to_bits(i, inst.n)) for i in range(1 << inst.n)]
+        assert table.tolist() == expected, (inst.n, inst.k, inst.alpha)
+
+
+def test_objective_table_is_classical_objective_on_every_selection():
+    for inst in _capped_instances():
+        table = objective_table(inst)
+        expected = [classical_objective(inst, index_to_bits(i, inst.n)) for i in range(1 << inst.n)]
+        assert np.max(np.abs(table - expected)) <= 1e-12, (inst.n, inst.k)
+
+
+def test_best_selection_takes_the_lowest_allowed_index_on_a_tie():
+    # Zero returns and covariance tie every selection at objective 0.
+    rng = np.random.default_rng(5)
+    for inst in _capped_instances(mu=0.0, sigma=0.0):
+        size = 1 << inst.n
+        assert not objective_table(inst).any()
+        assert best_selection(inst, np.zeros(size, dtype=bool)) is None
+        assert best_selection(inst, feasible_table(inst)) == 0
+        allowed = rng.random(size) < 0.3
+        allowed[rng.integers(size)] = True
+        assert best_selection(inst, allowed) == int(np.flatnonzero(allowed)[0])
+        allowed[:] = False
+        allowed[size - 1] = True
+        assert best_selection(inst, allowed) == size - 1
 
 
 @given(seed=st.integers(0, 10**6), data=st.data())

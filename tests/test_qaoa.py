@@ -455,10 +455,11 @@ def test_cardinality_slack_runner_reports_best_feasible():
 
 def _assert_picks_match(inst, state):
     from helpers import naive_portfolio_picks
+    from qmarko.instance import feasible_table
     from qmarko.qaoa import REPORTING_THRESHOLD, _picks
 
     marginal = state.probabilities().reshape(-1, 1 << inst.n).sum(axis=0)
-    best, most_probable, mass = _picks(inst, marginal)
+    best, most_probable, mass = _picks(inst, feasible_table(inst), marginal)
     ref_best, ref_most_probable, ref_mass = naive_portfolio_picks(inst, marginal, REPORTING_THRESHOLD)
     assert (most_probable.bitstring, most_probable.value, most_probable.probability) == ref_most_probable
     assert most_probable.feasible == is_feasible(inst, label_bits(most_probable.bitstring))
