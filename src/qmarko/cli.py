@@ -15,10 +15,14 @@ default, but leaves `seed`, `penalty` and `mixer`, whose defaults are unset,
 unset: so a `--print-config` dump, which prints `"penalty": null` and
 `"mixer": null` when they are unset, reads back in through `--config` as
 the same settings. A config file may hold other commands' settings, so one
-file serves all three; a key that names no setting exits 2. A setting a
-method would ignore exits 2: `--mixer` on a `solve` method, or a `sweep`
-grid, without slack-qaoa, and `--penalty` on a `solve` method, or a `sweep`
-grid, that takes no fixed weight (slack-qaoa and the oracle take none).
+file serves all three; a key that names no setting exits 2. A set mixer or
+penalty weight that no method would read exits 2: `--mixer` on a `solve`
+method, or a `sweep` grid, without slack-qaoa, and `--penalty` on a `solve`
+method, or a `sweep` grid, that takes no fixed weight (slack-qaoa and the
+oracle take none). The schedule settings `--beta-init`,
+`--doubling-interval`, `--shots` and `--feasibility-target` are read by
+slack-qaoa only; for other methods a valid value is ignored, and an invalid
+one still exits 2.
 `sweep --jobs` is capped by the number of cells. `sweep --n` or `--k` beside
 `--instance` exits 2, since the file sets both (a config file's n and k are
 ignored there, and `--print-config` leaves them out). A command checks

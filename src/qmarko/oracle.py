@@ -1,8 +1,10 @@
 """Ground-truth machinery: exhaustive searches and the classical baseline.
 
-The exhaustive routines tabulate every assignment with
-``bitstrings.quadratic_form_table`` and take the argmin, which breaks
-ties toward the lowest bitstring index.
+The exhaustive routines tabulate every assignment and take the best,
+breaking ties toward the lowest bitstring index: the portfolio optimum
+through ``instance.feasible_table`` and ``best_selection``, the QUBO
+minimum through ``simulate.energy_table``, the one program tabulator,
+which refuses a program whose energies overflow.
 """
 
 from __future__ import annotations
@@ -12,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitstrings import index_to_bits, index_to_string, quadratic_form_table
+from .bitstrings import index_to_bits, index_to_string
 from .encode import QuboProgram, qubo_energy
 from .instance import (
     PortfolioInstance, best_selection, classical_objective, feasible_table, is_feasible,
 )
 from .qaoa import ScheduleConfig, minimize_with_budget
+from .simulate import energy_table
 
 
 def exhaustive_portfolio_optimum(instance: PortfolioInstance) -> tuple[str, float]:
@@ -33,10 +36,9 @@ def exhaustive_portfolio_optimum(instance: PortfolioInstance) -> tuple[str, floa
 
 def exhaustive_qubo_minimum(program: QuboProgram) -> tuple[str, float]:
     """Global minimum over all 2^m assignments; ties break toward the
-    lowest bitstring index."""
+    lowest bitstring index. Raises ValueError if an energy overflows."""
     m = program.num_qubits
-    table = quadratic_form_table(program.quadratic, program.linear, program.constant)
-    best = int(np.argmin(table))
+    best = int(np.argmin(energy_table(program)))
     return index_to_string(best, m), qubo_energy(program, index_to_bits(best, m))
 
 

@@ -12,7 +12,8 @@ One run path. Every angle search, whether a segment of ``run_schedule`` or
 a ``run_fixed_penalty`` run of an arm (a row of FIXED_PENALTY_ARMS: its
 program builder, reporting rule and default weight), is one call of
 ``_search_angles`` (build the program's ansatz, minimize its expectation
-over scaled angles, return the angles and the asset marginal at the best);
+over scaled angles, return the angles and the asset marginal at the first
+strict minimum of its evaluations);
 ``simulate.Ansatz``, built from the program alone, is the one ansatz entry
 point, whose ``evaluate`` hands the search each evaluation's expectation
 and probabilities together and which holds nothing keyed on angles; and
@@ -58,7 +59,6 @@ from scipy import optimize as sciopt
 
 from .bitstrings import index_to_bits, index_to_string
 from .encode import (
-    ASSET,
     QuboProgram,
     build_cardinality_slack_qubo,
     build_penalty_qubo,
@@ -103,14 +103,6 @@ class QaoaParams:
             raise ValueError("angles must be finite")
         object.__setattr__(self, "gammas", gammas)
         object.__setattr__(self, "beta_mixes", beta_mixes)
-
-    @classmethod
-    def from_vector(cls, theta) -> "QaoaParams":
-        vec = np.asarray(theta, dtype=float)
-        if vec.size % 2 != 0 or vec.size == 0:
-            raise ValueError(f"angle vector must have even positive length, got {vec.size}")
-        p = vec.size // 2
-        return cls(p, tuple(vec[:p]), tuple(vec[p:]))
 
 
 @dataclass(frozen=True)
@@ -234,8 +226,8 @@ def minimize_with_budget(fun, x0, optimizer: str = "cobyla", budget: int = 200, 
     """Derivative-free minimization hard-capped at ``budget`` evaluations.
 
     Returns (best_x, best_f, evals) where evals lists every objective value
-    in evaluation order; the cap may leave the scipy call unfinished, in
-    which case the best point seen so far is returned. ``constraints`` are
+    in evaluation order and best_x, best_f are its first strict minimum; the
+    cap may leave the scipy call unfinished. ``constraints`` are
     forwarded for methods that support them (COBYLA); the Nelder-Mead
     variant ignores them, so callers must also guard inside ``fun``.
     """
@@ -280,8 +272,9 @@ def minimize_with_budget(fun, x0, optimizer: str = "cobyla", budget: int = 200, 
 
 def _minimize_exact_budget(fun, x0, optimizer: str, budget: int):
     """Consume exactly ``budget`` evaluations, restarting from the current
-    best point whenever the minimizer converges early. Keeps the penalty
-    schedule's doubling cadence exact."""
+    best point whenever the minimizer converges early, and return as
+    ``minimize_with_budget`` does: a restart keeps the first strict minimum
+    over all segments. Keeps the penalty schedule's doubling cadence exact."""
     best_x = np.array(x0, dtype=float)
     best_f = math.inf
     all_evals: list[float] = []
@@ -313,50 +306,48 @@ def _physical_params(theta, scale: float) -> QaoaParams:
     """Physical angles from scaled search coordinates: gamma = theta_gamma / scale."""
     theta = np.asarray(theta, dtype=float)
     p = theta.size // 2
-    return QaoaParams.from_vector(np.concatenate((theta[:p] / scale, theta[p:])))
+    return QaoaParams(p, tuple(theta[:p] / scale), tuple(theta[p:]))
 
 
 def _search_angles(program: QuboProgram, theta, minimize, mixer: str = "standard"):
     """One angle search: minimize the ansatz expectation from scaled angles theta.
 
-    ``minimize(objective, theta)`` returns (best theta, best value, evals),
-    as ``minimize_with_budget`` does. Returns (initial_params, final_params,
-    best theta, marginal, evals): the physical angles at theta and at the
-    best theta, the asset marginal of the state at the best theta
-    (``bounds.asset_marginal``), and evals in physical units and in
-    evaluation order. The ansatz (``simulate.Ansatz``), with its table and
-    workspace, lives only inside the call.
+    ``minimize(objective, theta)`` returns (best theta, best value, evals)
+    with evals every value it evaluated, in order, and the best their first
+    strict minimum, as ``minimize_with_budget`` and
+    ``_minimize_exact_budget`` do; the search reads evals only. Returns
+    (initial_params, final_params, best theta, marginal, evals): the
+    physical angles at theta and at the best theta, the asset marginal of
+    the state at the best theta (``bounds.asset_marginal``), and evals. The
+    program is read only through its ansatz (``simulate.Ansatz``, whose
+    table and workspace live only inside the call) and ``_angle_scale``.
 
-    The final marginal is read from the search's best evaluation, not
-    simulated again: the objective takes each evaluation's expectation and
-    probabilities from one ``Ansatz.evaluate``, and on each new strict
-    minimum (the rule by which ``minimize_with_budget`` keeps its best)
-    copies the asset marginal of those probabilities
-    (``Ansatz.marginal``, reduced inside the workspace) into one kept
-    array of 2^n float64s, n the program's asset qubits, and returns that
-    array. Only if ``minimize`` returns other angles is the state at them
-    evaluated once more.
+    Nothing is simulated after ``minimize`` returns: on each new strict
+    minimum of the values ``Ansatz.evaluate`` hands it, the objective keeps
+    its theta and copies the asset marginal of its probabilities
+    (``Ansatz.marginal``, reduced inside the workspace) into one kept array
+    of 2^n float64s (n the program's asset qubits), allocated from the
+    first such marginal.
     """
     scale = _angle_scale(program)
     ansatz = Ansatz(program, mixer)
-    assets = sum(label.kind == ASSET for label in program.labels)
-    kept = np.empty(1 << assets)  # the asset marginal at kept_params
-    kept_params, lowest = None, math.inf
+    lowest, kept_theta, kept = math.inf, None, None  # kept: the marginal at kept_theta
 
     def objective(theta):
-        nonlocal kept_params, lowest
-        params = _physical_params(theta, scale)
-        value, probabilities = ansatz.evaluate(params)
+        nonlocal lowest, kept_theta, kept
+        value, probabilities = ansatz.evaluate(_physical_params(theta, scale))
         if value < lowest:
-            kept_params, lowest = params, value
-            np.copyto(kept, ansatz.marginal(probabilities))
+            lowest, kept_theta = value, np.array(theta, dtype=float)
+            marginal = ansatz.marginal(probabilities)
+            if kept is None:
+                kept = marginal.copy()
+            else:
+                np.copyto(kept, marginal)
         return value
 
-    best_theta, _, evals = minimize(objective, theta)
-    final_params = _physical_params(best_theta, scale)
-    if final_params != kept_params:
-        np.copyto(kept, ansatz.marginal(ansatz.evaluate(final_params)[1]))
-    return _physical_params(theta, scale), final_params, best_theta, kept, evals
+    *_, evals = minimize(objective, theta)
+    final_params = _physical_params(kept_theta, scale)
+    return _physical_params(theta, scale), final_params, kept_theta, kept, evals
 
 
 def _draw_initial_angles(rng: np.random.Generator, p: int) -> np.ndarray:

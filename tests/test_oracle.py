@@ -1,3 +1,4 @@
+import warnings
 from itertools import product
 
 import numpy as np
@@ -75,6 +76,18 @@ def test_qubo_minimum_trivial_programs():
     bits, energy = exhaustive_qubo_minimum(single)
     assert bits == "1"
     assert energy == pytest.approx(-1.0)
+
+
+def test_qubo_minimum_refuses_an_overflowing_program():
+    # Finite coefficients whose energy at 111 is inf - inf: a NaN state is
+    # no minimum, so the search raises, and without a warning.
+    quadratic = np.array([[0.0, 0.0, -1e308], [0.0, 0.0, -1e308], [0.0, 0.0, 0.0]])
+    program = QuboProgram(3, tuple(VarLabel.asset(i) for i in range(3)), quadratic,
+                          np.array([1e308, 1e308, 0.0]), 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            exhaustive_qubo_minimum(program)
 
 
 def test_qubo_minimum_matches_reenumeration():

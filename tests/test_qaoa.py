@@ -69,13 +69,6 @@ def test_params_validation():
         QaoaParams(1, (np.inf,), (0.0,))
 
 
-def test_params_vector_round_trip():
-    params = QaoaParams(2, (0.1, 0.2), (0.3, 0.4))
-    assert QaoaParams.from_vector([0.1, 0.2, 0.3, 0.4]) == params
-    with pytest.raises(ValueError):
-        QaoaParams.from_vector([0.1, 0.2, 0.3])
-
-
 def test_schedule_config_validation():
     ScheduleConfig()
     with pytest.raises(ValueError):
@@ -124,6 +117,49 @@ def test_minimize_with_budget_rejects_unknown_optimizer():
         minimize_with_budget(lambda x: 0.0, np.zeros(2), "powell", 10)
     with pytest.raises(ValueError):
         minimize_with_budget(lambda x: 0.0, np.zeros(2), "cobyla", 0)
+
+
+def _shifted_bowl(x):
+    return float(((x - 0.3) ** 2).sum())
+
+
+def _terraced_bowl(x):
+    # Flat terraces: its lowest value is reached at many distinct points.
+    return float(np.floor(4.0 * _shifted_bowl(x)) / 4.0)
+
+
+@pytest.mark.parametrize("bowl", (_shifted_bowl, _terraced_bowl), ids=("smooth", "terraced"))
+@pytest.mark.parametrize("optimizer", ("cobyla", "nelder-mead"))
+@pytest.mark.parametrize("exact", (False, True), ids=("budget", "exact budget"))
+def test_minimizers_return_the_first_strict_minimum_they_evaluated(
+    bowl, optimizer, exact, monkeypatch
+):
+    # The point and value returned are the first evaluation that no later one
+    # beats strictly, the rule by which _search_angles keeps its own best.
+    # The exact budget restarts each time the optimizer converges: both
+    # optimizers run several segments in 200 evaluations on either bowl.
+    import qmarko.qaoa as qaoa
+
+    points, segments = [], []
+
+    def recorded(x):
+        value = bowl(x)
+        points.append((np.array(x), value))
+        return value
+
+    def segment(*args, **kwargs):
+        segments.append(args)
+        return minimize_with_budget(*args, **kwargs)
+
+    monkeypatch.setattr(qaoa, "minimize_with_budget", segment)
+    run = qaoa._minimize_exact_budget if exact else segment
+    best_x, best_f, evals = run(recorded, np.array([2.0, -1.5]), optimizer, 200)
+    assert evals == [value for _, value in points]
+    first = int(np.argmin(evals))
+    assert np.array_equal(best_x, points[first][0]) and best_f == evals[first]
+    assert len(segments) > 1 if exact else len(segments) == 1
+    if bowl is _terraced_bowl:  # a tie at another point keeps the first
+        assert len({tuple(x) for x, value in points if value == best_f}) > 1
 
 
 # --- ansatz -------------------------------------------------------------------
@@ -625,16 +661,20 @@ def test_search_objective_is_the_expectation_of_the_state(layout):
 
     def minimize(objective, theta):
         values = [objective(t) for t in thetas]
-        return thetas[-1], min(values), values
+        best = int(np.argmin(values))
+        return thetas[best], values[best], values
 
     initial, final, best, marginal, values = _search_angles(program, thetas[0], minimize, mixer)
     ansatz, scale, energies = Ansatz(program, mixer), _angle_scale(program), energy_table(program)
     for theta, value in zip(thetas, values):
         direct = expectation(ansatz(_physical_params(theta, scale)), energies)
         assert value == pytest.approx(direct, rel=1e-12, abs=0)
-    # The returned angles and marginal are those of the start and best points.
+    # The returned angles and marginal are those of the start and best
+    # points; the best is neither the first evaluation nor the last.
+    lowest = int(np.argmin(values))
+    assert 0 < lowest < len(values) - 1
     assert initial == _physical_params(thetas[0], scale)
-    assert np.array_equal(best, thetas[-1]) and final == _physical_params(thetas[-1], scale)
+    assert np.array_equal(best, thetas[lowest]) and final == _physical_params(thetas[lowest], scale)
     direct = asset_marginal(ansatz(final).probabilities(), program.labels)
     assert np.allclose(marginal, direct, rtol=0, atol=1e-15)
 
