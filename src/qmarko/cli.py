@@ -139,10 +139,9 @@ SETTINGS = {
     "seed": (_seed, None, "non-negative random seed (falls back to QMARKO_SEED, then 0)"),
     "lambda_weight": (float, 1.0, "return weight lambda of the generated instance"),
     "q_risk": (float, 0.5, "risk weight q of the generated instance"),
-    "p": (as_integer, 2, "ansatz depth; one slack-qaoa layer takes ~0.5 s at the 24-qubit limit "
-                          "(12 assets; extrapolated at 4x per two qubits from 0.11-0.13 s at 22 "
-                          "qubits, 13-19 ms at 20 and 4-5 ms at 18, each the median p = 2 minus "
-                          "p = 1 expectation time on one BLAS thread)"),
+    "p": (as_integer, 2, "ansatz depth; one p = 2 slack-qaoa evaluation takes 0.98 s at the "
+                          "24-qubit limit (12 assets, best of 3 on one BLAS thread), growing "
+                          "5.4-5.5x per two qubits above 20"),
     "optimizer": (_choice(*qaoa.SCIPY_METHODS), "cobyla",
                   f"one of {', '.join(sorted(qaoa.SCIPY_METHODS))}"),
     "penalty": (float, None, "fixed penalty weight of the baselines (default per method)"),

@@ -11,12 +11,14 @@ doublings.
 One run path. Every angle search, whether a segment of ``run_schedule`` or
 a ``run_fixed_penalty`` run of an arm (a row of FIXED_PENALTY_ARMS: its
 program builder, reporting rule and default weight), is one call of
-``_search_angles`` (build the program's ansatz, minimize its expectation
-over scaled angles, return the angles and the asset marginal at the first
-strict minimum of its evaluations);
-``simulate.Ansatz``, built from the program alone, is the one ansatz entry
-point, whose ``evaluate`` hands the search each evaluation's expectation
-and probabilities together and which holds nothing keyed on angles; and
+``_search_angles`` (minimize an ansatz's expectation over scaled angles,
+return the angles and the asset marginal at the first strict minimum of its
+evaluations). The search accepts any ansatz with ``evaluate(params)`` ->
+(value, probabilities) and ``marginal(probabilities)``, plus the scale that
+gives theta its period. Each runner passes ``simulate.Ansatz``, built from
+its program alone and holding nothing keyed on angles, and ``_angle_scale``
+of that program, both inside the call, so an ansatz's table and workspace
+live only for its own search; and
 every record is built by ``_record`` from the asset marginal of its final
 state (``bounds.asset_marginal``: picks and feasible mass). The record
 keeps the asset marginal only, and its JSON ``histogram`` is that
@@ -309,8 +311,9 @@ def _physical_params(theta, scale: float) -> QaoaParams:
     return QaoaParams(p, tuple(theta[:p] / scale), tuple(theta[p:]))
 
 
-def _search_angles(program: QuboProgram, theta, minimize, mixer: str = "standard"):
-    """One angle search: minimize the ansatz expectation from scaled angles theta.
+def _search_angles(ansatz, scale: float, theta, minimize):
+    """One angle search: minimize the ansatz expectation from scaled angles
+    theta, with gamma = theta_gamma / scale.
 
     ``minimize(objective, theta)`` returns (best theta, best value, evals)
     with evals every value it evaluated, in order, and the best their first
@@ -318,19 +321,14 @@ def _search_angles(program: QuboProgram, theta, minimize, mixer: str = "standard
     ``_minimize_exact_budget`` do; the search reads evals only. Returns
     (initial_params, final_params, best theta, marginal, evals): the
     physical angles at theta and at the best theta, the asset marginal of
-    the state at the best theta (``bounds.asset_marginal``), and evals. The
-    program is read only through its ansatz (``simulate.Ansatz``, whose
-    table and workspace live only inside the call) and ``_angle_scale``.
+    the state at the best theta, and evals.
 
     Nothing is simulated after ``minimize`` returns: on each new strict
-    minimum of the values ``Ansatz.evaluate`` hands it, the objective keeps
-    its theta and copies the asset marginal of its probabilities
-    (``Ansatz.marginal``, reduced inside the workspace) into one kept array
-    of 2^n float64s (n the program's asset qubits), allocated from the
-    first such marginal.
+    minimum of the values ``ansatz.evaluate`` hands it, the objective keeps
+    its theta and copies ``ansatz.marginal`` of its probabilities (a view
+    valid until the next evaluation) into one kept array, allocated from
+    the first such marginal.
     """
-    scale = _angle_scale(program)
-    ansatz = Ansatz(program, mixer)
     lowest, kept_theta, kept = math.inf, None, None  # kept: the marginal at kept_theta
 
     def objective(theta):
@@ -435,7 +433,7 @@ def run_schedule(
         chunk = min(config.doubling_interval, config.max_iterations - len(rows))
         minimize = partial(_minimize_exact_budget, optimizer=optimizer, budget=chunk)
         start, final_params, theta, marginal, evals = _search_angles(
-            program, theta, minimize, mixer
+            Ansatz(program, mixer), _angle_scale(program), theta, minimize
         )
         if initial_params is None:
             initial_params = start
@@ -493,7 +491,9 @@ def run_fixed_penalty(
     program = build(instance, a_card)
     theta0 = _draw_initial_angles(np.random.default_rng(seed), p)
     minimize = partial(minimize_with_budget, optimizer=optimizer, budget=budget)
-    initial_params, final_params, _, marginal, evals = _search_angles(program, theta0, minimize)
+    initial_params, final_params, _, marginal, evals = _search_angles(
+        Ansatz(program, "standard"), _angle_scale(program), theta0, minimize
+    )
     return _record(
         instance, feasible_table(instance), marginal, report_most_probable,
         method=method, seed=seed, mixer="standard", optimizer=optimizer,

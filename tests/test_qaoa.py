@@ -21,7 +21,14 @@ from helpers import (
 )
 from qmarko.bounds import asset_marginal
 from qmarko.bitstrings import index_to_bits
-from qmarko.encode import QuboProgram, VarLabel, build_penalty_qubo, build_slack_ancilla_qubo
+from qmarko.encode import (
+    QuboProgram,
+    VarLabel,
+    _program as _encoded_program,
+    build_cardinality_slack_qubo,
+    build_penalty_qubo,
+    build_slack_ancilla_qubo,
+)
 from qmarko.instance import PortfolioInstance, classical_objective, generate_instance, is_feasible
 from qmarko.oracle import exhaustive_portfolio_optimum, exhaustive_qubo_minimum
 from qmarko.qaoa import (
@@ -52,7 +59,9 @@ def _optimize_angles(program, p, budget, seed):
     """A fixed-penalty run's angle search: (best physical angles, evals)."""
     theta0 = _draw_initial_angles(np.random.default_rng(seed), p)
     minimize = partial(minimize_with_budget, optimizer="cobyla", budget=budget)
-    _, final_params, _, _, evals = _search_angles(program, theta0, minimize)
+    _, final_params, _, _, evals = _search_angles(
+        Ansatz(program, "standard"), _angle_scale(program), theta0, minimize
+    )
     return final_params, evals
 
 
@@ -401,6 +410,75 @@ def test_schedule_record_is_self_consistent():
     assert record.reported == record.best_feasible
 
 
+# --- the penalty weight under scaled angles -----------------------------------
+
+def _objective_and_penalty(build, inst):
+    """A program's objective part and its penalty part at weight 1."""
+    whole = build(inst, 1.0)
+    objective = _encoded_program(inst, whole.labels, [], 1.0)
+    penalty = QuboProgram(
+        whole.num_qubits, whole.labels, whole.quadratic - objective.quadratic,
+        whole.linear - objective.linear, whole.constant - objective.constant,
+    )
+    return objective, penalty
+
+
+def _at_weight(objective, penalty, beta):
+    return QuboProgram(
+        objective.num_qubits, objective.labels,
+        objective.quadratic + beta * penalty.quadratic,
+        objective.linear + beta * penalty.linear,
+        objective.constant + beta * penalty.constant,
+    )
+
+
+def _centred_energies(program):
+    # The mean of the table is the Ising offset, a global phase.
+    table = energy_table(program)
+    return table - table.mean()
+
+
+@given(
+    seed=st.integers(0, 10**6), n=st.integers(1, 5), p=st.integers(1, 3),
+    build=st.sampled_from((build_slack_ancilla_qubo, build_penalty_qubo,
+                           build_cardinality_slack_qubo)),
+    position=st.floats(0.0, 1.0), data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_scaled_phases_lose_the_penalty_weight_within_the_inertness_bound(
+    seed, n, p, build, position, data
+):
+    # With E_beta = e_obj + beta * e_pen and s(beta) >= beta * s_pen - s_obj,
+    # E_beta / s(beta) is within d(beta) = 2 s_obj / (beta s_pen - s_obj) of
+    # e_pen / s_pen per basis state, so at fixed theta a doubling moves the
+    # asset marginal by at most sum|theta_gamma| * (d(beta) + d(2 beta)),
+    # itself at most sum|theta_gamma| * 2 d(beta).
+    # The 1e-9 relative margin covers rounding only: at n = 1 the per-state
+    # bound is tight to within a relative ~d(beta), ~1e-7 at beta = 1e5.
+    inst = generate_instance(n, data.draw(st.integers(1, n)), seed)
+    objective, penalty = _objective_and_penalty(build, inst)
+    s_obj, s_pen = _angle_scale(objective), _angle_scale(penalty)
+    low = 2.02 * s_obj / s_pen
+    beta = low * (1e5 / low) ** position
+    bound = 2.0 * s_obj / (beta * s_pen - s_obj)
+    limit = _centred_energies(penalty) / s_pen
+    programs = [_at_weight(objective, penalty, weight) for weight in (beta, 2.0 * beta)]
+    for program in programs:
+        scaled = _centred_energies(program) / _angle_scale(program)
+        assert np.abs(scaled - limit).max() <= bound * (1.0 + 1e-9)
+
+    theta = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=2 * p)
+    mixers = ("standard", "conditional") if build is build_slack_ancilla_qubo else ("standard",)
+    for mixer in mixers:
+        marginals = []
+        for program in programs:
+            ansatz = Ansatz(program, mixer)
+            _, probabilities = ansatz.evaluate(_physical_params(theta, _angle_scale(program)))
+            marginals.append(ansatz.marginal(probabilities).copy())
+        distance = 0.5 * np.abs(marginals[0] - marginals[1]).sum()
+        assert distance <= np.abs(theta[:p]).sum() * 2.0 * bound, mixer
+
+
 # --- fixed-penalty runners -------------------------------------------------------
 
 def test_baseline_reports_most_probable_with_flag():
@@ -664,7 +742,9 @@ def test_search_objective_is_the_expectation_of_the_state(layout):
         best = int(np.argmin(values))
         return thetas[best], values[best], values
 
-    initial, final, best, marginal, values = _search_angles(program, thetas[0], minimize, mixer)
+    initial, final, best, marginal, values = _search_angles(
+        Ansatz(program, mixer), _angle_scale(program), thetas[0], minimize
+    )
     ansatz, scale, energies = Ansatz(program, mixer), _angle_scale(program), energy_table(program)
     for theta, value in zip(thetas, values):
         direct = expectation(ansatz(_physical_params(theta, scale)), energies)
@@ -677,6 +757,48 @@ def test_search_objective_is_the_expectation_of_the_state(layout):
     assert np.array_equal(best, thetas[lowest]) and final == _physical_params(thetas[lowest], scale)
     direct = asset_marginal(ansatz(final).probabilities(), program.labels)
     assert np.allclose(marginal, direct, rtol=0, atol=1e-15)
+
+
+class _ScriptedAnsatz:
+    """An ansatz with no program behind it: ``evaluate`` returns the next
+    scripted value and overwrites one small array with its call count, and
+    ``marginal`` returns a view of that array, as ``simulate.Ansatz`` hands
+    out views of its workspace."""
+
+    def __init__(self, values):
+        self.values, self.calls, self.closed = list(values), [], False
+        self.buffer = np.zeros(6)
+
+    def evaluate(self, params):
+        assert not self.closed, "evaluated after minimize returned"
+        self.calls.append(params)
+        self.buffer[:] = len(self.calls)
+        return self.values[len(self.calls) - 1], self.buffer
+
+    def marginal(self, probabilities):
+        assert probabilities is self.buffer
+        return probabilities[2:]
+
+
+def test_a_search_over_any_ansatz_keeps_a_copy_at_its_first_strict_minimum():
+    ansatz, scale = _ScriptedAnsatz([3.0, 1.0, 2.0, 1.0, 5.0]), 3.0
+    thetas = np.random.default_rng(47).uniform(0.0, np.pi, size=(5, 4))
+
+    def minimize(objective, theta):
+        values = [objective(t) for t in thetas]
+        ansatz.closed = True
+        return thetas[1], values[1], values
+
+    initial, final, best, marginal, values = _search_angles(ansatz, scale, thetas[0], minimize)
+    assert values == ansatz.values and len(ansatz.calls) == 5
+    # The second evaluation's marginal, copied out: neither the tie at the
+    # fourth nor the later overwrites of the view reach it.
+    assert np.array_equal(marginal, np.full(4, 2.0))
+    assert not np.shares_memory(marginal, ansatz.buffer)
+    assert np.array_equal(best, thetas[1])
+    physical = [QaoaParams(2, tuple(t[:2] / scale), tuple(t[2:])) for t in thetas]
+    assert ansatz.calls == physical
+    assert (initial, final) == (physical[0], physical[1])
 
 
 def _best_is_not_last(rows) -> bool:
@@ -739,7 +861,7 @@ def _search_peak(program, mixer) -> tuple[float, float]:
 
     tracemalloc.start()
     try:
-        _search_angles(program, thetas[0], minimize, mixer)
+        _search_angles(Ansatz(program, mixer), _angle_scale(program), thetas[0], minimize)
         peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
@@ -771,6 +893,24 @@ def test_search_peak_memory_is_its_workspace_table_and_kept_probabilities(mixer)
     # buffers (2), the energy table (1/2), the kept 2^7 asset marginal and
     # a few KiB.
     assert growth <= 0.1, growth
+    assert peak <= 2.75, peak
+
+
+def test_a_schedule_holds_one_search_workspace_across_a_doubling():
+    import tracemalloc
+
+    inst = generate_instance(7, 2, 3)  # m = 14
+    config = ScheduleConfig(doubling_interval=6, max_iterations=12, feasibility_shots=64)
+    run_schedule(inst, config, seed=3)  # warm-up: COBYLA's first call imports its solver
+    tracemalloc.start()
+    try:
+        record = run_schedule(inst, config, seed=3)
+        peak = tracemalloc.get_traced_memory()[1] / (16 << 14)
+    finally:
+        tracemalloc.stop()
+    assert [row.beta_penalty for row in record.trace] == [100.0] * 6 + [200.0] * 6
+    # Each segment's ansatz is freed with its search, so the second segment's
+    # table and workspace replace the first's: one search's bound, not two.
     assert peak <= 2.75, peak
 
 
